@@ -200,8 +200,10 @@ def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
         tte = np.array([tau])
     else:
         tte = np.arange(m_steps) * (tau / (m_steps - 1))
+    # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
     values = np.array([
-        critical_price_approx(spec.maturity - th, spec, mode) for th in tte])
+        critical_price_approx(max(spec.maturity - th, 0.0), spec, mode)
+        for th in tte])
     tte.setflags(write=False)
     values.setflags(write=False)
     curve = BoundaryCurve(times=tte, values=values, spec_hash=key)

@@ -18,6 +18,22 @@ Time axis (``time_weights``): nodes t_l = l tau / (M-1) with "simpson"
 default is what reproduces the reference benchmark table.
 
 Discounting enters once, inside the transform factors.
+
+Premium transform
+-----------------
+The American price is the European price minus the early-exercise
+premium, whose transform is a time integral of the early-exercise Mellin
+transform f(w, s*_l) = s*_l^w [q s*_l/(w+1) - rK/w] weighted by
+exp(-t_l (Psi(wi) + r)).  The rational factors do not depend on the time
+node, so :func:`premium_transform` only accumulates the moments
+sum_l c_l (s*_l)^e s*_l^w exp(-t_l (Psi + r)), e = 0, 1, in one streamed
+pass over the M nodes into length-N arrays (no M x N array): the factor
+exp(-t_l (Psi + r)) is a running product over the uniform nodes,
+s*^(i b_j) comes from a two-level table over the uniformly spaced
+frequencies, and only b >= 0 is evaluated, the rest filled in by
+conjugate symmetry.  It matches the per-node sum to about 1e-14 of the
+transform's peak.  American greeks reuse the same pass with t-weighted
+moments, since every premium multiplier is affine in the node time.
 """
 
 from __future__ import annotations
@@ -215,29 +231,139 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
             * np.exp(-tau * psi - spec.rate * tau))
 
 
-def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
-                      term_fn=None):
+def _uniform_contour(w):
+    """Check that ``w`` is a uniformly spaced vertical segment a + i(b0 + j db).
+
+    Returns (a, b0, db, count); db is 0 for a single point.
+    """
+    z = np.asarray(w, dtype=complex).ravel()
+    count = z.shape[0]
+    a, b = z.real, z.imag
+    if count == 0:
+        raise ValueError("contour has no points")
+    if np.any(a != a[0]):
+        raise ValueError("contour points must share one real part")
+    if count == 1:
+        return float(a[0]), float(b[0]), 0.0, 1
+    db = (b[-1] - b[0]) / (count - 1)
+    gap = np.abs(b - (b[0] + np.arange(count) * db)).max()
+    if db == 0.0 or not gap <= 1e-9 * abs(db):
+        raise ValueError("contour points must be uniformly spaced in Im(w)")
+    return float(a[0]), float(b[0]), float(db), count
+
+
+def _half_axis(b0, db, count):
+    """Frequencies c + k h (k < size) that cover the contour, and the gather.
+
+    A contour that passes through b = 0 on its own spacing is evaluated on
+    b >= 0 only: point j reads entry |j - j0| (j0 the index of b = 0) and
+    takes the conjugate where b_j < 0.  Any other contour is evaluated
+    as given.  Returns (c, h, size, index, conjugate mask).
+    """
+    j = np.arange(count)
+    if count > 1:
+        at_zero = -b0 / db
+        j0 = round(at_zero)
+        if 0 <= j0 < count and abs(at_zero - j0) <= 1e-9:
+            offset = j - j0
+            return (0.0, abs(db), max(j0, count - 1 - j0) + 1,
+                    np.abs(offset), offset * db < 0)
+    return b0, db, count, j, np.zeros(count, dtype=bool)
+
+
+def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
+                    t_powers=(0,)):
+    """Weighted time moments of the early-exercise integrand at w.
+
+    With X_l(w) = s*_l^w exp(-t_l (Psi(wi) + r)) and the time-quadrature
+    weights c_l, returns an array of shape (len(t_powers), 2) + w.shape[:-1]
+    whose entry [p, e] is sum_l c_l t_l^p (s*_l)^e X_l(w), over the nodes
+    with s*_l > 0.  Single-asset only; ``w`` must be a uniformly spaced
+    vertical segment (see :func:`premium_transform`).
+    """
+    if spec.n != 1 or np.shape(w)[-1:] != (1,):
+        raise NotImplementedError("the premium transform is single-asset only")
+    a, b0, db, count = _uniform_contour(w)
+    c, h, size, index, conj = _half_axis(b0, db, count)
+
+    t_nodes, t_wgts = premium_time_grid(boundary.m, tau, time_mode)
+    w_half = a + 1j * (c + h * np.arange(size))
+    cov = CovStruct.from_spec(spec)
+    psi_r = char_exponent_wi(w_half[:, None], cov) + spec.rate
+    step = np.exp(-(t_nodes[1] if boundary.m > 1 else 0.0) * psi_r)
+
+    # s*^(i b_k) = s*^(i c) (s*^(i h))^k, with k = block * width + r: one
+    # exp per block start and per in-block power instead of one per point
+    width = max(1, math.isqrt(size))
+    blocks = -(-size // width)
+    block_b = c + h * width * np.arange(blocks)
+    inner_b = h * np.arange(width)
+    table = np.empty((blocks, width), dtype=complex)
+    flat = table.reshape(-1)[:size]
+
+    moments = np.zeros((len(t_powers), 2, size), dtype=complex)
+    running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r))
+    x = np.empty(size, dtype=complex)
+    for l, t_l in enumerate(t_nodes):
+        s_star = boundary.at_tte(tau - t_l)
+        if s_star > 0.0:
+            log_s = math.log(s_star)
+            np.multiply.outer(t_wgts[l] * np.exp((a + 1j * block_b) * log_s),
+                              np.exp(1j * log_s * inner_b), out=table)
+            np.multiply(flat, running, out=x)  # c_l X_l
+            for p, power in enumerate(t_powers):
+                xp = x * t_l**power if power else x
+                moments[p, 0] += xp
+                moments[p, 1] += s_star * xp
+        if l + 1 < boundary.m:
+            running *= step
+
+    out = moments[..., index]
+    out[..., conj] = out[..., conj].conj()
+    return out.reshape(out.shape[:2] + np.shape(w)[:-1])
+
+
+def exercise_factors(w, spec: BasketSpec):
+    """(q/(w+1), -rK/w), the rational factors of the early-exercise transform.
+
+    For one asset early_exercise_mellin(w, s*) = s*^w [q s*/(w+1) - rK/w];
+    ``w`` carries the asset index on the last axis.
+    """
+    w = np.asarray(w, dtype=complex)[..., 0]
+    return (float(spec.dividends[0]) / (w + 1.0),
+            -spec.rate * spec.strike / w)
+
+
+def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
     """Time-quadrature of the early-exercise transform at w.
 
-    sum_l wgt_l * f(w, tau - t_l) * exp(-t_l Psi(wi)) * exp(-r t_l), with
-    f defaulting to the early-exercise transform at the boundary value for
-    time-to-expiry tau - t_l.  ``term_fn(w, s_star, t_l)`` overrides the
-    per-step transform (used for sensitivity integrands).
+    H(w) = sum_l c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
+    early-exercise transform at the boundary value s*_l for time-to-expiry
+    tau - t_l and c_l the ``time_mode`` weights; nodes with s*_l = 0 (empty
+    exercise region) contribute nothing.
+
+    For one asset f(w, s*) = s*^w [q s*/(w+1) - rK/w], whose rational
+    factors do not depend on l, so H = q/(w+1) A1 - rK/w A0 with the
+    moments A_e = sum_l c_l (s*_l)^e X_l, X_l = s*_l^w exp(-t_l (Psi + r)).
+    They are accumulated in one pass over the M time nodes into a few
+    length-N arrays (:func:`premium_moments`): the nodes are uniform, so
+    exp(-t_l (Psi + r)) is the running product P^l with
+    P = exp(-dt (Psi + r)); the contour is a uniformly spaced vertical
+    segment, so s*^(i b_j) is geometric in j and comes from a two-level
+    (block start x in-block power) table of about 2 sqrt(N) exps per node.
+    The early-exercise function is real, so H(a - ib) = conj H(a + ib): a
+    contour through b = 0 on its own spacing is evaluated for b >= 0 only
+    (the lattice's unpaired corner -N delta/2 adds one frequency there) and
+    the rest is filled in by conjugation.  Against the per-node sum of
+    ``early_exercise_mellin`` terms the result agrees to about 1e-14 of
+    its peak magnitude (the tests require 1e-13).
+
+    ``w`` has shape (..., 1) and must be a uniformly spaced vertical
+    segment in its flattened order, else ``ValueError``.
     """
-    cov = CovStruct.from_spec(spec)
-    psi = char_exponent_wi(w, cov)
-    t_nodes, t_wgts = premium_time_grid(boundary.m, tau, time_mode)
-    if term_fn is None:
-        term_fn = lambda ws, s_star, t_l: early_exercise_mellin(ws, s_star, spec)
-    acc = np.zeros(w.shape[:-1], dtype=complex)
-    for l in range(boundary.m):
-        t_l = t_nodes[l]
-        s_star = boundary.at_tte(tau - t_l)
-        if s_star <= 0.0:
-            continue
-        term = term_fn(w, s_star, t_l)
-        acc += t_wgts[l] * term * np.exp(-t_l * psi - spec.rate * t_l)
-    return acc
+    (a0, a1), = premium_moments(w, spec, tau, boundary, time_mode)
+    f_q, f_r = exercise_factors(w, spec)
+    return f_q * a1 + f_r * a0
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ import numpy as np
 
 from .boundary import boundary_curve
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                         discounted_payoff_transform, invert_transform_lattice,
-                         premium_transform)
-from .mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
-                          early_exercise_mellin, exercise_indicator_mellin)
+                         discounted_payoff_transform, exercise_factors,
+                         invert_transform_lattice, premium_moments)
+from .mellin_core import BasketSpec, CovStruct, char_exponent_wi
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
 MULTIPLIER_MODES = ("kernel", "paper")
@@ -120,10 +119,10 @@ def greek_multiplier(kind: GreekKind, w, spot, tau, s, spec: BasketSpec,
 
     ``w`` carries the asset index on the last axis; ``spot`` is the spot
     vector; ``s`` is the inner (premium) time the premium factor is
-    evaluated at.  In kernel mode, rho and xi carry an additional additive
-    premium term (the early-exercise transform's explicit parameter
-    derivative) that no multiplicative factor expresses; :func:`greek`
-    includes it, see ``_premium_term_fn``.
+    evaluated at; every premium factor is affine in ``s``.  In kernel mode,
+    rho and xi carry an additional additive premium term (the
+    early-exercise transform's explicit parameter derivative) that no
+    multiplicative factor expresses; :func:`greek` adds it.
     """
     if mode not in MULTIPLIER_MODES:
         raise ValueError(f"unknown multiplier mode {mode!r}")
@@ -168,24 +167,6 @@ def greek_multiplier(kind: GreekKind, w, spot, tau, s, spec: BasketSpec,
     raise AssertionError(kind.name)
 
 
-def _premium_term_fn(kind: GreekKind, w, spot, tau, spec, mode):
-    """Per-step premium integrand for the sensitivity pipeline."""
-    def term(ws, s_star, t_l):
-        _, f_p = greek_multiplier(kind, ws, spot, tau, t_l, spec, mode)
-        out = f_p * early_exercise_mellin(ws, s_star, spec)
-        if mode == "kernel":
-            # explicit parameter derivatives of the early-exercise transform
-            if kind.name == "rho":
-                out = out + spec.strike * exercise_indicator_mellin(ws, s_star)
-            elif kind.name == "xi":
-                sw = np.sum(ws, axis=-1)
-                out = out - (exercise_indicator_mellin(ws, s_star)
-                             * ws[..., kind.i - 1] * s_star / (sw + 1.0))
-        return out
-
-    return term
-
-
 # ---------------------------------------------------------------------------
 # pipeline evaluation
 # ---------------------------------------------------------------------------
@@ -193,6 +174,32 @@ def _premium_term_fn(kind: GreekKind, w, spot, tau, spec, mode):
 
 def _default_size(n):
     return 2**14 if n == 1 else 2**9
+
+
+def _premium_sensitivity(kind, w, spot, tau, spec, boundary, mode):
+    """Premium term sum_l c_l f_p(w, t_l) f(w, s*_l) X_l of the sensitivity.
+
+    f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
+    reduces to the moments of :func:`premium_moments` with t^0 and t^1
+    weights; f = q/(w+1) s* - rK/w per unit X (see
+    :func:`~mellin_pricer.fft_pricer.premium_transform`).
+    """
+    _, alpha = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)
+    _, at_one = greek_multiplier(kind, w, spot, tau, 1.0, spec, mode)
+    (a0, a1), (t0, t1) = premium_moments(w, spec, tau, boundary,
+                                         t_powers=(0, 1))
+    f_q, f_r = exercise_factors(w, spec)
+    out = (alpha * (f_q * a1 + f_r * a0)
+           + (at_one - alpha) * (f_q * t1 + f_r * t0))
+    if mode == "kernel":
+        # explicit parameter derivatives of the early-exercise transform:
+        # d/dr adds K s*^w / w, d/dq subtracts s*^(w+1) / (w+1)
+        wv = np.asarray(w)[..., 0]
+        if kind.name == "rho":
+            out = out + spec.strike * a0 / wv
+        elif kind.name == "xi":
+            out = out - a1 / (wv + 1.0)
+    return out
 
 
 def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
@@ -220,9 +227,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         if spec.n != 1:
             raise NotImplementedError("American sensitivities need n == 1")
         bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
-        transform = transform + premium_transform(
-            w, spec, tau, bnd, term_fn=_premium_term_fn(kind, w, spot, tau,
-                                                        spec, mode))
+        transform = transform + _premium_sensitivity(kind, w, spot, tau,
+                                                     spec, bnd, mode)
         if kind.name == "theta" and mode == "kernel":
             s_star_now = bnd.at_tte(tau)
             if float(spot.sum()) <= s_star_now:

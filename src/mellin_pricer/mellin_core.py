@@ -43,10 +43,13 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def lgamma_complex(z):
     """Log-gamma for complex ``z`` with Re(z) > 0.
 
-    Lanczos approximation (g=7, 9 coefficients), relative accuracy about
-    1e-13 on the right half-plane, which covers the strip of convergence
-    used throughout (Re(w) > 0).  All downstream gamma ratios exponentiate
-    differences of these values, so large |Im(z)| never overflows.
+    Lanczos approximation (g=7, 9 coefficients) on the right half-plane,
+    which covers the strip of convergence used throughout (Re(w) > 0).
+    Against ``scipy.special.loggamma`` the tests pin exp of the difference
+    to within 1e-12 of 1 for |Im z| <= 50 and within 1e-11 for
+    |Im z| <= 2500; the error grows with |Im z| and is about 2.3e-12 at
+    |Im z| ~ 700.  All downstream gamma ratios exponentiate differences of
+    these values, so large |Im(z)| never overflows.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real <= 0.0):

@@ -62,17 +62,15 @@ def binomial_price(spot, strike, rate, dividend, vol, tau, steps=10000,
     is_call = style in (EURO_CALL, AMER_CALL)
     american = style in (AMER_PUT, AMER_CALL)
 
-    log_spot = math.log(spot)
-    j = np.arange(steps + 1)
-    terminal = np.exp(log_spot + (2.0 * j - steps) * sdt)
-    values = np.maximum(terminal - strike if is_call else strike - terminal,
-                        0.0)
+    # every node of every step is spot * u^m, m = -steps..steps; step i
+    # reads m = -i, -i+2, ..., i as a strided slice
+    nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
+    exercise = nodes - strike if is_call else strike - nodes
+    values = np.maximum(exercise[::2], 0.0)
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
         if american:
-            nodes = np.exp(log_spot + (2.0 * np.arange(i + 1) - i) * sdt)
-            exercise = nodes - strike if is_call else strike - nodes
-            values = np.maximum(values, exercise)
+            values = np.maximum(values, exercise[steps - i:steps + i + 1:2])
     return float(values[0])
 
 

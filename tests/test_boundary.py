@@ -155,6 +155,14 @@ class TestBoundaryCurve:
         assert np.all(diffs <= 1e-9), "oracle curve is monotone in tte"
         assert np.abs(curve.values - oracle).max() < 1e-8
 
+    def test_last_node_rounding_past_maturity(self):
+        # 58 * (0.9375 / 58) exceeds 0.9375 by an ulp; the last node is
+        # expiry, not a calendar time before the contract starts
+        spec = BasketSpec.single(50.0, 0.9375, 0.01, 0.0, 0.5)
+        curve = boundary_curve(spec, 59, 0.9375)
+        assert curve.times[-1] > 0.9375
+        assert curve.values[-1] == critical_price_approx(0.0, spec)
+
     def test_cache_returns_identical_object(self):
         a = boundary_curve(self.spec, 50, 0.5)
         b = boundary_curve(self.spec, 50, 0.5)

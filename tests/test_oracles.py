@@ -12,8 +12,8 @@ from mellin_pricer.errors import InvalidProbability
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                                       price_surface)
 from mellin_pricer.mellin_core import BasketSpec
-from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_PUT, McConfig,
-                                   binomial_price, black_scholes,
+from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
+                                   McConfig, binomial_price, black_scholes,
                                    mc_basket_euro_put,
                                    price_direct_trapezoid)
 
@@ -47,6 +47,30 @@ class TestBinomial:
                 for k in (100, 200, 400, 800, 1600)}
         gaps = [abs(vals[2 * k] - vals[k]) for k in (100, 200, 400, 800)]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+    @pytest.mark.parametrize("style", [EURO_PUT, EURO_CALL, AMER_PUT,
+                                       AMER_CALL])
+    def test_equals_step_by_step_node_formula(self, style):
+        # the node table read by strided slices must reproduce, bit for bit,
+        # exp of each step's own log nodes
+        spot, strike, r, q, sig, tau, steps = 95.0, 100.0, 0.05, 0.03, 0.3, 0.75, 300
+        dt = tau / steps
+        sdt = sig * math.sqrt(dt)
+        u = math.exp(sdt)
+        p = (math.exp((r - q) * dt) - 1.0 / u) / (u - 1.0 / u)
+        disc = math.exp(-r * dt)
+        sign = 1.0 if style in (EURO_CALL, AMER_CALL) else -1.0
+        log_spot = math.log(spot)
+        nodes = np.exp(log_spot + (2.0 * np.arange(steps + 1) - steps) * sdt)
+        values = np.maximum(sign * (nodes - strike), 0.0)
+        for i in range(steps - 1, -1, -1):
+            values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
+            if style in (AMER_PUT, AMER_CALL):
+                nodes = np.exp(log_spot + (2.0 * np.arange(i + 1) - i) * sdt)
+                values = np.maximum(values, sign * (nodes - strike))
+        got = binomial_price(spot, strike, r, q, sig, tau, steps=steps,
+                             style=style)
+        assert got == float(values[0])
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
