@@ -15,14 +15,23 @@ bracketing root-finder.  Three formula modes are available:
 ``sigma-squared``
     delta = sigma^2/2 + (q-r)/sigma + 2r and exp(+q (T-t)); same guards.
 
-Boundary curves are cached per rounded parameter tuple; cached curves are
-immutable and shared, so repeated requests are bit-identical.
+The critical price is homogeneous of degree 1 in (S, K): the residual,
+the bracket, the root tolerance and the expiry limit all scale with the
+strike.  So each market's curve is solved once at K = 1 and a curve at
+strike K is K times that unit curve; the five calls of one market, which
+put-call symmetry maps to five strikes, share one solve.  Both the
+strike-free curves and the scaled ones are cached per rounded parameter
+tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
+cached curves are immutable and shared, so repeated requests are
+bit-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,11 +172,19 @@ class BoundaryCurve:
         return self.times.shape[0]
 
     def at_tte(self, theta):
-        """Value at time-to-expiry theta, which must lie on the grid."""
-        idx = int(round(theta / self.times[-1] * (self.m - 1))) if self.times[-1] > 0 else 0
-        if not (0 <= idx < self.m) or abs(self.times[idx] - theta) > 1e-9:
+        """Value at time-to-expiry theta, which must lie on the grid.
+
+        ``theta`` may be an array; the values then come back in its shape.
+        """
+        theta = np.asarray(theta, dtype=float)
+        span = self.times[-1]
+        idx = (np.rint(theta / span * (self.m - 1)).astype(int) if span > 0
+               else np.zeros(theta.shape, dtype=int))
+        if (np.any((idx < 0) | (idx >= self.m))
+                or np.any(np.abs(self.times[idx] - theta) > 1e-9)):
             raise KeyError(f"time-to-expiry {theta} not on the boundary grid")
-        return float(self.values[idx])
+        values = self.values[idx]
+        return float(values) if values.ndim == 0 else values
 
     def to_csv(self, fp):
         """Write `t,s_star` rows (t = time to expiry, ascending)."""
@@ -176,45 +193,96 @@ class BoundaryCurve:
             fp.write(f"{t:.12g},{v:.12g}\n")
 
 
-_curve_cache: dict = {}
-_cache_lock = threading.Lock()
+class _LruCache:
+    """A bounded map that evicts its least recently used entry; thread-safe."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self._data = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        with self._lock:
+            return len(self._data)
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def add(self, key, value):
+        """Store ``value`` unless ``key`` is held already; return the held one."""
+        with self._lock:
+            value = self._data.setdefault(key, value)
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+            return value
+
+    def clear(self):
+        with self._lock:
+            self._data.clear()
 
 
-def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
-    """Critical prices on the M-point time grid, cached per parameter tuple.
+CACHE_SIZE = 256  # curves per cache; an M = 250 curve holds 4 kB of arrays
+_curve_cache = _LruCache(CACHE_SIZE)
+_unit_cache = _LruCache(CACHE_SIZE)
 
-    Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.  Two calls with
-    identical (rounded) parameters return the same immutable curve object.
+
+def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
+    """The boundary curve of ``spec`` at strike 1, solved once per market.
+
+    Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.
     """
-    if m_steps < 1:
-        raise ValueError("m_steps must be >= 1")
-    if not 0 < tau <= spec.maturity + 1e-12:
-        raise ValueError("require 0 < tau <= maturity")
-    key = spec.param_key(extra=(int(m_steps), round(float(tau), 12), mode))
-    with _cache_lock:
-        hit = _curve_cache.get(key)
+    unit = dataclasses.replace(spec, strike=1.0)
+    key = unit.param_key(extra=(int(m_steps), round(float(tau), 12), mode))
+    hit = _unit_cache.get(key)
     if hit is not None:
         return hit
-
     if m_steps == 1:
         tte = np.array([tau])
     else:
         tte = np.arange(m_steps) * (tau / (m_steps - 1))
     # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
     values = np.array([
-        critical_price_approx(max(spec.maturity - th, 0.0), spec, mode)
+        critical_price_approx(max(unit.maturity - th, 0.0), unit, mode)
         for th in tte])
     tte.setflags(write=False)
     values.setflags(write=False)
-    curve = BoundaryCurve(times=tte, values=values, spec_hash=key)
-    with _cache_lock:
-        _curve_cache.setdefault(key, curve)
-        return _curve_cache[key]
+    return _unit_cache.add(key, BoundaryCurve(times=tte, values=values,
+                                              spec_hash=key))
+
+
+def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
+    """Critical prices on the M-point time grid, cached per parameter tuple.
+
+    Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.  The critical
+    price is homogeneous of degree 1 in (S, K), so the curve is K times
+    the strike-1 curve of the same market, which is solved once and
+    shared by every strike.  Two calls with identical (rounded) parameters
+    return the same immutable curve object.
+    """
+    if m_steps < 1:
+        raise ValueError("m_steps must be >= 1")
+    if not 0 < tau <= spec.maturity + 1e-12:
+        raise ValueError("require 0 < tau <= maturity")
+    key = spec.param_key(extra=(int(m_steps), round(float(tau), 12), mode))
+    hit = _curve_cache.get(key)
+    if hit is not None:
+        return hit
+    unit = _unit_curve(spec, m_steps, tau, mode)
+    values = spec.strike * unit.values
+    values.setflags(write=False)
+    return _curve_cache.add(key, BoundaryCurve(times=unit.times, values=values,
+                                               spec_hash=key))
 
 
 def clear_boundary_cache():
-    with _cache_lock:
-        _curve_cache.clear()
+    """Empty both the per-strike and the strike-1 curve caches."""
+    _curve_cache.clear()
+    _unit_cache.clear()
 
 
 def boundary_residual_cap(curve: BoundaryCurve, t, spec: BasketSpec, grid,

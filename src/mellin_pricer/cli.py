@@ -265,7 +265,7 @@ def cmd_price(args, parser):
         diagnostics["mc_std_error"] = _fmt(stderr)
     out = {"method": method, "style": style, "price": _fmt(value),
            "diagnostics": diagnostics}
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -294,7 +294,7 @@ def cmd_greeks(args, parser):
             [i + 1, j + 1, _fmt(greeks_mod.greek(
                 greeks_mod.delta2(i + 1, j + 1), spots, tau, spec, **kw))]
             for i in range(spec.n) for j in range(i + 1, spec.n)]
-    payload = json.dumps(result, sort_keys=True)
+    payload = json.dumps(result, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(payload + "\n")
@@ -323,7 +323,8 @@ def cmd_surface(args, parser):
     fmt = args.format or "csv"
     text_target = args.out
     if fmt == "json":
-        payload = json.dumps(surface_to_json(surf), sort_keys=True)
+        payload = json.dumps(surface_to_json(surf), sort_keys=True,
+                             allow_nan=False)
         _write_out(text_target, payload + "\n")
     else:
         if text_target:

@@ -31,9 +31,17 @@ pass over the M nodes into length-N arrays (no M x N array): the factor
 exp(-t_l (Psi + r)) is a running product over the uniform nodes,
 s*^(i b_j) comes from a two-level table over the uniformly spaced
 frequencies, and only b >= 0 is evaluated, the rest filled in by
-conjugate symmetry.  It matches the per-node sum to about 1e-14 of the
-transform's peak.  American greeks reuse the same pass with t-weighted
-moments, since every premium multiplier is affine in the node time.
+conjugate symmetry.  The pass is band-limited per node: a node's terms
+decay like exp(-t_l sigma^2 b^2 / 2) along the contour, so node l only
+touches |b| <= sqrt(2 TAIL / (sigma^2 t_l)) with the tail constant
+TAIL = 60.  Each dropped term is below e^-60 of its node's b = 0 term, and
+those terms are positive and add up to the moment's peak, so everything
+dropped is below M e^-60 of the peak.  The cutoffs shrink with the node
+time, and nodes with similar cutoffs are evaluated as one bounded
+(nodes x frequencies) block.  The result matches the per-node sum to
+about 1e-14 of the transform's peak.  American greeks reuse the same pass
+with t-weighted moments, since every premium multiplier is affine in the
+node time.
 """
 
 from __future__ import annotations
@@ -59,6 +67,12 @@ IMAG_RESIDUAL_TOL = 1e-6  # times strike
 NEGATIVE_CLAMP_TOL = 1e-6  # times strike; any value below this hard-fails
 NEGATIVE_MATERIAL_TOL = 1e-8  # times strike; sign noise below this is benign
 MAX_CLAMPED_FRACTION = 0.01  # material negatives allowed in the central half
+
+# Premium pass: a time node drops the frequencies where its terms are below
+# e^-TAIL of its b = 0 term, and nodes are evaluated in blocks of at most
+# BLOCK_POINTS (node, frequency) entries.
+TAIL = 60.0
+BLOCK_POINTS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,8 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
 def _uniform_contour(w):
     """Check that ``w`` is a uniformly spaced vertical segment a + i(b0 + j db).
 
-    Returns (a, b0, db, count); db is 0 for a single point.
+    Returns (a, b, db): the shared real part, the imaginary parts and the
+    spacing (0 for a single point).
     """
     z = np.asarray(w, dtype=complex).ravel()
     count = z.shape[0]
@@ -244,31 +259,63 @@ def _uniform_contour(w):
     if np.any(a != a[0]):
         raise ValueError("contour points must share one real part")
     if count == 1:
-        return float(a[0]), float(b[0]), 0.0, 1
+        return float(a[0]), b, 0.0
     db = (b[-1] - b[0]) / (count - 1)
     gap = np.abs(b - (b[0] + np.arange(count) * db)).max()
     if db == 0.0 or not gap <= 1e-9 * abs(db):
         raise ValueError("contour points must be uniformly spaced in Im(w)")
-    return float(a[0]), float(b[0]), float(db), count
+    return float(a[0]), b, float(db)
 
 
-def _half_axis(b0, db, count):
+def _half_axis(b, db):
     """Frequencies c + k h (k < size) that cover the contour, and the gather.
 
-    A contour that passes through b = 0 on its own spacing is evaluated on
-    b >= 0 only: point j reads entry |j - j0| (j0 the index of b = 0) and
-    takes the conjugate where b_j < 0.  Any other contour is evaluated
-    as given.  Returns (c, h, size, index, conjugate mask).
+    A contour with a sample at exactly b = 0 is evaluated on b >= 0 only:
+    point j reads entry |j - j0| (j0 the index of b = 0) and takes the
+    conjugate where b_j < 0.  Any other contour, including one that misses
+    b = 0 by a fraction of its spacing, is evaluated as given.  Returns
+    (c, h, size, index, conjugate mask).
     """
+    count = b.shape[0]
     j = np.arange(count)
     if count > 1:
-        at_zero = -b0 / db
-        j0 = round(at_zero)
-        if 0 <= j0 < count and abs(at_zero - j0) <= 1e-9:
+        j0 = round(-b[0] / db)
+        if 0 <= j0 < count and b[j0] == 0.0:
             offset = j - j0
             return (0.0, abs(db), max(j0, count - 1 - j0) + 1,
                     np.abs(offset), offset * db < 0)
-    return b0, db, count, j, np.zeros(count, dtype=bool)
+    return float(b[0]), db, count, j, np.zeros(count, dtype=bool)
+
+
+def _node_cutoffs(c, h, size, sigma, t_nodes):
+    """How many of the frequencies c + k h, k < size, each time node keeps.
+
+    |X_l(b)| = |X_l(0)| exp(-t_l sigma^2 b^2 / 2), so beyond
+    b_l = sqrt(2 TAIL / (sigma^2 t_l)) a node's terms are below e^-TAIL of
+    its b = 0 term.  Only a folded half axis (c = 0, h > 0, so |b| = k h
+    grows with k) is cut; t_0 = 0 keeps everything.  The counts never
+    increase with l.
+    """
+    keep = np.full(t_nodes.shape[0], size)
+    if c == 0.0 and h > 0.0:
+        with np.errstate(divide="ignore"):
+            b_cut = np.sqrt(2.0 * TAIL / (sigma**2 * t_nodes))
+        keep = (np.minimum(b_cut / h, size - 1)).astype(int) + 1
+    return keep
+
+
+def _running_rows(first, step, rows):
+    """Rows first * step^j, j < rows, by doubling: log2(rows) products."""
+    x = np.empty((rows, first.shape[0]), dtype=complex)
+    x[0] = first
+    power, done = step, 1  # power = step^done
+    while done < rows:
+        more = min(done, rows - done)
+        np.multiply(x[:more], power, out=x[done:done + more])
+        done += more
+        if done < rows:
+            power = power * power
+    return x
 
 
 def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
@@ -280,46 +327,65 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
     whose entry [p, e] is sum_l c_l t_l^p (s*_l)^e X_l(w), over the nodes
     with s*_l > 0.  Single-asset only; ``w`` must be a uniformly spaced
     vertical segment (see :func:`premium_transform`).
+
+    The pass is band-limited: |X_l(a + ib)| = |X_l(a)| exp(-t_l sigma^2
+    b^2 / 2), so on a contour through b = 0 node l only updates
+    |b| <= b_l = sqrt(2 TAIL / (sigma^2 t_l)), and every dropped term is
+    below e^-TAIL of that node's b = 0 term.  Those terms are positive
+    reals that add up to the moment at b = 0, its peak magnitude, so all
+    dropped terms together stay below M e^-TAIL (about 2e-24 at M = 250)
+    of the peak.  The cutoffs shrink with l, so consecutive nodes whose
+    cutoffs lie within a factor of two are evaluated together as one
+    (nodes x frequencies) block of at most BLOCK_POINTS entries: the
+    running products fill the block's rows by repeated doubling and the
+    weights c_l t_l^p (s*_l)^e s*_l^a reduce it by one matrix product.
     """
     if spec.n != 1 or np.shape(w)[-1:] != (1,):
         raise NotImplementedError("the premium transform is single-asset only")
-    a, b0, db, count = _uniform_contour(w)
-    c, h, size, index, conj = _half_axis(b0, db, count)
+    a, b, db = _uniform_contour(w)
+    c, h, size, index, conj = _half_axis(b, db)
 
     t_nodes, t_wgts = premium_time_grid(boundary.m, tau, time_mode)
+    s_star = boundary.at_tte(tau - t_nodes)
+    live = s_star > 0.0
+    log_s = np.log(np.where(live, s_star, 1.0))
+    base = np.where(live, t_wgts * np.exp(a * log_s), 0.0)
+    weights = np.array([base * t_nodes**p * s_star**e
+                        for p in t_powers for e in (0, 1)], dtype=complex)
+
     w_half = a + 1j * (c + h * np.arange(size))
     cov = CovStruct.from_spec(spec)
     psi_r = char_exponent_wi(w_half[:, None], cov) + spec.rate
     step = np.exp(-(t_nodes[1] if boundary.m > 1 else 0.0) * psi_r)
+    keep = _node_cutoffs(c, h, size, float(spec.vols[0]), t_nodes)
 
-    # s*^(i b_k) = s*^(i c) (s*^(i h))^k, with k = block * width + r: one
-    # exp per block start and per in-block power instead of one per point
-    width = max(1, math.isqrt(size))
-    blocks = -(-size // width)
-    block_b = c + h * width * np.arange(blocks)
-    inner_b = h * np.arange(width)
-    table = np.empty((blocks, width), dtype=complex)
-    flat = table.reshape(-1)[:size]
+    moments = np.zeros((weights.shape[0], size), dtype=complex)
+    running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r)), l = lo
+    lo = 0
+    while lo < boundary.m:
+        # the following nodes that keep over half of this node's band
+        band = int(keep[lo])
+        hi = lo + max(1, min(np.count_nonzero(2 * keep[lo:] > band),
+                             BLOCK_POINTS // band))
+        nodes = slice(lo, hi)
+        x = _running_rows(running[:band], step[:band], hi - lo)
+        if hi < boundary.m:
+            nxt = int(keep[hi])
+            running[:nxt] = x[-1, :nxt] * step[:nxt]
+        # s*^(i b_j) = s*^(i c) (s*^(i h))^j with j = block * width + r:
+        # one exp per block start and per in-block power, not per point
+        width = max(1, math.isqrt(band))
+        blocks = -(-band // width)
+        phase = 1j * log_s[nodes, None]
+        starts = np.exp(phase * (c + h * width * np.arange(blocks)))
+        inner = np.exp(phase * (h * np.arange(width)))
+        table = (starts[:, :, None] * inner[:, None, :]).reshape(hi - lo, -1)
+        x *= table[:, :band]
+        moments[:, :band] += weights[:, nodes] @ x
+        lo = hi
 
-    moments = np.zeros((len(t_powers), 2, size), dtype=complex)
-    running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r))
-    x = np.empty(size, dtype=complex)
-    for l, t_l in enumerate(t_nodes):
-        s_star = boundary.at_tte(tau - t_l)
-        if s_star > 0.0:
-            log_s = math.log(s_star)
-            np.multiply.outer(t_wgts[l] * np.exp((a + 1j * block_b) * log_s),
-                              np.exp(1j * log_s * inner_b), out=table)
-            np.multiply(flat, running, out=x)  # c_l X_l
-            for p, power in enumerate(t_powers):
-                xp = x * t_l**power if power else x
-                moments[p, 0] += xp
-                moments[p, 1] += s_star * xp
-        if l + 1 < boundary.m:
-            running *= step
-
-    out = moments[..., index]
-    out[..., conj] = out[..., conj].conj()
+    out = np.take(moments.reshape(len(t_powers), 2, size), index, axis=-1)
+    np.negative(out.imag, out=out.imag, where=conj)
     return out.reshape(out.shape[:2] + np.shape(w)[:-1])
 
 
@@ -352,11 +418,13 @@ def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
     segment, so s*^(i b_j) is geometric in j and comes from a two-level
     (block start x in-block power) table of about 2 sqrt(N) exps per node.
     The early-exercise function is real, so H(a - ib) = conj H(a + ib): a
-    contour through b = 0 on its own spacing is evaluated for b >= 0 only
+    contour with a sample at exactly b = 0 is evaluated for b >= 0 only
     (the lattice's unpaired corner -N delta/2 adds one frequency there) and
-    the rest is filled in by conjugation.  Against the per-node sum of
-    ``early_exercise_mellin`` terms the result agrees to about 1e-14 of
-    its peak magnitude (the tests require 1e-13).
+    the rest is filled in by conjugation.  On such a contour node l only
+    updates |b| <= sqrt(2 TAIL / (sigma^2 t_l)), which drops less than
+    M e^-TAIL of the moments' peak (see :func:`premium_moments`).  Against
+    the per-node sum of ``early_exercise_mellin`` terms the result agrees
+    to about 1e-14 of its peak magnitude (the tests require 1e-13).
 
     ``w`` has shape (..., 1) and must be a uniformly spaced vertical
     segment in its flattened order, else ``ValueError``.

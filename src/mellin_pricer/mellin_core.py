@@ -100,6 +100,10 @@ class BasketSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("asset count n must be >= 1")
+        for name in ("strike", "maturity", "rate", "dividends", "vols",
+                     "corr"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not self.strike > 0:
             raise ValueError("strike must be positive")
         if not self.maturity > 0:

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mellin_pricer.mellin_core import BasketSpec
+
+# On CI a randomized failure prints the blob that reproduces it, since the
+# example database that would replay it stays on the machine that ran it.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # benchmark groupings: (rate, dividend, vol) of the 6-month call experiments
 GROUPING_PARAMS = {

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import GROUPING_PARAMS, assert_close
+from mellin_pricer import boundary
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     boundary_residual_cap, capf_residual,
                                     clear_boundary_cache,
                                     critical_price_approx)
 from mellin_pricer.errors import NegativeRadicand
-from mellin_pricer.fft_pricer import build_grid
+from mellin_pricer.fft_pricer import build_grid, price_american_call
 from mellin_pricer.mellin_core import BasketSpec
 
 
@@ -168,6 +169,60 @@ class TestBoundaryCurve:
         b = boundary_curve(self.spec, 50, 0.5)
         assert a is b
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("strike", [0.37, 80.0, 100.0, 123.456, 5e4])
+    def test_curve_scales_with_strike(self, strike):
+        # the critical price is homogeneous of degree 1 in (S, K)
+        r, q, sig = GROUPING_PARAMS[3]
+        spec = BasketSpec.single(strike, 0.5, r, q, sig)
+        unit = BasketSpec.single(1.0, 0.5, r, q, sig)
+        curve = boundary_curve(spec, 40, 0.5)
+        np.testing.assert_allclose(
+            curve.values, strike * boundary_curve(unit, 40, 0.5).values,
+            rtol=4 * np.finfo(float).eps, atol=0)
+        # and agrees with a solve at the strike itself to the solver's
+        # tolerance
+        direct = [critical_price_approx(0.5 - th, spec) for th in curve.times]
+        np.testing.assert_allclose(curve.values, direct, rtol=1e-12)
+
+    def test_five_calls_of_one_market_share_one_solve(self, monkeypatch):
+        # put-call symmetry maps the calls to puts struck at each spot
+        solves = []
+
+        def counting(t, spec, mode="corrected"):
+            solves.append(spec.strike)
+            return critical_price_approx(t, spec, mode)
+
+        monkeypatch.setattr(boundary, "critical_price_approx", counting)
+        m = 50
+        for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+            price_american_call(spot, 100.0, 0.03, 0.07, 0.2, 0.5,
+                                m_steps=m)
+        assert len(solves) == m
+        assert set(solves) == {1.0}
+
+    def test_caches_stay_bounded(self):
+        size = boundary.CACHE_SIZE
+        specs = [BasketSpec.single(100.0, 0.5, 0.01 + 1e-4 * i, 0.02, 0.3)
+                 for i in range(size + 10)]
+        first = boundary_curve(specs[0], 2, 0.5)
+        for spec in specs[1:]:
+            boundary_curve(spec, 2, 0.5)
+        assert len(boundary._curve_cache) == size
+        assert len(boundary._unit_cache) == size
+        last = boundary_curve(specs[-1], 2, 0.5)
+        assert boundary_curve(specs[-1], 2, 0.5) is last
+        # the least recently used market was evicted and is solved anew
+        again = boundary_curve(specs[0], 2, 0.5)
+        assert again is not first
+        assert np.array_equal(again.values, first.values)
+
+    def test_clear_empties_both_caches(self):
+        boundary_curve(self.spec, 5, 0.5)
+        assert len(boundary._curve_cache) and len(boundary._unit_cache)
+        clear_boundary_cache()
+        assert len(boundary._curve_cache) == 0
+        assert len(boundary._unit_cache) == 0
 
     def test_at_tte_index_lookup(self):
         curve = boundary_curve(self.spec, 250, 0.5)

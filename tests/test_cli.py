@@ -75,6 +75,24 @@ class TestPriceCommand:
         err = capsys.readouterr().err
         assert "--strike" in err
 
+    @pytest.mark.parametrize("style, flag", [("euro-put", "--rate"),
+                                             ("amer-put", "--div")])
+    def test_non_finite_market_exits_2(self, capsys, style, flag):
+        market = {"--spot": "100", "--strike": "100", "--rate": "0.05",
+                  "--div": "0.02", "--vol": "0.2", "--tau": "1"}
+        market[flag] = "nan"
+        argv = ["price", "--method", "fft", "--style", style,
+                "--grid-n", "4096", "--grid-m", "8"]
+        for key, val in market.items():
+            argv += [key, val]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "rate" if flag == "--rate" else "dividends"
+        assert f"{name} must be finite" in captured.err
+
     def test_validation_error_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "price", "--method", "bs", "--style", "amer-put",

@@ -62,6 +62,24 @@ class TestBasketSpec:
         BasketSpec(n=2, strike=100, maturity=1, rate=0.05,
                    dividends=[0, 0], vols=[0.2, 0.3], corr=corr)
 
+    @pytest.mark.parametrize("field, value", [
+        ("strike", math.inf), ("maturity", math.nan), ("rate", math.nan),
+        ("rate", math.inf), ("dividend", math.nan), ("vol", math.nan),
+        ("vol", math.inf)])
+    def test_rejects_non_finite_inputs(self, field, value):
+        # NaN fails every comparison, so range checks alone let it through
+        params = dict(strike=100, maturity=0.5, rate=0.03, dividend=0.07,
+                      vol=0.2)
+        params[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            BasketSpec.single(**params)
+
+    def test_rejects_non_finite_correlation(self):
+        with pytest.raises(ValueError, match="corr must be finite"):
+            BasketSpec(n=2, strike=100, maturity=1, rate=0.05,
+                       dividends=[0, 0], vols=[0.2, 0.3],
+                       corr=[[1, math.nan], [math.nan, 1]])
+
     def test_immutable_arrays(self):
         spec = BasketSpec.single(100, 0.5, 0.03, 0.07, 0.2)
         with pytest.raises(ValueError):

@@ -1,21 +1,22 @@
 """Streamed premium transform against the per-node sum it replaces.
 
 The reference sums ``early_exercise_mellin`` terms node by node on the
-caller's contour, one complex exponential per (node, frequency).  The
-streamed pass must agree within 1e-13 of the reference's peak magnitude.
+caller's contour, one complex exponential per (node, frequency), over the
+whole contour.  The streamed, band-limited pass must agree within 1e-13
+of the reference's peak magnitude.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mellin_pricer import greeks as gk
 from mellin_pricer.boundary import BoundaryCurve, boundary_curve
-from mellin_pricer.fft_pricer import (TIME_WEIGHT_MODES, _lattice_w,
-                                      build_grid, premium_moments,
+from mellin_pricer.fft_pricer import (TIME_WEIGHT_MODES, _half_axis,
+                                      _lattice_w, build_grid, premium_moments,
                                       premium_time_grid, premium_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
@@ -116,6 +117,10 @@ def test_matches_per_node_sum(mk, m, w, time_mode):
 @settings(max_examples=30, deadline=None)
 @given(mk=markets, m=st.integers(2, 60), w=contours,
        skip=st.lists(st.booleans(), min_size=60, max_size=60))
+# misses b = 0 by 1e-10 spacings: evaluated as given, not folded onto b >= 0
+@example(mk={"strike": 50.0, "rate": 0.0, "dividend": 0.0, "vol": 0.5,
+             "tau": 1.0},
+         m=2, w=np.array([[1.0 + 1e-10j], [1.0 + 1.0j]]), skip=[False] * 60)
 def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
     # a curve whose exercise region is empty at arbitrary nodes: those
     # nodes add nothing, but later nodes keep their own exp(-t_l Psi)
@@ -157,6 +162,29 @@ def test_full_lattice_conjugate_fill_and_corner():
     assert_peak_close(got, reference_premium(w, spec, 1.0, curve, "simpson"))
     # b_j and b_(N-j) are mirror images for 0 < j < N
     np.testing.assert_array_equal(got[1:], got[:0:-1].conj())
+
+
+@pytest.mark.parametrize("vol", [0.15, 0.45])
+@pytest.mark.parametrize("tau", [0.25, 1.0])
+def test_band_limited_pass_on_the_pricing_lattice(vol, tau):
+    # the benchmark's lattice, where most nodes cut most of the half axis
+    spec = BasketSpec.single(100.0, tau, 0.06, 0.02, vol)
+    curve = boundary_curve(spec, 250, tau)
+    w = _lattice_w(build_grid(1, 2**14, 1.0, [100.0], m_steps=250))
+    got = premium_transform(w, spec, tau, curve)
+    assert_peak_close(got, reference_premium(w, spec, tau, curve, "simpson"))
+
+
+def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():
+    for size in (64, 2**10, 2**14):
+        grid = build_grid(1, size, 1.0, [87.0], m_steps=2)
+        b = _lattice_w(grid)[:, 0].imag
+        c, h, half, index, conj = _half_axis(b, grid.deltas[0])
+        assert (c, half) == (0.0, size // 2 + 1)
+        assert index[0] == size // 2 and conj[: size // 2].all()
+    b = half_axis_contour(250, 1.0, 10.0)[:, 0].imag
+    c, h, half, index, conj = _half_axis(b, b[1])
+    assert (c, half) == (0.0, 251) and not conj.any()
 
 
 def test_descending_contour_is_reversed_ascending():
