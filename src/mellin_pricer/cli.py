@@ -23,7 +23,7 @@ from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
 from .fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM, EUROPEAN_PUT,
                          build_grid, price_surface, surface_to_csv,
                          surface_to_json)
-from .mellin_core import BasketSpec
+from .mellin_core import BasketSpec, check_finite_spot
 from .series_pricer import DwConfig, dw_price
 
 STYLES = ("euro-put", "euro-call", "amer-put", "amer-call")
@@ -130,6 +130,7 @@ def _market(args, parser, n_assets=None):
 
 def _swap_for_call(spec, spots):
     """Put-call symmetry market: C(S,K,r,q) = P(K,S,q,r), single asset."""
+    check_finite_spot(spots)  # the spot becomes the put's strike
     put_spec = BasketSpec.single(float(spots[0]), spec.maturity,
                                  float(spec.dividends[0]), spec.rate,
                                  float(spec.vols[0]))

@@ -33,6 +33,10 @@ class SurfaceQualityError(PricingError):
     """Too many lattice values needed clamping; the grid is misconfigured."""
 
 
+class NonFiniteSpot(PricingError):
+    """A spot price is NaN or infinite."""
+
+
 class OutOfRange(PricingError):
     """A query price lies outside the lattice in some dimension."""
 

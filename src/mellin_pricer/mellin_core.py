@@ -1,10 +1,14 @@
 """Contract data types and closed-form Mellin transforms for basket puts.
 
 Holds the market/contract containers, the characteristic exponent of
-correlated arithmetic Brownian motion, a complex log-gamma routine, and the
+correlated arithmetic Brownian motion, complex log-gamma on the right
+half-plane (``scipy.special.loggamma`` behind a pole check), and the
 closed-form transforms of the basket put payoff and of the early-exercise
-function.  Everything here is a pure function of its inputs; instances are
-immutable after construction and safe to share across threads.
+function.  :func:`multinomial_beta` and :func:`payoff_mellin` evaluate
+pointwise; the FFT pricer factors the same transform along the lattice
+axes, and the tests compare the two.  Everything here is a pure function
+of its inputs; instances are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
-from .errors import PoleError
+from .errors import NonFiniteSpot, PoleError
 
 # Eigenvalue floor used when validating user-supplied correlation matrices.
 # Slightly negative eigenvalues from rounding are tolerated and clipped to 0.
@@ -22,44 +27,24 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 
 
 # ---------------------------------------------------------------------------
-# complex log-gamma (Lanczos, g=7, 9 coefficients)
+# complex log-gamma
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def lgamma_complex(z):
     """Log-gamma for complex ``z`` with Re(z) > 0.
 
-    Lanczos approximation (g=7, 9 coefficients) on the right half-plane,
-    which covers the strip of convergence used throughout (Re(w) > 0).
-    Against ``scipy.special.loggamma`` the tests pin exp of the difference
-    to within 1e-12 of 1 for |Im z| <= 50 and within 1e-11 for
-    |Im z| <= 2500; the error grows with |Im z| and is about 2.3e-12 at
-    |Im z| ~ 700.  All downstream gamma ratios exponentiate differences of
-    these values, so large |Im(z)| never overflows.
+    ``scipy.special.loggamma`` restricted to the right half-plane, which
+    covers the strip of convergence used throughout (Re(w) > 0); points
+    with Re(z) <= 0 raise :class:`PoleError` instead of reaching the poles
+    at the non-positive integers.  All downstream gamma ratios
+    exponentiate sums and differences of these values, so large |Im(z)|
+    never overflows.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real <= 0.0):
         raise PoleError("lgamma_complex requires Re(z) > 0")
-    zm = z - 1.0
-    acc = np.full(zm.shape, _LANCZOS_C[0], dtype=complex)
-    for i in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[i] / (zm + i)
-    t = zm + _LANCZOS_G + 0.5
-    out = _LOG_SQRT_2PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
+    out = loggamma(z)
     return out if out.shape else complex(out)
 
 
@@ -261,6 +246,16 @@ def char_exponent_wi(w, cov: CovStruct):
 # ---------------------------------------------------------------------------
 # payoff and early-exercise transforms
 # ---------------------------------------------------------------------------
+
+
+def check_finite_spot(spot):
+    """Raise :class:`NonFiniteSpot` unless every spot price is finite.
+
+    NaN fails every comparison, so the positivity checks alone let it
+    through to a log or an index computation.
+    """
+    if not np.all(np.isfinite(spot)):
+        raise NonFiniteSpot("spot must be finite")
 
 
 def _check_strip(w):

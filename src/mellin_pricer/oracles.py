@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidProbability, OutOfRange
-from .mellin_core import BasketSpec
+from .mellin_core import BasketSpec, check_finite_spot
 
 EURO_PUT = "euro_put"
 EURO_CALL = "euro_call"
@@ -47,6 +47,7 @@ def binomial_price(spot, strike, rate, dividend, vol, tau, steps=10000,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    check_finite_spot(spot)
     if style not in (EURO_PUT, EURO_CALL, AMER_PUT, AMER_CALL):
         raise ValueError(f"unknown style {style!r}")
     dt = tau / steps
@@ -100,6 +101,7 @@ def black_scholes(spot, strike, rate, dividend, vol, tau, style="put"):
     """Dividend-adjusted Black-Scholes price and Greeks."""
     if vol <= 0 or tau <= 0:
         raise ValueError("vol and tau must be positive")
+    check_finite_spot(spot)
     if style not in ("put", "call"):
         raise ValueError(f"unknown style {style!r}")
     sqt = vol * math.sqrt(tau)
@@ -159,6 +161,7 @@ def mc_basket_euro_put(spec: BasketSpec, s0, tau, cfg: McConfig):
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.shape != (spec.n,):
         raise ValueError(f"s0 must have length n={spec.n}")
+    check_finite_spot(s0)
     chol = spec.corr_cholesky()
     rng = np.random.default_rng(cfg.seed)
     drift = (spec.rate - spec.dividends - 0.5 * spec.vols**2)
@@ -203,6 +206,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
         raise ValueError(f"spot must have length n={spec.n}")
+    check_finite_spot(spot)
     if np.any(spot <= 0):
         raise OutOfRange("spot must be positive")
     strip_a = np.broadcast_to(np.asarray(strip_a, dtype=float), (spec.n,))

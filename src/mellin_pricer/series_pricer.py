@@ -18,7 +18,7 @@ import numpy as np
 from .errors import RangeViolation
 from .fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM, EUROPEAN_PUT,
                          discounted_payoff_transform, premium_transform)
-from .mellin_core import BasketSpec
+from .mellin_core import BasketSpec, check_finite_spot
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,7 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
         raise ValueError("series inversion is single-asset only")
     if cfg is None:
         cfg = DwConfig()
+    check_finite_spot(spot)
     x = -math.log(spot)
     if abs(x) > cfg.log_range / 2.0:
         raise RangeViolation(

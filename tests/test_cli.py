@@ -93,6 +93,24 @@ class TestPriceCommand:
         name = "rate" if flag == "--rate" else "dividends"
         assert f"{name} must be finite" in captured.err
 
+    @pytest.mark.parametrize("spot", ["nan", "inf"])
+    @pytest.mark.parametrize("method, style", [
+        ("fft", "euro-put"), ("fft", "amer-call"), ("bs", "euro-put"),
+        ("dw", "euro-put"), ("dw", "amer-call"), ("trapezoid", "euro-put"),
+        ("binomial", "amer-put"), ("mc", "euro-put")])
+    def test_non_finite_spot_exits_2(self, capsys, method, style, spot):
+        # fft used to fail inside build_grid's index arithmetic and bs/dw
+        # inside the JSON encoder, each with its own message
+        code, out, err = run_cli(
+            capsys, "price", "--method", method, "--style", style,
+            "--spot", spot, "--strike", "100", "--rate", "0.05",
+            "--div", "0.02", "--vol", "0.2", "--tau", "1",
+            "--grid-n", "4096", "--grid-m", "8", "--mc-paths", "2000",
+            "--binomial-steps", "50")
+        assert code == 2
+        assert out == ""
+        assert "spot must be finite" in err
+
     def test_validation_error_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "price", "--method", "bs", "--style", "amer-put",

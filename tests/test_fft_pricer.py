@@ -9,7 +9,9 @@ import pytest
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer.boundary import boundary_curve
-from mellin_pricer.errors import GridTooCoarse, NoAdmissibleK, OutOfRange
+from mellin_pricer import fft_pricer
+from mellin_pricer.errors import (GridTooCoarse, NoAdmissibleK, NonFiniteSpot,
+                                  OutOfRange)
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                                       EUROPEAN_PUT, build_grid,
                                       discounted_payoff_transform,
@@ -18,7 +20,8 @@ from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                                       premium_transform, price_american_call,
                                       price_at, price_european_call,
                                       price_put, price_surface,
-                                      simpson_weight, surface_to_csv,
+                                      PriceSurface, simpson_weight,
+                                      surface_to_csv,
                                       surface_to_json, _lattice_w)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import black_scholes
@@ -54,6 +57,12 @@ class TestBuildGrid:
     def test_k_hint(self):
         g = build_grid(1, 2**14, 1.0, [100.0], k_hint=[2**13 + 3002])
         assert g.landing_index[0] == 2**13 + 3002
+
+    @pytest.mark.parametrize("spot", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_spot(self, spot):
+        # NaN used to reach int(round(nan)) and inf int(round(inf))
+        with pytest.raises(NonFiniteSpot, match="spot must be finite"):
+            build_grid(2, 2**9, 1.0, [50.0, spot])
 
     def test_grid_too_coarse(self):
         # admissible offset exists but needs a log spacing above 1
@@ -309,6 +318,11 @@ class TestPriceAt:
         want = 0.5 * (self.surf.values[k] + self.surf.values[k + 1])
         assert_close(q.value, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("spot", [math.nan, math.inf])
+    def test_rejects_non_finite_spot(self, spot):
+        with pytest.raises(NonFiniteSpot, match="spot must be finite"):
+            price_at(self.surf, [spot])
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             price_at(self.surf, [1e300])
@@ -357,6 +371,48 @@ class TestExports:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "index_1,logS_1,S_1,value"
         assert len(lines) == 1 + 16
+
+    @staticmethod
+    def per_row_csv(surface, fp):
+        """The row-by-row writer the chunked one replaced, as reference."""
+        g = surface.grid
+        head = ([f"index_{i+1}" for i in range(g.n)]
+                + [f"logS_{i+1}" for i in range(g.n)]
+                + [f"S_{i+1}" for i in range(g.n)] + ["value"])
+        fp.write(",".join(head) + "\n")
+        logs = [g.log_prices(i) for i in range(g.n)]
+        for idx in np.ndindex(*([g.size] * g.n)):
+            x = [logs[i][idx[i]] for i in range(g.n)]
+            row = ([str(i) for i in idx] + [f"{v:.12g}" for v in x]
+                   + [f"{math.exp(v):.12g}" for v in x]
+                   + [f"{surface.values[idx]:.12g}"])
+            fp.write(",".join(row) + "\n")
+
+    def assert_csv_matches_per_row(self, surface):
+        got, want = io.StringIO(), io.StringIO()
+        surface_to_csv(surface, got)
+        self.per_row_csv(surface, want)
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("chunk", [7, 2**14])
+    def test_csv_matches_per_row_writer(self, monkeypatch, basket2_spec,
+                                        chunk):
+        # a chunk of 7 rows leaves a partial last chunk on both grids
+        monkeypatch.setattr(fft_pricer, "CSV_CHUNK_ROWS", chunk)
+        self.assert_csv_matches_per_row(self.surf)
+        grid = build_grid(2, 16, [1.0, 0.8], [2.0, 3.0], m_steps=2,
+                          delta_target=0.9)
+        surf = price_surface(basket2_spec, grid, 0.5, EUROPEAN_PUT,
+                             quality_checks=False)
+        self.assert_csv_matches_per_row(surf)
+
+    def test_csv_matches_per_row_writer_on_awkward_values(self):
+        special = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.0 / 3.0 * 1e15,
+                   123456789012.5, 99999999999.95, 1e22, -1e-5, 1e-5,
+                   math.nextafter(1.0, 2.0), 7.0, 1e16, 0.5]
+        surf = PriceSurface(grid=self.grid, values=np.array(special),
+                            style=EUROPEAN_PUT, tau=1.0)
+        self.assert_csv_matches_per_row(surf)
 
     def test_json_fields(self):
         payload = surface_to_json(self.surf)
