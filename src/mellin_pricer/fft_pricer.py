@@ -6,18 +6,34 @@ log-price lattice an FFT output.  Centering is carried entirely by the
 (-1)^(sum j) / (-1)^(sum k) sign factors (kernel exp(-2 pi i j'k / N),
 which is the forward transform numpy computes); arrays are never rotated.
 
-Quadrature weight modes
------------------------
-Frequency axis (``b_weights``): "trapezoid" (default) or "simpson".  Plain
-trapezoid is spectrally accurate for these analytic, rapidly decaying
-integrands; composite-Simpson weighting is only O(delta^4) and costs about
-1e-4 of European price accuracy at delta = 0.25, so it ships off.
-
-Time axis (``time_weights``): nodes t_l = l tau / (M-1) with "simpson"
-(default), "trapezoid", or "flat" (uniform tau / M) weights.  The Simpson
-default is what reproduces the reference benchmark table.
+Quadrature weights
+------------------
+The frequency axes use the plain trapezoid rule, which is spectrally
+accurate for these analytic, rapidly decaying integrands (composite
+Simpson is only O(delta^4), about 1e-4 of European price accuracy at
+delta = 0.25).  The premium time axis (``time_weights``) has nodes
+t_l = l tau / (M-1) with "simpson" (default), "trapezoid", or "flat"
+(uniform tau / M) weights; the Simpson default is what reproduces the
+reference benchmark table.
 
 Discounting enters once, inside the transform factors.
+
+Hermitian half lattice
+----------------------
+Every payoff here is real, so its transform satisfies
+T(conj w) = conj T(w), and the lattice pairs b_j with -b_j at index
+-j mod N, the DFT's Hermitian pairing.  Transforms are therefore sampled
+on the half lattice j_n <= N/2 plus the few points of the unpaired edge
+hyperplanes j_i = 0 (frequency -N delta/2, which has no mirror) that the
+half misses: none for n = 1, N/2 - 1 for n = 2
+(:func:`sample_transform`).  :func:`invert_transform_lattice` takes the
+real surface from one real-output inverse FFT of the Hermitian part.  The
+imaginary part of the inverse is exactly the anti-Hermitian remainder,
+which lives on those edge hyperplanes only; ``imag_residual`` is that
+truncation at the unpaired edges, over the central half of the lattice,
+computed from one (n-1)-dimensional FFT per hyperplane.  Rounding noise of
+the interior does not enter it, and for n = 1, whose only unpaired point
+is the real-ified corner, it is 0.
 
 Basket payoff transform
 -----------------------
@@ -69,7 +85,6 @@ EUROPEAN_PUT = "european_put"
 AMERICAN_PUT = "american_put"
 EARLY_EXERCISE_PREMIUM = "early_exercise_premium"
 
-B_WEIGHT_MODES = ("trapezoid", "simpson")
 TIME_WEIGHT_MODES = ("simpson", "trapezoid", "flat")
 
 IMAG_RESIDUAL_TOL = 1e-6  # times strike
@@ -521,63 +536,140 @@ def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_w(grid: MellinFftGrid):
-    """Contour points a + i b on the full lattice, shape (N,)*n + (n,)."""
-    axes = [grid.strip_a[i] + 1j * grid.frequencies(i) for i in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
+def _lattice_picks(grid: MellinFftGrid):
+    """Per-axis lattice indices of the half lattice and of its edge pieces.
 
-
-def _sign_lattice(grid: MellinFftGrid):
-    """(-1)^(sum of indices) over the lattice."""
-    s = (-1.0) ** np.arange(grid.size)
-    out = s
-    for _ in range(grid.n - 1):
-        out = np.multiply.outer(out, s)
-    return out
-
-
-def _alpha_lattice(grid: MellinFftGrid):
-    """Simpson weights alpha(sum j) over the lattice."""
-    signs = _sign_lattice(grid)
-    alpha = (3.0 - signs) / 3.0
-    alpha[(0,) * grid.n] -= 1.0 / 3.0
-    return alpha
-
-
-def invert_transform_lattice(grid: MellinFftGrid, transform,
-                             b_weights="trapezoid"):
-    """Invert a Mellin transform sampled on the lattice.
-
-    ``transform`` holds the transform values at a + i b_j (no sign factors).
-    Returns the complex inverse on the log-price lattice; the real part is
-    the result and the imaginary part a truncation diagnostic.
+    The half lattice keeps j_n <= N/2 on the last axis.  Edge piece i
+    (i < n - 1) is the part of the unpaired hyperplane j_i = 0 that the half
+    misses: j_i = 0 and j_n > N/2, N^(n-2) (N/2 - 1) points.
     """
-    if b_weights not in B_WEIGHT_MODES:
-        raise ValueError(f"unknown b weight mode {b_weights!r}")
-    signs = _sign_lattice(grid)
-    arr = signs * transform
-    if b_weights == "simpson":
-        arr = _alpha_lattice(grid) * arr
-    # The even lattice leaves the corner frequency (-N delta/2, ...) without
-    # its mirror image; its real part is the trapezoid average of the
-    # conjugate pair, and keeps the input exactly conjugate-symmetric.
-    corner = (0,) * grid.n
-    arr[corner] = arr[corner].real
-    spectrum = np.fft.fftn(arr)
-    prefactor = grid.delta_b / (2.0 * math.pi) ** grid.n
-    out = signs * spectrum * prefactor
-    for i in range(grid.n):
-        shape = [1] * grid.n
-        shape[i] = grid.size
-        damp = np.exp(-grid.strip_a[i] * grid.log_prices(i))
-        out = out * damp.reshape(shape)
+    N, n = grid.size, grid.n
+    every = np.arange(N)
+    half = [every] * (n - 1) + [every[:N // 2 + 1]]
+    edges = []
+    for i in range(n - 1):
+        picks = [every] * (n - 1) + [every[N // 2 + 1:]]
+        picks[i] = every[:1]
+        edges.append(picks)
+    return half, edges
+
+
+def _lattice_w(grid: MellinFftGrid, picks=None):
+    """Contour points a + i b on the lattice indices ``picks`` (one index
+    array per axis, default all), shape (len(picks_1), ..., len(picks_n), n)."""
+    if picks is None:
+        picks = [np.arange(grid.size)] * grid.n
+    w = np.empty(tuple(len(p) for p in picks) + (grid.n,), dtype=complex)
+    for i, p in enumerate(picks):
+        w[..., i] = _along(grid.strip_a[i] + 1j * grid.frequencies(i)[p],
+                           i, grid.n)
+    return w
+
+
+def _sign(j):
+    """(-1)^j for integer indices j."""
+    return 1.0 - 2.0 * (j & 1)
+
+
+def _parity(picks):
+    """(-1)^(sum of indices) over the lattice indices ``picks``."""
+    n = len(picks)
+    out = 1.0
+    for i, p in enumerate(picks):
+        out = out * _along(_sign(p), i, n)
     return out
+
+
+def _mirror(x):
+    """x[-j mod N] along every axis."""
+    return x[np.ix_(*(-np.arange(m) % m for m in x.shape))]
+
+
+def sample_transform(grid: MellinFftGrid, fn):
+    """``fn(w)`` on the half lattice and on each edge piece.
+
+    ``fn`` maps a contour lattice of shape (N_1, ..., N_n, n) to the
+    transform there; the result is the (half, edges) input of
+    :func:`invert_transform_lattice`.
+    """
+    half, edges = _lattice_picks(grid)
+    return (fn(_lattice_w(grid, half)),
+            [fn(_lattice_w(grid, picks)) for picks in edges])
+
+
+def invert_transform_lattice(grid: MellinFftGrid, half, edges):
+    """Invert a Mellin transform of a real payoff sampled on the lattice.
+
+    ``half`` holds the transform values at a + i b_j (no sign factors) on
+    the half lattice j_n <= N/2, and ``edges[i]`` those on edge piece i
+    (j_i = 0, j_n > N/2) for i < n - 1; :func:`sample_transform` makes
+    both.  Returns (values, imag_residual): the real inverse on the full
+    log-price lattice and the largest imaginary part over its central half.
+
+    The transform of a real payoff satisfies T(conj w) = conj T(w), and
+    the lattice pairs b_j with -b_j at index -j mod N, so the FFT input
+    X_j = (-1)^(sum j) T(a + i b_j) is Hermitian except on the hyperplanes
+    j_i = 0, whose frequency -N delta/2 has no mirror.  Its Hermitian part
+    H gives the real surface, N^n irfftn(conj H) over the half.  Its
+    anti-Hermitian part E lives only on those hyperplanes; E's inverse is
+    the imaginary part, so the residual is the exact truncation at the
+    unpaired edges, one (n-1)-dimensional FFT per hyperplane (each keeping
+    the points not on an earlier one).  The corner is real-ified, the
+    trapezoid average of its conjugate pair, so for n = 1, where it is the
+    only unpaired point, the residual is 0.
+    """
+    n, N = grid.n, grid.size
+    half_picks, edge_picks = _lattice_picks(grid)
+    shapes = [tuple(len(p) for p in picks)
+              for picks in [half_picks] + edge_picks]
+    if (len(edges) != n - 1
+            or [np.shape(x) for x in [half] + list(edges)] != shapes):
+        raise ValueError(f"transform samples must have shapes {shapes}")
+    arr = _parity(half_picks) * np.asarray(half, dtype=complex)
+    arr[(0,) * n] = arr[(0,) * n].real
+    spectra = []
+    for i in range(n):
+        # hyperplane j_i = 0, whole along the other axes; for i < n - 1 its
+        # j_n > N/2 part comes from the edge piece
+        on_plane = (slice(None),) * i + (0,)
+        if i < n - 1:
+            missed = (_parity(edge_picks[i]) * edges[i])[on_plane]
+            plane = np.concatenate([arr[on_plane], missed], axis=-1)
+        else:
+            plane = arr[on_plane]
+        anti = 0.5 * (plane - np.conj(_mirror(plane)))
+        for l in range(i):
+            anti[(slice(None),) * l + (0,)] = 0.0
+        # leave the Hermitian part in the half lattice
+        arr[on_plane] -= anti[..., :N // 2 + 1] if i < n - 1 else anti
+        spectra.append(np.fft.fftn(anti, axes=tuple(range(n - 1))))
+
+    readout = [_sign(np.arange(N)) * np.exp(-grid.strip_a[i]
+                                            * grid.log_prices(i))
+               for i in range(n)]
+    readout[0] = readout[0] * (grid.delta_b / (2.0 * math.pi) ** n)
+    values = np.fft.irfftn(np.conj(arr), s=(N,) * n, axes=tuple(range(n)),
+                           norm="forward")
+    for i in range(n):
+        values *= _along(readout[i], i, n)
+
+    central = _central_half_slices(grid)
+    imag = sum(np.expand_dims(spectrum[central[1:]], i)
+               for i, spectrum in enumerate(spectra)).imag
+    for i in range(n):
+        imag = imag * _along(np.abs(readout[i][central[i]]), i, n)
+    return values, float(np.abs(imag).max())
 
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """Option values on the full log-price lattice."""
+    """Option values on the full log-price lattice.
+
+    ``imag_residual`` is the largest imaginary part of the inverse over the
+    central half of the lattice: the exact truncation left by the unpaired
+    edge frequencies -N delta/2 (see :func:`invert_transform_lattice`),
+    0 for one asset.
+    """
 
     grid: MellinFftGrid
     values: np.ndarray
@@ -604,8 +696,7 @@ def _central_half_slices(grid):
 
 
 def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
-                  boundary=None, b_weights="trapezoid",
-                  time_weights="simpson", quality_checks=True):
+                  boundary=None, time_weights="simpson", quality_checks=True):
     """Full put-price surface for the requested style.
 
     American pricing (and the premium style) is single-asset only and
@@ -620,9 +711,9 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
         raise ValueError("grid and spec dimensions disagree")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    w = _lattice_w(grid)
     if style == EUROPEAN_PUT:
-        transform = discounted_payoff_transform(w, spec, tau)
+        def transform(w):
+            return discounted_payoff_transform(w, spec, tau)
     elif style in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         if spec.n != 1:
             raise NotImplementedError(
@@ -631,11 +722,12 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
             raise ValueError(f"{style} requires a boundary curve")
         if boundary.m != grid.m_steps:
             raise ValueError("boundary curve and grid disagree on M")
-        prem = premium_transform(w, spec, tau, boundary, time_weights)
-        if style == AMERICAN_PUT:
-            transform = discounted_payoff_transform(w, spec, tau) - prem
-        else:
-            transform = -prem
+
+        def transform(w):
+            prem = premium_transform(w, spec, tau, boundary, time_weights)
+            if style == AMERICAN_PUT:
+                return discounted_payoff_transform(w, spec, tau) - prem
+            return -prem
     else:
         raise ValueError(f"unknown style {style!r}")
 
@@ -643,10 +735,9 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     # the edges the exp(-a's) read-out factor amplifies the (negligible
     # there) integrand truncation exponentially, so edge values carry no
     # quality signal.
-    inverse = invert_transform_lattice(grid, transform, b_weights)
-    values = inverse.real
+    values, imag_resid = invert_transform_lattice(
+        grid, *sample_transform(grid, transform))
     central = _central_half_slices(grid)
-    imag_resid = float(np.abs(inverse.imag[central]).max())
     if quality_checks and imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
         raise ImagResidualTooLarge(
             f"imaginary residual {imag_resid:g} >= "
@@ -767,8 +858,7 @@ def price_at(surface: PriceSurface, s):
 
 def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
               size=2**14, m_steps=250, strip_a=1.0, delta_target=0.25,
-              b_weights="trapezoid", time_weights="simpson",
-              boundary_mode="corrected"):
+              time_weights="simpson", boundary_mode="corrected"):
     """Single-asset put price at ``spot`` with the grid landing on it.
 
     Returns (value, surface).
@@ -782,7 +872,7 @@ def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
     if style in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
     surf = price_surface(spec, grid, tau, style, boundary=bnd,
-                         b_weights=b_weights, time_weights=time_weights)
+                         time_weights=time_weights)
     return surf.landing_value(), surf
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .boundary import boundary_curve
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
-                         invert_transform_lattice, premium_moments)
+                         invert_transform_lattice, premium_moments,
+                         sample_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -217,18 +218,12 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         size = _default_size(spec.n)
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    from .fft_pricer import _lattice_w
-
-    w = _lattice_w(grid)
-    f_e, _ = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)
-    transform = f_e * discounted_payoff_transform(w, spec, tau)
+    bnd = None
     correction = 0.0
     if style == AMERICAN_PUT:
         if spec.n != 1:
             raise NotImplementedError("American sensitivities need n == 1")
         bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
-        transform = transform + _premium_sensitivity(kind, w, spot, tau,
-                                                     spec, bnd, mode)
         if kind.name == "theta" and mode == "kernel":
             s_star_now = bnd.at_tte(tau)
             if float(spot.sum()) <= s_star_now:
@@ -236,7 +231,17 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
                               - float(spec.dividends @ spot))
     elif style != EUROPEAN_PUT:
         raise ValueError(f"unknown style {style!r}")
-    values = invert_transform_lattice(grid, transform).real
+
+    def transform(w):
+        f_e, _ = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)
+        out = f_e * discounted_payoff_transform(w, spec, tau)
+        if bnd is not None:
+            out = out + _premium_sensitivity(kind, w, spot, tau, spec, bnd,
+                                             mode)
+        return out
+
+    values, _ = invert_transform_lattice(grid,
+                                         *sample_transform(grid, transform))
     return float(values[grid.landing_index]) + correction
 
 

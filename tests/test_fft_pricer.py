@@ -168,6 +168,35 @@ class TestIntegrands:
         assert_close(got, complex(want), rtol=1e-12)
 
 
+def direct_inverse(grid, transform):
+    """The complex inverse at every lattice point as the O(N^n) double sum.
+
+    ``transform`` is sampled on the full lattice; the corner is real-ified
+    as the inverter does.
+    """
+    N, n = grid.size, grid.n
+    index = np.indices((N,) * n)
+    arr = (-1.0) ** index.sum(axis=0) * transform
+    arr[(0,) * n] = arr[(0,) * n].real
+    prefactor = grid.delta_b / (2 * math.pi) ** n
+    out = np.empty((N,) * n, dtype=complex)
+    for k in np.ndindex(*out.shape):
+        kernel = np.exp(-2j * math.pi * np.tensordot(k, index, axes=1) / N)
+        damp = math.exp(-sum(grid.strip_a[i] * grid.log_prices(i)[k[i]]
+                             for i in range(n)))
+        out[k] = (-1.0) ** sum(k) * prefactor * damp * np.sum(arr * kernel)
+    return out
+
+
+def half_and_edges(grid, transform):
+    """Split a full-lattice sample into the inverter's half and edges."""
+    N, n = grid.size, grid.n
+    half = transform[..., :N // 2 + 1]
+    edges = [transform[(slice(None),) * i + (slice(0, 1),)][..., N // 2 + 1:]
+             for i in range(n - 1)]
+    return half, edges
+
+
 class TestFftVsDirectSum:
     def test_every_lattice_point_n64(self):
         # the FFT output must equal the O(N^2) double sum exactly
@@ -178,20 +207,56 @@ class TestFftVsDirectSum:
         w = _lattice_w(grid)
         transform = (discounted_payoff_transform(w, spec, 0.5)
                      - premium_transform(w, spec, 0.5, curve, "simpson"))
-        fft_vals = invert_transform_lattice(grid, transform).real
-
-        N = 64
-        b = grid.frequencies(0)
-        s = grid.log_prices(0)
-        arr = (-1.0) ** np.arange(N) * transform
-        arr[0] = arr[0].real
-        direct = np.empty(N)
-        for k in range(N):
-            acc = np.sum(arr * np.exp(-2j * math.pi * np.arange(N) * k / N))
-            direct[k] = ((-1.0) ** k * grid.deltas[0] / (2 * math.pi)
-                         * math.exp(-s[k]) * acc).real
+        fft_vals, imag_resid = invert_transform_lattice(
+            grid, *half_and_edges(grid, transform))
+        direct = direct_inverse(grid, transform).real
         scale = np.abs(fft_vals).max()
         assert np.abs(fft_vals - direct).max() <= 1e-10 * scale
+        # the only unpaired frequency is the real-ified corner
+        assert imag_resid == 0.0
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 32), (3, 16)])
+    def test_basket_lattice(self, n, N):
+        # at this coarse frequency spacing the transform is far from zero
+        # at the unpaired edge -N delta/2, so the imaginary residual is
+        # truncation, many orders above rounding
+        spec = BasketSpec(n=n, strike=100.0, maturity=0.5, rate=0.05,
+                          dividends=[0.02, 0.03, 0.01][:n],
+                          vols=[0.2, 0.3, 0.25][:n],
+                          corr=np.where(np.eye(n) > 0, 1.0, 0.4))
+        grid = build_grid(n, N, 1.0, [50.0, 40.0, 30.0][:n],
+                          delta_target=0.5)
+        transform = discounted_payoff_transform(_lattice_w(grid), spec, 0.5)
+        values, imag_resid = invert_transform_lattice(
+            grid, *half_and_edges(grid, transform))
+        direct = direct_inverse(grid, transform)
+        scale = np.abs(direct).max()
+        assert np.abs(values - direct.real).max() <= 1e-10 * scale
+        k = grid.landing_index
+        assert abs(values[k] - direct[k].real) <= 1e-13 * abs(direct[k].real)
+        central = (slice(N // 4, 3 * N // 4),) * n
+        want = np.abs(direct.imag[central]).max()
+        assert want > 1.0
+        assert abs(imag_resid - want) <= 1e-10 * want
+
+    def test_sampled_pieces_are_the_lattice_slices(self):
+        # sample_transform evaluates exactly the half and the edge pieces
+        grid = build_grid(3, 8, 1.0, [2.0, 1.5, 2.5], delta_target=1.0)
+        full = _lattice_w(grid)
+        for i in range(3):
+            half, edges = fft_pricer.sample_transform(grid,
+                                                      lambda w: w[..., i])
+            want_half, want_edges = half_and_edges(grid, full[..., i])
+            assert np.array_equal(half, want_half)
+            assert len(edges) == 2
+            for got, want in zip(edges, want_edges):
+                assert np.array_equal(got, want)
+
+    def test_rejects_a_full_lattice(self):
+        grid = build_grid(2, 16, 1.0, [50.0, 40.0], delta_target=0.5)
+        full = np.ones((16, 16), dtype=complex)
+        with pytest.raises(ValueError, match="shapes"):
+            invert_transform_lattice(grid, full, [full[:1, 9:]])
 
 
 class TestEuropeanSurface:
@@ -210,23 +275,6 @@ class TestEuropeanSurface:
         lo, hi = 2**10, 3 * 2**10
         diffs = np.diff(surf.values[lo:hi])
         assert diffs.max() <= 1e-8
-
-    def test_simpson_weights_penalty_measured(self):
-        # replacing trapezoid weights by composite-Simpson alpha changes the
-        # landing value at the 1e-4 scale (Simpson is only O(delta^4) while
-        # plain trapezoid is spectrally accurate here); see the decisions
-        # ledger for why trapezoid ships as the default
-        spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
-        grid = build_grid(1, 2**14, 1.0, [100.0])
-        flat = price_surface(spec, grid, 1.0, EUROPEAN_PUT,
-                             b_weights="trapezoid").landing_value()
-        # the Simpson-mode surface also trips the hard negative gate in the
-        # deep-OTM region, another symptom of the same O(delta^4) error
-        simp = price_surface(spec, grid, 1.0, EUROPEAN_PUT,
-                             b_weights="simpson",
-                             quality_checks=False).landing_value()
-        diff = abs(flat - simp)
-        assert 1e-6 < diff < 5e-4
 
     def test_payoff_limit_away_from_kink(self):
         # tau -> 0 reconstructs the payoff; the +-5 lattice points around

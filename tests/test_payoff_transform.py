@@ -156,7 +156,12 @@ class TestLogGammaWork:
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
         price_surface(basket2_spec, grid, 0.5, EUROPEAN_PUT)
-        assert sum(lgamma_points) == N**2 + 2 * N
+        # log Gamma(sum w) on the half lattice (N/2 + 1 columns) and on the
+        # N/2 - 1 missed points of the unpaired row j_1 = 0, plus both
+        # axes of each
+        half, edge = N * (N // 2 + 1), N // 2 - 1
+        assert sum(lgamma_points) == (half + N + (N // 2 + 1)
+                                      + edge + 1 + edge)
 
     def test_single_asset_american_quote_has_none(self, lgamma_points):
         price_put(100.0, 100.0, 0.05, 0.02, 0.2, 0.5, style=AMERICAN_PUT)
