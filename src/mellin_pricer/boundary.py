@@ -298,21 +298,16 @@ def boundary_residual_cap(curve: BoundaryCurve, t, spec: BasketSpec, grid,
     if spec.n != 1:
         raise ValueError("residual diagnostic is single-asset only")
     # local import: fft_pricer depends on this module
-    from .fft_pricer import discounted_payoff_transform, premium_transform
+    from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, contour_sum,
+                             put_boundary, put_transform)
 
     tte = spec.maturity - t
     s_star = curve.at_tte(tte)
     if s_star <= 0.0:
         return spec.strike - 0.0  # empty exercise region, r = 0 limit
-    w = grid.strip_a[0] + 1j * grid.frequencies(0)
-    w = w[:, None]
-    g_hat = discounted_payoff_transform(w, spec, tte)
-    if tte > 0:
-        sub = boundary_curve(spec, curve.m, tte, mode=mode)
-        h_hat = premium_transform(w, spec, tte, sub, time_mode="simpson")
-    else:
-        h_hat = np.zeros_like(g_hat)
-    kernel = np.exp(-np.sum(w, axis=-1) * math.log(s_star))
-    quad_w = grid.deltas[0] / (2.0 * math.pi)
-    euro = float(np.sum((g_hat - h_hat) * kernel).real * quad_w)
-    return spec.strike - s_star - euro
+    style = AMERICAN_PUT if tte > 0 else EUROPEAN_PUT  # no premium at expiry
+    w = (grid.strip_a[0] + 1j * grid.frequencies(0))[:, None]
+    values = put_transform(w, spec, tte, style,
+                           put_boundary(style, spec, curve.m, tte, mode))
+    put = contour_sum(values, w, grid.deltas[0] / (2.0 * math.pi), [s_star])
+    return spec.strike - s_star - put

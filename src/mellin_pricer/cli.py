@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,14 +19,22 @@ from . import greeks as greeks_mod
 from . import oracles, table1
 from .boundary import boundary_curve
 from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
-from .fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM, EUROPEAN_PUT,
-                         build_grid, price_surface, surface_to_csv,
-                         surface_to_json)
-from .mellin_core import BasketSpec, check_finite_spot
+from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
+                         EUROPEAN_CALL, EUROPEAN_PUT, build_grid,
+                         price_surface, put_boundary, reduce_to_put,
+                         surface_to_csv, surface_to_json)
+from .mellin_core import BasketSpec
 from .series_pricer import DwConfig, dw_price
 
 STYLES = ("euro-put", "euro-call", "amer-put", "amer-call")
 METHODS = ("fft", "dw", "trapezoid", "binomial", "bs", "mc")
+
+_PRICE_STYLES = {
+    "euro-put": EUROPEAN_PUT,
+    "euro-call": EUROPEAN_CALL,
+    "amer-put": AMERICAN_PUT,
+    "amer-call": AMERICAN_CALL,
+}
 
 _SURFACE_STYLES = {
     "euro-put": EUROPEAN_PUT,
@@ -128,100 +135,36 @@ def _market(args, parser, n_assets=None):
     return spec, np.array(spots)
 
 
-def _swap_for_call(spec, spots):
-    """Put-call symmetry market: C(S,K,r,q) = P(K,S,q,r), single asset."""
-    check_finite_spot(spots)  # the spot becomes the put's strike
-    put_spec = BasketSpec.single(float(spots[0]), spec.maturity,
-                                 float(spec.dividends[0]), spec.rate,
-                                 float(spec.vols[0]))
-    return put_spec, np.array([spec.strike])
+def _price_inversion(args, method, spec, spots, style, diagnostics):
+    """fft, dw or trapezoid price: reduce to a put, then invert its transform.
 
-
-def _price_fft(args, spec, spots, style):
+    fft records its surface diagnostics in ``diagnostics``.
+    """
+    put_spec, put_spots, put_style, term = reduce_to_put(
+        _PRICE_STYLES[style], spec, spots)
     tau = float(args.tau)
-    diag = {"imag_residual": None, "clamped_points": None,
-            "interpolated": False}
-    if style == "euro-call":
-        put_spec, put_spots = spec, spots
-        surfstyle = EUROPEAN_PUT
-    elif style == "amer-call":
-        put_spec, put_spots = _swap_for_call(spec, spots)
-        surfstyle = AMERICAN_PUT
-    else:
-        put_spec, put_spots = spec, spots
-        surfstyle = EUROPEAN_PUT if style == "euro-put" else AMERICAN_PUT
+    mode = args.boundary_mode or "corrected"
+    time_weights = args.time_weights or "simpson"
+    if method == "dw":
+        cfg = DwConfig(n_terms=args.dw_n, log_range=args.dw_l,
+                       strip_a=args.strip_a, m_steps=args.grid_m,
+                       time_weights=time_weights)
+        return dw_price(float(put_spots[0]), tau, put_spec, cfg, put_style,
+                        mode) + term
+    bnd = put_boundary(put_style, put_spec, args.grid_m, tau, mode)
+    # trapezoid sums on the landing grid's frequencies, comparable with fft
     grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
                       m_steps=args.grid_m, delta_target=args.delta_target)
-    bnd = None
-    if surfstyle == AMERICAN_PUT:
-        if put_spec.n != 1:
-            raise ValueError("American pricing requires a single asset")
-        bnd = boundary_curve(put_spec, args.grid_m, tau,
-                             mode=args.boundary_mode or "corrected")
-    surf = price_surface(put_spec, grid, tau, surfstyle, boundary=bnd,
-                         time_weights=args.time_weights or "simpson")
-    value = surf.landing_value()
-    if style == "euro-call":
-        value += (float(spots[0]) * math.exp(-float(spec.dividends[0]) * tau)
-                  - spec.strike * math.exp(-spec.rate * tau))
-    diag["imag_residual"] = _fmt(surf.imag_residual)
-    diag["clamped_points"] = surf.clamped_points
-    return value, diag
-
-
-def _price_dw(args, spec, spots, style):
-    cfg = DwConfig(n_terms=args.dw_n, log_range=args.dw_l,
-                   strip_a=args.strip_a, m_steps=args.grid_m,
-                   time_weights=args.time_weights or "simpson")
-    tau = float(args.tau)
-    if spec.n != 1:
-        raise ValueError("dw pricing requires a single asset")
-    if style == "amer-call":
-        put_spec, put_spots = _swap_for_call(spec, spots)
-        return dw_price(float(put_spots[0]), tau, put_spec, cfg, AMERICAN_PUT)
-    if style == "euro-call":
-        put = dw_price(float(spots[0]), tau, spec, cfg, EUROPEAN_PUT)
-        return (put + float(spots[0]) * math.exp(-float(spec.dividends[0]) * tau)
-                - spec.strike * math.exp(-spec.rate * tau))
-    dw_style = EUROPEAN_PUT if style == "euro-put" else AMERICAN_PUT
-    return dw_price(float(spots[0]), tau, spec, cfg, dw_style)
-
-
-def _price_trapezoid(args, spec, spots, style):
-    tau = float(args.tau)
-    if spec.n != 1 and style != "euro-put":
-        raise ValueError("trapezoid supports only euro-put for n > 1")
-    # reuse the landing grid's frequency spacing for comparability with fft
-    grid = build_grid(spec.n if style != "amer-call" else 1, args.grid_n,
-                      args.strip_a,
-                      spots if style != "amer-call" else [spec.strike],
-                      m_steps=args.grid_m, delta_target=args.delta_target)
-    if style == "amer-call":
-        put_spec, put_spots = _swap_for_call(spec, spots)
-        bnd = boundary_curve(put_spec, args.grid_m, tau,
-                             mode=args.boundary_mode or "corrected")
+    if method == "trapezoid":
         return oracles.price_direct_trapezoid(
             put_spec, grid.strip_a, grid.size, grid.deltas, args.grid_m, tau,
-            put_spots, style=AMERICAN_PUT, boundary=bnd,
-            time_weights=args.time_weights or "simpson")
-    if style == "euro-call":
-        put = oracles.price_direct_trapezoid(
-            spec, grid.strip_a, grid.size, grid.deltas, args.grid_m, tau,
-            spots, style=EUROPEAN_PUT)
-        return (put + float(spots[0]) * math.exp(-float(spec.dividends[0]) * tau)
-                - spec.strike * math.exp(-spec.rate * tau))
-    bnd = None
-    sstyle = EUROPEAN_PUT
-    if style == "amer-put":
-        if spec.n != 1:
-            raise ValueError("American pricing requires a single asset")
-        bnd = boundary_curve(spec, args.grid_m, tau,
-                             mode=args.boundary_mode or "corrected")
-        sstyle = AMERICAN_PUT
-    return oracles.price_direct_trapezoid(
-        spec, grid.strip_a, grid.size, grid.deltas, args.grid_m, tau, spots,
-        style=sstyle, boundary=bnd,
-        time_weights=args.time_weights or "simpson")
+            put_spots, style=put_style, boundary=bnd,
+            time_weights=time_weights) + term
+    surf = price_surface(put_spec, grid, tau, put_style, boundary=bnd,
+                         time_weights=time_weights)
+    diagnostics["imag_residual"] = _fmt(surf.imag_residual)
+    diagnostics["clamped_points"] = surf.clamped_points
+    return surf.landing_value() + term
 
 
 def cmd_price(args, parser):
@@ -236,12 +179,9 @@ def cmd_price(args, parser):
     tau = float(args.tau)
     diagnostics = {"imag_residual": None, "clamped_points": None,
                    "interpolated": False}
-    if method == "fft":
-        value, diagnostics = _price_fft(args, spec, spots, style)
-    elif method == "dw":
-        value = _price_dw(args, spec, spots, style)
-    elif method == "trapezoid":
-        value = _price_trapezoid(args, spec, spots, style)
+    if method in ("fft", "dw", "trapezoid"):
+        value = _price_inversion(args, method, spec, spots, style,
+                                 diagnostics)
     elif method == "binomial":
         if spec.n != 1:
             raise ValueError("binomial pricing requires a single asset")
@@ -276,7 +216,7 @@ def cmd_greeks(args, parser):
     style = args.style or "euro-put"
     if style not in ("euro-put", "amer-put"):
         parser.error("greeks supports --style euro-put or amer-put")
-    pstyle = EUROPEAN_PUT if style == "euro-put" else AMERICAN_PUT
+    pstyle = _PRICE_STYLES[style]
     tau = float(args.tau)
     kw = dict(style=pstyle, size=args.grid_n if spec.n == 1 else 2**9,
               m_steps=args.grid_m, strip_a=args.strip_a)
@@ -313,12 +253,8 @@ def cmd_surface(args, parser):
     tau = float(args.tau)
     grid = build_grid(spec.n, args.grid_n, args.strip_a, spots,
                       m_steps=args.grid_m, delta_target=args.delta_target)
-    bnd = None
-    if style != EUROPEAN_PUT:
-        if spec.n != 1:
-            raise ValueError("American pricing requires a single asset")
-        bnd = boundary_curve(spec, args.grid_m, tau,
-                             mode=args.boundary_mode or "corrected")
+    bnd = put_boundary(style, spec, args.grid_m, tau,
+                       args.boundary_mode or "corrected")
     surf = price_surface(spec, grid, tau, style, boundary=bnd,
                          time_weights=args.time_weights or "simpson")
     fmt = args.format or "csv"
@@ -477,7 +413,7 @@ def main(argv=None):
     except (ImagResidualTooLarge, SurfaceQualityError) as exc:
         print(f"numerical quality failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, PricingError) as exc:
+    except (ValueError, NotImplementedError, PricingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -66,24 +66,37 @@ time, and nodes with similar cutoffs are evaluated as one bounded
 about 1e-14 of the transform's peak.  American greeks reuse the same pass
 with t-weighted moments, since every premium multiplier is affine in the
 node time.
+
+Calls
+-----
+Every contract is priced as a put.  :func:`reduce_to_put` is the one home
+of that reduction: an American call uses put-call symmetry
+C(S, K, r, q) = P(K, S, q, r) (single asset), and a European call uses
+parity in its basket form, C = P + sum_i S_i e^(-q_i T) - K e^(-r T).
+:func:`put_transform` is the one choice between the European, American
+and premium transforms, and :func:`contour_sum` the one trapezoid sum on
+Re w = a at a single spot; the FFT inverter evaluates the same sum on the
+whole log-price lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import boundary_curve
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      OutOfRange, SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
-                          check_finite_spot, early_exercise_mellin,
-                          lgamma_complex, payoff_mellin)
+                          check_finite_spot, lgamma_complex, payoff_mellin)
 
 EUROPEAN_PUT = "european_put"
 AMERICAN_PUT = "american_put"
 EARLY_EXERCISE_PREMIUM = "early_exercise_premium"
+EUROPEAN_CALL = "european_call"
+AMERICAN_CALL = "american_call"
 
 TIME_WEIGHT_MODES = ("simpson", "trapezoid", "flat")
 
@@ -532,6 +545,95 @@ def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
 
 
 # ---------------------------------------------------------------------------
+# the put every contract reduces to
+# ---------------------------------------------------------------------------
+
+
+def _single_asset_only(spec):
+    if spec.n != 1:
+        raise NotImplementedError(
+            "American basket pricing (n >= 2) is not supported")
+
+
+def reduce_to_put(style, spec: BasketSpec, spots):
+    """The put that prices a ``style`` contract on ``spec`` at ``spots``.
+
+    Returns (put spec, put spots, put style, term): the contract's value
+    is the put's value at the put spots plus ``term``.  Puts and the
+    premium pass through unchanged with term 0.  An American call uses
+    put-call symmetry C(S, K, r, q) = P(K, S, q, r); it is single-asset
+    only.  A European call uses parity with the basket forward,
+    term = sum_i S_i e^(-q_i T) - K e^(-r T) at the contract maturity T.
+    """
+    spots = np.atleast_1d(np.asarray(spots, dtype=float))
+    if style == AMERICAN_CALL:
+        _single_asset_only(spec)
+        check_finite_spot(spots)  # the spot becomes the put's strike
+        put = BasketSpec.single(spots[0], spec.maturity, spec.dividends[0],
+                                spec.rate, spec.vols[0])
+        return put, np.array([spec.strike]), AMERICAN_PUT, 0.0
+    if style == EUROPEAN_CALL:
+        tau = spec.maturity
+        term = (float(spots @ np.exp(-spec.dividends * tau))
+                - spec.strike * math.exp(-spec.rate * tau))
+        return spec, spots, EUROPEAN_PUT, term
+    if style not in (EUROPEAN_PUT, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
+        raise ValueError(f"unknown style {style!r}")
+    return spec, spots, style, 0.0
+
+
+def put_boundary(style, spec: BasketSpec, m_steps, tau, mode="corrected"):
+    """The exercise boundary :func:`put_transform` needs for ``style``.
+
+    None for the European put; otherwise the cached critical-price curve
+    on the M-step time grid, single-asset only.
+    """
+    if style == EUROPEAN_PUT:
+        return None
+    _single_asset_only(spec)
+    return boundary_curve(spec, m_steps, tau, mode=mode)
+
+
+def put_transform(w, spec: BasketSpec, tau, style, boundary,
+                  time_weights="simpson"):
+    """Mellin transform of the ``style`` put value at the contour points w.
+
+    The European put's is the discounted payoff transform; the American
+    put's subtracts the premium transform from it, and the premium style
+    is minus the premium transform alone (that transform integrates the
+    negative-valued early-exercise function, so subtracting it adds a
+    nonnegative premium).  The American styles are single-asset only and
+    need ``boundary``, read with the ``time_weights`` quadrature.
+    """
+    if style == EUROPEAN_PUT:
+        return discounted_payoff_transform(w, spec, tau)
+    if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
+        raise ValueError(f"unknown style {style!r}")
+    _single_asset_only(spec)
+    if boundary is None:
+        raise ValueError(f"{style} requires a boundary curve")
+    prem = premium_transform(w, spec, tau, boundary, time_weights)
+    if style == EARLY_EXERCISE_PREMIUM:
+        return -prem
+    return discounted_payoff_transform(w, spec, tau) - prem
+
+
+def contour_sum(values, w, weights, spots):
+    """Re sum_k weights_k values_k S^(-w_k): the inversion at one spot.
+
+    This is the trapezoid rule on Re w = a.  ``w`` holds the contour
+    points with the asset index on the last axis, ``values`` the transform
+    there and ``weights`` (broadcast against ``values``) the quadrature
+    weights: the cell delta_1 ... delta_n / (2 pi)^n on a full lattice,
+    or, on a contour folded at b = 0, h / 2 pi at b = 0 and 2 h / 2 pi at
+    each b > 0, which stands for its conjugate -b as well.
+    """
+    log_s = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
+    kernel = np.exp(-(np.asarray(w) @ log_s))
+    return float(np.sum(weights * values * kernel).real)
+
+
+# ---------------------------------------------------------------------------
 # lattice assembly and inversion
 # ---------------------------------------------------------------------------
 
@@ -711,25 +813,13 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
         raise ValueError("grid and spec dimensions disagree")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if style == EUROPEAN_PUT:
-        def transform(w):
-            return discounted_payoff_transform(w, spec, tau)
-    elif style in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
-        if spec.n != 1:
-            raise NotImplementedError(
-                "American basket pricing (n >= 2) is not supported")
-        if boundary is None:
-            raise ValueError(f"{style} requires a boundary curve")
-        if boundary.m != grid.m_steps:
-            raise ValueError("boundary curve and grid disagree on M")
 
-        def transform(w):
-            prem = premium_transform(w, spec, tau, boundary, time_weights)
-            if style == AMERICAN_PUT:
-                return discounted_payoff_transform(w, spec, tau) - prem
-            return -prem
-    else:
-        raise ValueError(f"unknown style {style!r}")
+    def transform(w):
+        out = put_transform(w, spec, tau, style, boundary, time_weights)
+        # after put_transform has checked the style and the asset count
+        if boundary is not None and boundary.m != grid.m_steps:
+            raise ValueError("boundary curve and grid disagree on M")
+        return out
 
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible
@@ -762,49 +852,6 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     values.setflags(write=False)
     return PriceSurface(grid=grid, values=values, style=style, tau=float(tau),
                         imag_residual=imag_resid, clamped_points=clamped)
-
-
-# ---------------------------------------------------------------------------
-# per-index integrands (single-point views of the assembly above)
-# ---------------------------------------------------------------------------
-
-
-def _w_at_index(grid, j):
-    j = np.atleast_1d(np.asarray(j, dtype=int))
-    if j.shape != (grid.n,):
-        raise ValueError(f"multi-index must have length n={grid.n}")
-    if np.any(j < 0) or np.any(j >= grid.size):
-        raise ValueError("multi-index out of range")
-    return grid.strip_a + 1j * np.array(
-        [grid.frequencies(i)[j[i]] for i in range(grid.n)]), int(j.sum())
-
-
-def integrand_european(j, grid: MellinFftGrid, spec: BasketSpec, tau):
-    """FFT input value (-1)^(sum j) * discounted payoff transform at index j."""
-    w, j_sum = _w_at_index(grid, j)
-    return (-1.0) ** j_sum * complex(discounted_payoff_transform(w, spec, tau))
-
-
-def integrand_premium(j, l, grid: MellinFftGrid, spec: BasketSpec, tau,
-                      boundary):
-    """Premium FFT input at frequency index j and time index l (unweighted).
-
-    (-1)^(sum j) * f(w, tau - t_l) * Phi(wi, t_l) * exp(-r t_l) with the
-    boundary read at time-to-expiry tau - t_l.
-    """
-    w, j_sum = _w_at_index(grid, j)
-    t_nodes, _ = premium_time_grid(boundary.m, tau, "flat")
-    if not 0 <= l < boundary.m:
-        raise ValueError("time index out of range")
-    t_l = t_nodes[l]
-    s_star = boundary.at_tte(tau - t_l)
-    if s_star <= 0.0:
-        return 0j
-    cov = CovStruct.from_spec(spec)
-    psi = char_exponent_wi(w, cov)
-    val = (early_exercise_mellin(w, s_star, spec)
-           * np.exp(-t_l * psi - spec.rate * t_l))
-    return (-1.0) ** j_sum * complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -863,37 +910,26 @@ def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
 
     Returns (value, surface).
     """
-    from .boundary import boundary_curve
-
     spec = BasketSpec.single(strike, max(tau, 1e-12), rate, dividend, vol)
     grid = build_grid(1, size, strip_a, [spot], m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = None
-    if style in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
-        bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
+    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
     surf = price_surface(spec, grid, tau, style, boundary=bnd,
                          time_weights=time_weights)
     return surf.landing_value(), surf
 
 
 def price_american_call(spot, strike, rate, dividend, vol, tau, **grid_kw):
-    """American call via put-call symmetry: C(S,K,r,q) = P(K,S,q,r).
+    """American call through :func:`reduce_to_put` and :func:`price_put`.
 
-    The transformed put has spot K and strike S, so the lattice lands on
+    The symmetric put has spot K and strike S, so the lattice lands on
     ln(strike-of-the-call); grid keywords are forwarded to
     :func:`price_put`.
     """
-    value, _ = price_put(strike, spot, dividend, rate, vol, tau,
-                         style=AMERICAN_PUT, **grid_kw)
-    return value
-
-
-def price_european_call(spot, strike, rate, dividend, vol, tau, **grid_kw):
-    """European call from the put via parity: C = P + S e^(-q tau) - K e^(-r tau)."""
-    put, _ = price_put(spot, strike, rate, dividend, vol, tau,
-                       style=EUROPEAN_PUT, **grid_kw)
-    return (put + spot * math.exp(-dividend * tau)
-            - strike * math.exp(-rate * tau))
+    put, spots, style, _ = reduce_to_put(AMERICAN_CALL, BasketSpec.single(
+        strike, max(tau, 1e-12), rate, dividend, vol), [spot])
+    return price_put(spots[0], put.strike, put.rate, put.dividends[0],
+                     put.vols[0], tau, style, **grid_kw)[0]
 
 
 # ---------------------------------------------------------------------------

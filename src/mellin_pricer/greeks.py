@@ -17,16 +17,14 @@ transform positively (the base price itself has fE = 1, fP = -1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import boundary_curve
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
                          invert_transform_lattice, premium_moments,
-                         sample_transform)
+                         price_surface, put_boundary, sample_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -213,24 +211,18 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     early-exercise function value inside the exercise region.
     """
     kind.validate(spec.n)
+    if style not in (EUROPEAN_PUT, AMERICAN_PUT):
+        raise ValueError(f"unknown style {style!r}")
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if size is None:
         size = _default_size(spec.n)
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = None
+    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
     correction = 0.0
-    if style == AMERICAN_PUT:
-        if spec.n != 1:
-            raise NotImplementedError("American sensitivities need n == 1")
-        bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
-        if kind.name == "theta" and mode == "kernel":
-            s_star_now = bnd.at_tte(tau)
-            if float(spot.sum()) <= s_star_now:
-                correction = (spec.rate * spec.strike
-                              - float(spec.dividends @ spot))
-    elif style != EUROPEAN_PUT:
-        raise ValueError(f"unknown style {style!r}")
+    if (bnd is not None and kind.name == "theta" and mode == "kernel"
+            and float(spot.sum()) <= bnd.at_tte(tau)):
+        correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
     def transform(w):
         f_e, _ = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)
@@ -249,11 +241,7 @@ def _pipeline_price(spot, tau, spec, style, size, m_steps, strip_a,
                     delta_target, boundary_mode):
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    from .fft_pricer import price_surface
-
-    bnd = None
-    if style == AMERICAN_PUT:
-        bnd = boundary_curve(spec, m_steps, tau, mode=boundary_mode)
+    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
     surf = price_surface(spec, grid, tau, style, boundary=bnd)
     return surf.landing_value()
 

@@ -150,34 +150,6 @@ class BasketSpec:
 
 
 @dataclass(frozen=True)
-class ComplexPoint:
-    """A point w = a + ib on the Mellin integration strip (one coordinate
-    per asset).  The strip of convergence requires Re(w) > 0 componentwise."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = _as_readonly(np.atleast_1d(self.re))
-        im = _as_readonly(np.atleast_1d(self.im))
-        if re.shape != im.shape:
-            raise ValueError("re and im must have the same length")
-        if np.any(re <= 0):
-            raise ValueError("strip of convergence requires Re(w) > 0")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def w(self):
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_w(cls, w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        return cls(re=w.real, im=w.imag)
-
-
-@dataclass(frozen=True)
 class CovStruct:
     """Covariance matrix and risk-neutral drift derived from a BasketSpec."""
 
@@ -195,7 +167,7 @@ class CovStruct:
 
 
 # ---------------------------------------------------------------------------
-# characteristic exponent / function
+# characteristic exponent
 # ---------------------------------------------------------------------------
 
 
@@ -204,35 +176,11 @@ def riskneutral_drift(spec: BasketSpec) -> np.ndarray:
     return spec.rate - spec.dividends - 0.5 * spec.vols**2
 
 
-def char_exponent(u, cov: CovStruct):
-    """Characteristic exponent of the log-price process.
-
-    Psi(u) = 1/2 u' Sigma u - i mu' u, evaluated with the plain bilinear
-    form (no conjugation).  ``u`` may carry leading batch dimensions; the
-    last axis must have length n.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-1:] != (cov.n,):
-        raise ValueError(f"u must have trailing dimension n={cov.n}")
-    quad = 0.5 * np.einsum("...i,ij,...j->...", u, cov.cov, u)
-    lin = 1j * (u @ cov.drift)
-    out = quad - lin
-    return out if out.shape else complex(out)
-
-
-def char_function(u, t, cov: CovStruct):
-    """exp(-t Psi(u)) for time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    out = np.exp(-t * char_exponent(u, cov))
-    return out if np.ndim(out) else complex(out)
-
-
 def char_exponent_wi(w, cov: CovStruct):
-    """Psi(w i) for Mellin points w, exploiting (wi)'Sigma(wi) = -w'Sigma w.
+    """Characteristic exponent Psi(u) = u'Sigma u / 2 - i mu'u at u = w i.
 
-    Equivalent to ``char_exponent(1j * w, cov)`` but cheaper on lattices.
-    ``w`` has the asset index on the last axis.
+    For Mellin points w, (wi)'Sigma(wi) = -w'Sigma w, so this is
+    -w'Sigma w / 2 + mu'w.  ``w`` has the asset index on the last axis.
     """
     w = np.asarray(w, dtype=complex)
     if w.shape[-1:] != (cov.n,):

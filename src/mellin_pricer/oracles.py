@@ -199,9 +199,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
     Shares the transform evaluation with the FFT pricer, so at a lattice
     landing point the two agree to reordering-level rounding.
     """
-    from .fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
-                             EUROPEAN_PUT, discounted_payoff_transform,
-                             premium_transform)
+    from .fft_pricer import contour_sum, put_transform
 
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
@@ -215,23 +213,6 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
     axes = [strip_a[i] + 1j * (np.arange(size) - size / 2) * deltas[i]
             for i in range(spec.n)]
     w = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if style == EUROPEAN_PUT:
-        transform = discounted_payoff_transform(w, spec, tau)
-    elif style in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
-        if boundary is None:
-            raise ValueError(f"{style} requires a boundary curve")
-        prem = premium_transform(w, spec, tau, boundary, time_weights)
-        if style == AMERICAN_PUT:
-            transform = discounted_payoff_transform(w, spec, tau) - prem
-        else:
-            transform = -prem
-    else:
-        raise ValueError(f"unknown style {style!r}")
-
-    kernel = np.exp(-np.einsum("...i,i->...", w, np.log(spot)))
-    # unpaired corner frequency: same trapezoid averaging as the FFT path
-    corner = (0,) * spec.n
-    contrib = transform * kernel
-    contrib[corner] = contrib[corner].real
+    values = put_transform(w, spec, tau, style, boundary, time_weights)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
-    return float((contrib.sum() * quad).real)
+    return contour_sum(values, w, quad, spot)

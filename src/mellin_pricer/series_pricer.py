@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolation
-from .fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM, EUROPEAN_PUT,
-                         discounted_payoff_transform, premium_transform)
+from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, contour_sum,
+                         put_boundary, put_transform, reduce_to_put)
 from .mellin_core import BasketSpec, check_finite_spot
 
 
@@ -55,37 +55,13 @@ class DwConfig:
             ([self.strip_a], self.strip_a + 1j * math.pi * j / self.log_range))
 
 
-def dw_g_hat(w, tau, spec: BasketSpec):
-    """Discounted payoff transform exp(-r tau) theta(w) Phi(wi; tau)."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return discounted_payoff_transform(w[..., None], spec, tau)
-
-
-def dw_h_hat(w, tau, spec: BasketSpec, boundary, time_weights="simpson"):
-    """Time-quadrature premium transform, shared with the FFT pricer."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return premium_transform(w[..., None], spec, tau, boundary,
-                             time_mode=time_weights)
-
-
-def _series_sum(values, x, cfg: DwConfig):
-    """exp(ax)/(2L) v_0 + exp(ax)/L sum_j [Re v_j cos - Im v_j sin]."""
-    a, L = cfg.strip_a, cfg.log_range
-    j = np.arange(1, cfg.n_terms + 1)
-    phase = math.pi * j * x / L
-    head = math.exp(a * x) / (2.0 * L) * values[0].real
-    tail = math.exp(a * x) / L * float(
-        np.sum(values[1:].real * np.cos(phase) - values[1:].imag * np.sin(phase)))
-    return head + tail
-
-
 def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
              style=AMERICAN_PUT, boundary_mode="corrected"):
     """Series-inversion put price at ``spot``.
 
-    The American value is the European series minus the premium series
-    (the premium transform integrates the negative-valued early-exercise
-    function, so subtracting it adds a nonnegative premium).
+    The contour is folded at b = 0: the real point w_0 = a carries weight
+    h / 2 pi and each w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for
+    itself and its conjugate (:func:`~mellin_pricer.fft_pricer.contour_sum`).
     """
     if spec.n != 1:
         raise ValueError("series inversion is single-asset only")
@@ -96,34 +72,18 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     if abs(x) > cfg.log_range / 2.0:
         raise RangeViolation(
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
-    w = cfg.contour_points()
-    g = dw_g_hat(w, tau, spec)
-    euro = _series_sum(g, x, cfg)
-    if style == EUROPEAN_PUT:
-        return euro
-    if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
-        raise ValueError(f"unknown style {style!r}")
-    from .boundary import boundary_curve
-
-    bnd = boundary_curve(spec, cfg.m_steps, tau, mode=boundary_mode)
-    h = dw_h_hat(w, tau, spec, bnd, cfg.time_weights)
-    premium = -_series_sum(h, x, cfg)
-    return premium if style == EARLY_EXERCISE_PREMIUM else euro + premium
+    w = cfg.contour_points()[:, None]
+    bnd = put_boundary(style, spec, cfg.m_steps, tau, boundary_mode)
+    values = put_transform(w, spec, tau, style, bnd, cfg.time_weights)
+    weights = np.full(w.shape[0], 1.0 / cfg.log_range)  # 2 h / 2 pi
+    weights[0] /= 2.0
+    return contour_sum(values, w, weights, [spot])
 
 
 def dw_price_american_call(spot, strike, rate, dividend, vol, tau,
                            cfg: DwConfig | None = None,
                            boundary_mode="corrected"):
-    """American call via put-call symmetry: C(S,K,r,q) = P(K,S,q,r)."""
-    spec = BasketSpec.single(spot, max(tau, 1e-12), dividend, rate, vol)
-    return dw_price(strike, tau, spec, cfg, style=AMERICAN_PUT,
-                    boundary_mode=boundary_mode)
-
-
-def dw_price_european_call(spot, strike, rate, dividend, vol, tau,
-                           cfg: DwConfig | None = None):
-    """European call from the put via parity."""
-    spec = BasketSpec.single(strike, max(tau, 1e-12), rate, dividend, vol)
-    put = dw_price(spot, tau, spec, cfg, style=EUROPEAN_PUT)
-    return (put + spot * math.exp(-dividend * tau)
-            - strike * math.exp(-rate * tau))
+    """American call through :func:`~mellin_pricer.fft_pricer.reduce_to_put`."""
+    put, spots, style, _ = reduce_to_put(AMERICAN_CALL, BasketSpec.single(
+        strike, max(tau, 1e-12), rate, dividend, vol), [spot])
+    return dw_price(spots[0], tau, put, cfg, style, boundary_mode)

@@ -1,6 +1,7 @@
 """CLI surface: flags, config precedence, output formats, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,89 @@ class TestPriceCommand:
         assert out == ""
         assert "spot must be finite" in err
 
+    #: price stdout for S = 90, K = 100, r = 0.05, q = 0.03, sigma = 0.25,
+    #: tau = 1 at --grid-n 4096 --grid-m 50: (price, imag_residual,
+    #: clamped_points) per method and style; dw and trapezoid report no
+    #: diagnostics
+    PINNED_PRICES = {
+        ("fft", "euro-put"): (13.48762825, 0.0, 0),
+        ("fft", "euro-call"): (5.704783819, 0.0, 0),
+        ("fft", "amer-put"): (14.04690419, 0.0, 435),
+        ("fft", "amer-call"): (5.705168591, 0.0, 261),
+        ("dw", "euro-put"): (13.48762844, None, None),
+        ("dw", "euro-call"): (5.704784014, None, None),
+        ("dw", "amer-put"): (14.04711792, None, None),
+        ("dw", "amer-call"): (5.705170847, None, None),
+        ("trapezoid", "euro-put"): (13.48762825, None, None),
+        ("trapezoid", "euro-call"): (5.704783819, None, None),
+        ("trapezoid", "amer-put"): (14.04690419, None, None),
+        ("trapezoid", "amer-call"): (5.705168591, None, None),
+    }
+
+    @pytest.mark.parametrize("method, style", sorted(PINNED_PRICES))
+    def test_pinned_price_stdout(self, capsys, method, style):
+        code, out, _ = run_cli(
+            capsys, "price", "--method", method, "--style", style,
+            "--spot", "90", "--strike", "100", "--rate", "0.05",
+            "--div", "0.03", "--vol", "0.25", "--tau", "1",
+            "--grid-n", "4096", "--grid-m", "50")
+        assert code == 0
+        payload = json.loads(out)
+        price, imag, clamped = self.PINNED_PRICES[method, style]
+        assert abs(payload.pop("price") - price) <= 1e-12 * price
+        assert payload == {
+            "method": method, "style": style,
+            "diagnostics": {"imag_residual": imag, "clamped_points": clamped,
+                            "interpolated": False}}
+
+    BASKET = ["--spot", "50", "--spot", "50", "--strike", "100",
+              "--rate", "0.05", "--div", "0.02", "--div", "0.03",
+              "--vol", "0.2", "--vol", "0.3", "--corr", "1,0.5,0.5,1",
+              "--tau", "0.5", "--grid-n", "512"]
+    SINGLE = ["--spot", "90", "--strike", "100", "--rate", "0.05",
+              "--div", "0.03", "--vol", "0.25", "--tau", "1",
+              "--grid-n", "4096"]
+
+    def test_european_basket_call(self, capsys):
+        # the put 5.428650352 plus the basket forward
+        # 50 e^-0.01 + 50 e^-0.015 - 100 e^-0.025
+        code, out, _ = run_cli(capsys, "price", "--method", "fft",
+                               "--style", "euro-call", *self.BASKET)
+        assert code == 0
+        assert json.loads(out)["price"] == 6.655747817
+
+    @pytest.mark.parametrize("market, forward", [
+        ("SINGLE", 90 * math.exp(-0.03) - 100 * math.exp(-0.05)),
+        ("BASKET", 50 * math.exp(-0.01) + 50 * math.exp(-0.015)
+         - 100 * math.exp(-0.025))], ids=["n1", "n2"])
+    def test_european_call_minus_put_is_forward(self, capsys, market,
+                                                forward):
+        prices = {}
+        for style in ("euro-call", "euro-put"):
+            code, out, _ = run_cli(capsys, "price", "--method", "fft",
+                                   "--style", style, *getattr(self, market))
+            assert code == 0
+            prices[style] = json.loads(out)["price"]
+        # both prices are printed to 10 significant digits
+        assert abs(prices["euro-call"] - prices["euro-put"] - forward) < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--method", "fft", "--style", "amer-put"],
+        ["price", "--method", "fft", "--style", "amer-call"],
+        ["price", "--method", "dw", "--style", "amer-put"],
+        ["price", "--method", "dw", "--style", "amer-call"],
+        ["price", "--method", "trapezoid", "--style", "amer-put"],
+        ["price", "--method", "trapezoid", "--style", "amer-call"],
+        ["greeks", "--style", "amer-put"],
+        ["surface", "--style", "amer-put"],
+        ["surface", "--style", "premium"]])
+    def test_american_basket_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, *self.BASKET[:-2],
+                                 "--grid-n", "64", "--grid-m", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_validation_error_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "price", "--method", "bs", "--style", "amer-put",
@@ -198,6 +282,25 @@ class TestGreeksCommand:
         payload = json.loads(out)
         assert set(payload) >= {"delta", "gamma", "theta", "rho", "nu", "xi"}
         assert isinstance(payload["delta"], float)
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["greeks", "--style", "euro-put", "--spot", "100", "--strike", "100",
+      "--rate", "0.05", "--vol", "0.2", "--tau", "1", "--grid-n", "1024"],
+     "{"),
+    (["surface", "--style", "euro-put", "--spot", "100", "--strike", "100",
+      "--rate", "0.05", "--vol", "0.2", "--tau", "1", "--grid-n", "512",
+      "--format", "json"], "{"),
+    (["boundary", "--strike", "100", "--rate", "0.07", "--vol", "0.2",
+      "--tau", "0.5", "--grid-m", "5"], "t,s_star")],
+    ids=["greeks", "surface-json", "boundary"])
+def test_out_writes_file_and_no_stdout(capsys, tmp_path, argv, head):
+    # run with -W error::ResourceWarning, a file left open here fails
+    out_path = tmp_path / "out.txt"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text(encoding="utf-8").startswith(head)
 
 
 class TestBoundaryCommand:

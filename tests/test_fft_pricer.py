@@ -12,18 +12,19 @@ from mellin_pricer.boundary import boundary_curve
 from mellin_pricer import fft_pricer
 from mellin_pricer.errors import (GridTooCoarse, NoAdmissibleK, NonFiniteSpot,
                                   OutOfRange)
-from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
-                                      EUROPEAN_PUT, build_grid,
+from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT,
+                                      EARLY_EXERCISE_PREMIUM, EUROPEAN_CALL,
+                                      EUROPEAN_PUT, build_grid, contour_sum,
                                       discounted_payoff_transform,
-                                      integrand_european, integrand_premium,
                                       invert_transform_lattice, premium_time_grid,
                                       premium_transform, price_american_call,
-                                      price_at, price_european_call,
-                                      price_put, price_surface,
-                                      PriceSurface, simpson_weight,
+                                      price_at, price_put, price_surface,
+                                      PriceSurface, put_transform,
+                                      reduce_to_put, simpson_weight,
                                       surface_to_csv,
                                       surface_to_json, _lattice_w)
-from mellin_pricer.mellin_core import BasketSpec
+from mellin_pricer.mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
+                                       early_exercise_mellin)
 from mellin_pricer.oracles import black_scholes
 
 
@@ -111,6 +112,27 @@ class TestPremiumTimeGrid:
         assert w.tolist() == [0.7]
 
 
+def integrand_european(j, grid, spec, tau):
+    """FFT input at lattice index j: (-1)^(sum j) times the discounted
+    payoff transform at a + i b_j."""
+    w = grid.strip_a + 1j * np.array(
+        [grid.frequencies(i)[j[i]] for i in range(grid.n)])
+    return (-1.0) ** sum(j) * complex(discounted_payoff_transform(w, spec, tau))
+
+
+def integrand_premium(j, l, grid, spec, tau, boundary):
+    """Premium FFT input at frequency index j and time node l, unweighted:
+    (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l."""
+    w = np.array([grid.strip_a[0] + 1j * grid.frequencies(0)[j[0]]])
+    t_l = premium_time_grid(boundary.m, tau, "flat")[0][l]
+    s_star = boundary.at_tte(tau - t_l)
+    if s_star <= 0.0:
+        return 0j
+    psi = char_exponent_wi(w, CovStruct.from_spec(spec))
+    return (-1.0) ** j[0] * complex(early_exercise_mellin(w, s_star, spec)
+                                    * np.exp(-t_l * psi - spec.rate * t_l))
+
+
 class TestIntegrands:
     def setup_method(self):
         r, q, sig = GROUPING_PARAMS[1]
@@ -155,17 +177,20 @@ class TestIntegrands:
         curve = boundary_curve(spec, 8, 0.5)
         got = integrand_premium([40], 3, self.grid, spec, 0.5, curve)
         assert got == 0
+        w = np.array([[1.0 + 1j * self.grid.frequencies(0)[40]]])
+        assert premium_transform(w, spec, 0.5, curve)[0] == 0
 
     def test_premium_time_zero_factors(self):
-        # l = 0: characteristic function and discount are both unity
-        from mellin_pricer.mellin_core import early_exercise_mellin
-
+        # a single time node sits at t = 0 with weight tau: characteristic
+        # function and discount are both unity there
         j = 77
         got = integrand_premium([j], 0, self.grid, self.spec, 0.5, self.curve)
         w = np.array([1.0 + 1j * self.grid.frequencies(0)[j]])
-        want = ((-1.0) ** j
-                * early_exercise_mellin(w, self.curve.at_tte(0.5), self.spec))
-        assert_close(got, complex(want), rtol=1e-12)
+        want = early_exercise_mellin(w, self.curve.at_tte(0.5), self.spec)
+        assert_close(got, (-1.0) ** j * complex(want), rtol=1e-12)
+        curve1 = boundary_curve(self.spec, 1, 0.5)
+        single = premium_transform(w[None], self.spec, 0.5, curve1)[0]
+        assert_close(complex(single), 0.5 * complex(want), rtol=1e-13)
 
 
 def direct_inverse(grid, transform):
@@ -393,16 +418,134 @@ class TestCallDrivers:
         assert abs(got - want) < 1e-3
 
     def test_european_call_parity(self):
-        got = price_european_call(100.0, 100.0, 0.05, 0.0, 0.2, 1.0)
+        spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
+        put, spots, style, term = reduce_to_put(EUROPEAN_CALL, spec, [100.0])
+        value, _ = price_put(spots[0], put.strike, put.rate,
+                             put.dividends[0], put.vols[0], 1.0, style)
         want = black_scholes(100, 100, 0.05, 0.0, 0.2, 1.0, "call").price
-        assert abs(got - want) < 1e-8
+        assert abs(value + term - want) < 1e-8
 
     def test_parity_symmetric_point(self):
-        # S = K and r = q make call and put prices equal
-        c = price_european_call(100.0, 100.0, 0.04, 0.04, 0.3, 1.0)
-        p, _ = price_put(100.0, 100.0, 0.04, 0.04, 0.3, 1.0,
-                         style=EUROPEAN_PUT)
-        assert abs(c - p) < 1e-10
+        # S = K and r = q make call and put prices equal: the parity term
+        # vanishes
+        spec = BasketSpec.single(100.0, 1.0, 0.04, 0.04, 0.3)
+        assert abs(reduce_to_put(EUROPEAN_CALL, spec, [100.0])[3]) < 1e-10
+
+
+class TestReduceToPut:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_european_call_parity_term(self, n, basket2_spec):
+        spec = (basket2_spec if n == 2
+                else BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2))
+        spots = [50.0, 45.0] if n == 2 else [90.0]
+        put, put_spots, style, term = reduce_to_put(EUROPEAN_CALL, spec,
+                                                    spots)
+        assert put is spec and style == EUROPEAN_PUT
+        assert put_spots.tolist() == spots
+        want = (sum(s * math.exp(-q * 0.5)
+                    for s, q in zip(spots, spec.dividends))
+                - 100.0 * math.exp(-0.05 * 0.5))
+        assert abs(term - want) <= 1e-12 * 100.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_european_call_minus_put_is_forward(self, n, basket2_spec):
+        # the call through reduce_to_put, less the put, is the basket
+        # forward sum_i S_i e^(-q_i tau) - K e^(-r tau)
+        spec = (basket2_spec if n == 2
+                else BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2))
+        spots = [50.0, 50.0] if n == 2 else [90.0]
+        grid = build_grid(n, 2**9 if n == 2 else 2**12, 1.0, spots)
+        put_value = price_surface(spec, grid, 0.5,
+                                  EUROPEAN_PUT).landing_value()
+        put, put_spots, style, term = reduce_to_put(EUROPEAN_CALL, spec,
+                                                    spots)
+        call = price_surface(put, build_grid(n, grid.size, 1.0, put_spots),
+                             0.5, style).landing_value() + term
+        forward = (sum(s * math.exp(-q * 0.5)
+                       for s, q in zip(spots, spec.dividends))
+                   - 100.0 * math.exp(-0.05 * 0.5))
+        assert abs((call - put_value) - forward) <= 1e-12 * 100.0
+
+    def test_american_call_is_symmetric_put(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.03, 0.07, 0.2)
+        put, spots, style, term = reduce_to_put(AMERICAN_CALL, spec, [80.0])
+        assert style == AMERICAN_PUT and term == 0.0
+        assert spots.tolist() == [100.0]
+        assert (put.strike, put.maturity, put.rate) == (80.0, 0.5, 0.07)
+        assert put.dividends.tolist() == [0.03]
+        assert put.vols.tolist() == [0.2]
+
+    def test_american_basket_call_unsupported(self, basket2_spec):
+        with pytest.raises(NotImplementedError):
+            reduce_to_put(AMERICAN_CALL, basket2_spec, [50.0, 50.0])
+
+    @pytest.mark.parametrize("spot", [math.nan, math.inf])
+    def test_american_call_rejects_non_finite_spot(self, spot):
+        # checked before the spot becomes the put's strike
+        spec = BasketSpec.single(100.0, 0.5, 0.03, 0.07, 0.2)
+        with pytest.raises(NonFiniteSpot):
+            reduce_to_put(AMERICAN_CALL, spec, [spot])
+
+    @pytest.mark.parametrize("style", [EUROPEAN_PUT, AMERICAN_PUT,
+                                       EARLY_EXERCISE_PREMIUM])
+    def test_puts_pass_through(self, style):
+        spec = BasketSpec.single(100.0, 0.5, 0.03, 0.07, 0.2)
+        put, spots, got, term = reduce_to_put(style, spec, 90.0)
+        assert (put, spots.tolist(), got, term) == (spec, [90.0], style, 0.0)
+
+    def test_unknown_style(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.03, 0.07, 0.2)
+        with pytest.raises(ValueError, match="unknown style"):
+            reduce_to_put("bermudan_put", spec, [90.0])
+
+
+class TestPutTransformAndContourSum:
+    def setup_method(self):
+        r, q, sig = GROUPING_PARAMS[1]
+        self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
+        self.curve = boundary_curve(self.spec, 12, 0.5)
+        self.w = (1.0 + 1j * 0.25 * np.arange(-16, 16))[:, None]
+
+    def test_styles_add_up(self):
+        euro = put_transform(self.w, self.spec, 0.5, EUROPEAN_PUT, None)
+        amer = put_transform(self.w, self.spec, 0.5, AMERICAN_PUT,
+                             self.curve)
+        prem = put_transform(self.w, self.spec, 0.5, EARLY_EXERCISE_PREMIUM,
+                             self.curve)
+        assert np.array_equal(euro, discounted_payoff_transform(
+            self.w, self.spec, 0.5))
+        assert np.array_equal(amer, euro + prem)
+
+    def test_checks(self, basket2_spec):
+        with pytest.raises(ValueError, match="unknown style"):
+            put_transform(self.w, self.spec, 0.5, "bermudan_put", None)
+        with pytest.raises(ValueError, match="boundary"):
+            put_transform(self.w, self.spec, 0.5, AMERICAN_PUT, None)
+        with pytest.raises(NotImplementedError):
+            put_transform(np.ones((4, 4, 2)), basket2_spec, 0.5,
+                          AMERICAN_PUT, self.curve)
+
+    def test_folded_sum_equals_full_sum(self):
+        # weight h/2pi at b = 0 and 2h/2pi on each b > 0 sums the same as
+        # weight h/2pi over the symmetric contour
+        full = (1.0 + 1j * 0.25 * np.arange(-400, 401))[:, None]
+        folded = full[400:]
+        weights = np.full(folded.shape[0], 2 * 0.25 / (2 * math.pi))
+        weights[0] /= 2
+        for style, bnd in ((EUROPEAN_PUT, None), (AMERICAN_PUT, self.curve)):
+            a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd),
+                            full, 0.25 / (2 * math.pi), [95.0])
+            b = contour_sum(put_transform(folded, self.spec, 0.5, style, bnd),
+                            folded, weights, [95.0])
+            assert abs(a - b) <= 1e-13 * abs(a)
+
+    def test_contour_sum_matches_black_scholes(self):
+        spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
+        w = (1.0 + 1j * 0.25 * np.arange(-2000, 2000))[:, None]
+        got = contour_sum(put_transform(w, spec, 1.0, EUROPEAN_PUT, None), w,
+                          0.25 / (2 * math.pi), 100.0)
+        want = black_scholes(100, 100, 0.05, 0.0, 0.2, 1.0, "put").price
+        assert abs(got - want) < 1e-8
 
 
 class TestExports:

@@ -10,12 +10,27 @@ from scipy.integrate import dblquad, quad
 
 from conftest import assert_close
 from mellin_pricer.errors import PoleError
-from mellin_pricer.mellin_core import (BasketSpec, ComplexPoint, CovStruct,
-                                       char_exponent, char_exponent_wi,
-                                       char_function, early_exercise_mellin,
+from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
+                                       char_exponent_wi, early_exercise_mellin,
                                        exercise_indicator_mellin,
                                        lgamma_complex, multinomial_beta,
                                        payoff_mellin, riskneutral_drift)
+
+
+def char_exponent(u, cov: CovStruct):
+    """Reference characteristic exponent of the log-price process.
+
+    Psi(u) = 1/2 u' Sigma u - i mu' u, evaluated with the plain bilinear
+    form (no conjugation).  ``u`` may carry leading batch dimensions; the
+    last axis must have length n.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-1:] != (cov.n,):
+        raise ValueError(f"u must have trailing dimension n={cov.n}")
+    quad = 0.5 * np.einsum("...i,ij,...j->...", u, cov.cov, u)
+    lin = 1j * (u @ cov.drift)
+    out = quad - lin
+    return out if out.shape else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +100,6 @@ class TestBasketSpec:
             spec.vols[0] = 0.5
 
 
-class TestComplexPoint:
-    def test_roundtrip(self):
-        p = ComplexPoint.from_w([1 + 2j, 3 - 4j])
-        assert np.allclose(p.w, [1 + 2j, 3 - 4j])
-
-    def test_rejects_off_strip(self):
-        with pytest.raises(ValueError, match="Re"):
-            ComplexPoint(re=np.array([-0.1]), im=np.array([0.0]))
-
-
 # ---------------------------------------------------------------------------
 # drift and characteristic exponent
 # ---------------------------------------------------------------------------
@@ -157,17 +162,6 @@ class TestCharExponent:
 
 
 class TestCharFunction:
-    def setup_method(self):
-        self.cov = CovStruct.from_spec(
-            BasketSpec.single(100, 0.5, 0.03, 0.07, 0.2))
-
-    def test_zero_time(self):
-        u = np.array([0.3 + 0.2j])
-        assert char_function(u, 0.0, self.cov) == 1
-
-    def test_zero_argument(self):
-        assert char_function(np.zeros(1, dtype=complex), 2.0, self.cov) == 1
-
     def test_alpha_polynomial_identity(self):
         # -(Psi(wi) + r) == sigma^2/2 (w^2 + (1-k2) w - k1),
         # k1 = 2r/sigma^2, k2 = 2(r-q)/sigma^2

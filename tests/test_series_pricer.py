@@ -6,13 +6,28 @@ import pytest
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer.boundary import boundary_curve
 from mellin_pricer.errors import RangeViolation
-from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                                      integrand_european, integrand_premium,
-                                      premium_time_grid)
-from mellin_pricer.mellin_core import BasketSpec, payoff_mellin
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
+                                      EUROPEAN_PUT, build_grid,
+                                      discounted_payoff_transform,
+                                      premium_time_grid, put_transform)
+from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
+                                       char_exponent_wi, early_exercise_mellin,
+                                       payoff_mellin)
 from mellin_pricer.oracles import black_scholes
-from mellin_pricer.series_pricer import (DwConfig, dw_g_hat, dw_h_hat,
-                                         dw_price, dw_price_american_call)
+from mellin_pricer.series_pricer import (DwConfig, dw_price,
+                                         dw_price_american_call)
+
+
+def g_hat(w, tau, spec):
+    """The series' European transform at the points w, as dw_price takes it."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))[:, None]
+    return put_transform(w, spec, tau, EUROPEAN_PUT, None)
+
+
+def h_hat(w, tau, spec, boundary):
+    """The series' premium transform: minus the premium-style transform."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))[:, None]
+    return -put_transform(w, spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
 
 
 class TestGHat:
@@ -22,21 +37,23 @@ class TestGHat:
 
     def test_tau_zero_is_payoff_transform(self):
         w = 1.7 + 3j
-        got = dw_g_hat(w, 0.0, self.spec)
+        got = g_hat(w, 0.0, self.spec)
         assert_close(complex(got[0]), complex(payoff_mellin(
             np.array([w]), 100.0)), rtol=1e-13)
 
     def test_real_point_example(self):
-        got = dw_g_hat(1.0 + 0j, 0.0, self.spec)
+        got = g_hat(1.0 + 0j, 0.0, self.spec)
         assert_close(complex(got[0]), 5000.0, rtol=1e-12)
 
     def test_matches_fft_integrand(self):
+        # the FFT input at index j is (-1)^j times the same transform at
+        # the lattice point a + i b_j
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=4)
         for j in (3, 130, 222):
             w = 1.0 + 1j * grid.frequencies(0)[j]
-            via_fft = (integrand_european([j], grid, self.spec, 0.5)
-                       / (-1.0) ** j)
-            got = complex(dw_g_hat(w, 0.5, self.spec)[0])
+            via_fft = complex(discounted_payoff_transform(
+                np.array([w]), self.spec, 0.5))
+            got = complex(g_hat(w, 0.5, self.spec)[0])
             assert abs(got - via_fft) <= 1e-12 * max(1.0, abs(got))
 
 
@@ -49,32 +66,35 @@ class TestHHat:
     def test_zero_when_rate_and_dividend_zero(self):
         spec = BasketSpec.single(100.0, 0.5, 0.0, 0.0, 0.2)
         curve = boundary_curve(spec, 12, 0.5)
-        got = dw_h_hat(1.0 + 2j, 0.5, spec, curve)
+        got = h_hat(1.0 + 2j, 0.5, spec, curve)
         assert got[0] == 0
 
     def test_single_step_degenerate(self):
         curve1 = boundary_curve(self.spec, 1, 0.5)
         w = 1.0 + 2j
-        got = dw_h_hat(w, 0.5, self.spec, curve1)
+        got = h_hat(w, 0.5, self.spec, curve1)
         # one node at t = 0 with weight tau: f(w, tau) * 1 * 1 * tau
-        from mellin_pricer.mellin_core import early_exercise_mellin
-
         want = 0.5 * early_exercise_mellin(np.array([w]),
                                            curve1.at_tte(0.5), self.spec)
         assert_close(complex(got[0]), complex(want), rtol=1e-13)
 
     def test_matches_fft_premium_accumulation(self):
-        # cross-module identity: h-hat equals the weighted sum of the FFT
-        # premium integrands at a matching contour point
+        # cross-module identity: h-hat equals the weighted per-node sum of
+        # early-exercise terms at a matching FFT contour point
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=12)
-        _, wgt = premium_time_grid(12, 0.5, "simpson")
+        t_nodes, wgt = premium_time_grid(12, 0.5, "simpson")
+        cov = CovStruct.from_spec(self.spec)
         for j in (10, 128, 199):
             w = 1.0 + 1j * grid.frequencies(0)[j]
+            psi = char_exponent_wi(np.array([w]), cov)
             acc = 0j
-            for l in range(12):
-                acc += wgt[l] * (integrand_premium(
-                    [j], l, grid, self.spec, 0.5, self.curve) / (-1.0) ** j)
-            got = complex(dw_h_hat(w, 0.5, self.spec, self.curve)[0])
+            for l, t_l in enumerate(t_nodes):
+                s_star = self.curve.at_tte(0.5 - t_l)
+                if s_star > 0.0:
+                    acc += wgt[l] * complex(
+                        early_exercise_mellin(np.array([w]), s_star, self.spec)
+                        * np.exp(-t_l * psi - self.spec.rate * t_l))
+            got = complex(h_hat(w, 0.5, self.spec, self.curve)[0])
             assert abs(got - acc) <= 1e-12 * max(1.0, abs(got))
 
 
