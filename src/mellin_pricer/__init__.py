@@ -19,8 +19,9 @@ from .greeks import GreekKind, greek, greek_fd, greek_multiplier
 from .mellin_core import (BasketSpec, CovStruct, early_exercise_mellin,
                           lgamma_complex, multinomial_beta, payoff_mellin,
                           riskneutral_drift)
-from .oracles import (BsQuote, McConfig, binomial_price, black_scholes,
-                      mc_basket_euro_put, price_direct_trapezoid)
+from .oracles import (BsQuote, McConfig, american_put_node_sum,
+                      binomial_price, black_scholes, mc_basket_euro_put,
+                      price_direct_trapezoid)
 from .series_pricer import DwConfig, dw_price
 
 __version__ = "0.1.0"
@@ -30,7 +31,7 @@ __all__ = [
     "EUROPEAN_CALL", "EUROPEAN_PUT", "BasketSpec", "BoundaryCurve",
     "BsQuote", "CovStruct", "DwConfig", "GreekKind", "McConfig",
     "MellinFftGrid", "PriceQuote", "PriceSurface", "PricingError",
-    "binomial_price", "black_scholes", "boundary_curve",
+    "american_put_node_sum", "binomial_price", "black_scholes", "boundary_curve",
     "boundary_residual_cap", "build_grid", "capf_residual", "contour_sum",
     "critical_price_approx", "dw_price", "early_exercise_mellin", "greek",
     "greek_fd", "greek_multiplier", "lgamma_complex", "mc_basket_euro_put",

@@ -1,7 +1,8 @@
 """American put critical asset price via an implicit approximation.
 
-The boundary S*(t) solves a smooth-pasting approximation evaluated by a
-bracketing root-finder.  Three formula modes are available:
+The boundary S*(t) solves a smooth-pasting approximation for an array of
+calendar times t in one vectorised bracketed solve, so a cold curve costs
+one :func:`critical_price_approx` call.  Three formula modes are available:
 
 ``corrected`` (default)
     delta = (sigma/2 + (q-r)/sigma)^2 + 2r and the denominator carries
@@ -17,8 +18,8 @@ bracketing root-finder.  Three formula modes are available:
 
 The critical price is homogeneous of degree 1 in (S, K): the residual,
 the bracket, the root tolerance and the expiry limit all scale with the
-strike.  So each market's curve is solved once at K = 1 and a curve at
-strike K is K times that unit curve; the five calls of one market, which
+strike.  So every solve runs at K = 1, and a curve at strike K is K times
+its market's unit curve, solved once; the five calls of one market, which
 put-call symmetry maps to five strikes, share one solve.  Both the
 strike-free curves and the scaled ones are cached per rounded parameter
 tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
@@ -35,22 +36,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
+from scipy.special import ndtr
 
 from .errors import NegativeRadicand, NoBracket
 from .mellin_core import BasketSpec
 
-_SQRT2 = math.sqrt(2.0)
-
 CRITICAL_PRICE_MODES = ("corrected", "printed", "sigma-squared")
 
 
-def _norm_cdf(x):
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def _capf_terms(strike, r, q, sigma, tte, mode):
-    """Scalars of the critical-price equation that do not depend on S."""
+    """Terms of the critical-price equation free of S, shaped like tte."""
     if mode == "corrected":
         delta = (sigma / 2.0 + (q - r) / sigma) ** 2 + 2.0 * r
         exp_sign = -1.0
@@ -71,80 +67,93 @@ def _capf_terms(strike, r, q, sigma, tte, mode):
         else:
             raise NegativeRadicand(f"delta - 2q = {rad} < 0 (mode={mode})")
     sq_delta = math.sqrt(delta)
-    two_n_minus_1 = 2.0 * _norm_cdf(math.sqrt(delta * tte)) - 1.0
+    two_n_minus_1 = 2.0 * ndtr(np.sqrt(delta * tte)) - 1.0
     b1 = math.sqrt(rad)
     omega = (2.0 * q + sigma * b1) / (2.0 * sigma * sq_delta) * two_n_minus_1
-    n_b1 = _norm_cdf(b1 * math.sqrt(tte))
+    n_b1 = ndtr(b1 * np.sqrt(tte))
     numer = strike * r / (sigma * sq_delta) * two_n_minus_1
-    exp_q = math.exp(exp_sign * q * tte)
+    exp_q = np.exp(exp_sign * q * tte)
     return numer, exp_q, n_b1, omega
 
 
 def _capf_denominator(s, t, spec, mode):
-    tte = spec.maturity - t
-    if tte <= 0:
+    tte = spec.maturity - np.asarray(t, dtype=float)
+    if np.any(tte <= 0):
         raise ValueError("requires t < maturity")
     r, q, sigma = spec.rate, float(spec.dividends[0]), float(spec.vols[0])
     numer, exp_q, n_b1, omega = _capf_terms(spec.strike, r, q, sigma, tte, mode)
-    kappa = ((math.log(s / spec.strike) + (r - q + sigma**2 / 2.0) * tte)
-             / (sigma * math.sqrt(tte)))
-    den = exp_q * (_norm_cdf(kappa) - n_b1) + omega + 0.5
+    kappa = ((np.log(s / spec.strike) + (r - q + sigma**2 / 2.0) * tte)
+             / (sigma * np.sqrt(tte)))
+    den = exp_q * (ndtr(kappa) - n_b1) + omega + 0.5
     return numer, den
 
 
 def capf_residual(s, t, spec: BasketSpec, mode="corrected"):
     """G(s) = s - RHS(s) of the critical-price equation at calendar time t.
 
-    Where the denominator underflows to 0 (deep below the root for q = 0)
-    the residual is -inf.
+    ``s`` and ``t`` broadcast against each other.  Where the denominator
+    underflows to 0 (deep below the root for q = 0) the residual is -inf.
     """
     if spec.n != 1:
         raise ValueError("critical price approximation is single-asset only")
     numer, den = _capf_denominator(s, t, spec, mode)
-    if den == 0.0:
-        return -math.inf if numer > 0 else s
-    return s - numer / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(den == 0.0, np.where(numer > 0, -np.inf, s),
+                     s - numer / den)
+    return float(g) if g.ndim == 0 else g
 
 
 def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
     """Critical asset price S*(t) of the American put, single asset.
 
-    Solves G(S*) = 0 by Brent's method on [K*1e-6, K], expanding the upper
-    end to 2K if needed.  Converged root satisfies |G| < 1e-10 K.
+    ``t`` is a calendar time or an array of them; the prices come back in
+    its shape (a float for a scalar ``t``).  All times are solved in one
+    vectorised bracketed solve (Chandrupatla's method,
+    ``scipy.optimize.elementwise.find_root``), so a cold boundary curve is
+    one call.  S* is homogeneous of degree 1 in (S, K), so G(S*) = 0 is
+    solved at strike 1 on [1e-6, 1], the upper end widened to 2 at times
+    with no sign change there, and the roots are scaled by K.  Converged
+    roots satisfy |G| < 1e-10 K, else ``NoBracket``.
 
     Limits: at t = T the root degenerates to K min(1, r/q) (K when q = 0);
     for r = 0 early exercise is never optimal and 0 is returned.
     """
     if spec.n != 1:
         raise ValueError("critical price approximation is single-asset only")
-    if not 0 <= t <= spec.maturity:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0 <= t) & (t <= spec.maturity)):
         raise ValueError("require 0 <= t <= maturity")
     r, q = spec.rate, float(spec.dividends[0])
+    out = np.full(t.shape, min(1.0, r / q) if q > 0 else 1.0)
+    live = spec.maturity - t > 0.0
     if r == 0.0:
-        return 0.0
-    tte = spec.maturity - t
-    if tte <= 0.0:
-        return spec.strike * min(1.0, r / q) if q > 0 else spec.strike
+        out[...] = 0.0
+    elif np.any(live):
+        unit = dataclasses.replace(spec, strike=1.0)
 
-    # Solve the singularity-free rescaling s*den(s) - num = 0 (same root;
-    # the raw G(s) = s - num/den has a 1/den blow-up deep below the root
-    # when q = 0), then check convergence on G itself.
-    def f(s):
-        numer, den = _capf_denominator(s, t, spec, mode)
-        return s * den - numer
+        # Solve the singularity-free rescaling s*den(s) - num = 0 (same
+        # root; the raw G(s) = s - num/den has a 1/den blow-up deep below
+        # the root when q = 0), then check convergence on G itself.
+        def f(s, t):
+            numer, den = _capf_denominator(s, t, unit, mode)
+            return s * den - numer
 
-    lo, hi = spec.strike * 1e-6, spec.strike
-    if f(lo) * f(hi) > 0:
-        hi = 2.0 * spec.strike
-        if f(lo) * f(hi) > 0:
-            raise NoBracket(
-                f"no sign change on [{lo}, {hi}] at t={t} (mode={mode})")
-    root = brentq(f, lo, hi, xtol=1e-13 * spec.strike, rtol=8.9e-16)
-    if abs(capf_residual(root, t, spec, mode)) > 1e-10 * spec.strike:
-        raise NoBracket(
-            f"root did not converge: |G| = "
-            f"{abs(capf_residual(root, t, spec, mode))}")
-    return root
+        t = t[live]
+        lo, hi = np.full(t.shape, 1e-6), np.ones(t.shape)
+        f_lo = f(lo, t)
+        hi[f_lo * f(hi, t) > 0] = 2.0
+        bad = f_lo * f(hi, t) > 0
+        if np.any(bad):
+            raise NoBracket(f"no sign change on [{1e-6 * spec.strike}, "
+                            f"{2.0 * spec.strike}] at t={t[bad][0]} "
+                            f"(mode={mode})")
+        root = find_root(f, (lo, hi), args=(t,)).x
+        resid = np.max(np.abs(capf_residual(root, t, unit, mode)))
+        if not resid <= 1e-10:
+            raise NoBracket(f"root did not converge: |G| = {resid} K")
+        out[live] = root
+    out *= spec.strike
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -246,9 +255,8 @@ def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
     else:
         tte = np.arange(m_steps) * (tau / (m_steps - 1))
     # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
-    values = np.array([
-        critical_price_approx(max(unit.maturity - th, 0.0), unit, mode)
-        for th in tte])
+    values = critical_price_approx(np.maximum(unit.maturity - tte, 0.0),
+                                   unit, mode)
     tte.setflags(write=False)
     values.setflags(write=False)
     return _unit_cache.add(key, BoundaryCurve(times=tte, values=values,

@@ -2,8 +2,9 @@
 
 Binomial lattice (benchmark truth for American options), closed-form
 Black-Scholes with continuous dividend plus its Greeks, Monte Carlo basket
-pricing with antithetic variates, and a direct (no-FFT) trapezoid
-evaluation of the Mellin inversion at a single spot.
+pricing with antithetic variates, a direct (no-FFT) trapezoid evaluation
+of the Mellin inversion at a single spot, and the closed-form sum over the
+premium's time nodes that the American inversions converge to.
 """
 
 from __future__ import annotations
@@ -216,3 +217,56 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
     values = put_transform(w, spec, tau, style, boundary, time_weights)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
     return contour_sum(values, w, quad, spot)
+
+
+# ---------------------------------------------------------------------------
+# closed-form node sum (the discrete American put)
+# ---------------------------------------------------------------------------
+
+
+def american_put_node_sum(spots, spec: BasketSpec, tau, boundary,
+                          time_weights="simpson"):
+    """The American put on the pricer's own time nodes, in closed form.
+
+    Each premium node's Mellin inverse is a lognormal expectation, so with
+    the nodes t_l and weights c_l of ``time_weights`` and s*_l the
+    ``boundary`` at time-to-expiry tau - t_l, the N -> infinity limit of the
+    FFT, series and trapezoid American puts is
+
+        P_BS(S) + sum_{l >= 1} c_l [rK e^(-r t_l) N(-d2_l)
+                                    - qS e^(-q t_l) N(-d1_l)]
+                + c_0 (rK - qS) 1{S < s*_0}
+
+    with d1_l = (ln(S / s*_l) + (r - q + sigma^2 / 2) t_l) / (sigma sqrt(t_l))
+    and d2_l = d1_l - sigma sqrt(t_l).  Node 0 (t = 0, no diffusion) is a
+    step, counted half at S = s*_0; nodes with s*_l = 0 drop out.  Single
+    asset; vectorised over ``spots``, whose shape the result takes.
+    """
+    from .fft_pricer import premium_time_grid
+
+    if spec.n != 1:
+        raise ValueError("the node sum is single-asset only")
+    spots = np.asarray(spots, dtype=float)
+    check_finite_spot(spots)
+    if np.any(spots <= 0):
+        raise OutOfRange("spot must be positive")
+    r, q, vol, k = (spec.rate, float(spec.dividends[0]),
+                    float(spec.vols[0]), spec.strike)
+    s = spots[..., None]
+
+    def legs(level, t):
+        """e^(-rt) N(-d2) and e^(-qt) N(-d1) for the put struck at level."""
+        sd = vol * np.sqrt(t)
+        d1 = (np.log(s / level) + (r - q + vol**2 / 2.0) * t) / sd
+        return np.exp(-r * t) * ndtr(sd - d1), np.exp(-q * t) * ndtr(-d1)
+
+    t, c = premium_time_grid(boundary.m, tau, time_weights)
+    s_star = boundary.at_tte(tau - t)
+    live = (s_star > 0.0) & (t > 0.0)
+    euro_k, euro_s = legs(k, tau)
+    node_k, node_s = legs(s_star[live], t[live])
+    step = 0.5 * (1.0 + np.sign(s_star[0] - spots))  # t_0 = 0
+    out = (k * euro_k[..., 0] - spots * euro_s[..., 0]
+           + (node_k * r * k - node_s * q * s) @ c[live]
+           + c[0] * (r * k - q * spots) * step)
+    return float(out) if out.ndim == 0 else out

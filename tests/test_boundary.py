@@ -4,6 +4,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import boundary
@@ -11,7 +14,7 @@ from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     boundary_residual_cap, capf_residual,
                                     clear_boundary_cache,
                                     critical_price_approx)
-from mellin_pricer.errors import NegativeRadicand
+from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import build_grid, price_american_call
 from mellin_pricer.mellin_core import BasketSpec
 
@@ -29,6 +32,49 @@ def bisect_root(g, lo, hi, iterations=200):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def brentq_curve(spec, times, mode="corrected"):
+    """Reference: one scalar Brent solve per calendar time.
+
+    The per-node solver the package used before its vectorised one: the
+    rescaled equation s den(s) - num = 0 on [K 1e-6, K], widened to 2K
+    without a sign change, to xtol 1e-13 K.
+    """
+    r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
+    out = []
+    for t in times:
+        if r == 0.0:
+            out.append(0.0)
+            continue
+        if spec.maturity - t <= 0.0:
+            out.append(k * min(1.0, r / q) if q > 0 else k)
+            continue
+
+        def f(s):
+            numer, den = boundary._capf_denominator(s, t, spec, mode)
+            return float(s * den - numer)
+
+        hi = k if f(1e-6 * k) * f(k) <= 0 else 2.0 * k
+        out.append(brentq(f, 1e-6 * k, hi, xtol=1e-13 * k, rtol=8.9e-16))
+    return np.array(out)
+
+
+def max_abs_residual(values, times, spec):
+    live = spec.maturity - times > 0
+    return np.max(np.abs(capf_residual(values[live], times[live], spec)),
+                  initial=0.0)
+
+
+@st.composite
+def solver_markets(draw):
+    """amer_book's market ranges, with q = 0 and r ~ q drawn often."""
+    r = draw(st.floats(0.01, 0.08))
+    q = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.08),
+                       st.floats(-1e-9, 1e-9).map(lambda e: r + e)))
+    vol = draw(st.floats(0.15, 0.45))
+    tau = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    return BasketSpec.single(100.0, tau, r, q, vol), 250
 
 
 class TestCriticalPrice:
@@ -77,6 +123,36 @@ class TestCriticalPrice:
             critical_price_approx(0.0, spec)
 
 
+class TestVectorisedSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(solver_markets())
+    @example((BasketSpec.single(50.0, 0.9375, 0.01, 0.0, 0.5), 59))
+    def test_curve_matches_per_node_brentq(self, case):
+        spec, m = case
+        clear_boundary_cache()
+        curve = boundary_curve(spec, m, spec.maturity)
+        times = np.maximum(spec.maturity - curve.times, 0.0)
+        ref = brentq_curve(spec, times)
+        np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
+        assert (max_abs_residual(curve.values, times, spec)
+                <= max_abs_residual(ref, times, spec))
+
+    def test_array_times_match_scalar_times(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.07, 0.03, 0.3)
+        times = np.array([[0.0, 0.1], [0.25, 0.5]])
+        got = critical_price_approx(times, spec)
+        assert got.shape == times.shape
+        assert [critical_price_approx(t, spec) for t in times.ravel()] == \
+            list(got.ravel())
+        assert isinstance(critical_price_approx(0.1, spec), float)
+
+    def test_rejects_times_outside_the_contract(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.07, 0.03, 0.3)
+        for bad in ([0.0, 0.6], [-0.1, 0.2], [np.nan]):
+            with pytest.raises(ValueError, match="maturity"):
+                critical_price_approx(np.array(bad), spec)
+
+
 class TestFormulaModes:
     def test_printed_mode_negative_radicand(self):
         # delta - 2q < 0 for these parameters under the verbatim formula
@@ -88,6 +164,18 @@ class TestFormulaModes:
         spec = BasketSpec.single(100.0, 0.5, 0.07, 0.03, 0.2)
         with pytest.raises(NegativeRadicand):
             critical_price_approx(0.0, spec, mode="sigma-squared")
+
+    @pytest.mark.parametrize("mode", ["printed", "sigma-squared"])
+    def test_no_bracket_when_exp_qt_dominates(self, mode):
+        # exp(+q(T-t)) in the denominator outgrows the numerator for a long
+        # high-dividend contract, so G has no sign change on [K 1e-6, 2K]
+        spec = BasketSpec.single(100.0, 6.0, 0.02, 0.4, 0.2)
+        with pytest.raises(NoBracket, match="no sign change"):
+            critical_price_approx(0.0, spec, mode=mode)
+        # on a curve only the nodes far from expiry lack a bracket
+        assert critical_price_approx(5.9, spec, mode=mode) < spec.strike
+        with pytest.raises(NoBracket, match=f"mode={mode}"):
+            boundary_curve(spec, 20, 6.0, mode=mode)
 
     def test_printed_mode_valid_domain(self):
         # verbatim formula admits the unswapped grouping-1 parameters
@@ -186,11 +274,12 @@ class TestBoundaryCurve:
         np.testing.assert_allclose(curve.values, direct, rtol=1e-12)
 
     def test_five_calls_of_one_market_share_one_solve(self, monkeypatch):
-        # put-call symmetry maps the calls to puts struck at each spot
+        # put-call symmetry maps the calls to puts struck at each spot; all
+        # five read the strike-1 curve, solved by one call over its M nodes
         solves = []
 
         def counting(t, spec, mode="corrected"):
-            solves.append(spec.strike)
+            solves.append((spec.strike, np.shape(t)))
             return critical_price_approx(t, spec, mode)
 
         monkeypatch.setattr(boundary, "critical_price_approx", counting)
@@ -198,8 +287,7 @@ class TestBoundaryCurve:
         for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
             price_american_call(spot, 100.0, 0.03, 0.07, 0.2, 0.5,
                                 m_steps=m)
-        assert len(solves) == m
-        assert set(solves) == {1.0}
+        assert solves == [(1.0, (m,))]
 
     def test_caches_stay_bounded(self):
         size = boundary.CACHE_SIZE

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import GROUPING_PARAMS, assert_close
-from mellin_pricer.boundary import boundary_curve
+from mellin_pricer import table1
+from mellin_pricer.boundary import BoundaryCurve, boundary_curve
 from mellin_pricer.errors import InvalidProbability
+from mellin_pricer.errors import NonFiniteSpot, OutOfRange
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                                      price_surface)
+                                      premium_time_grid, price_surface)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
-                                   McConfig, binomial_price, black_scholes,
+                                   McConfig, american_put_node_sum,
+                                   binomial_price, black_scholes,
                                    mc_basket_euro_put,
                                    price_direct_trapezoid)
 
@@ -210,3 +213,81 @@ class TestDirectTrapezoid:
                                    [90.0 + k], EUROPEAN_PUT)
         t_direct = time.perf_counter() - t0
         assert t_fft < t_direct
+
+
+def _node0_subtracted_fft(spec, spot, tau, size=2**12, m=250):
+    """The American put FFT with the t = 0 premium node priced in S space.
+
+    Node 0's transform is the Mellin transform of the step
+    c_0 (qS - rK) 1{S < s*_0}, whose 1/|b| tail is what needs the large N.
+    Zeroing the boundary at that node (time to expiry tau) drops it from
+    the transform; the step is added back at the spot.
+    """
+    curve = boundary_curve(spec, m, tau)
+    values = curve.values.copy()
+    values[-1] = 0.0
+    dropped = BoundaryCurve(times=curve.times, values=values,
+                            spec_hash=("node 0 dropped",) + curve.spec_hash)
+    grid = build_grid(1, size, 1.0, [spot], m_steps=m)
+    fft = price_surface(spec, grid, tau, AMERICAN_PUT,
+                        boundary=dropped).landing_value()
+    c0 = premium_time_grid(m, tau)[1][0]
+    r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
+    step = 1.0 if spot < curve.values[-1] else 0.5 * (spot == curve.values[-1])
+    return fft + c0 * (r * k - q * spot) * step, curve
+
+
+# the paper's table as symmetric puts (strike = the call's spot, spot 100,
+# rate and dividend swapped), then the benchmark's anchor puts
+NODE_SUM_CASES = (
+    [(BasketSpec.single(s, table1.TAU, q, r, vol), 100.0, table1.TAU)
+     for _, (r, q, vol) in sorted(table1.GROUPINGS.items())
+     for s in table1.SPOTS]
+    + [(BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3), s, 0.5)
+       for s in (80.0, 100.0, 120.0)])
+
+
+class TestAmericanPutNodeSum:
+    @pytest.mark.parametrize("spec,spot,tau", NODE_SUM_CASES)
+    def test_matches_node0_subtracted_fft(self, spec, spot, tau):
+        fft, curve = _node0_subtracted_fft(spec, spot, tau)
+        got = american_put_node_sum(spot, spec, tau, curve)
+        assert abs(fft - got) <= 1e-8 * spec.strike
+
+    def test_vectorised_over_spots(self):
+        spec, _, tau = NODE_SUM_CASES[-1]
+        curve = boundary_curve(spec, 50, tau)
+        spots = np.array([[70.0, 95.0], [100.0, 130.0]])
+        got = american_put_node_sum(spots, spec, tau, curve)
+        assert got.shape == spots.shape
+        for s, v in zip(spots.ravel(), got.ravel()):
+            assert_close(american_put_node_sum(s, spec, tau, curve), v,
+                         rtol=1e-14)
+
+    def test_no_premium_is_black_scholes(self):
+        # r = 0: the boundary is 0 at every node, so nothing is exercised
+        spec = BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.25)
+        curve = boundary_curve(spec, 20, 0.5)
+        got = american_put_node_sum(90.0, spec, 0.5, curve)
+        want = black_scholes(90.0, 100.0, 0.0, 0.03, 0.25, 0.5, "put").price
+        assert_close(got, want, atol=1e-13)
+
+    def test_step_counts_half_on_the_boundary(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        curve = boundary_curve(spec, 20, 0.5)
+        s0 = curve.values[-1]
+        below, at, above = american_put_node_sum(
+            np.array([np.nextafter(s0, 0.0), s0, np.nextafter(s0, 2 * s0)]),
+            spec, 0.5, curve)
+        c0 = premium_time_grid(20, 0.5)[1][0]
+        jump = c0 * (0.06 * 100.0 - 0.02 * s0)
+        assert_close(below - at, 0.5 * jump, rtol=1e-9)
+        assert_close(at - above, 0.5 * jump, rtol=1e-9)
+
+    def test_rejects_bad_spots(self):
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        curve = boundary_curve(spec, 5, 0.5)
+        with pytest.raises(NonFiniteSpot):
+            american_put_node_sum([100.0, np.nan], spec, 0.5, curve)
+        with pytest.raises(OutOfRange):
+            american_put_node_sum(0.0, spec, 0.5, curve)

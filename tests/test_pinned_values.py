@@ -54,7 +54,9 @@ PINNED_GREEKS = {
     },
     "paper": {
         "delta1": -0.4333769785964992,
-        "gamma": 0.009098660144840186,
+        # with the full-precision boundary solve; a Brent solve per node
+        # (xtol 1e-13 K) gave 0.009098660144840186
+        "gamma": 0.009098660144851138,
         "theta": 6.758903514646323,
         "rho": -8.043249235687078,
         "nu": 15.712453236338622,
