@@ -24,7 +24,11 @@ put-call symmetry maps to five strikes, share one solve.  Both the
 strike-free curves and the scaled ones are cached per rounded parameter
 tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
 cached curves are immutable and shared, so repeated requests are
-bit-identical.
+bit-identical.  A third cache, of MOMENT_CACHE_SIZE entries, holds the
+premium moments that ``fft_pricer.premium_moments`` computes from a curve
+(keyed on its exact values, not on the rounded tuple), so the greeks of
+one position share one premium pass.  :func:`clear_boundary_cache`
+empties all three; each counts its hits and misses.
 """
 
 from __future__ import annotations
@@ -203,12 +207,16 @@ class BoundaryCurve:
 
 
 class _LruCache:
-    """A bounded map that evicts its least recently used entry; thread-safe."""
+    """A bounded map that evicts its least recently used entry; thread-safe.
+
+    ``hits`` and ``misses`` count the lookups since the last :meth:`clear`.
+    """
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
         self._data = OrderedDict()
         self._lock = threading.Lock()
+        self.hits = self.misses = 0
 
     def __len__(self):
         with self._lock:
@@ -217,7 +225,10 @@ class _LruCache:
     def get(self, key):
         with self._lock:
             value = self._data.get(key)
-            if value is not None:
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
                 self._data.move_to_end(key)
             return value
 
@@ -233,11 +244,17 @@ class _LruCache:
     def clear(self):
         with self._lock:
             self._data.clear()
+            self.hits = self.misses = 0
 
 
 CACHE_SIZE = 256  # curves per cache; an M = 250 curve holds 4 kB of arrays
 _curve_cache = _LruCache(CACHE_SIZE)
 _unit_cache = _LruCache(CACHE_SIZE)
+# premium moments per (market, curve, contour), filled by
+# fft_pricer.premium_moments; the greeks of one position need one entry,
+# and an N = 2^14 greek entry holds 0.5 MB
+MOMENT_CACHE_SIZE = 2
+_moment_cache = _LruCache(MOMENT_CACHE_SIZE)
 
 
 def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
@@ -288,9 +305,11 @@ def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
 
 
 def clear_boundary_cache():
-    """Empty both the per-strike and the strike-1 curve caches."""
+    """Empty the per-strike and strike-1 curve caches and the premium-moment
+    cache, whose entries are keyed on curves, and zero their counts."""
     _curve_cache.clear()
     _unit_cache.clear()
+    _moment_cache.clear()
 
 
 def boundary_residual_cap(curve: BoundaryCurve, t, spec: BasketSpec, grid,

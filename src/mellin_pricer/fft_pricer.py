@@ -65,7 +65,10 @@ time, and nodes with similar cutoffs are evaluated as one bounded
 (nodes x frequencies) block.  The result matches the per-node sum to
 about 1e-14 of the transform's peak.  American greeks reuse the same pass
 with t-weighted moments, since every premium multiplier is affine in the
-node time.
+node time.  The moments are memoised on the exact market, curve and
+contour (:func:`premium_moments`), so the greeks of one position, which
+share all three, pay for one pass; quotes never repeat a key (each spot
+has its own spacing, each call its own put strike) and always compute.
 
 Calls
 -----
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import boundary_curve
+from .boundary import _moment_cache, boundary_curve
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      OutOfRange, SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
@@ -449,11 +452,29 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
     (nodes x frequencies) block of at most BLOCK_POINTS entries: the
     running products fill the block's rows by repeated doubling and the
     weights c_l t_l^p (s*_l)^e s*_l^a reduce it by one matrix product.
+
+    The result is memoised in a bounded LRU cache
+    (``boundary._moment_cache``, emptied by
+    :func:`~mellin_pricer.boundary.clear_boundary_cache`) keyed on the
+    exact bytes of every input the pass reads: r, q, sigma, the 1 x 1
+    correlation, tau, ``time_mode``, ``t_powers``, the curve's times and
+    values, and the contour's a, first b, spacing and shape.  A hit
+    is therefore the array a recompute would give, bit for bit; the
+    American greeks of one position, which read the same moments on the
+    same contour, share one pass.  The returned array is read-only.
     """
     if spec.n != 1 or np.shape(w)[-1:] != (1,):
         raise NotImplementedError("the premium transform is single-asset only")
     a, b, db = _uniform_contour(w)
     c, h, size, index, conj = _half_axis(b, db)
+    # c tells a contour folded at b = 0 from one that only nearly meets it
+    key = (np.array([spec.rate, spec.dividends[0], spec.vols[0],
+                     spec.corr[0, 0], tau, a, b[0], db, c]).tobytes(),
+           time_mode, tuple(t_powers), boundary.times.tobytes(),
+           boundary.values.tobytes(), np.shape(w))
+    hit = _moment_cache.get(key)
+    if hit is not None:
+        return hit
 
     t_nodes, t_wgts = premium_time_grid(boundary.m, tau, time_mode)
     s_star = boundary.at_tte(tau - t_nodes)
@@ -496,7 +517,9 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
 
     out = np.take(moments.reshape(len(t_powers), 2, size), index, axis=-1)
     np.negative(out.imag, out=out.imag, where=conj)
-    return out.reshape(out.shape[:2] + np.shape(w)[:-1])
+    out = out.reshape(out.shape[:2] + np.shape(w)[:-1])
+    out.setflags(write=False)
+    return _moment_cache.add(key, out)
 
 
 def exercise_factors(w, spec: BasketSpec):

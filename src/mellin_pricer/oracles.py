@@ -65,14 +65,24 @@ def binomial_price(spot, strike, rate, dividend, vol, tau, steps=10000,
     american = style in (AMER_PUT, AMER_CALL)
 
     # every node of every step is spot * u^m, m = -steps..steps; step i
-    # reads m = -i, -i+2, ..., i as a strided slice
+    # reads m = -i, -i+2, ..., i, every other node from index steps - i, so
+    # from the contiguous copy of that index's parity
     nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
     exercise = nodes - strike if is_call else strike - nodes
-    values = np.maximum(exercise[::2], 0.0)
+    by_parity = (exercise[::2].copy(), exercise[1::2].copy())
+    values = np.maximum(by_parity[0], 0.0)
+    up = np.empty(steps)
+    down = 1.0 - p
     for i in range(steps - 1, -1, -1):
-        values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
+        # disc * (p v[j+1] + (1-p) v[j]) in place, in that operation order
+        v, pv = values[:i + 1], up[:i + 1]
+        np.multiply(p, values[1:i + 2], out=pv)
+        np.multiply(down, v, out=v)
+        np.add(pv, v, out=v)
+        np.multiply(disc, v, out=v)
         if american:
-            values = np.maximum(values, exercise[steps - i:steps + i + 1:2])
+            lo = (steps - i) // 2
+            np.maximum(v, by_parity[(steps - i) % 2][lo:lo + i + 1], out=v)
     return float(values[0])
 
 

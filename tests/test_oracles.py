@@ -75,6 +75,33 @@ class TestBinomial:
                              style=style)
         assert got == float(values[0])
 
+    @pytest.mark.parametrize("steps", [1, 2, 7, 200])
+    @pytest.mark.parametrize("style", [EURO_PUT, EURO_CALL, AMER_PUT,
+                                       AMER_CALL])
+    def test_equals_allocating_loop(self, style, steps):
+        # the in-place induction must reproduce, bit for bit, the loop
+        # that allocated fresh arrays at every step and read the exercise
+        # values as a strided slice of the whole node table
+        spot, strike, r, q, sig, tau = 95.0, 100.0, 0.05, 0.03, 0.3, 0.75
+        dt = tau / steps
+        sdt = sig * math.sqrt(dt)
+        u = math.exp(sdt)
+        d = 1.0 / u
+        p = min(max((math.exp((r - q) * dt) - d) / (u - d), 0.0), 1.0)
+        disc = math.exp(-r * dt)
+        nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
+        exercise = (nodes - strike if style in (EURO_CALL, AMER_CALL)
+                    else strike - nodes)
+        values = np.maximum(exercise[::2], 0.0)
+        for i in range(steps - 1, -1, -1):
+            values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
+            if style in (AMER_PUT, AMER_CALL):
+                values = np.maximum(values,
+                                    exercise[steps - i:steps + i + 1:2])
+        got = binomial_price(spot, strike, r, q, sig, tau, steps=steps,
+                             style=style)
+        assert got == float(values[0])
+
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
             binomial_price(100.0, 100.0, 0.8, 0.0, 0.01, 1.0, steps=1)
