@@ -25,9 +25,14 @@ strike-free curves and the scaled ones are cached per rounded parameter
 tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
 cached curves are immutable and shared, so repeated requests are
 bit-identical.  A third cache, of MOMENT_CACHE_SIZE entries, holds the
-premium moments that ``fft_pricer.premium_moments`` computes from a curve
-(keyed on its exact values, not on the rounded tuple), so the greeks of
-one position share one premium pass.  :func:`clear_boundary_cache`
+transforms that a position's quote and greeks share, each keyed on the
+exact bytes of its inputs, not on the rounded tuple.  The premium
+moments that ``fft_pricer.premium_moments`` computes from a curve (0.5 MB
+for an N = 2^14 greek) let the greeks of one position share one premium
+pass.  The basket payoff transforms that
+``fft_pricer.discounted_payoff_transform`` computes on a lattice (about
+2.1 MB for a two-asset N = 2^9 half lattice) let a basket quote and the
+greeks at its spot share one transform.  :func:`clear_boundary_cache`
 empties all three; each counts its hits and misses.
 """
 
@@ -251,8 +256,11 @@ CACHE_SIZE = 256  # curves per cache; an M = 250 curve holds 4 kB of arrays
 _curve_cache = _LruCache(CACHE_SIZE)
 _unit_cache = _LruCache(CACHE_SIZE)
 # premium moments per (market, curve, contour), filled by
-# fft_pricer.premium_moments; the greeks of one position need one entry,
-# and an N = 2^14 greek entry holds 0.5 MB
+# fft_pricer.premium_moments (an N = 2^14 greek entry holds 0.5 MB), and
+# basket payoff transforms per (market, lattice axes), filled by
+# fft_pricer.discounted_payoff_transform (an N = 2^9 two-asset half
+# lattice holds about 2.1 MB); the quote or greeks of one position need
+# one entry
 MOMENT_CACHE_SIZE = 2
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
 
@@ -305,8 +313,8 @@ def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
 
 
 def clear_boundary_cache():
-    """Empty the per-strike and strike-1 curve caches and the premium-moment
-    cache, whose entries are keyed on curves, and zero their counts."""
+    """Empty the per-strike and strike-1 curve caches and the cache of
+    premium moments and basket payoff transforms, and zero their counts."""
     _curve_cache.clear()
     _unit_cache.clear()
     _moment_cache.clear()

@@ -41,7 +41,12 @@ On the n-asset lattice coordinate i varies along axis i only, so every
 factor of the European basket transform except Gamma(sum w)^-1, the
 cross terms of Psi and 1/(sum w (sum w + 1)) depends on one axis.
 :func:`discounted_payoff_transform` evaluates those once per axis and
-only the three others on the full N^n lattice.
+only the three others on the full N^n lattice.  Log Gamma(sum w) on the
+full lattice still dominates, so the transform of a lattice is memoised
+on its exact market and axis vectors, next to the premium moments and
+under the same bound: a basket quote and the greeks at the same spot,
+which differ only in their polynomial multipliers (w_i / S_i,
+w_i (w_i + 1) / S_i^2, ...), share one transform.
 
 Premium transform
 -----------------
@@ -331,6 +336,18 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
     lattice points.  The result matches the pointwise
     ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)`` to about 1e-15 of
     its peak.
+
+    A lattice with more than one point on every axis is memoised in the
+    bounded LRU cache that also holds the premium moments
+    (``boundary._moment_cache``, emptied by
+    :func:`~mellin_pricer.boundary.clear_boundary_cache`), keyed on the
+    exact bytes of every input read here: K, r, tau, each q_i, each
+    sigma_i, the correlation matrix and each axis vector.  A hit is the
+    array a recompute would give, bit for bit, and is read-only; the
+    quote and the greeks at one spot, which build the same lattice,
+    share one transform.  Edge pieces and single points, which have one
+    point on some axis and so cost about 1/N of a lattice, are always
+    computed.
     """
     w = np.asarray(w, dtype=complex)
     cov = CovStruct.from_spec(spec)
@@ -341,6 +358,16 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
 
     n = spec.n
     axes = _lattice_axes(w, n)
+    lattice = all(z.shape[0] > 1 for z in axes)
+    if lattice:
+        # the tag keeps these keys apart from the premium-moment keys
+        key = ("basket_payoff",
+               np.concatenate([[spec.strike, spec.rate, tau], spec.dividends,
+                               spec.vols, spec.corr.ravel()]).tobytes(),
+               tuple(z.tobytes() for z in axes))
+        hit = _moment_cache.get(key)
+        if hit is not None:
+            return hit
     log_k = math.log(spec.strike)
     per_axis = [lgamma_complex(z) + z * log_k
                 + tau * (0.5 * cov.cov[i, i] * z - cov.drift[i]) * z
@@ -355,7 +382,11 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
     out = np.exp(log_t, out=log_t)
     out *= spec.strike * math.exp(-spec.rate * tau)
     out /= sw * (sw + 1.0)
-    return out.reshape(w.shape[:-1])
+    out = out.reshape(w.shape[:-1])
+    if not lattice:
+        return out
+    out.setflags(write=False)
+    return _moment_cache.add(key, out)
 
 
 def _uniform_contour(w):

@@ -129,8 +129,6 @@ def greek_multiplier(kind: GreekKind, w, spot, tau, s, spec: BasketSpec,
     w = np.asarray(w, dtype=complex)
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     i = kind.i - 1
-    sw = np.sum(w, axis=-1)
-    cov = CovStruct.from_spec(spec)
 
     if kind.name == "delta1":
         f = w[..., i] / spot[i]
@@ -148,11 +146,12 @@ def greek_multiplier(kind: GreekKind, w, spot, tau, s, spec: BasketSpec,
         f = w[..., i] * (1.0 - w[..., i]) / spot[i] ** 2
         return -f, -f
     if kind.name == "theta":
-        psi_r = char_exponent_wi(w, cov) + spec.rate
+        psi_r = char_exponent_wi(w, CovStruct.from_spec(spec)) + spec.rate
         if mode == "kernel":
             return -psi_r, +psi_r
         return -psi_r, +(psi_r - 1.0)
     if kind.name == "rho":
+        sw = np.sum(w, axis=-1)
         if mode == "kernel":
             return -tau * (sw + 1.0), +s * (sw + 1.0)
         return -tau**2 * (sw - 1.0), -s * (sw - 1.0)
@@ -225,8 +224,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
     def transform(w):
-        f_e, _ = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)
-        out = f_e * discounted_payoff_transform(w, spec, tau)
+        # the transform first, so that its temporaries and the multipliers
+        # are never alive at once
+        values = discounted_payoff_transform(w, spec, tau)
+        out = greek_multiplier(kind, w, spot, tau, 0.0, spec, mode)[0] * values
         if bnd is not None:
             out = out + _premium_sensitivity(kind, w, spot, tau, spec, bnd,
                                              mode)
