@@ -95,8 +95,9 @@ def _capf_denominator(s, t, spec, mode):
         raise ValueError("requires t < maturity")
     r, q, sigma = spec.rate, float(spec.dividends[0]), float(spec.vols[0])
     numer, exp_q, n_b1, omega = _capf_terms(spec.strike, r, q, sigma, tte, mode)
-    kappa = ((np.log(s / spec.strike) + (r - q + sigma**2 / 2.0) * tte)
-             / (sigma * np.sqrt(tte)))
+    with np.errstate(divide="ignore"):  # s = 0: kappa = -inf, N(kappa) = 0
+        log_s = np.log(s / spec.strike)
+    kappa = (log_s + (r - q + sigma**2 / 2.0) * tte) / (sigma * np.sqrt(tte))
     den = exp_q * (ndtr(kappa) - n_b1) + omega + 0.5
     return numer, den
 
@@ -125,9 +126,13 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
     ``scipy.optimize.elementwise.find_root``), so a cold boundary curve is
     one call.  S* is homogeneous of degree 1 in (S, K), so G(S*) = 0 is
     solved at strike 1 on [1e-6, 1], the upper end widened to 2 at times
-    with no sign change there, and the roots are scaled by K and moved to
-    the float near them with the least |G| at K (:func:`_nearest_roots`).
-    Converged roots satisfy |G| < 1e-10 K, else ``NoBracket``.
+    with no sign change there, then the lower end widened to the least
+    normal float (``LOWEST_ROOT``) at times with still none: a tiny
+    positive rate puts the root near K r/q.  The roots are scaled by K and
+    moved to the float near them with the least |G| at K
+    (:func:`_nearest_roots`).  Converged roots satisfy |G| < 1e-10 K, else
+    ``NoBracket``; a root below K times the least normal float (r of a few
+    denormals) has no bracket.
 
     Limits: at t = T the root degenerates to K min(1, r/q) (K when q = 0);
     for r = 0 early exercise is never optimal and 0 is returned.
@@ -156,9 +161,11 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
         lo, hi = np.full(t.shape, 1e-6), np.ones(t.shape)
         f_lo = f(lo, t)
         hi[f_lo * f(hi, t) > 0] = 2.0
-        bad = f_lo * f(hi, t) > 0
+        f_hi = f(hi, t)
+        lo[f_lo * f_hi > 0] = LOWEST_ROOT
+        bad = f(lo, t) * f_hi > 0
         if np.any(bad):
-            raise NoBracket(f"no sign change on [{1e-6 * spec.strike}, "
+            raise NoBracket(f"no sign change on [{lo[bad][0] * spec.strike}, "
                             f"{2.0 * spec.strike}] at t={t[bad][0]} "
                             f"(mode={mode})")
         root = find_root(f, (lo, hi), args=(t,)).x
@@ -169,6 +176,10 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
                                    SOLVED_REACH)
     return float(out) if out.ndim == 0 else out
 
+
+# lower end of the bracket at strike 1 where [1e-6, 2] holds no sign
+# change: a tiny positive rate puts the root near r/q, below 1e-6
+LOWEST_ROOT = float(np.finfo(float).tiny)
 
 # ulps searched on either side of a root: Chandrupatla's roots at strike 1
 # times K sat up to 7 ulps from the float of least |G| at K, and K times

@@ -37,53 +37,226 @@ def norm_pdf(x):
 # ---------------------------------------------------------------------------
 
 
+# unit roundoff of float64, and the relative error allowed for every exp
+# and expm1 of the lattice set-up: 4 ulps, above the 1 ulp numpy's accuracy
+# tests hold its float64 exp to and glibc's documented bounds
+_UNIT = 2.0 ** -53
+_EXP_ERR = 8 * _UNIT
+# the exercise region is used only while every operand of its proof stays
+# in this range, so no product in it underflows or overflows
+_NORMAL = (2.0 ** -300, 2.0 ** 300)
+
+
 def binomial_price(spot, strike, rate, dividend, vol, tau, steps=10000,
                    style=AMER_CALL):
-    """Cox-Ross-Rubinstein lattice price.
+    """Cox-Ross-Rubinstein lattice price at one spot or a vector of spots.
 
     u = exp(vol sqrt(dt)), d = 1/u, p = (exp((r-q) dt) - d)/(u - d);
     backward induction with an early-exercise comparison for American
     styles.  Node values are kept in log space so 10000-step lattices do
-    not overflow.
+    not overflow.  A scalar ``spot`` gives a float; a 1-D array of spots
+    gives an array of its length, each entry bit for bit the price of its
+    spot alone.  The spots share one backward sweep over a (nodes, spots)
+    array, and each spot's node row is the contiguous 1-D
+    ``exp(log(spot) + m sdt)`` of a single spot.
+
+    **Window.**  Every step computes only the nodes whose value is not
+    already known, with the same five in-place ufuncs in the same
+    operation order as the full lattice, so every value is bit for bit
+    the full lattice's.  The nodes of a step are ordered so that the
+    exercise value falls along them: by node for a call, reversed for a
+    put.  Each step then splits into three runs of slots, shared by all
+    spots:
+
+    * *zero* at the low end: both children hold exactly 0.0 and (American
+      styles) every spot's exercise value is <= 0.  Then the node is
+      exactly 0.0, for every style: p*0 + (1-p)*0, times a finite disc, is
+      +0.0, and max(0.0, ex <= 0) is 0.0.  No value is ever -0.0.
+    * *exercise* at the high end (American styles): both children hold
+      exactly their exercise values and every spot's node lies beyond the
+      safe level below, where max(cont, ex) returns ex.
+    * *continuation*: everything between, the only slots computed.
+
+    Each edge first moves by what the children prove (zero shrinks by one
+    slot, exercise by none, both capped by the precomputed first node
+    whose exercise value is > 0 and the first node of the safe run), then
+    grows over computed slots that came out exactly 0.0 or exactly equal
+    to their exercise values: O(1) rows read per step, amortised.  The
+    exercise slots are not written back each step; the one or two that
+    the next step reads are refilled from the exercise table.
+
+    **Safe level.**  Let U = 2^-53 (unit roundoff), s = vol sqrt(dt),
+    g = exp((r-q) dt), A = 1 - e^(-r dt) and B = 1 - e^(-q dt).  With both
+    children exercised the exact continuation value at node S is
+    S e^(-q dt) - K e^(-r dt), so a call's exercise value S - K beats it
+    by S B - K A and a put's K - S by K A - S B.  In floats the computed
+    continuation can exceed the exact one, and the computed exercise value
+    fall short of it, by at most eps (S + K) together, where eps sums the
+    following, each bound times 1.01 for second-order terms and for the
+    rounding of eps itself:
+
+    * p: u, d and g (4 ulps each), the subtraction and the division, and
+      the clamp |p - p0| (p0 unclamped) bound
+      rho = |p e^s + (1-p) e^-s - e^((r-q) dt)|;
+    * the node table: a node is exp(log S0 + m s), its argument off by at
+      most U (|log S0| + 2 steps s) and its exp by 4 ulps, so a child is
+      its node times e^(+-s) to a relative theta = 2 (argument error +
+      4 ulps);
+    * one rounding each for the three products, the sum, 1 - p, the two
+      children's and the node's exercise values, and disc's 4 ulps plus
+      the rounding of r dt.
+
+    That is eps = (1 + disc error)(1 + U)^6 (1 + theta)(1 + (rho + U)/g)
+    - 1 + U, and max(cont, ex) returns ex where S (B - eps) >= K (A + eps)
+    for a call and K (A - eps) >= S (B + eps) for a put, on the exercise
+    side of K.  The level K (A + eps)/(B - eps), or K (A - eps)/(B + eps),
+    takes A and B from expm1 and is used only while the difference keeps
+    at least half its first term (B > 2 eps for a call, A > 2 eps for a
+    put), so its evaluation error stays below 32 U; it is moved 64 U
+    outward.  So calls have no exercise region when q = 0, and puts none
+    when r = 0; nor does a lattice with r or q < 0, or with K, a node,
+    disc or a nonzero p or 1 - p outside [2^-300, 2^300], where the
+    one-rounding-per-operation model could fail by underflow or overflow.
+    European styles use the zero region only.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     check_finite_spot(spot)
     if style not in (EURO_PUT, EURO_CALL, AMER_PUT, AMER_CALL):
         raise ValueError(f"unknown style {style!r}")
+    spots = np.asarray(spot, dtype=float)
+    if spots.ndim > 1:
+        raise ValueError("spot must be a scalar or a 1-D array")
     dt = tau / steps
     sdt = vol * math.sqrt(dt)
     u = math.exp(sdt)
     d = 1.0 / u
-    p = (math.exp((rate - dividend) * dt) - d) / (u - d)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+    growth = math.exp((rate - dividend) * dt)
+    p_raw = (growth - d) / (u - d)
+    if not -1e-12 <= p_raw <= 1.0 + 1e-12:
         raise InvalidProbability(
-            f"risk-neutral probability {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
+            f"risk-neutral probability {p_raw} outside [0, 1]")
+    p = min(max(p_raw, 0.0), 1.0)
     disc = math.exp(-rate * dt)
+    if not math.isfinite(disc):
+        raise ValueError(f"discount factor exp({-rate * dt}) overflows")
     is_call = style in (EURO_CALL, AMER_CALL)
     american = style in (AMER_PUT, AMER_CALL)
 
-    # every node of every step is spot * u^m, m = -steps..steps; step i
-    # reads m = -i, -i+2, ..., i, every other node from index steps - i, so
-    # from the contiguous copy of that index's parity
-    nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
-    exercise = nodes - strike if is_call else strike - nodes
+    if spots.size == 0:
+        return np.empty(0)
+
+    # every node of every step is spot * u^m, m = -steps..steps, in the
+    # exercise order (ascending for a call, descending for a put); step i
+    # reads nodes steps - i, steps - i + 2, ..., steps + i, every other
+    # node from index steps - i, so from the contiguous copy of that
+    # index's parity
+    log_steps = np.arange(-steps, steps + 1.0) * sdt
+    nodes = np.empty((2 * steps + 1, spots.size))
+    for k, s in enumerate(spots.reshape(-1)):
+        nodes[:, k] = np.exp(math.log(s) + log_steps)
+    if is_call:
+        exercise = nodes - strike
+    else:
+        nodes = nodes[::-1]
+        exercise = strike - nodes
     by_parity = (exercise[::2].copy(), exercise[1::2].copy())
     values = np.maximum(by_parity[0], 0.0)
-    up = np.empty(steps)
-    down = 1.0 - p
+    up = np.empty((steps, spots.size))
+    # the continuation sums disc * (p v_up + (1-p) v_down) in place;
+    # a put's order puts the down child first, and the sum commutes
+    c_next, c_here = (p, 1.0 - p) if is_call else (1.0 - p, p)
+    zero_row = bytes(values[0].nbytes)
+
+    n_nodes = 2 * steps + 1
+    zero_edge = n_nodes  # first node whose exercise value matters
+    safe_edge = n_nodes  # first node of the run beyond the safe level
+    zero = _leading(np.any(values != 0.0, axis=1), steps + 1)
+    top = steps + 1  # first slot of the exercise region
+    if american:
+        zero_edge = _leading(np.any(exercise > 0.0, axis=1), n_nodes)
+        top = steps + 1 - _leading(
+            ~np.all(values == by_parity[0], axis=1)[::-1], steps + 1)
+        level = _exercise_level(strike, rate, dividend, dt, sdt, u, d, growth,
+                                p_raw, p, disc, spots, nodes, steps,
+                                is_call)
+        if level is not None:
+            safe = (nodes >= level) if is_call else (nodes <= level)
+            safe_edge = n_nodes - _leading(~np.all(safe, axis=1)[::-1],
+                                           n_nodes)
+
     for i in range(steps - 1, -1, -1):
-        # disc * (p v[j+1] + (1-p) v[j]) in place, in that operation order
-        v, pv = values[:i + 1], up[:i + 1]
-        np.multiply(p, values[1:i + 2], out=pv)
-        np.multiply(down, v, out=v)
-        np.add(pv, v, out=v)
-        np.multiply(disc, v, out=v)
-        if american:
+        # the window of step i from that of step i + 1: slot j reads slots
+        # j and j + 1 and is node steps - i + 2 j
+        z = max(0, min(zero - 1, (zero_edge - steps + i + 1) // 2))
+        t = min(i + 1, max(top, -((steps - i - safe_edge) // 2)))
+        z = min(z, t)
+        if z < t:
+            if top <= t:  # the exercise slots of step i + 1 it reads
+                lo = (steps - i - 1) // 2
+                row = by_parity[(steps - i - 1) % 2]
+                values[top:t + 1] = row[lo + top:lo + t + 1]
+            v, pv = values[z:t], up[z:t]
+            np.multiply(c_next, values[z + 1:t + 1], out=pv)
+            np.multiply(c_here, v, out=v)
+            np.add(pv, v, out=v)
+            np.multiply(disc, v, out=v)
             lo = (steps - i) // 2
-            np.maximum(v, by_parity[(steps - i) % 2][lo:lo + i + 1], out=v)
-    return float(values[0])
+            row = by_parity[(steps - i) % 2]
+            if american:
+                np.maximum(v, row[lo + z:lo + t], out=v)
+                while t > z and (values[t - 1].tobytes()
+                                 == row[lo + t - 1].tobytes()):
+                    t -= 1
+            while z < t and values[z].tobytes() == zero_row:
+                z += 1
+        zero, top = z, t
+    out = values[0] if top > 0 else by_parity[steps % 2][steps // 2]
+    return float(out[0]) if spots.ndim == 0 else out.copy()
+
+
+def _leading(flags, size):
+    """Index of the first true flag, ``size`` when there is none."""
+    return int(np.argmax(flags)) if flags.any() else size
+
+
+def _exercise_level(strike, rate, dividend, dt, sdt, u, d, growth, p_raw, p,
+                    disc, spots, nodes, steps, is_call):
+    """The safe level of :func:`binomial_price`'s exercise region, already
+    capped at the strike, or None where the region is not used."""
+    lo, hi = _NORMAL
+    if not (rate >= 0.0 and dividend >= 0.0
+            and lo <= min(strike, disc, float(nodes.min()))
+            and max(strike, float(nodes.max())) <= hi
+            and all(c == 0.0 or lo <= c for c in (p, 1.0 - p))):
+        return None
+    # rho: |p e^s + (1-p) e^-s - g|, from the rounding of u, d, g, the
+    # subtraction and the division, and the clamp
+    x = (rate - dividend) * dt
+    err_u = 1.01 * _EXP_ERR * u
+    err_d = 1.01 * (_EXP_ERR + _UNIT) * d
+    err_g = 1.01 * (_EXP_ERR + 3 * _UNIT * abs(x)) * growth
+    num, den = growth - d, u - d
+    e_num = err_g + err_d + 1.01 * _UNIT * abs(num)
+    e_den = err_u + err_d + 1.01 * _UNIT * abs(den)
+    rho = (abs(p_raw) * e_den + _UNIT * abs(num) + e_num
+           + abs(p - p_raw) * (abs(den) + e_den))
+    # theta: a child against its node times e^(+-s)
+    log_max = max(abs(math.log(float(np.min(spots)))),
+                  abs(math.log(float(np.max(spots)))))
+    arg_err = 1.01 * _UNIT * (log_max + 2 * steps * sdt)
+    theta = 1.01 * (2 * arg_err + 2 * _EXP_ERR)
+    err_disc = 1.01 * (_EXP_ERR + _UNIT * abs(rate * dt))
+    eps = ((1 + err_disc) * (1 + _UNIT) ** 6 * (1 + theta)
+           * (1 + 1.01 * (rho + _UNIT) / growth) - 1 + _UNIT)
+    a, b = -math.expm1(-rate * dt), -math.expm1(-dividend * dt)
+    if is_call:
+        if not b > 2 * eps:
+            return None
+        return max(strike, strike * (a + eps) / (b - eps) * (1 + 64 * _UNIT))
+    if not a > 2 * eps:
+        return None
+    return min(strike, strike * (a - eps) / (b + eps) * (1 - 64 * _UNIT))
 
 
 # ---------------------------------------------------------------------------

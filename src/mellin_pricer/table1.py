@@ -4,7 +4,9 @@ Reference values are the published benchmark: a 10000-step binomial lattice
 ("true"), the FFT Mellin inversion ("fft"), and the sine-cosine series
 inversion ("dw"), for strike 100 at spots 80..120.  ``run_table1``
 recomputes all three columns with this library and reports the worst
-deviation of the FFT column from its reference.
+deviation of the FFT column from its reference.  The true column is most
+of that work; each grouping prices its five spots in one windowed lattice
+sweep (``oracles.binomial_price`` with a vector of spots).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import oracles
 from .fft_pricer import price_american_call
@@ -70,29 +74,23 @@ class TableRow:
 
 
 def worker_count():
-    """Thread cap from MELLIN_PRICER_THREADS, default 1 (deterministic
-    output regardless; threads only change wall time)."""
-    raw = os.environ.get("MELLIN_PRICER_THREADS", "")
+    """Thread cap from MELLIN_PRICER_THREADS: unset or empty means 1.
+
+    Anything else must be a positive integer, else ``ValueError`` names
+    the variable.  Output is deterministic regardless; threads only
+    change wall time.
+    """
+    raw = os.environ.get("MELLIN_PRICER_THREADS", "").strip()
+    if not raw:
+        return 1
     try:
         n = int(raw)
     except ValueError:
         n = 0
-    return max(1, n) if n > 0 else 1
-
-
-def _cell(grouping, spot, size, m_steps, strip_a, dw_cfg, binomial_steps,
-          boundary_mode, time_weights):
-    rate, div, vol = GROUPINGS[grouping]
-    true = oracles.binomial_price(spot, STRIKE, rate, div, vol, TAU,
-                                  steps=binomial_steps,
-                                  style=oracles.AMER_CALL)
-    fft = price_american_call(spot, STRIKE, rate, div, vol, TAU, size=size,
-                              m_steps=m_steps, strip_a=strip_a,
-                              time_weights=time_weights,
-                              boundary_mode=boundary_mode)
-    dw = dw_price_american_call(spot, STRIKE, rate, div, vol, TAU, cfg=dw_cfg,
-                                boundary_mode=boundary_mode)
-    return TableRow(grouping=grouping, spot=spot, true=true, fft=fft, dw=dw)
+    if n < 1:
+        raise ValueError(f"MELLIN_PRICER_THREADS={raw!r} is not a positive "
+                         "integer")
+    return n
 
 
 def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
@@ -102,9 +100,11 @@ def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
     """Recompute the benchmark rows.
 
     Returns (rows, max_fft_deviation): rows in grouping-then-spot order and
-    the worst |fft - reference fft| over the computed cells.  Results are
-    deterministic; ``threads`` (default from MELLIN_PRICER_THREADS) only
-    parallelizes the independent cells.
+    the worst |fft - reference fft| over the computed cells.  The true
+    column of each grouping is one binomial sweep over its five spots; the
+    FFT and DW prices are computed cell by cell, in that order.  Results
+    are deterministic; ``threads`` (default from MELLIN_PRICER_THREADS)
+    only runs the sweeps and the cells in parallel.
     """
     if groupings is None:
         groupings = sorted(GROUPINGS)
@@ -116,16 +116,34 @@ def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
     cells = [(g, s) for g in groupings for s in SPOTS]
     nthreads = threads if threads else worker_count()
 
-    def work(cell):
+    def true_column(g):
+        rate, div, vol = GROUPINGS[g]
+        return oracles.binomial_price(np.array(SPOTS), STRIKE, rate, div, vol,
+                                      TAU, steps=binomial_steps,
+                                      style=oracles.AMER_CALL)
+
+    def quotes(cell):
         g, s = cell
-        return _cell(g, s, size, m_steps, strip_a, dw_cfg, binomial_steps,
-                     boundary_mode, time_weights)
+        rate, div, vol = GROUPINGS[g]
+        fft = price_american_call(s, STRIKE, rate, div, vol, TAU, size=size,
+                                  m_steps=m_steps, strip_a=strip_a,
+                                  time_weights=time_weights,
+                                  boundary_mode=boundary_mode)
+        dw = dw_price_american_call(s, STRIKE, rate, div, vol, TAU,
+                                    cfg=dw_cfg, boundary_mode=boundary_mode)
+        return fft, dw
 
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=min(nthreads, len(cells))) as ex:
-            rows = list(ex.map(work, cells))
+            columns = ex.map(true_column, groupings)
+            priced = list(ex.map(quotes, cells))
+            columns = list(columns)
     else:
-        rows = [work(c) for c in cells]
+        columns = [true_column(g) for g in groupings]
+        priced = [quotes(c) for c in cells]
+    true = [float(v) for column in columns for v in column]
+    rows = [TableRow(grouping=g, spot=s, true=t, fft=fft, dw=dw)
+            for (g, s), t, (fft, dw) in zip(cells, true, priced)]
     max_dev = max(abs(r.fft - r.ref_fft) for r in rows)
     return rows, max_dev
 

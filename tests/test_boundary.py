@@ -1,6 +1,7 @@
 """Critical-price approximation, curve sampling, and the residual diagnostic."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
 from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import build_grid, price_american_call
 from mellin_pricer.mellin_core import BasketSpec
+from mellin_pricer.oracles import black_scholes
 
 
 def bisect_root(g, lo, hi, iterations=200):
@@ -154,6 +156,42 @@ class TestVectorisedSolve:
         for bad in ([0.0, 0.6], [-0.1, 0.2], [np.nan]):
             with pytest.raises(ValueError, match="maturity"):
                 critical_price_approx(np.array(bad), spec)
+
+
+class TestTinyPositiveRates:
+    # the root falls toward K r/q, below the bracket's usual lower end
+    # 1e-6 K; the lower end is widened only at nodes with no sign change
+    @pytest.mark.parametrize("r", [1e-6, 1e-8, 1e-12, 1e-300])
+    def test_curve_solves(self, r):
+        spec = BasketSpec.single(30.0, 0.34, r, 0.056, 0.37)
+        clear_boundary_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = boundary_curve(spec, 50, 0.34)
+        clear_boundary_cache()  # the cache key rounds r = 1e-300 to 0
+        times = np.maximum(spec.maturity - curve.times, 0.0)
+        assert max_abs_residual(curve.values, times, spec) < 1e-10 * 30.0
+        limit = 30.0 * r / 0.056
+        assert curve.values[0] == pytest.approx(limit, rel=1e-12)
+        assert np.all((curve.values > 0.5 * limit)
+                      & (curve.values <= curve.values[0]))
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-8, 1e-12])
+    def test_call_on_a_tiny_dividend_prices(self, r):
+        # the put this call maps to has the tiny rate; so little dividend
+        # leaves the call worth about its European price
+        clear_boundary_cache()
+        got = price_american_call(80.0, 100.0, 0.0625, r, 0.25, 0.25)
+        want = black_scholes(80.0, 100.0, 0.0625, r, 0.25, 0.25,
+                             "call").price
+        assert abs(got - want) < 1e-7
+
+    def test_denormal_rate_has_no_bracket(self):
+        # the root r/q at strike 1 is itself denormal, below the widened end
+        unit = BasketSpec.single(1.0, 0.34, 5e-324, 0.056, 0.37)
+        with pytest.raises(NoBracket, match=r"no sign change on "
+                           r"\[2.2250738585072014e-308, 2.0\]"):
+            critical_price_approx(0.0, unit)
 
 
 class TestFormulaModes:

@@ -327,3 +327,12 @@ class TestTable1Command:
         assert lines[0] == "grouping,S,true,fft,dw"
         assert len(lines) == 1 + 5 + 1  # five rows plus the summary
         assert lines[-1].startswith("max_abs_dev_fft_vs_reference")
+
+    @pytest.mark.parametrize("raw", ["abc", "-4", "0", "2.5"])
+    def test_bad_thread_count_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MELLIN_PRICER_THREADS", raw)
+        code, out, err = run_cli(capsys, "table1", "--groupings", "1",
+                                 "--binomial-steps", "10")
+        assert code == 2
+        assert out == ""
+        assert "MELLIN_PRICER_THREADS" in err and repr(raw) in err

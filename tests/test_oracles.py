@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import table1
@@ -23,6 +25,48 @@ from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
 # independent high-precision quadrature of the discounted lognormal
 # expectation, S = K = 100, r = 0.05, q = 0, sigma = 0.2, tau = 1
 BS_PUT_QUADRATURE_FIXTURE = 5.573526022256968
+
+
+STYLES = [EURO_PUT, EURO_CALL, AMER_PUT, AMER_CALL]
+
+
+def reference_lattice(spot, strike, r, q, sig, tau, steps, style):
+    """The full lattice at one spot, allocating fresh arrays at every step
+    and reading the exercise values as a strided slice of the whole node
+    table: what ``binomial_price`` must reproduce bit for bit."""
+    dt = tau / steps
+    sdt = sig * math.sqrt(dt)
+    u = math.exp(sdt)
+    d = 1.0 / u
+    p = min(max((math.exp((r - q) * dt) - d) / (u - d), 0.0), 1.0)
+    disc = math.exp(-r * dt)
+    nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
+    exercise = (nodes - strike if style in (EURO_CALL, AMER_CALL)
+                else strike - nodes)
+    values = np.maximum(exercise[::2], 0.0)
+    for i in range(steps - 1, -1, -1):
+        values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
+        if style in (AMER_PUT, AMER_CALL):
+            values = np.maximum(values, exercise[steps - i:steps + i + 1:2])
+    return float(values[0])
+
+
+RATES = st.just(0.0) | st.floats(0.005, 0.15)
+
+
+@st.composite
+def lattice_cases(draw):
+    """(style, spots, r, q, sigma, tau, steps): 1 to 5 spots, some repeated,
+    some so deep in or out of the money that a window starts full."""
+    near = st.floats(50.0, 200.0)
+    deep = st.floats(-25.0, 25.0).map(lambda e: 100.0 * math.exp(e))
+    spots = draw(st.lists(near | deep | st.just(100.0), min_size=1,
+                          max_size=5))
+    if len(spots) > 1 and draw(st.booleans()):
+        spots[-1] = spots[0]
+    return (draw(st.sampled_from(STYLES)), spots, draw(RATES), draw(RATES),
+            draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 2.0)),
+            draw(st.integers(1, 400)))
 
 
 class TestBinomial:
@@ -51,8 +95,7 @@ class TestBinomial:
         gaps = [abs(vals[2 * k] - vals[k]) for k in (100, 200, 400, 800)]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 
-    @pytest.mark.parametrize("style", [EURO_PUT, EURO_CALL, AMER_PUT,
-                                       AMER_CALL])
+    @pytest.mark.parametrize("style", STYLES)
     def test_equals_step_by_step_node_formula(self, style):
         # the node table read by strided slices must reproduce, bit for bit,
         # exp of each step's own log nodes
@@ -76,31 +119,83 @@ class TestBinomial:
         assert got == float(values[0])
 
     @pytest.mark.parametrize("steps", [1, 2, 7, 200])
-    @pytest.mark.parametrize("style", [EURO_PUT, EURO_CALL, AMER_PUT,
-                                       AMER_CALL])
+    @pytest.mark.parametrize("style", STYLES)
     def test_equals_allocating_loop(self, style, steps):
-        # the in-place induction must reproduce, bit for bit, the loop
-        # that allocated fresh arrays at every step and read the exercise
-        # values as a strided slice of the whole node table
-        spot, strike, r, q, sig, tau = 95.0, 100.0, 0.05, 0.03, 0.3, 0.75
-        dt = tau / steps
-        sdt = sig * math.sqrt(dt)
-        u = math.exp(sdt)
-        d = 1.0 / u
-        p = min(max((math.exp((r - q) * dt) - d) / (u - d), 0.0), 1.0)
-        disc = math.exp(-r * dt)
-        nodes = np.exp(math.log(spot) + np.arange(-steps, steps + 1.0) * sdt)
-        exercise = (nodes - strike if style in (EURO_CALL, AMER_CALL)
-                    else strike - nodes)
-        values = np.maximum(exercise[::2], 0.0)
-        for i in range(steps - 1, -1, -1):
-            values = disc * (p * values[1:i + 2] + (1.0 - p) * values[:i + 1])
-            if style in (AMER_PUT, AMER_CALL):
-                values = np.maximum(values,
-                                    exercise[steps - i:steps + i + 1:2])
-        got = binomial_price(spot, strike, r, q, sig, tau, steps=steps,
+        got = binomial_price(95.0, 100.0, 0.05, 0.03, 0.3, 0.75, steps=steps,
                              style=style)
-        assert got == float(values[0])
+        assert got == reference_lattice(95.0, 100.0, 0.05, 0.03, 0.3, 0.75,
+                                        steps, style)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_cases())
+    # deep out of the money: every window starts as one zero region
+    @example((AMER_CALL, [1e-3, 1e-3], 0.05, 0.03, 0.3, 0.5, 50))
+    @example((EURO_PUT, [1e6], 0.05, 0.03, 0.3, 0.5, 50))
+    # deep in the money: the exercise region starts full
+    @example((AMER_CALL, [1e6, 1e6], 0.0, 0.15, 0.05, 2.0, 400))
+    @example((AMER_PUT, [1e-3], 0.15, 0.0, 0.05, 2.0, 400))
+    # one spot deep on each side of the money: the shared window is the
+    # middle spot's
+    @example((AMER_CALL, [1e-3, 100.0, 1e6], 0.05, 0.03, 0.3, 0.5, 50))
+    # q = 0 calls and r = 0 puts have no exercise region
+    @example((AMER_CALL, [1e6], 0.15, 0.0, 0.05, 2.0, 300))
+    @example((AMER_PUT, [1e-3], 0.0, 0.15, 0.05, 2.0, 300))
+    def test_window_equals_allocating_loop(self, case):
+        style, spots, r, q, sig, tau, steps = case
+        try:
+            got = binomial_price(np.array(spots), 100.0, r, q, sig, tau,
+                                 steps=steps, style=style)
+        except InvalidProbability:
+            assume(False)
+        want = [reference_lattice(s, 100.0, r, q, sig, tau, steps, style)
+                for s in spots]
+        assert list(got) == want
+        assert binomial_price(spots[-1], 100.0, r, q, sig, tau, steps=steps,
+                              style=style) == want[-1]
+
+    @pytest.mark.parametrize("clamped_to", [0.0, 1.0])
+    def test_window_equals_allocating_loop_with_clamped_p(self, clamped_to):
+        # sigma sqrt(dt) = |r - q| dt puts p within rounding of 0 (q > r)
+        # or of 1 (r > q); search the floats around it for one the clamp
+        # moves
+        r, q = (0.0, 0.15) if clamped_to == 0.0 else (0.15, 0.0)
+        tau, steps = 2.0, 4
+        dt = tau / steps
+        base = abs(r - q) * math.sqrt(dt)
+        for k in range(-64, 65):
+            sig = base + k * math.ulp(base)
+            sdt = sig * math.sqrt(dt)
+            u = math.exp(sdt)
+            p = (math.exp((r - q) * dt) - 1.0 / u) / (u - 1.0 / u)
+            if -1e-12 <= min(p, 1.0 - p) < 0.0:
+                break
+        else:
+            pytest.fail("no sigma puts p just outside [0, 1]")
+        spots = [60.0, 100.0, 100.0, 140.0]
+        for style in STYLES:
+            got = binomial_price(np.array(spots), 100.0, r, q, sig, tau,
+                                 steps=steps, style=style)
+            assert list(got) == [reference_lattice(s, 100.0, r, q, sig, tau,
+                                                   steps, style)
+                                 for s in spots]
+
+    def test_scalar_gives_float_and_array_gives_array(self):
+        args = (100.0, 0.05, 0.03, 0.3, 0.5)
+        one = binomial_price(95.0, *args, steps=50)
+        assert type(one) is float
+        for spots in ([], [95.0], [95.0, 105.0, 95.0]):
+            got = binomial_price(np.array(spots), *args, steps=50)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (len(spots),)
+        assert binomial_price(np.array([95.0, 105.0]), *args, steps=50)[0] \
+            == one
+
+    @pytest.mark.parametrize("spots", [[np.nan], [95.0, np.nan],
+                                       [np.nan, 95.0, 105.0], [np.inf, 95.0]])
+    def test_non_finite_spot_in_array_raises(self, spots):
+        with pytest.raises(NonFiniteSpot):
+            binomial_price(np.array(spots), 100.0, 0.05, 0.03, 0.3, 0.5,
+                           steps=50)
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):

@@ -207,13 +207,13 @@ def test_cache_stays_bounded_and_clears():
 
 
 def test_threaded_table_rows_equal_serial():
-    # the boundary and moment caches are shared by run_table1's workers
+    # the boundary and moment caches are shared by run_table1's workers,
+    # which run the three groupings' sweeps and their cells side by side
     clear_boundary_cache()
-    serial, serial_dev = table1.run_table1(groupings=[1], binomial_steps=200,
-                                           threads=1)
+    serial, serial_dev = table1.run_table1(binomial_steps=200, threads=1)
     clear_boundary_cache()
-    threaded, threaded_dev = table1.run_table1(groupings=[1],
-                                               binomial_steps=200, threads=2)
+    threaded, threaded_dev = table1.run_table1(binomial_steps=200, threads=2)
+    assert len(serial) == 3 * len(table1.SPOTS)
     assert threaded == serial
     assert threaded_dev == serial_dev
 
