@@ -310,7 +310,7 @@ def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
     Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.
     """
     unit = dataclasses.replace(spec, strike=1.0)
-    key = unit.param_key(extra=(int(m_steps), round(float(tau), 12), mode))
+    key = unit.param_key(extra=(int(m_steps), float(tau), mode))
     hit = _unit_cache.get(key)
     if hit is not None:
         return hit
@@ -334,15 +334,17 @@ def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
     price is homogeneous of degree 1 in (S, K), so the curve is K times
     the strike-1 curve of the same market, which is solved once, shared
     by every strike and attached as the curve's ``unit``; each scaled root
-    is then moved to the float near it with the least |G| at K.  Two calls
-    with identical (rounded) parameters return the same immutable curve
-    object.
+    is then moved to the float near it with the least |G| at K.  Both
+    caches key a market on the exact bytes of its parameters
+    (:meth:`BasketSpec.param_key`), M, tau and ``mode``: two calls with
+    identical parameters return the same immutable curve object, and
+    markets that differ in any bit do not share one.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
     if not 0 < tau <= spec.maturity + 1e-12:
         raise ValueError("require 0 < tau <= maturity")
-    key = spec.param_key(extra=(int(m_steps), round(float(tau), 12), mode))
+    key = spec.param_key(extra=(int(m_steps), float(tau), mode))
     hit = _curve_cache.get(key)
     if hit is not None:
         return hit

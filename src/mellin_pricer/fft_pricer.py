@@ -40,9 +40,12 @@ Basket payoff transform
 On the n-asset lattice coordinate i varies along axis i only, so every
 factor of the European basket transform except Gamma(sum w)^-1, the
 cross terms of Psi and 1/(sum w (sum w + 1)) depends on one axis.
-:func:`discounted_payoff_transform` evaluates those once per axis and
-only the three others on the full N^n lattice.  Log Gamma(sum w) on the
-full lattice still dominates, so the transform of a lattice is memoised
+:func:`discounted_payoff_transform` evaluates those once per axis, and
+the three others only at the lattice points where a cheap upper bound
+on |T| (one-axis parts, real cross terms and a table of log Gamma along
+|Im sum w|) reaches e^-TAIL of the transform at b = 0; every other
+point is exactly 0.  Log Gamma(sum w) at the kept points still
+dominates, so the transform of a lattice is memoised
 on its exact market and axis vectors, next to the premium moments and
 under the same bound: a basket quote and the greeks at the same spot,
 which differ only in their polynomial multipliers (w_i / S_i,
@@ -126,9 +129,13 @@ MAX_CLAMPED_FRACTION = 0.01  # material negatives allowed in the central half
 
 # Premium pass: a time node drops the frequencies where its terms are below
 # e^-TAIL of its b = 0 term, and nodes are evaluated in blocks of at most
-# BLOCK_POINTS (node, frequency) entries.
+# BLOCK_POINTS (node, frequency) entries.  Basket transform: a lattice drops
+# the points that are below e^-TAIL of its b = 0 value, bounded through a
+# table of GAMMA_TABLE + 1 log-gamma values, and keeps the rest in blocks of
+# at most BLOCK_POINTS lattice points.
 TAIL = 60.0
 BLOCK_POINTS = 2**15
+GAMMA_TABLE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +328,82 @@ def _lattice_axes(w, n):
     return axes
 
 
+def _axis_logs(axes, spec: BasketSpec, cov: CovStruct, tau):
+    """The one-axis part of the log basket transform on each axis vector:
+    log Gamma(z_i) + z_i ln K + tau (Sigma_ii z_i / 2 - mu_i) z_i."""
+    log_k = math.log(spec.strike)
+    return [lgamma_complex(z) + z * log_k
+            + tau * (0.5 * cov.cov[i, i] * z - cov.drift[i]) * z
+            for i, z in enumerate(axes)]
+
+
+def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale):
+    """The basket transform at points given by their coordinates ``zs[i]``
+    and one-axis logs ``logs[i]``, which broadcast to one shape: one-axis
+    logs, - log Gamma(sum w), + cross terms, exp, * ``scale`` (K e^(-r tau)),
+    / (sum w (sum w + 1)), in that order."""
+    sw = sum(zs)
+    log_t = sum(logs)
+    log_t -= lgamma_complex(sw)
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            log_t += (tau * cov.cov[i, j]) * zs[i] * zs[j]
+    out = np.exp(log_t, out=log_t)
+    out *= scale
+    out /= sw * (sw + 1.0)
+    return out
+
+
+def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
+    """Upper bound on log(|T(w)| / (K e^(-r tau))) over an outer-product
+    lattice with one real part a_i per axis, and the same at b = 0.
+
+    ``logs`` are the one-axis logs (:func:`_axis_logs`).  Returns
+    (bound, log_peak): ``bound(rows)`` is the bound at the lattice points
+    whose axis-0 index is in the slice ``rows``, and ``log_peak`` is
+    log(T(a) / (K e^(-r tau))) in closed form.  The proof is in
+    :func:`discounted_payoff_transform`.
+    """
+    n = len(axes)
+    a = [float(z.real[0]) for z in axes]
+    b = [z.imag for z in axes]
+    big_a = sum(a)
+    cross = [(i, j, tau * cov.cov[i, j])
+             for i in range(n) for j in range(i + 1, n)]
+    cross_a = sum(c * a[i] * a[j] for i, j, c in cross)
+    log_k = math.log(spec.strike)
+    log_peak = (sum(math.lgamma(ai) + ai * log_k
+                    + tau * (0.5 * cov.cov[i, i] * ai - cov.drift[i]) * ai
+                    for i, ai in enumerate(a))
+                + cross_a - math.lgamma(big_a)
+                - math.log(big_a) - math.log(big_a + 1.0))
+    re_logs = [f.real for f in logs]
+    re_logs[0] = re_logs[0] + cross_a  # the a_i a_j part is one constant
+    # g(y) = -Re log Gamma(A + iy) - ln|A + iy| - ln|A + 1 + iy| on
+    # [k h, (k + 1) h]: the growing term at the upper end, the shrinking
+    # ones at the lower end; GAMMA_TABLE + 1 intervals cover every |B|
+    y_max = sum(float(np.abs(v).max()) for v in b)
+    h = y_max / GAMMA_TABLE if y_max > 0.0 else 1.0
+    y = h * np.arange(GAMMA_TABLE + 2)
+    table = (-lgamma_complex(big_a + 1j * y[1:]).real
+             - np.log(np.hypot(big_a, y[:-1]))
+             - np.log(np.hypot(big_a + 1.0, y[:-1])))
+
+    def bound(rows):
+        pick = [rows] + [slice(None)] * (n - 1)
+        out = sum(_along(f[p], i, n)
+                  for i, (f, p) in enumerate(zip(re_logs, pick)))
+        for i, j, c in cross:
+            out -= (c * _along(b[i][pick[i]], i, n)) * _along(b[j][pick[j]],
+                                                              j, n)
+        big_b = np.abs(sum(_along(v[p], i, n)
+                           for i, (v, p) in enumerate(zip(b, pick))))
+        out += table[(big_b / h).astype(np.intp)]
+        return out
+
+    return bound, log_peak
+
+
 def discounted_payoff_transform(w, spec: BasketSpec, tau):
     """exp(-r tau) * payoff transform * characteristic function at w.
 
@@ -339,15 +422,39 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
     shape (n,) counts as the 1 x ... x 1 lattice.  On such a lattice
     log Gamma(w_i), w_i ln K and the diagonal and linear parts of
     -tau Psi are one-dimensional, so they are evaluated once per axis as
-    N_i-point arrays.  Only log Gamma(sum w), the cross terms
-    tau Sigma_ij w_i w_j (i < j) and K e^(-r tau) / (sum w (sum w + 1))
-    are evaluated on the full lattice.  The per-axis logs are broadcast
-    into the lattice log before the one exp: a per-axis factor alone
-    can underflow to 0 where the cross terms alone overflow, so
-    multiplying exponentiated factors would give 0 * inf = NaN on some
-    lattice points.  The result matches the pointwise
-    ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)`` to about 1e-15 of
-    its peak.
+    N_i-point arrays.  The per-axis logs are broadcast into the lattice
+    log before the one exp: a per-axis factor alone can underflow to 0
+    where the cross terms alone overflow, so multiplying exponentiated
+    factors would give 0 * inf = NaN on some lattice points.  The result
+    matches the pointwise ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)``
+    to about 1e-15 of its peak.
+
+    A lattice with more than one point on every axis and one real part
+    a_i per axis (every contour lattice of the pricer) is band-limited:
+    log Gamma(sum w), the cross terms, the exp and the division are
+    evaluated only at the points whose transform can reach e^-TAIL T(a),
+    with T(a) > 0 the transform at b = 0; every other point is exactly 0.
+    Write A = sum a_i and B = sum b_i.  Then log |T| - ln(K e^(-r tau)) is
+    the sum of the real parts of the one-axis logs, plus the real cross
+    terms tau Sigma_ij (a_i a_j - b_i b_j), plus
+    g(|B|) = -Re log Gamma(A + iB) - ln|A + iB| - ln|A + 1 + iB|
+    (Gamma(conj z) = conj Gamma(z), so g is even in B).  The first term of
+    g grows with |B| for every A > 0, since
+    |Gamma(A) / Gamma(A + iy)|^2 = prod_k (1 + y^2 / (A + k)^2); the other
+    two shrink.  So on [k h, (k + 1) h] g is at most its first term at
+    (k + 1) h plus the other two at k h, and a table of GAMMA_TABLE + 1
+    such values (one ``lgamma_complex`` call) bounds g at every point.
+    The one-axis parts are already known, so the bound on log |T| costs a
+    few real operations per point (:func:`_payoff_log_bound`); T(a) is
+    real and in closed form (``math.lgamma``).  A point whose bound is
+    below ln T(a) - TAIL is dropped, so every dropped term is below
+    e^-TAIL of T(a) (rounding moves the bound by about 1e-13, so that
+    factor by 1 + 1e-13 at most).  On the benchmark's two-asset markets
+    (N = 2^9, a = 1) this drops a median 70% of the half lattice, 43-87%
+    from the 10th to the 90th percentile.  The kept points are gathered
+    in blocks of at most BLOCK_POINTS lattice points along axis 0 and
+    evaluated in the same order of operations as an unbanded lattice
+    (:func:`_transform_from_logs`), so a kept point is the same float.
 
     A lattice with more than one point on every axis is memoised in the
     bounded LRU cache that also holds the premium moments
@@ -359,7 +466,7 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
     quote and the greeks at one spot, which build the same lattice,
     share one transform.  Edge pieces and single points, which have one
     point on some axis and so cost about 1/N of a lattice, are always
-    computed.
+    computed in full.
     """
     w = np.asarray(w, dtype=complex)
     if spec.n == 1:
@@ -378,21 +485,28 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
         hit = _moment_cache.get(key)
         if hit is not None:
             return hit
-    log_k = math.log(spec.strike)
-    per_axis = [lgamma_complex(z) + z * log_k
-                + tau * (0.5 * cov.cov[i, i] * z - cov.drift[i]) * z
-                for i, z in enumerate(axes)]
-    sw = sum(_along(z, i, n) for i, z in enumerate(axes))
-    log_t = sum(_along(f, i, n) for i, f in enumerate(per_axis))
-    log_t -= lgamma_complex(sw)
-    for i in range(n):
-        for j in range(i + 1, n):
-            log_t += ((tau * cov.cov[i, j]) * _along(axes[i], i, n)
-                      * _along(axes[j], j, n))
-    out = np.exp(log_t, out=log_t)
-    out *= spec.strike * math.exp(-spec.rate * tau)
-    out /= sw * (sw + 1.0)
-    out = out.reshape(w.shape[:-1])
+    logs = _axis_logs(axes, spec, cov, tau)
+    scale = spec.strike * math.exp(-spec.rate * tau)
+    if lattice and all(np.all(z.real == z.real[0]) for z in axes):
+        bound, log_peak = _payoff_log_bound(axes, logs, spec, cov, tau)
+        out = np.zeros(w.shape[:-1], dtype=complex)
+        rows = max(1, BLOCK_POINTS * axes[0].shape[0] // out.size)
+        for lo in range(0, axes[0].shape[0], rows):
+            kept = np.nonzero(bound(slice(lo, lo + rows))
+                              >= log_peak - TAIL)
+            if kept[0].size == 0:
+                continue
+            # gathered, not masked: scipy 1.17.1's loggamma(z, out=, where=)
+            # wrote to the wrong elements and then crashed
+            at = (kept[0] + lo,) + kept[1:]
+            out[at] = _transform_from_logs(
+                [z[j] for z, j in zip(axes, at)],
+                [f[j] for f, j in zip(logs, at)], cov, tau, scale)
+    else:
+        out = _transform_from_logs(
+            [_along(z, i, n) for i, z in enumerate(axes)],
+            [_along(f, i, n) for i, f in enumerate(logs)],
+            cov, tau, scale).reshape(w.shape[:-1])
     if not lattice:
         return out
     out.setflags(write=False)

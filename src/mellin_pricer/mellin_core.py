@@ -188,12 +188,14 @@ class BasketSpec:
             return np.linalg.cholesky(fixed + 1e-15 * np.eye(self.n))
 
     def param_key(self, extra=()):
-        """Rounded parameter tuple for caching (1e-12 rounding)."""
-        rnd = lambda x: round(float(x), 12)
-        return (self.n, rnd(self.strike), rnd(self.maturity), rnd(self.rate),
-                tuple(rnd(v) for v in self.dividends),
-                tuple(rnd(v) for v in self.vols),
-                tuple(rnd(v) for v in self.corr.ravel())) + tuple(extra)
+        """Cache key: the exact bytes of every parameter, then ``extra``.
+
+        Markets that differ in any bit get different keys, so a cache hit
+        is the market asked for; the byte count fixes n.
+        """
+        return (np.concatenate([[self.strike, self.maturity, self.rate],
+                                self.dividends, self.vols,
+                                self.corr.ravel()]).tobytes(),) + tuple(extra)
 
 
 @dataclass(frozen=True)

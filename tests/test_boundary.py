@@ -168,7 +168,6 @@ class TestTinyPositiveRates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = boundary_curve(spec, 50, 0.34)
-        clear_boundary_cache()  # the cache key rounds r = 1e-300 to 0
         times = np.maximum(spec.maturity - curve.times, 0.0)
         assert max_abs_residual(curve.values, times, spec) < 1e-10 * 30.0
         limit = 30.0 * r / 0.056
@@ -192,6 +191,29 @@ class TestTinyPositiveRates:
         with pytest.raises(NoBracket, match=r"no sign change on "
                            r"\[2.2250738585072014e-308, 2.0\]"):
             critical_price_approx(0.0, unit)
+
+
+class TestCacheKey:
+    # markets that differ below 1e-12 must not share a cached curve
+    def setup_method(self):
+        clear_boundary_cache()
+
+    def test_rate_of_4e_13_after_zero_gets_its_own_curve(self):
+        zero = boundary_curve(BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.2),
+                              50, 0.5)
+        spec = BasketSpec.single(100.0, 0.5, 4e-13, 0.03, 0.2)
+        warm = boundary_curve(spec, 50, 0.5)
+        assert warm is not zero
+        assert np.all(zero.values == 0.0) and np.all(warm.values > 1e-9)
+        clear_boundary_cache()
+        assert np.array_equal(warm.values, boundary_curve(spec, 50, 0.5).values)
+
+    def test_denormal_rate_after_1e_300_raises_as_when_cold(self):
+        boundary_curve(BasketSpec.single(30.0, 0.34, 1e-300, 0.056, 0.37),
+                       50, 0.34)
+        with pytest.raises(NoBracket, match="no sign change"):
+            boundary_curve(BasketSpec.single(30.0, 0.34, 5e-324, 0.056,
+                                             0.37), 50, 0.34)
 
 
 class TestFormulaModes:

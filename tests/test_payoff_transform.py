@@ -3,7 +3,10 @@
 For n >= 2 ``discounted_payoff_transform`` evaluates every one-dimensional
 factor once per lattice axis.  The reference is the pointwise product
 ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)`` at every lattice point;
-the two must agree within 1e-13 of the reference's peak magnitude.
+the two must agree within 1e-13 of the reference's peak magnitude.  On a
+lattice it skips the points whose magnitude bound is below e^-TAIL of the
+transform at b = 0; the bound is checked against the pointwise log
+magnitude.
 """
 
 import math
@@ -14,19 +17,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mellin_pricer import fft_pricer, mellin_core
+from mellin_pricer.boundary import clear_boundary_cache
 from mellin_pricer.errors import PoleError
-from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, _lattice_w,
-                                      build_grid, discounted_payoff_transform,
-                                      price_put, price_surface)
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, GAMMA_TABLE,
+                                      TAIL, _axis_logs, _lattice_axes,
+                                      _lattice_picks, _lattice_w,
+                                      _payoff_log_bound, build_grid,
+                                      discounted_payoff_transform, price_put,
+                                      price_surface)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
-                                       char_exponent_wi, payoff_mellin)
+                                       char_exponent_wi, lgamma_complex,
+                                       payoff_mellin)
 
 PEAK_RTOL = 1e-13
+# rounding of two evaluations of a log magnitude of order 1e3; the bound's
+# table slack was 4e-6 or more on sampled lattices
+LOG_ATOL = 1e-9
 
 
 def reference_transform(w, spec, tau):
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
     return payoff_mellin(w, spec.strike) * np.exp(-tau * psi - spec.rate * tau)
+
+
+def reference_log_magnitude(w, spec, tau):
+    """log |reference_transform(w)|, pointwise in log space, so that points
+    whose transform underflows still have a finite value."""
+    psi = char_exponent_wi(w, CovStruct.from_spec(spec))
+    sw = np.sum(w, axis=-1)
+    return (np.sum(lgamma_complex(w), axis=-1) - lgamma_complex(sw)
+            + (1.0 + sw) * math.log(spec.strike) - np.log(sw)
+            - np.log(sw + 1.0) - tau * psi - spec.rate * tau).real
+
+
+def log_bound(w, spec, tau):
+    """(bound, log T(a)) on the whole lattice ``w``, both as
+    log |T| rather than log(|T| / (K e^(-r tau)))."""
+    cov = CovStruct.from_spec(spec)
+    axes = _lattice_axes(w, spec.n)
+    bound, log_peak = _payoff_log_bound(
+        axes, _axis_logs(axes, spec, cov, tau), spec, cov, tau)
+    log_scale = math.log(spec.strike) - spec.rate * tau
+    return bound(slice(None)) + log_scale, log_peak + log_scale
 
 
 def lattice(strip_a, deltas, sizes):
@@ -43,9 +75,10 @@ def assert_peak_close(got, want):
 
 
 @st.composite
-def baskets(draw):
+def baskets(draw, strip_lo=0.2, delta_hi=1.0):
     """A valid n = 2 or 3 market, its maturity and a lattice with unequal
-    abscissae, spacings and sizes per axis."""
+    abscissae (at least ``strip_lo``), spacings (at most ``delta_hi``) and
+    sizes per axis."""
     n = draw(st.sampled_from([2, 3]))
     floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n,
                                      max_size=n)
@@ -64,7 +97,7 @@ def baskets(draw):
                       vols=draw(floats(0.1, 0.6)), corr=corr)
     tau = draw(st.floats(0.05, 2.0))
     max_size = 32 if n == 2 else 16
-    w = lattice(draw(floats(0.2, 3.0)), draw(floats(0.05, 1.0)),
+    w = lattice(draw(floats(strip_lo, 3.0)), draw(floats(0.05, delta_hi)),
                 draw(st.lists(st.integers(1, max_size), min_size=n,
                               max_size=n)))
     return spec, tau, w
@@ -115,6 +148,51 @@ class TestAgainstPointwise:
         assert abs(got - (-1.0) ** 16 * want) <= 1e-13 * abs(want)
 
 
+class TestBandLimit:
+    @settings(max_examples=80, deadline=None)
+    @given(baskets(strip_lo=0.05, delta_hi=4.0))
+    def test_bound_covers_the_log_magnitude(self, case):
+        spec, tau, w = case
+        bound, _ = log_bound(w, spec, tau)
+        assert np.all(bound >= reference_log_magnitude(w, spec, tau)
+                      - LOG_ATOL)
+
+    @settings(max_examples=80, deadline=None)
+    @given(baskets(strip_lo=0.05, delta_hi=4.0))
+    def test_dropped_points_are_below_tail(self, case):
+        spec, tau, w = case
+        bound, log_peak = log_bound(w, spec, tau)
+        a = w.reshape(-1, spec.n)[0].real.astype(complex)
+        assert log_peak == pytest.approx(
+            reference_log_magnitude(a, spec, tau), abs=LOG_ATOL)
+        dropped = bound < log_peak - TAIL
+        assert np.all(reference_log_magnitude(w, spec, tau)[dropped]
+                      <= log_peak - TAIL + LOG_ATOL)
+        if all(m > 1 for m in w.shape[:-1]):
+            out = discounted_payoff_transform(w, spec, tau)
+            assert np.all(out[dropped] == 0.0)
+            assert np.all(out[~dropped] != 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kept_points_equal_the_unbanded_rows(self, n):
+        # one row at a time has one point on axis 0, so it is evaluated in
+        # full, by the same operations in the same order
+        spec = BasketSpec(n=n, strike=100.0, maturity=1.0, rate=0.05,
+                          dividends=[0.02] * n, vols=[0.45] * n,
+                          corr=np.full((n, n), 0.3) + 0.7 * np.eye(n))
+        size = 64 if n == 2 else 16
+        w = lattice([1.0] * n, [64.0 / size] * n, [size] * n)
+        out = discounted_payoff_transform(w, spec, 1.0)
+        rows = np.stack([discounted_payoff_transform(w[j:j + 1], spec, 1.0)[0]
+                         for j in range(size)])
+        kept = out != 0.0
+        assert 0 < kept.sum() < kept.size
+        assert np.array_equal(out[kept], rows[kept])
+        _, log_peak = log_bound(w, spec, 1.0)
+        assert np.all(np.abs(rows[~kept])
+                      <= math.exp(log_peak - TAIL) * (1.0 + 1e-12))
+
+
 class TestInputs:
     def test_rejects_non_lattice(self, basket2_spec):
         w = lattice([1.0, 1.0], [0.25, 0.25], [8, 8])
@@ -152,17 +230,31 @@ class TestLogGammaWork:
             monkeypatch.setattr(module, "lgamma_complex", counting)
         return counted
 
-    def test_basket_surface_is_one_lattice_and_two_axes(self, lgamma_points,
-                                                        basket2_spec):
+    def test_basket_surface_is_kept_points_table_and_two_axes(
+            self, lgamma_points, basket2_spec):
+        clear_boundary_cache()
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
         price_surface(basket2_spec, grid, 0.5, EUROPEAN_PUT)
-        # log Gamma(sum w) on the half lattice (N/2 + 1 columns) and on the
-        # N/2 - 1 missed points of the unpaired row j_1 = 0, plus both
-        # axes of each
-        half, edge = N * (N // 2 + 1), N // 2 - 1
-        assert sum(lgamma_points) == (half + N + (N // 2 + 1)
-                                      + edge + 1 + edge)
+        # log Gamma(sum w) on the 52086 of the N (N/2 + 1) = 131584 half
+        # lattice points that can reach e^-TAIL T(a), and on the N/2 - 1
+        # missed points of the unpaired row j_1 = 0, plus the bound's table
+        # and both axes of each
+        kept, edge = 52086, N // 2 - 1
+        assert sum(lgamma_points) == (kept + GAMMA_TABLE + 1 + N
+                                      + (N // 2 + 1) + edge + 1 + edge)
+
+    def test_long_wide_basket_keeps_under_half(self, lgamma_points):
+        clear_boundary_cache()
+        spec = BasketSpec(n=2, strike=100.0, maturity=1.0, rate=0.05,
+                          dividends=[0.02, 0.03], vols=[0.4, 0.4],
+                          corr=[[1.0, 0.5], [0.5, 1.0]])
+        N = 2**9
+        grid = build_grid(2, N, 1.0, [50.0, 50.0])
+        half, _ = _lattice_picks(grid)
+        discounted_payoff_transform(_lattice_w(grid, half), spec, 1.0)
+        kept = sum(lgamma_points) - (GAMMA_TABLE + 1 + N + (N // 2 + 1))
+        assert 0 < kept < N * (N // 2 + 1) / 2
 
     def test_single_asset_american_quote_has_none(self, lgamma_points):
         price_put(100.0, 100.0, 0.05, 0.02, 0.2, 0.5, style=AMERICAN_PUT)
