@@ -377,7 +377,8 @@ def build_parser():
     p_greeks.add_argument("--out")
     p_greeks.set_defaults(fn=cmd_greeks)
 
-    p_surface = sub.add_parser("surface", help="full lattice to CSV/JSON")
+    p_surface = sub.add_parser(
+        "surface", help="full lattice to CSV/JSON, central half trusted")
     p_surface.add_argument("--style",
                            choices=("euro-put", "amer-put", "premium"))
     _add_market_flags(p_surface)

@@ -35,6 +35,14 @@ computed from one (n-1)-dimensional FFT per hyperplane.  Rounding noise of
 the interior does not enter it, and for n = 1, whose only unpaired point
 is the real-ified corner, it is 0.
 
+A greek is read at one point, so it skips the FFT:
+:func:`invert_at_landing` takes the same half and edge samples and sums
+them directly at the landing index, each half point off the edge
+hyperplanes counting twice for its mirror, one axis at a time in O(N^n).
+That is the inverter's real output at that point, to rounding (4e-16
+relative on the pinned American greeks), with no imaginary residual and
+so no quality gate.
+
 Basket payoff transform
 -----------------------
 On the n-asset lattice coordinate i varies along axis i only, so every
@@ -112,7 +120,8 @@ from .boundary import BoundaryCurve, _moment_cache, boundary_curve
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      OutOfRange, SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _check_strip,
-                          char_exponent_wi, check_finite_spot, lgamma_complex)
+                          char_exponent_wi, check_finite_spot, check_tau,
+                          lgamma_complex)
 
 EUROPEAN_PUT = "european_put"
 AMERICAN_PUT = "american_put"
@@ -919,6 +928,18 @@ def sample_transform(grid: MellinFftGrid, fn):
             [fn(_lattice_w(grid, picks)) for picks in edges])
 
 
+def _check_samples(grid: MellinFftGrid, half, edges):
+    """Raise ``ValueError`` unless ``half`` and ``edges`` have the shapes of
+    the half lattice and the edge pieces; returns their lattice picks."""
+    half_picks, edge_picks = _lattice_picks(grid)
+    shapes = [tuple(len(p) for p in picks)
+              for picks in [half_picks] + edge_picks]
+    if (len(edges) != grid.n - 1
+            or [np.shape(x) for x in [half] + list(edges)] != shapes):
+        raise ValueError(f"transform samples must have shapes {shapes}")
+    return half_picks, edge_picks
+
+
 def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     """Invert a Mellin transform of a real payoff sampled on the lattice.
 
@@ -941,12 +962,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     only unpaired point, the residual is 0.
     """
     n, N = grid.n, grid.size
-    half_picks, edge_picks = _lattice_picks(grid)
-    shapes = [tuple(len(p) for p in picks)
-              for picks in [half_picks] + edge_picks]
-    if (len(edges) != n - 1
-            or [np.shape(x) for x in [half] + list(edges)] != shapes):
-        raise ValueError(f"transform samples must have shapes {shapes}")
+    half_picks, edge_picks = _check_samples(grid, half, edges)
     arr = _parity(half_picks) * np.asarray(half, dtype=complex)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
@@ -981,6 +997,69 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     for i in range(n):
         imag = imag * _along(np.abs(readout[i][central[i]]), i, n)
     return values, float(np.abs(imag).max())
+
+
+def _contract(x, kernels):
+    """sum_j x[j_1, ..., j_n] prod_i kernels[i][j_i], one axis at a time."""
+    x = np.asarray(x)
+    for v in reversed(kernels):
+        x = x @ v
+    return complex(x)
+
+
+def invert_at_landing(grid: MellinFftGrid, half, edges):
+    """The real output of :func:`invert_transform_lattice` at
+    ``grid.landing_index`` alone, as one direct sum over the lattice.
+
+    ``half`` and ``edges`` are the same samples (:func:`sample_transform`).
+    The inverter's real output at k is Re sum_j X_j prod_i g_i[j_i] over
+    the full lattice, times (-1)^(sum k) prod_i exp(-a_i s_(k_i))
+    delta_b / (2 pi)^n, with X the transform samples and
+    g_i[j] = (-1)^j exp(-2 pi i ((j k_i) mod N) / N), the DFT's own roots
+    of unity: the phases are integers mod N, not b ln S.  The real part of
+    a Hermitian pair is twice that of either point, so a half-lattice
+    point with 0 < j_n < N/2 off the edge hyperplanes j_i = 0 (i < n - 1)
+    counts twice, for its mirror j_n > N/2; every other half-lattice
+    point, whose mirror is in the half or unpaired, counts once, and so
+    does each edge-piece point.  Where edge pieces overlap (n >= 3,
+    j_1 = j_2 = 0) a point counts on the first hyperplane it lies on only,
+    as in the inverter.  The sum is contracted one axis at a time: O(N^n)
+    multiply-adds and no FFT.
+    """
+    n, N = grid.n, grid.size
+    if grid.landing_index is None:
+        raise ValueError("grid has no landing index")
+    _check_samples(grid, half, edges)
+    half = np.asarray(half)
+    # g_i[j] = exp(-2 pi i j (k_i + N/2) / N), since (-1)^j is the root
+    # j N/2; by a two-level table (block start x in-block power) of about
+    # 2 sqrt(N) exps, each of an exactly reduced integer phase
+    width = math.isqrt(N)
+    blocks = np.arange(-(-N // width))
+    kernels = []
+    for k in grid.landing_index:
+        step = k + N // 2
+        starts = np.exp(-2j * math.pi / N * (step * width * blocks % N))
+        inner = np.exp(-2j * math.pi / N * (step * np.arange(width) % N))
+        kernels.append((starts[:, None] * inner).ravel()[:N])
+    paired, missed = slice(1, N // 2), slice(N // 2 + 1, None)
+    twice = np.ones(N // 2 + 1)
+    twice[paired] = 2.0
+    total = _contract(half, kernels[:-1] + [twice * kernels[-1][:N // 2 + 1]])
+    for i, edge in enumerate(edges):
+        # hyperplane j_i = 0 (g_i[0] = 1), off the earlier hyperplanes: its
+        # half points with 0 < j_n < N/2 count once, not twice, and its
+        # points with j_n > N/2 come from the edge piece
+        plane = (slice(1, None),) * i + (0,)
+        on_plane = [v[1:] for v in kernels[:i]] + kernels[i + 1:-1]
+        total += (_contract(np.asarray(edge)[plane],
+                            on_plane + [kernels[-1][missed]])
+                  - _contract(half[plane + (Ellipsis, paired)],
+                              on_plane + [kernels[-1][paired]]))
+    scale = grid.delta_b / (2.0 * math.pi) ** n
+    for i, k in enumerate(grid.landing_index):
+        scale *= _sign(k) * math.exp(-grid.strip_a[i] * grid.log_prices(i)[k])
+    return total.real * scale
 
 
 @dataclass(frozen=True)
@@ -1031,8 +1110,7 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     """
     if grid.n != spec.n:
         raise ValueError("grid and spec dimensions disagree")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_tau(tau)
 
     def transform(w):
         out = put_transform(w, spec, tau, style, boundary, time_weights)
@@ -1161,33 +1239,49 @@ CSV_CHUNK_ROWS = 2**14
 
 
 def surface_to_csv(surface: PriceSurface, fp):
-    """index_1..n, logS_1..n, S_1..n, value rows over the full lattice.
+    """index_1..n, logS_1..n, S_1..n, value, trusted rows over the full
+    lattice.
 
-    Rows are in C order of the lattice index and every real is written
-    as ``%.12g``; each chunk of CSV_CHUNK_ROWS rows is formatted as one
-    block.
+    ``trusted`` is 1 on the central half of the lattice, the part the
+    quality gates of :func:`price_surface` check, and 0 toward the edges,
+    where the exp(-a s) read-out amplifies rounding and the values are no
+    prices.  Rows are in C order of the lattice index and every real is
+    written as ``%.12g``; each chunk of CSV_CHUNK_ROWS rows is formatted as
+    one block.
     """
     g = surface.grid
     head = ([f"index_{i+1}" for i in range(g.n)]
             + [f"logS_{i+1}" for i in range(g.n)]
-            + [f"S_{i+1}" for i in range(g.n)] + ["value"])
+            + [f"S_{i+1}" for i in range(g.n)] + ["value", "trusted"])
     fp.write(",".join(head) + "\n")
-    row_fmt = ",".join(["%d"] * g.n + ["%.12g"] * (2 * g.n + 1)) + "\n"
+    row_fmt = ",".join(["%d"] * g.n + ["%.12g"] * (2 * g.n + 1)
+                       + ["%d"]) + "\n"
     logs = [g.log_prices(i) for i in range(g.n)]
     # math.exp per axis: the text must not depend on numpy's exp rounding
     spots = [np.array([math.exp(v) for v in x]) for x in logs]
+    central = _central_half_slices(g)
     values = surface.values.ravel()
     for lo in range(0, values.shape[0], CSV_CHUNK_ROWS):
         rows = np.arange(lo, min(lo + CSV_CHUNK_ROWS, values.shape[0]))
         idx = np.unravel_index(rows, surface.values.shape)
+        trusted = np.logical_and.reduce(
+            [(c.start <= j) & (j < c.stop) for c, j in zip(central, idx)])
         cols = (list(idx) + [x[j] for x, j in zip(logs, idx)]
-                + [s[j] for s, j in zip(spots, idx)] + [values[rows]])
+                + [s[j] for s, j in zip(spots, idx)] + [values[rows],
+                                                        trusted])
         # indices ride along as exact floats; %d prints them as integers
         block = np.column_stack(cols).ravel().tolist()
         fp.write(row_fmt * rows.shape[0] % tuple(block))
 
 
 def surface_to_json(surface: PriceSurface):
+    """The grid, the style and the values in C order of the lattice index.
+
+    ``trusted`` holds one half-open index range [start, stop) per
+    dimension: the central half of the lattice that the quality gates of
+    :func:`price_surface` check.  Values outside it are kept but are
+    amplified rounding, not prices.
+    """
     g = surface.grid
     return {
         "grid": {
@@ -1200,4 +1294,5 @@ def surface_to_json(surface: PriceSurface):
         "tau": surface.tau,
         "style": surface.style,
         "values": [float(v) for v in surface.values.ravel(order="C")],
+        "trusted": [[c.start, c.stop] for c in _central_half_slices(g)],
     }

@@ -23,10 +23,10 @@ import numpy as np
 
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
-                         invert_transform_lattice, premium_moments,
-                         price_surface, put_boundary, sample_transform,
-                         strike_factor, unit_payoff_transform)
-from .mellin_core import BasketSpec, CovStruct, char_exponent_wi
+                         invert_at_landing, premium_moments, price_surface,
+                         put_boundary, sample_transform, strike_factor,
+                         unit_payoff_transform)
+from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
 MULTIPLIER_MODES = ("kernel", "paper")
@@ -224,7 +224,15 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     early-exercise function value inside the exercise region.  For one
     asset the transform is the strike factor K^(w+1) times the
     sensitivity's transform at strike 1, as for the price.
+
+    A greek is read at one point, so it is the direct lattice sum at the
+    landing index (:func:`~mellin_pricer.fft_pricer.invert_at_landing`),
+    the FFT inverter's real output there to rounding, without the rest of
+    the surface.  It carries no quality gate: no imaginary
+    residual is computed and no surface is checked.  ``tau`` must be
+    finite and positive (``ValueError``).
     """
+    check_tau(tau)
     _check_mode(mode)
     kind.validate(spec.n)
     if style not in (EUROPEAN_PUT, AMERICAN_PUT):
@@ -253,9 +261,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         values = discounted_payoff_transform(w, spec, tau)
         return _factor(kind, w, spot, tau, spec, mode, premium=False) * values
 
-    values, _ = invert_transform_lattice(grid,
-                                         *sample_transform(grid, transform))
-    return float(values[grid.landing_index]) + correction
+    return (invert_at_landing(grid, *sample_transform(grid, transform))
+            + correction)
 
 
 def _pipeline_price(spot, tau, spec, style, size, m_steps, strip_a,

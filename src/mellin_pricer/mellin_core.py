@@ -255,6 +255,16 @@ def check_finite_spot(spot):
         raise NonFiniteSpot("spot must be finite")
 
 
+def check_tau(tau):
+    """Raise ``ValueError`` unless the time to expiry is finite and positive.
+
+    NaN fails every comparison, so ``tau <= 0`` alone lets it through, and
+    a pricer then returns NaN values that pass every quality gate.
+    """
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+
+
 def _check_strip(w):
     if np.any(np.asarray(w).real <= 0.0):
         raise PoleError("Mellin argument must satisfy Re(w) > 0 componentwise")

@@ -246,8 +246,11 @@ class TestSurfaceCommand:
             "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "index_1,logS_1,S_1,value"
+        assert lines[0] == "index_1,logS_1,S_1,value,trusted"
         assert len(lines) == 1 + 1024
+        # every row is kept; the central half is marked trusted
+        trusted = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
+        assert trusted == [0] * 256 + [1] * 512 + [0] * 256
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -259,6 +262,7 @@ class TestSurfaceCommand:
         payload = json.loads(out)
         assert payload["grid"]["N"] == 1024
         assert len(payload["values"]) == 1024
+        assert payload["trusted"] == [[256, 768]]
 
     def test_write_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "surf.csv"

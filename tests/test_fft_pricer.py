@@ -18,6 +18,7 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT,
                                       EARLY_EXERCISE_PREMIUM, EUROPEAN_CALL,
                                       EUROPEAN_PUT, build_grid, contour_sum,
                                       discounted_payoff_transform,
+                                      invert_at_landing,
                                       invert_transform_lattice, premium_time_grid,
                                       premium_transform, price_american_call,
                                       price_at, price_put, price_surface,
@@ -226,6 +227,13 @@ def half_and_edges(grid, transform):
     return half, edges
 
 
+def small_basket(n):
+    return BasketSpec(n=n, strike=100.0, maturity=0.5, rate=0.05,
+                      dividends=[0.02, 0.03, 0.01][:n],
+                      vols=[0.2, 0.3, 0.25][:n],
+                      corr=np.where(np.eye(n) > 0, 1.0, 0.4))
+
+
 class TestFftVsDirectSum:
     def test_every_lattice_point_n64(self):
         # the FFT output must equal the O(N^2) double sum exactly
@@ -249,10 +257,7 @@ class TestFftVsDirectSum:
         # at this coarse frequency spacing the transform is far from zero
         # at the unpaired edge -N delta/2, so the imaginary residual is
         # truncation, many orders above rounding
-        spec = BasketSpec(n=n, strike=100.0, maturity=0.5, rate=0.05,
-                          dividends=[0.02, 0.03, 0.01][:n],
-                          vols=[0.2, 0.3, 0.25][:n],
-                          corr=np.where(np.eye(n) > 0, 1.0, 0.4))
+        spec = small_basket(n)
         grid = build_grid(n, N, 1.0, [50.0, 40.0, 30.0][:n],
                           delta_target=0.5)
         transform = discounted_payoff_transform(_lattice_w(grid), spec, 0.5)
@@ -267,6 +272,43 @@ class TestFftVsDirectSum:
         want = np.abs(direct.imag[central]).max()
         assert want > 1.0
         assert abs(imag_resid - want) <= 1e-10 * want
+
+    # at delta = 0.5 the transform is far from zero on the unpaired edges,
+    # so a wrong weight there shows; spots of 0.3 and 0.5 land left of the
+    # centre, the others right of it
+    @pytest.mark.parametrize("n, N, spots", [
+        (1, 64, [2.0]), (1, 64, [0.3]), (2, 16, [50.0, 40.0]),
+        (2, 32, [50.0, 40.0]), (2, 32, [0.5, 70.0]),
+        (3, 16, [50.0, 40.0, 30.0])])
+    def test_landing_sum_is_the_inverse_at_landing(self, n, N, spots):
+        grid = build_grid(n, N, 1.0, spots, m_steps=6, delta_target=0.5)
+        if n == 1:
+            r, q, sig = GROUPING_PARAMS[1]
+            spec = BasketSpec.single(100.0, 0.5, q, r, sig)
+            transform = put_transform(_lattice_w(grid), spec, 0.5,
+                                      AMERICAN_PUT,
+                                      boundary_curve(spec, 6, 0.5))
+        else:
+            transform = discounted_payoff_transform(_lattice_w(grid),
+                                                    small_basket(n), 0.5)
+        samples = half_and_edges(grid, transform)
+        k = grid.landing_index
+        want = direct_inverse(grid, transform)[k].real
+        got = invert_at_landing(grid, *samples)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        fft = invert_transform_lattice(grid, *samples)[0][k]
+        assert abs(got - fft) <= 1e-13 * abs(fft)
+
+    def test_landing_sum_checks_its_input(self):
+        grid = build_grid(2, 16, 1.0, [50.0, 40.0], delta_target=0.5)
+        full = np.ones((16, 16), dtype=complex)
+        with pytest.raises(ValueError, match="shapes"):
+            invert_at_landing(grid, full, [full[:1, 9:]])
+        bare = fft_pricer.MellinFftGrid(
+            n=1, size=16, strip_a=[1.0], deltas=[0.5],
+            lams=[2 * math.pi / 8.0], m_steps=1)
+        with pytest.raises(ValueError, match="landing index"):
+            invert_at_landing(bare, np.ones(9), [])
 
     def test_sampled_pieces_are_the_lattice_slices(self):
         # sample_transform evaluates exactly the half and the edge pieces
@@ -589,23 +631,25 @@ class TestExports:
         buf = io.StringIO()
         surface_to_csv(self.surf, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "index_1,logS_1,S_1,value"
+        assert lines[0] == "index_1,logS_1,S_1,value,trusted"
         assert len(lines) == 1 + 16
 
     @staticmethod
     def per_row_csv(surface, fp):
-        """The row-by-row writer the chunked one replaced, as reference."""
+        """The row-by-row writer the chunked one replaced, as reference;
+        a row is trusted when every index lies in [N/4, 3N/4)."""
         g = surface.grid
         head = ([f"index_{i+1}" for i in range(g.n)]
                 + [f"logS_{i+1}" for i in range(g.n)]
-                + [f"S_{i+1}" for i in range(g.n)] + ["value"])
+                + [f"S_{i+1}" for i in range(g.n)] + ["value", "trusted"])
         fp.write(",".join(head) + "\n")
         logs = [g.log_prices(i) for i in range(g.n)]
         for idx in np.ndindex(*([g.size] * g.n)):
             x = [logs[i][idx[i]] for i in range(g.n)]
+            trusted = all(g.size // 4 <= i < 3 * g.size // 4 for i in idx)
             row = ([str(i) for i in idx] + [f"{v:.12g}" for v in x]
                    + [f"{math.exp(v):.12g}" for v in x]
-                   + [f"{surface.values[idx]:.12g}"])
+                   + [f"{surface.values[idx]:.12g}", str(int(trusted))])
             fp.write(",".join(row) + "\n")
 
     def assert_csv_matches_per_row(self, surface):
@@ -640,4 +684,5 @@ class TestExports:
         assert payload["grid"]["M"] == 2
         assert payload["style"] == EUROPEAN_PUT
         assert len(payload["values"]) == 16
+        assert payload["trusted"] == [[4, 12]]
         json.dumps(payload)  # serializable
