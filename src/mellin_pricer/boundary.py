@@ -2,7 +2,12 @@
 
 The boundary S*(t) solves a smooth-pasting approximation for an array of
 calendar times t in one vectorised bracketed solve, so a cold curve costs
-one :func:`critical_price_approx` call.  Three formula modes are available:
+one :func:`critical_price_approx` call.  The solve is a short numpy loop
+of Chandrupatla's (1997) method in this module, which does the arithmetic
+of ``scipy.optimize.elementwise.find_root`` and returns the same floats
+without its per-iteration overhead; the terms of the equation that are
+free of S are computed once per solve, not once per iteration.  Three
+formula modes are available:
 
 ``corrected`` (default)
     delta = (sigma/2 + (q-r)/sigma)^2 + 2r and the denominator carries
@@ -49,7 +54,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 from scipy.special import ndtr
 
 from .errors import NegativeRadicand, NoBracket
@@ -89,17 +93,29 @@ def _capf_terms(strike, r, q, sigma, tte, mode):
     return numer, exp_q, n_b1, omega
 
 
-def _capf_denominator(s, t, spec, mode):
+def _capf_s_free(t, spec, mode):
+    """Every term of the equation at calendar times t that is free of S:
+    those of :func:`_capf_terms`, then the drift and the volatility of
+    kappa over the time to expiry."""
     tte = spec.maturity - np.asarray(t, dtype=float)
     if np.any(tte <= 0):
         raise ValueError("requires t < maturity")
     r, q, sigma = spec.rate, float(spec.dividends[0]), float(spec.vols[0])
-    numer, exp_q, n_b1, omega = _capf_terms(spec.strike, r, q, sigma, tte, mode)
+    return (*_capf_terms(spec.strike, r, q, sigma, tte, mode),
+            (r - q + sigma**2 / 2.0) * tte, sigma * np.sqrt(tte))
+
+
+def _capf_den(moneyness, numer, exp_q, n_b1, omega, drift, vol):
+    """The denominator at S/K = ``moneyness``, given the S-free terms."""
     with np.errstate(divide="ignore"):  # s = 0: kappa = -inf, N(kappa) = 0
-        log_s = np.log(s / spec.strike)
-    kappa = (log_s + (r - q + sigma**2 / 2.0) * tte) / (sigma * np.sqrt(tte))
-    den = exp_q * (ndtr(kappa) - n_b1) + omega + 0.5
-    return numer, den
+        log_s = np.log(moneyness)
+    kappa = (log_s + drift) / vol
+    return exp_q * (ndtr(kappa) - n_b1) + omega + 0.5
+
+
+def _capf_denominator(s, t, spec, mode):
+    terms = _capf_s_free(t, spec, mode)
+    return terms[0], _capf_den(s / spec.strike, *terms)
 
 
 def capf_residual(s, t, spec: BasketSpec, mode="corrected"):
@@ -122,17 +138,19 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
 
     ``t`` is a calendar time or an array of them; the prices come back in
     its shape (a float for a scalar ``t``).  All times are solved in one
-    vectorised bracketed solve (Chandrupatla's method,
-    ``scipy.optimize.elementwise.find_root``), so a cold boundary curve is
-    one call.  S* is homogeneous of degree 1 in (S, K), so G(S*) = 0 is
-    solved at strike 1 on [1e-6, 1], the upper end widened to 2 at times
-    with no sign change there, then the lower end widened to the least
-    normal float (``LOWEST_ROOT``) at times with still none: a tiny
-    positive rate puts the root near K r/q.  The roots are scaled by K and
-    moved to the float near them with the least |G| at K
+    vectorised bracketed solve, so a cold boundary curve is one call: a
+    loop of Chandrupatla's method (:func:`_chandrupatla`, the arithmetic
+    of ``scipy.optimize.elementwise.find_root``) with the S-free terms of
+    the equation computed once.  S* is homogeneous of degree 1 in (S, K),
+    so G(S*) = 0 is solved at strike 1 on [1e-6, 1], the upper end widened
+    to 2 at times with no sign change there, then the lower end widened to
+    the least normal float (``LOWEST_ROOT``) at times with still none: a
+    tiny positive rate puts the root near K r/q.  The roots are scaled by
+    K and moved to the float near them with the least |G| at K
     (:func:`_nearest_roots`).  Converged roots satisfy |G| < 1e-10 K, else
-    ``NoBracket``; a root below K times the least normal float (r of a few
-    denormals) has no bracket.
+    ``NoBracket``, which also reports an element the loop returned as NaN;
+    a root below K times the least normal float (r of a few denormals) has
+    no bracket.
 
     Limits: at t = T the root degenerates to K min(1, r/q) (K when q = 0);
     for r = 0 early exercise is never optimal and 0 is returned.
@@ -149,26 +167,27 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
         out[...] = 0.0
     elif np.any(live):
         unit = dataclasses.replace(spec, strike=1.0)
+        t = t[live]
+        terms = _capf_s_free(t, unit, mode)
 
         # Solve the singularity-free rescaling s*den(s) - num = 0 (same
         # root; the raw G(s) = s - num/den has a 1/den blow-up deep below
         # the root when q = 0), then check convergence on G itself.
-        def f(s, t):
-            numer, den = _capf_denominator(s, t, unit, mode)
-            return s * den - numer
+        def f(s, *terms):
+            return s * _capf_den(s, *terms) - terms[0]
 
-        t = t[live]
         lo, hi = np.full(t.shape, 1e-6), np.ones(t.shape)
-        f_lo = f(lo, t)
-        hi[f_lo * f(hi, t) > 0] = 2.0
-        f_hi = f(hi, t)
+        f_lo = f(lo, *terms)
+        hi[f_lo * f(hi, *terms) > 0] = 2.0
+        f_hi = f(hi, *terms)
         lo[f_lo * f_hi > 0] = LOWEST_ROOT
-        bad = f(lo, t) * f_hi > 0
+        f_lo = f(lo, *terms)
+        bad = f_lo * f_hi > 0
         if np.any(bad):
             raise NoBracket(f"no sign change on [{lo[bad][0] * spec.strike}, "
                             f"{2.0 * spec.strike}] at t={t[bad][0]} "
                             f"(mode={mode})")
-        root = find_root(f, (lo, hi), args=(t,)).x
+        root = _chandrupatla(f, lo, hi, f_lo, f_hi, terms)
         resid = np.max(np.abs(capf_residual(root, t, unit, mode)))
         if not resid <= 1e-10:
             raise NoBracket(f"root did not converge: |G| = {resid} K")
@@ -181,9 +200,67 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
 # change: a tiny positive rate puts the root near r/q, below 1e-6
 LOWEST_ROOT = float(np.finfo(float).tiny)
 
-# ulps searched on either side of a root: Chandrupatla's roots at strike 1
-# times K sat up to 7 ulps from the float of least |G| at K, and K times
-# those floats up to 3 (over amer_book's market range, 75,000 nodes each)
+# Chandrupatla's tolerances for doubles (xatol = 4 tiny, xrtol = 4 eps,
+# fatol = tiny) and its iteration cap, the number of bisections from the
+# largest double down to tiny (2046): the LOWEST_ROOT bracket needs them
+_EPS, _TINY = float(np.finfo(float).eps), LOWEST_ROOT
+_MAXITER = int(math.log2(np.finfo(float).max) - math.log2(_TINY))
+
+
+def _chandrupatla(f, x1, x2, f1, f2, args):
+    """Roots of the elementwise ``f(x, *args)`` in the brackets [x1, x2],
+    where f takes the values f1 and f2, by Chandrupatla's (1997) hybrid of
+    inverse quadratic interpolation and bisection.
+
+    The arithmetic, tolerances and iteration cap are those of
+    ``scipy.optimize.elementwise.find_root``, so the roots are the same
+    floats.  An element leaves the working arrays, ``args`` included, once
+    it stops; one whose bracket lost its sign change, or whose ends are not
+    finite or both give NaN, comes back NaN.
+    """
+    root = np.empty_like(x1)
+    active, t = np.arange(x1.size), 0.5
+    for nit in range(_MAXITER + 1):
+        if nit:
+            x = x1 + t * (x2 - x1)
+            fx = f(x, *args)
+            j = np.sign(fx) == np.sign(f1)
+            x3, f3 = np.where(j, x1, x2), np.where(j, f1, f2)
+            x2, f2 = np.where(j, x2, x1), np.where(j, f2, f1)
+            x1, f1 = x, fx
+        i = np.abs(f1) < np.abs(f2)
+        xmin = np.where(i, x1, x2)
+        conv = np.abs(np.where(i, f1, f2)) <= _TINY
+        fail = ~conv & ((np.sign(f1) == np.sign(f2))
+                        | ~(np.isfinite(x1) & np.isfinite(x2))
+                        | (np.isnan(f1) & np.isnan(f2)))
+        xmin[fail] = np.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * (4 * _EPS) + 4 * _TINY
+        stop = conv | fail | (dx < tol) | (nit == _MAXITER)
+        root[active[stop]] = xmin[stop]
+        keep = ~stop
+        if not keep.any():
+            return root
+        active, x1, x2, f1, f2 = (a[keep] for a in (active, x1, x2, f1, f2))
+        args = tuple(a[keep] for a in args)
+        if nit:  # the next step: interpolate where it is safe, else bisect
+            x3, f3, dx, tol = x3[keep], f3[keep], dx[keep], tol[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(j, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+
+
+# ulps searched on either side of a root: the strike-1 roots of
+# _chandrupatla times K sat up to 7 ulps from the float of least |G| at K,
+# and K times those floats up to 3 (over amer_book's market range, 75,000
+# nodes each)
 SOLVED_REACH = 8
 SCALED_REACH = 4
 

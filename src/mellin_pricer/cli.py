@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -87,8 +88,9 @@ def _apply_config(args, parser):
     return args
 
 
-def _defaults(args):
-    """Numeric defaults applied after config merging."""
+def _defaults(args, parser):
+    """Numeric defaults applied after config merging; the grid's real
+    flags must then be finite and positive."""
     table = {
         "strip_a": 1.0, "grid_n": 16384, "grid_m": 250, "tau": None,
         "dw_n": 250, "dw_l": 10.0, "binomial_steps": 10000,
@@ -101,6 +103,11 @@ def _defaults(args):
                 "mc_seed"):
         if hasattr(args, key) and getattr(args, key) is not None:
             setattr(args, key, int(getattr(args, key)))
+    for key in ("strip_a", "delta_target", "dw_l"):
+        val = getattr(args, key, None)
+        if val is not None and not (math.isfinite(val) and val > 0):
+            parser.error(f"--{key.replace('_', '-')} must be finite and "
+                         f"> 0, got {val}")
     return args
 
 
@@ -168,7 +175,7 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
 
 
 def cmd_price(args, parser):
-    args = _defaults(args)
+    args = _defaults(args, parser)
     spec, spots = _market(args, parser)
     style = args.style
     if style not in STYLES:
@@ -211,7 +218,7 @@ def cmd_price(args, parser):
 
 
 def cmd_greeks(args, parser):
-    args = _defaults(args)
+    args = _defaults(args, parser)
     spec, spots = _market(args, parser)
     style = args.style or "euro-put"
     if style not in ("euro-put", "amer-put"):
@@ -245,7 +252,7 @@ def cmd_greeks(args, parser):
 
 
 def cmd_surface(args, parser):
-    args = _defaults(args)
+    args = _defaults(args, parser)
     spec, spots = _market(args, parser)
     style = _SURFACE_STYLES.get(args.style or "euro-put")
     if style is None:
@@ -273,7 +280,7 @@ def cmd_surface(args, parser):
 
 
 def cmd_boundary(args, parser):
-    args = _defaults(args)
+    args = _defaults(args, parser)
     for name in ("strike", "rate", "vol", "tau"):
         if getattr(args, name, None) is None:
             parser.error(f"missing required flag --{name}")
@@ -291,7 +298,7 @@ def cmd_boundary(args, parser):
 
 
 def cmd_table1(args, parser):
-    args = _defaults(args)
+    args = _defaults(args, parser)
     groupings = None
     if args.groupings:
         groupings = [int(v) for v in str(args.groupings).split(",")]

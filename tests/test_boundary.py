@@ -2,16 +2,19 @@
 
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import boundary
-from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
+from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
+                                    BoundaryCurve, boundary_curve,
                                     boundary_residual_cap, capf_residual,
                                     clear_boundary_cache,
                                     critical_price_approx)
@@ -156,6 +159,75 @@ class TestVectorisedSolve:
         for bad in ([0.0, 0.6], [-0.1, 0.2], [np.nan]):
             with pytest.raises(ValueError, match="maturity"):
                 critical_price_approx(np.array(bad), spec)
+
+
+@st.composite
+def solver_cases(draw):
+    """solver_markets' ranges plus tiny rates, whose roots near r/q need
+    the LOWEST_ROOT bracket, in every formula mode and at M in
+    {1, 2, 59, 250}."""
+    r = draw(st.one_of(st.floats(0.01, 0.08),
+                       st.floats(-300.0, -6.0).map(lambda e: 10.0**e)))
+    q = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.08),
+                       st.floats(-1e-9, 1e-9).map(lambda e: r * (1.0 + e))))
+    vol = draw(st.floats(0.15, 0.45))
+    tau = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    mode = draw(st.sampled_from(CRITICAL_PRICE_MODES))
+    m = draw(st.sampled_from((1, 2, 59, 250)))
+    return BasketSpec.single(100.0, tau, r, q, vol), m, mode
+
+
+def solves_of_curve(spec, m, mode):
+    """Solve the cold curve of ``spec`` and return each bracketed solve it
+    made, as (f, lower ends, upper ends, args, roots)."""
+    solves = []
+    solve = boundary._chandrupatla
+
+    def spy(f, x1, x2, f1, f2, args):
+        inputs = (f, x1.copy(), x2.copy(), tuple(a.copy() for a in args))
+        root = solve(f, x1, x2, f1, f2, args)
+        solves.append((*inputs, root))
+        return root
+
+    clear_boundary_cache()
+    with mock.patch.object(boundary, "_chandrupatla", spy):
+        try:
+            boundary_curve(spec, m, spec.maturity, mode)
+        except (NegativeRadicand, NoBracket):
+            pass  # printed and sigma-squared modes fail on some markets
+    return solves
+
+
+class TestSolverMatchesScipy:
+    # the in-package Chandrupatla loop does find_root's arithmetic, so its
+    # roots are find_root's floats, not merely close to them
+    @settings(max_examples=30, deadline=None)
+    @given(solver_cases())
+    @example((BasketSpec.single(30.0, 0.34, 1e-300, 0.056, 0.37), 50,
+              "corrected"))
+    @example((BasketSpec.single(100.0, 0.5, 0.07, 0.03, 0.3), 1, "printed"))
+    def test_roots_equal_find_root_bit_for_bit(self, case):
+        for f, x1, x2, args, root in solves_of_curve(*case):
+            want = find_root(f, (x1, x2), args=args).x
+            assert root.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-300])
+    def test_lowest_root_bracket_matches(self, r):
+        spec = BasketSpec.single(30.0, 0.34, r, 0.056, 0.37)
+        (f, x1, x2, args, root), = solves_of_curve(spec, 59, "corrected")
+        assert np.all(x1 == LOWEST_ROOT)
+        want = find_root(f, (x1, x2), args=args).x
+        assert root.tobytes() == want.tobytes()
+
+    def test_lost_sign_change_and_nan_come_back_nan(self):
+        def f(x, c):
+            return x - c
+        x1, x2 = np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0])
+        c = np.array([0.25, 2.0, np.nan])
+        root = boundary._chandrupatla(f, x1, x2, f(x1, c), f(x2, c), (c,))
+        want = find_root(f, (x1, x2), args=(c,)).x
+        assert root.tobytes() == want.tobytes()
+        assert root[0] == 0.25 and np.all(np.isnan(root[1:]))
 
 
 class TestTinyPositiveRates:

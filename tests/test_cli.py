@@ -112,6 +112,24 @@ class TestPriceCommand:
         assert out == ""
         assert "spot must be finite" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("method, flag", [
+        ("fft", "--strip-a"), ("dw", "--strip-a"), ("fft", "--delta-target"),
+        ("dw", "--dw-l")])
+    def test_bad_grid_flag_exits_2(self, capsys, method, flag, value):
+        # a bad value must stop at the flags, not reach the grid, where nan
+        # fails with an internal message that names no flag
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--method", method, "--style", "amer-put",
+                  "--spot", "90", "--strike", "100", "--rate", "0.05",
+                  "--div", "0.03", "--vol", "0.25", "--tau", "1",
+                  "--grid-n", "4096", "--grid-m", "8", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be finite and > 0, got {float(value)}" \
+            in captured.err
+
     #: price stdout for S = 90, K = 100, r = 0.05, q = 0.03, sigma = 0.25,
     #: tau = 1 at --grid-n 4096 --grid-m 50: (price, imag_residual,
     #: clamped_points) per method and style; dw and trapezoid report no
@@ -331,6 +349,13 @@ class TestTable1Command:
         assert lines[0] == "grouping,S,true,fft,dw"
         assert len(lines) == 1 + 5 + 1  # five rows plus the summary
         assert lines[-1].startswith("max_abs_dev_fft_vs_reference")
+
+    @pytest.mark.parametrize("flag", ["--strip-a", "--dw-l"])
+    def test_bad_grid_flag_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--groupings", "1", flag, "nan"])
+        assert exc.value.code == 2
+        assert f"{flag} must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["abc", "-4", "0", "2.5"])
     def test_bad_thread_count_exits_2(self, capsys, monkeypatch, raw):
