@@ -32,7 +32,7 @@ tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
 cached curves are immutable and shared, so repeated requests are
 bit-identical, and each scaled curve carries its strike-free one.  A third
 cache, of MOMENT_CACHE_SIZE entries, holds the transforms that several
-quotes and greeks share, each keyed on the exact bytes of its inputs, not
+quotes and greeks share, each keyed on its exact inputs, not
 on the rounded tuple.  ``fft_pricer.premium_moments`` computes the premium
 moments from the strike-free curve (0.5 MB for an N = 2^14 greek) and
 keys them on the market, that curve and the contour, with no strike: the
@@ -466,8 +466,8 @@ def boundary_residual_cap(curve: BoundaryCurve, t, spec: BasketSpec, grid,
     if s_star <= 0.0:
         return spec.strike - 0.0  # empty exercise region, r = 0 limit
     style = AMERICAN_PUT if tte > 0 else EUROPEAN_PUT  # no premium at expiry
-    w = (grid.strip_a[0] + 1j * grid.frequencies(0))[:, None]
-    values = put_transform(w, spec, tte, style,
+    axes = grid.axes[:1]
+    values = put_transform(axes, spec, tte, style,
                            put_boundary(style, spec, curve.m, tte, mode))
-    put = contour_sum(values, w, grid.deltas[0] / (2.0 * math.pi), [s_star])
+    put = contour_sum(values, axes, axes[0].h / (2.0 * math.pi), [s_star])
     return spec.strike - s_star - put

@@ -84,15 +84,21 @@ def _apply_config(args, parser):
                           "format", "time_weights", "boundary_mode"):
                 setattr(args, attr, val)
             else:
-                setattr(args, attr, float(val))
+                try:
+                    setattr(args, attr, float(val))
+                except ValueError:
+                    parser.error(f"config key {key!r}: expected a number, "
+                                 f"got {val!r}")
     return args
 
 
 def _defaults(args, parser):
-    """Numeric defaults applied after config merging; the grid's real
-    flags must then be finite and positive."""
+    """Numeric defaults applied after config merging; the integer flags
+    must then be integral and the grid's real flags finite and positive.
+    ``grid_n`` stays unset until the asset count is known
+    (:func:`_market`)."""
     table = {
-        "strip_a": 1.0, "grid_n": 16384, "grid_m": 250, "tau": None,
+        "strip_a": 1.0, "grid_m": 250, "tau": None,
         "dw_n": 250, "dw_l": 10.0, "binomial_steps": 10000,
         "mc_paths": 1_000_000, "mc_seed": 0, "delta_target": 0.25,
     }
@@ -101,8 +107,12 @@ def _defaults(args, parser):
             setattr(args, key, val)
     for key in ("grid_n", "grid_m", "dw_n", "binomial_steps", "mc_paths",
                 "mc_seed"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(args, key, int(getattr(args, key)))
+        val = getattr(args, key, None)
+        if val is not None and not (math.isfinite(val) and val == int(val)):
+            parser.error(f"--{key.replace('_', '-')} must be an integer, "
+                         f"got {val}")
+        if val is not None:
+            setattr(args, key, int(val))
     for key in ("strip_a", "delta_target", "dw_l"):
         val = getattr(args, key, None)
         if val is not None and not (math.isfinite(val) and val > 0):
@@ -112,7 +122,8 @@ def _defaults(args, parser):
 
 
 def _market(args, parser, n_assets=None):
-    """BasketSpec + spot vector from the common market flags."""
+    """BasketSpec + spot vector from the common market flags; an unset
+    ``grid_n`` becomes the pricer's default N for that many assets."""
     for name in ("spot", "strike", "rate", "vol", "tau"):
         if getattr(args, name, None) is None:
             parser.error(f"missing required flag --{name}")
@@ -139,6 +150,8 @@ def _market(args, parser, n_assets=None):
                           dividends=divs, vols=vols, corr=corr)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.grid_n is None:
+        args.grid_n = greeks_mod._default_size(n)
     return spec, np.array(spots)
 
 
@@ -225,8 +238,9 @@ def cmd_greeks(args, parser):
         parser.error("greeks supports --style euro-put or amer-put")
     pstyle = _PRICE_STYLES[style]
     tau = float(args.tau)
-    kw = dict(style=pstyle, size=args.grid_n if spec.n == 1 else 2**9,
-              m_steps=args.grid_m, strip_a=args.strip_a)
+    kw = dict(style=pstyle, size=args.grid_n, m_steps=args.grid_m,
+              strip_a=args.strip_a, delta_target=args.delta_target,
+              boundary_mode=args.boundary_mode or "corrected")
     result = {
         "theta": _fmt(greeks_mod.greek(greeks_mod.theta(), spots, tau, spec, **kw)),
         "rho": _fmt(greeks_mod.greek(greeks_mod.rho(), spots, tau, spec, **kw)),
@@ -305,6 +319,8 @@ def cmd_table1(args, parser):
     dw_cfg = DwConfig(n_terms=args.dw_n, log_range=args.dw_l,
                       strip_a=args.strip_a, m_steps=args.grid_m,
                       time_weights=args.time_weights or "simpson")
+    if args.grid_n is None:
+        args.grid_n = greeks_mod._default_size(1)
     rows, max_dev = table1.run_table1(
         groupings=groupings, size=args.grid_n, m_steps=args.grid_m,
         strip_a=args.strip_a, dw_cfg=dw_cfg,

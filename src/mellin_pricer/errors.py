@@ -22,7 +22,8 @@ class NoAdmissibleK(PricingError):
 
 
 class GridTooCoarse(PricingError):
-    """The landing constraint forces a log-price spacing above 1."""
+    """The grid cannot be built: the landing constraint forces a log-price
+    spacing above 1, or the half lattice exceeds its point budget."""
 
 
 class ImagResidualTooLarge(PricingError):

@@ -26,7 +26,9 @@ T(conj w) = conj T(w), and the lattice pairs b_j with -b_j at index
 on the half lattice j_n <= N/2 plus the few points of the unpaired edge
 hyperplanes j_i = 0 (frequency -N delta/2, which has no mirror) that the
 half misses: none for n = 1, N/2 - 1 for n = 2
-(:func:`sample_transform`).  :func:`invert_transform_lattice` takes the
+(:func:`sample_transform`).  Each piece is a tuple of :class:`Axis`, one
+index range of the lattice per dimension, and every transform takes such
+a tuple.  :func:`invert_transform_lattice` takes the
 real surface from one real-output inverse FFT of the Hermitian part.  The
 imaginary part of the inverse is exactly the anti-Hermitian remainder,
 which lives on those edge hyperplanes only; ``imag_residual`` is that
@@ -54,7 +56,7 @@ on |T| (one-axis parts, real cross terms and a table of log Gamma along
 |Im sum w|) reaches e^-TAIL of the transform at b = 0; every other
 point is exactly 0.  Log Gamma(sum w) at the kept points still
 dominates, so the transform of a lattice is memoised
-on its exact market and axis vectors, next to the premium moments and
+on its exact market and axes, next to the premium moments and
 under the same bound: a basket quote and the greeks at the same spot,
 which differ only in their polynomial multipliers (w_i / S_i,
 w_i (w_i + 1) / S_i^2, ...), share one transform.
@@ -71,7 +73,8 @@ pass over the M nodes into length-N arrays (no M x N array): the factor
 exp(-t_l (Psi + r)) is a running product over the uniform nodes,
 s*^(i b_j) comes from a two-level table over the uniformly spaced
 frequencies, and only b >= 0 is evaluated, the rest filled in by
-conjugate symmetry.  The pass is band-limited per node: a node's terms
+conjugate symmetry (an axis through b = 0 is folded there by its integer
+index).  The pass is band-limited per node: a node's terms
 decay like exp(-t_l sigma^2 b^2 / 2) along the contour, so node l only
 touches |b| <= sqrt(2 TAIL / (sigma^2 t_l)) with the tail constant
 TAIL = 60.  Each dropped term is below e^-60 of its node's b = 0 term, and
@@ -111,7 +114,9 @@ whole log-price lattice.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,10 +151,47 @@ TAIL = 60.0
 BLOCK_POINTS = 2**15
 GAMMA_TABLE = 1024
 
+# largest half lattice N^(n-1) (N/2 + 1) that build_grid accepts: 256 MB
+# per complex array
+MAX_HALF_POINTS = 2**24
+
 
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Axis:
+    """The contour points a + i (first + k) h, k = 0..count-1, of one
+    dimension.
+
+    ``first`` is an integer index, so the lattice frequencies
+    b_j = (j - N/2) delta are the axis first = -N/2, h = delta, and each
+    piece of the lattice is an index range of it (:meth:`part`).  The
+    transforms take one axis per dimension and memoise on the axes.
+    """
+
+    a: float
+    h: float
+    first: int
+    count: int
+
+    def __post_init__(self):
+        operator.index(self.first)  # an integer index, not a float
+        if operator.index(self.count) < 1:
+            raise ValueError("an axis needs at least one point")
+
+    @functools.cached_property
+    def points(self):
+        """The points a + i (first + k) h, computed once; read-only."""
+        out = self.a + 1j * ((self.first + np.arange(self.count)) * self.h)
+        out.setflags(write=False)
+        return out
+
+    def part(self, start, stop):
+        """Points start..stop-1 of this axis."""
+        return Axis(self.a, self.h, self.first + start, stop - start)
 
 
 @dataclass(frozen=True)
@@ -200,8 +242,11 @@ class MellinFftGrid:
                 if abs(s_at_k - t[i]) > 1e-9:
                     raise ValueError("landing index misses target_logS")
 
-    def frequencies(self, dim):
-        return (np.arange(self.size) - self.size / 2) * self.deltas[dim]
+    @property
+    def axes(self):
+        """The frequency axis of each dimension: first = -N/2, h = delta_i."""
+        return tuple(Axis(a, d, -(self.size // 2), self.size)
+                     for a, d in zip(self.strip_a, self.deltas))
 
     def log_prices(self, dim):
         return (np.arange(self.size) - self.size / 2) * self.lams[dim]
@@ -230,6 +275,11 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, k_hint=None,
         raise ValueError("target prices must be positive")
     strip_a = np.broadcast_to(np.asarray(strip_a, dtype=float), (n,)).copy()
     N = int(size)
+    half_points = N ** (n - 1) * (N // 2 + 1)
+    if half_points > MAX_HALF_POINTS:
+        raise GridTooCoarse(f"N={N} gives a half lattice of {half_points} "
+                            f"points for n={n}, above {MAX_HALF_POINTS}; "
+                            f"lower N")
     lam_target = 2.0 * math.pi / (N * float(delta_target))
 
     lams = np.empty(n)
@@ -307,43 +357,13 @@ def premium_time_grid(m_steps, tau, mode="simpson"):
 # ---------------------------------------------------------------------------
 
 
-def _along(v, axis, n):
-    """One-dimensional ``v`` laid along ``axis`` of an n-dimensional lattice."""
-    shape = [1] * n
-    shape[axis] = -1
-    return v.reshape(shape)
-
-
-def _lattice_axes(w, n):
-    """Axis vectors z_i of an outer-product lattice w[j_1..j_n, i] = z_i[j_i].
-
-    ``w`` has shape (N_1, ..., N_n, n); a single point of shape (n,) is the
-    1 x ... x 1 lattice.  Anything else raises ``ValueError``.
-    """
-    if w.shape == (n,):
-        w = w.reshape((1,) * n + (n,))
-    if w.ndim != n + 1 or w.shape[-1] != n:
-        raise ValueError(
-            f"w must be a lattice of shape (N_1, ..., N_{n}, {n}), "
-            f"got {w.shape}")
-    axes = []
-    for i in range(n):
-        z = w[(0,) * i + (slice(None),) + (0,) * (n - 1 - i) + (i,)]
-        if not np.all(w[..., i] == _along(z, i, n)):
-            raise ValueError(
-                f"w is not an outer-product lattice: coordinate {i} varies "
-                f"off axis {i}")
-        axes.append(z)
-    return axes
-
-
-def _axis_logs(axes, spec: BasketSpec, cov: CovStruct, tau):
-    """The one-axis part of the log basket transform on each axis vector:
+def _axis_logs(zs, spec: BasketSpec, cov: CovStruct, tau):
+    """The one-axis part of the log basket transform on each axis's points:
     log Gamma(z_i) + z_i ln K + tau (Sigma_ii z_i / 2 - mu_i) z_i."""
     log_k = math.log(spec.strike)
     return [lgamma_complex(z) + z * log_k
             + tau * (0.5 * cov.cov[i, i] * z - cov.drift[i]) * z
-            for i, z in enumerate(axes)]
+            for i, z in enumerate(zs)]
 
 
 def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale):
@@ -364,8 +384,8 @@ def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale):
 
 
 def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
-    """Upper bound on log(|T(w)| / (K e^(-r tau))) over an outer-product
-    lattice with one real part a_i per axis, and the same at b = 0.
+    """Upper bound on log(|T(w)| / (K e^(-r tau))) over the lattice of
+    ``axes``, and the same at b = 0.
 
     ``logs`` are the one-axis logs (:func:`_axis_logs`).  Returns
     (bound, log_peak): ``bound(rows)`` is the bound at the lattice points
@@ -374,8 +394,8 @@ def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
     :func:`discounted_payoff_transform`.
     """
     n = len(axes)
-    a = [float(z.real[0]) for z in axes]
-    b = [z.imag for z in axes]
+    a = [ax.a for ax in axes]
+    b = [ax.points.imag for ax in axes]
     big_a = sum(a)
     cross = [(i, j, tau * cov.cov[i, j])
              for i in range(n) for j in range(i + 1, n)]
@@ -400,46 +420,38 @@ def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
 
     def bound(rows):
         pick = [rows] + [slice(None)] * (n - 1)
-        out = sum(_along(f[p], i, n)
-                  for i, (f, p) in enumerate(zip(re_logs, pick)))
+        b_at = np.ix_(*(v[p] for v, p in zip(b, pick)))
+        out = sum(np.ix_(*(f[p] for f, p in zip(re_logs, pick))))
         for i, j, c in cross:
-            out -= (c * _along(b[i][pick[i]], i, n)) * _along(b[j][pick[j]],
-                                                              j, n)
-        big_b = np.abs(sum(_along(v[p], i, n)
-                           for i, (v, p) in enumerate(zip(b, pick))))
-        out += table[(big_b / h).astype(np.intp)]
+            out -= (c * b_at[i]) * b_at[j]
+        out += table[(np.abs(sum(b_at)) / h).astype(np.intp)]
         return out
 
     return bound, log_peak
 
 
-def discounted_payoff_transform(w, spec: BasketSpec, tau):
-    """exp(-r tau) * payoff transform * characteristic function at w.
+def discounted_payoff_transform(axes, spec: BasketSpec, tau):
+    """exp(-r tau) * payoff transform * characteristic function on the
+    lattice of ``axes``, one :class:`Axis` per asset.
 
     The transform is beta_n(w) K^(1 + sum w) / (sum w (sum w + 1)) *
     exp(-tau (Psi(wi) + r)) with beta_n(w) = prod Gamma(w_i) / Gamma(sum w)
     and Psi(wi) = sum_i (mu_i w_i - Sigma_ii w_i^2 / 2)
-    - sum_{i<j} Sigma_ij w_i w_j.
+    - sum_{i<j} Sigma_ij w_i w_j.  The result has shape
+    (count_1, ..., count_n).
 
-    For n = 1 the gamma ratio is exactly 1 and is never evaluated; ``w``
-    has shape (..., 1) and any layout is accepted.  The transform is then
-    :func:`strike_factor` times :func:`unit_payoff_transform`.
+    For n = 1 the gamma ratio is exactly 1 and is never evaluated; the
+    transform is :func:`strike_factor` times :func:`unit_payoff_transform`.
 
-    For n >= 2, ``w`` must be an outer-product lattice of shape
-    (N_1, ..., N_n, n), coordinate i varying along axis i only, as
-    :func:`_lattice_w` builds it (else ``ValueError``); a single point of
-    shape (n,) counts as the 1 x ... x 1 lattice.  On such a lattice
-    log Gamma(w_i), w_i ln K and the diagonal and linear parts of
-    -tau Psi are one-dimensional, so they are evaluated once per axis as
-    N_i-point arrays.  The per-axis logs are broadcast into the lattice
+    For n >= 2, log Gamma(w_i), w_i ln K and the diagonal and linear parts
+    of -tau Psi are evaluated once per axis and broadcast into the lattice
     log before the one exp: a per-axis factor alone can underflow to 0
     where the cross terms alone overflow, so multiplying exponentiated
     factors would give 0 * inf = NaN on some lattice points.  The result
     matches the pointwise ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)``
     to about 1e-15 of its peak.
 
-    A lattice with more than one point on every axis and one real part
-    a_i per axis (every contour lattice of the pricer) is band-limited:
+    A lattice with more than one point on every axis is band-limited:
     log Gamma(sum w), the cross terms, the exp and the division are
     evaluated only at the points whose transform can reach e^-TAIL T(a),
     with T(a) > 0 the transform at b = 0; every other point is exactly 0.
@@ -465,138 +477,101 @@ def discounted_payoff_transform(w, spec: BasketSpec, tau):
     evaluated in the same order of operations as an unbanded lattice
     (:func:`_transform_from_logs`), so a kept point is the same float.
 
-    A lattice with more than one point on every axis is memoised in the
-    bounded LRU cache that also holds the premium moments
-    (``boundary._moment_cache``, emptied by
+    Such a lattice is also memoised in the bounded LRU cache that holds
+    the premium moments (``boundary._moment_cache``, emptied by
     :func:`~mellin_pricer.boundary.clear_boundary_cache`), keyed on the
-    exact bytes of every input read here: K, r, tau, each q_i, each
-    sigma_i, the correlation matrix and each axis vector.  A hit is the
-    array a recompute would give, bit for bit, and is read-only; the
-    quote and the greeks at one spot, which build the same lattice,
-    share one transform.  Edge pieces and single points, which have one
-    point on some axis and so cost about 1/N of a lattice, are always
-    computed in full.
+    exact bytes of K, r, tau, each q_i, each sigma_i and the correlation
+    matrix, and on the axes.  A hit is the array a recompute would give,
+    bit for bit, and is read-only; the quote and the greeks at one spot,
+    which build the same lattice, share one transform.  Edge pieces and
+    single points, which have one point on some axis and so cost about
+    1/N of a lattice, are always computed in full.
     """
-    w = np.asarray(w, dtype=complex)
+    if len(axes) != spec.n:
+        raise ValueError(f"expected {spec.n} axes, got {len(axes)}")
     if spec.n == 1:
-        return strike_factor(w, spec) * unit_payoff_transform(w, spec, tau)
+        return (strike_factor(axes, spec)
+                * unit_payoff_transform(axes, spec, tau))
 
     cov = CovStruct.from_spec(spec)
-    n = spec.n
-    axes = _lattice_axes(w, n)
-    lattice = all(z.shape[0] > 1 for z in axes)
+    lattice = all(ax.count > 1 for ax in axes)
     if lattice:
         # the tag keeps these keys apart from the premium-moment keys
         key = ("basket_payoff",
                np.concatenate([[spec.strike, spec.rate, tau], spec.dividends,
                                spec.vols, spec.corr.ravel()]).tobytes(),
-               tuple(z.tobytes() for z in axes))
+               tuple(axes))
         hit = _moment_cache.get(key)
         if hit is not None:
             return hit
-    logs = _axis_logs(axes, spec, cov, tau)
+    zs = [ax.points for ax in axes]
+    logs = _axis_logs(zs, spec, cov, tau)
     scale = spec.strike * math.exp(-spec.rate * tau)
-    if lattice and all(np.all(z.real == z.real[0]) for z in axes):
-        bound, log_peak = _payoff_log_bound(axes, logs, spec, cov, tau)
-        out = np.zeros(w.shape[:-1], dtype=complex)
-        rows = max(1, BLOCK_POINTS * axes[0].shape[0] // out.size)
-        for lo in range(0, axes[0].shape[0], rows):
-            kept = np.nonzero(bound(slice(lo, lo + rows))
-                              >= log_peak - TAIL)
-            if kept[0].size == 0:
-                continue
-            # gathered, not masked: scipy 1.17.1's loggamma(z, out=, where=)
-            # wrote to the wrong elements and then crashed
-            at = (kept[0] + lo,) + kept[1:]
-            out[at] = _transform_from_logs(
-                [z[j] for z, j in zip(axes, at)],
-                [f[j] for f, j in zip(logs, at)], cov, tau, scale)
-    else:
-        out = _transform_from_logs(
-            [_along(z, i, n) for i, z in enumerate(axes)],
-            [_along(f, i, n) for i, f in enumerate(logs)],
-            cov, tau, scale).reshape(w.shape[:-1])
     if not lattice:
-        return out
+        return _transform_from_logs(np.ix_(*zs), np.ix_(*logs), cov, tau,
+                                    scale)
+    bound, log_peak = _payoff_log_bound(axes, logs, spec, cov, tau)
+    out = np.zeros(tuple(ax.count for ax in axes), dtype=complex)
+    rows = max(1, BLOCK_POINTS * axes[0].count // out.size)
+    for lo in range(0, axes[0].count, rows):
+        kept = np.nonzero(bound(slice(lo, lo + rows)) >= log_peak - TAIL)
+        if kept[0].size == 0:
+            continue
+        # gathered, not masked: scipy 1.17.1's loggamma(z, out=, where=)
+        # wrote to the wrong elements and then crashed
+        at = (kept[0] + lo,) + kept[1:]
+        out[at] = _transform_from_logs(
+            [z[j] for z, j in zip(zs, at)],
+            [f[j] for f, j in zip(logs, at)], cov, tau, scale)
     out.setflags(write=False)
     return _moment_cache.add(key, out)
 
 
-def strike_factor(w, spec: BasketSpec):
+def strike_factor(axes, spec: BasketSpec):
     """K^(w+1), by which a one-asset put transform at strike K exceeds its
-    transform at strike 1; ``w`` has shape (..., 1).  One complex exp per
-    point, the one the payoff transform K^(w+1) / (w (w+1)) has always
-    cost."""
-    w = np.asarray(w, dtype=complex)
-    return np.exp((1.0 + w[..., 0]) * math.log(spec.strike))
+    transform at strike 1: one complex exp per point."""
+    return np.exp((1.0 + axes[0].points) * math.log(spec.strike))
 
 
-def unit_payoff_transform(w, spec: BasketSpec, tau):
+def unit_payoff_transform(axes, spec: BasketSpec, tau):
     """exp(-tau (Psi(wi) + r)) / (w (w+1)): the one-asset discounted payoff
-    transform at strike 1.  ``w`` has shape (..., 1) with Re w > 0."""
-    w = np.asarray(w, dtype=complex)
+    transform at strike 1, on a contour with Re w > 0."""
+    w = axes[0].points[:, None]
     _check_strip(w)
     z = w[..., 0]
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
     return np.exp(-tau * psi - spec.rate * tau) / (z * (z + 1.0))
 
 
-def _uniform_contour(w):
-    """Check that ``w`` is a uniformly spaced vertical segment a + i(b0 + j db).
+def _fold(axis):
+    """The axis the premium pass evaluates, and the gather back to ``axis``.
 
-    Returns (a, b, db): the shared real part, the imaginary parts and the
-    spacing (0 for a single point).
+    An axis through b = 0 (first <= 0 < first + count) is evaluated on
+    b >= 0 only: point k reads entry |first + k| of the folded axis and
+    takes the conjugate where b < 0.  Any other axis is evaluated as
+    given.  Returns (evaluated axis, index, conjugate mask).
     """
-    z = np.asarray(w, dtype=complex).ravel()
-    count = z.shape[0]
-    a, b = z.real, z.imag
-    if count == 0:
-        raise ValueError("contour has no points")
-    if np.any(a != a[0]):
-        raise ValueError("contour points must share one real part")
-    if count == 1:
-        return float(a[0]), b, 0.0
-    db = (b[-1] - b[0]) / (count - 1)
-    gap = np.abs(b - (b[0] + np.arange(count) * db)).max()
-    if db == 0.0 or not gap <= 1e-9 * abs(db):
-        raise ValueError("contour points must be uniformly spaced in Im(w)")
-    return float(a[0]), b, float(db)
+    j = axis.first + np.arange(axis.count)
+    if axis.first <= 0 < axis.first + axis.count:
+        size = max(-axis.first, axis.first + axis.count - 1) + 1
+        return Axis(axis.a, abs(axis.h), 0, size), np.abs(j), j * axis.h < 0
+    return axis, np.arange(axis.count), np.zeros(axis.count, dtype=bool)
 
 
-def _half_axis(b, db):
-    """Frequencies c + k h (k < size) that cover the contour, and the gather.
-
-    A contour with a sample at exactly b = 0 is evaluated on b >= 0 only:
-    point j reads entry |j - j0| (j0 the index of b = 0) and takes the
-    conjugate where b_j < 0.  Any other contour, including one that misses
-    b = 0 by a fraction of its spacing, is evaluated as given.  Returns
-    (c, h, size, index, conjugate mask).
-    """
-    count = b.shape[0]
-    j = np.arange(count)
-    if count > 1:
-        j0 = round(-b[0] / db)
-        if 0 <= j0 < count and b[j0] == 0.0:
-            offset = j - j0
-            return (0.0, abs(db), max(j0, count - 1 - j0) + 1,
-                    np.abs(offset), offset * db < 0)
-    return float(b[0]), db, count, j, np.zeros(count, dtype=bool)
-
-
-def _node_cutoffs(c, h, size, sigma, t_nodes):
-    """How many of the frequencies c + k h, k < size, each time node keeps.
+def _node_cutoffs(axis, sigma, t_nodes):
+    """How many of the frequencies on ``axis`` each time node keeps.
 
     |X_l(b)| = |X_l(0)| exp(-t_l sigma^2 b^2 / 2), so beyond
     b_l = sqrt(2 TAIL / (sigma^2 t_l)) a node's terms are below e^-TAIL of
-    its b = 0 term.  Only a folded half axis (c = 0, h > 0, so |b| = k h
+    its b = 0 term.  Only a folded axis (first = 0, h > 0, so |b| = k h
     grows with k) is cut; t_0 = 0 keeps everything.  The counts never
     increase with l.
     """
-    keep = np.full(t_nodes.shape[0], size)
-    if c == 0.0 and h > 0.0:
+    keep = np.full(t_nodes.shape[0], axis.count)
+    if axis.first == 0 and axis.h > 0.0:
         with np.errstate(divide="ignore"):
             b_cut = np.sqrt(2.0 * TAIL / (sigma**2 * t_nodes))
-        keep = (np.minimum(b_cut / h, size - 1)).astype(int) + 1
+        keep = (np.minimum(b_cut / axis.h, axis.count - 1)).astype(int) + 1
     return keep
 
 
@@ -614,21 +589,23 @@ def _running_rows(first, step, rows):
     return x
 
 
-def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
-                    t_powers=(0,)):
-    """Weighted time moments of the early-exercise integrand at w, strike 1.
+def premium_moments(axes, spec: BasketSpec, tau, boundary,
+                    time_mode="simpson", t_powers=(0,)):
+    """Weighted time moments of the early-exercise integrand at strike 1,
+    on the one-asset contour ``axes``.
 
     With u_l the market's strike-1 boundary, X_l(w) = u_l^w
     exp(-t_l (Psi(wi) + r)) and the time-quadrature weights c_l, returns an
-    array of shape (len(t_powers), 2) + w.shape[:-1] whose entry [p, e] is
+    array of shape (len(t_powers), 2, count) whose entry [p, e] is
     sum_l c_l t_l^p u_l^e X_l(w), over the nodes with u_l > 0.  On the
     strike-K curve s*_l = K u_l the moment is K^(w+e) times this; callers
     fold that into the one factor K^(w+1) of the whole transform.  The
     strike-1 curve is ``boundary.unit`` when
     :func:`~mellin_pricer.boundary.boundary_curve` made ``boundary`` for
     ``spec``, so the strikes of one market read the same bytes; any other
-    curve, e.g. one made by hand or for another strike, is divided by K.  Single-asset only; ``w`` must be a
-    uniformly spaced vertical segment (see :func:`premium_transform`).
+    curve, e.g. one made by hand or for another strike, is divided by K.
+    Single-asset only.  An axis through b = 0 is evaluated on b >= 0 only
+    and the rest filled in by conjugation (:func:`_fold`).
 
     The pass is band-limited: |X_l(a + ib)| = |X_l(a)| exp(-t_l sigma^2
     b^2 / 2), so on a contour through b = 0 node l only updates
@@ -647,27 +624,25 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
     :func:`~mellin_pricer.boundary.clear_boundary_cache`) keyed on the
     exact bytes of every input the pass reads: r, q, sigma, the 1 x 1
     correlation, tau, ``time_mode``, ``t_powers``, the strike-1 curve's
-    times and values, and the contour's a, first b, spacing and shape.
+    times and values, and the axis.
     The strike is not in the key.  A hit is therefore the array a
     recompute would give, bit for bit; the American greeks of one
     position, and the calls of one market, read the same moments on the
     same contour and share one pass.  The returned array is read-only.
     """
-    if spec.n != 1 or np.shape(w)[-1:] != (1,):
+    if spec.n != 1 or len(axes) != 1:
         raise NotImplementedError("the premium transform is single-asset only")
+    axis, = axes
     unit = boundary.unit
     # boundary_curve keys a curve on spec.param_key() + (M, tau, mode)
     if unit is None or boundary.spec_hash[:-3] != spec.param_key():
         unit = BoundaryCurve(times=boundary.times,
                              values=boundary.values / spec.strike,
                              spec_hash=boundary.spec_hash)
-    a, b, db = _uniform_contour(w)
-    c, h, size, index, conj = _half_axis(b, db)
-    # c tells a contour folded at b = 0 from one that only nearly meets it
     key = (np.array([spec.rate, spec.dividends[0], spec.vols[0],
-                     spec.corr[0, 0], tau, a, b[0], db, c]).tobytes(),
+                     spec.corr[0, 0], tau]).tobytes(),
            time_mode, tuple(t_powers), unit.times.tobytes(),
-           unit.values.tobytes(), np.shape(w))
+           unit.values.tobytes(), axis)
     hit = _moment_cache.get(key)
     if hit is not None:
         return hit
@@ -676,15 +651,16 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
     s_star = unit.at_tte(tau - t_nodes)
     live = s_star > 0.0
     log_s = np.log(np.where(live, s_star, 1.0))
-    base = np.where(live, t_wgts * np.exp(a * log_s), 0.0)
+    base = np.where(live, t_wgts * np.exp(axis.a * log_s), 0.0)
     weights = np.array([base * t_nodes**p * s_star**e
                         for p in t_powers for e in (0, 1)], dtype=complex)
 
-    w_half = a + 1j * (c + h * np.arange(size))
+    half, index, conj = _fold(axis)
+    size, c, h = half.count, half.first * half.h, half.h
     cov = CovStruct.from_spec(spec)
-    psi_r = char_exponent_wi(w_half[:, None], cov) + spec.rate
+    psi_r = char_exponent_wi(half.points[:, None], cov) + spec.rate
     step = np.exp(-(t_nodes[1] if unit.m > 1 else 0.0) * psi_r)
-    keep = _node_cutoffs(c, h, size, float(spec.vols[0]), t_nodes)
+    keep = _node_cutoffs(half, float(spec.vols[0]), t_nodes)
 
     moments = np.zeros((weights.shape[0], size), dtype=complex)
     running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r)), l = lo
@@ -713,25 +689,25 @@ def premium_moments(w, spec: BasketSpec, tau, boundary, time_mode="simpson",
 
     out = np.take(moments.reshape(len(t_powers), 2, size), index, axis=-1)
     np.negative(out.imag, out=out.imag, where=conj)
-    out = out.reshape(out.shape[:2] + np.shape(w)[:-1])
     out.setflags(write=False)
     return _moment_cache.add(key, out)
 
 
-def exercise_factors(w, spec: BasketSpec):
+def exercise_factors(axes, spec: BasketSpec):
     """(q/(w+1), -r/w), the rational factors of the early-exercise transform
-    at strike 1.
+    at strike 1, on the one-asset contour ``axes``.
 
     For one asset early_exercise_mellin(w, s*) = s*^w [q s*/(w+1) - rK/w],
-    which at s* = K u is K^(w+1) u^w [q u/(w+1) - r/w]; ``w`` carries the
-    asset index on the last axis.
+    which at s* = K u is K^(w+1) u^w [q u/(w+1) - r/w].
     """
-    w = np.asarray(w, dtype=complex)[..., 0]
+    w = axes[0].points
     return float(spec.dividends[0]) / (w + 1.0), -spec.rate / w
 
 
-def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
-    """Time-quadrature of the early-exercise transform at w, at strike 1.
+def premium_transform(axes, spec: BasketSpec, tau, boundary,
+                      time_mode="simpson"):
+    """Time-quadrature of the early-exercise transform at strike 1, on the
+    one-asset contour ``axes``.
 
     H(w) = sum_l c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
     early-exercise transform at the boundary value s*_l for time-to-expiry
@@ -745,26 +721,18 @@ def premium_transform(w, spec: BasketSpec, tau, boundary, time_mode="simpson"):
     For one asset f(w, s*) = s*^w [q s*/(w+1) - rK/w], whose rational
     factors do not depend on l, so H_1 = q/(w+1) A1 - r/w A0 with the
     moments A_e = sum_l c_l u_l^e X_l, X_l = u_l^w exp(-t_l (Psi + r)).
-    They are accumulated in one pass over the M time nodes into a few
-    length-N arrays (:func:`premium_moments`): the nodes are uniform, so
+    They are accumulated in one streamed, band-limited pass over the M
+    time nodes (:func:`premium_moments`): the nodes are uniform, so
     exp(-t_l (Psi + r)) is the running product P^l with
-    P = exp(-dt (Psi + r)); the contour is a uniformly spaced vertical
-    segment, so u^(i b_j) is geometric in j and comes from a two-level
-    (block start x in-block power) table of about 2 sqrt(N) exps per node.
-    The early-exercise function is real, so H(a - ib) = conj H(a + ib): a
-    contour with a sample at exactly b = 0 is evaluated for b >= 0 only
-    (the lattice's unpaired corner -N delta/2 adds one frequency there) and
-    the rest is filled in by conjugation.  On such a contour node l only
-    updates |b| <= sqrt(2 TAIL / (sigma^2 t_l)), which drops less than
-    M e^-TAIL of the moments' peak (see :func:`premium_moments`).  Against
-    the per-node sum of ``early_exercise_mellin`` terms the result agrees
-    to about 1e-14 of its peak magnitude (the tests require 1e-13).
-
-    ``w`` has shape (..., 1) and must be a uniformly spaced vertical
-    segment in its flattened order, else ``ValueError``.
+    P = exp(-dt (Psi + r)); the axis is uniformly spaced, so u^(i b_j) is
+    geometric in j; and the early-exercise function is real, so
+    H(a - ib) = conj H(a + ib) and an axis through b = 0 is evaluated for
+    b >= 0 only.  Against the per-node sum of ``early_exercise_mellin``
+    terms the result agrees to about 1e-14 of its peak magnitude (the
+    tests require 1e-13).
     """
-    (a0, a1), = premium_moments(w, spec, tau, boundary, time_mode)
-    f_q, f_r = exercise_factors(w, spec)
+    (a0, a1), = premium_moments(axes, spec, tau, boundary, time_mode)
+    f_q, f_r = exercise_factors(axes, spec)
     return f_q * a1 + f_r * a0
 
 
@@ -818,9 +786,9 @@ def put_boundary(style, spec: BasketSpec, m_steps, tau, mode="corrected"):
     return boundary_curve(spec, m_steps, tau, mode=mode)
 
 
-def put_transform(w, spec: BasketSpec, tau, style, boundary,
+def put_transform(axes, spec: BasketSpec, tau, style, boundary,
                   time_weights="simpson"):
-    """Mellin transform of the ``style`` put value at the contour points w.
+    """Mellin transform of the ``style`` put value on the contour ``axes``.
 
     The European put's is the discounted payoff transform; the American
     put's subtracts the premium transform from it, and the premium style
@@ -832,33 +800,34 @@ def put_transform(w, spec: BasketSpec, tau, style, boundary,
     strike 1.
     """
     if style == EUROPEAN_PUT:
-        return discounted_payoff_transform(w, spec, tau)
+        return discounted_payoff_transform(axes, spec, tau)
     if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         raise ValueError(f"unknown style {style!r}")
     _single_asset_only(spec)
     if boundary is None:
         raise ValueError(f"{style} requires a boundary curve")
-    factor = strike_factor(w, spec)
-    out = factor * -premium_transform(w, spec, tau, boundary, time_weights)
+    factor = strike_factor(axes, spec)
+    out = factor * -premium_transform(axes, spec, tau, boundary, time_weights)
     if style == AMERICAN_PUT:
         # summed like this, the American transform is the European one plus
         # the premium style's bit for bit
-        out += factor * unit_payoff_transform(w, spec, tau)
+        out += factor * unit_payoff_transform(axes, spec, tau)
     return out
 
 
-def contour_sum(values, w, weights, spots):
+def contour_sum(values, axes, weights, spots):
     """Re sum_k weights_k values_k S^(-w_k): the inversion at one spot.
 
-    This is the trapezoid rule on Re w = a.  ``w`` holds the contour
-    points with the asset index on the last axis, ``values`` the transform
-    there and ``weights`` (broadcast against ``values``) the quadrature
+    This is the trapezoid rule on Re w = a over the lattice of ``axes``.
+    ``values`` holds the transform there and ``weights`` (broadcast
+    against ``values``) the quadrature
     weights: the cell delta_1 ... delta_n / (2 pi)^n on a full lattice,
     or, on a contour folded at b = 0, h / 2 pi at b = 0 and 2 h / 2 pi at
     each b > 0, which stands for its conjugate -b as well.
     """
     log_s = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
-    kernel = np.exp(-(np.asarray(w) @ log_s))
+    kernel = np.exp(-sum(np.ix_(*(ax.points * x
+                                  for ax, x in zip(axes, log_s)))))
     return float(np.sum(weights * values * kernel).real)
 
 
@@ -867,34 +836,21 @@ def contour_sum(values, w, weights, spots):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_picks(grid: MellinFftGrid):
-    """Per-axis lattice indices of the half lattice and of its edge pieces.
+def _lattice_parts(grid: MellinFftGrid):
+    """The axes of the half lattice and of each of its edge pieces.
 
     The half lattice keeps j_n <= N/2 on the last axis.  Edge piece i
     (i < n - 1) is the part of the unpaired hyperplane j_i = 0 that the half
     misses: j_i = 0 and j_n > N/2, N^(n-2) (N/2 - 1) points.
     """
-    N, n = grid.size, grid.n
-    every = np.arange(N)
-    half = [every] * (n - 1) + [every[:N // 2 + 1]]
+    N, full = grid.size, grid.axes
+    half = full[:-1] + (full[-1].part(0, N // 2 + 1),)
     edges = []
-    for i in range(n - 1):
-        picks = [every] * (n - 1) + [every[N // 2 + 1:]]
-        picks[i] = every[:1]
-        edges.append(picks)
+    for i in range(grid.n - 1):
+        axes = list(full[:-1]) + [full[-1].part(N // 2 + 1, N)]
+        axes[i] = full[i].part(0, 1)
+        edges.append(tuple(axes))
     return half, edges
-
-
-def _lattice_w(grid: MellinFftGrid, picks=None):
-    """Contour points a + i b on the lattice indices ``picks`` (one index
-    array per axis, default all), shape (len(picks_1), ..., len(picks_n), n)."""
-    if picks is None:
-        picks = [np.arange(grid.size)] * grid.n
-    w = np.empty(tuple(len(p) for p in picks) + (grid.n,), dtype=complex)
-    for i, p in enumerate(picks):
-        w[..., i] = _along(grid.strip_a[i] + 1j * grid.frequencies(i)[p],
-                           i, grid.n)
-    return w
 
 
 def _sign(j):
@@ -902,12 +858,13 @@ def _sign(j):
     return 1.0 - 2.0 * (j & 1)
 
 
-def _parity(picks):
-    """(-1)^(sum of indices) over the lattice indices ``picks``."""
-    n = len(picks)
+def _parity(axes):
+    """(-1)^(sum of lattice indices) over the lattice of ``axes``; index
+    j = first + k + N/2 has the parity of first + k, as N/2 is even."""
     out = 1.0
-    for i, p in enumerate(picks):
-        out = out * _along(_sign(p), i, n)
+    for sign in np.ix_(*(_sign(ax.first + np.arange(ax.count))
+                         for ax in axes)):
+        out = out * sign
     return out
 
 
@@ -917,27 +874,26 @@ def _mirror(x):
 
 
 def sample_transform(grid: MellinFftGrid, fn):
-    """``fn(w)`` on the half lattice and on each edge piece.
+    """``fn(axes)`` on the half lattice and on each edge piece.
 
-    ``fn`` maps a contour lattice of shape (N_1, ..., N_n, n) to the
-    transform there; the result is the (half, edges) input of
+    ``fn`` maps a tuple of :class:`Axis` to the transform on their
+    lattice; the result is the (half, edges) input of
     :func:`invert_transform_lattice`.
     """
-    half, edges = _lattice_picks(grid)
-    return (fn(_lattice_w(grid, half)),
-            [fn(_lattice_w(grid, picks)) for picks in edges])
+    half, edges = _lattice_parts(grid)
+    return fn(half), [fn(axes) for axes in edges]
 
 
 def _check_samples(grid: MellinFftGrid, half, edges):
     """Raise ``ValueError`` unless ``half`` and ``edges`` have the shapes of
-    the half lattice and the edge pieces; returns their lattice picks."""
-    half_picks, edge_picks = _lattice_picks(grid)
-    shapes = [tuple(len(p) for p in picks)
-              for picks in [half_picks] + edge_picks]
+    the half lattice and the edge pieces; returns the axes of those."""
+    half_axes, edge_axes = _lattice_parts(grid)
+    shapes = [tuple(ax.count for ax in axes)
+              for axes in [half_axes] + edge_axes]
     if (len(edges) != grid.n - 1
             or [np.shape(x) for x in [half] + list(edges)] != shapes):
         raise ValueError(f"transform samples must have shapes {shapes}")
-    return half_picks, edge_picks
+    return half_axes, edge_axes
 
 
 def invert_transform_lattice(grid: MellinFftGrid, half, edges):
@@ -962,8 +918,8 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     only unpaired point, the residual is 0.
     """
     n, N = grid.n, grid.size
-    half_picks, edge_picks = _check_samples(grid, half, edges)
-    arr = _parity(half_picks) * np.asarray(half, dtype=complex)
+    half_axes, edge_axes = _check_samples(grid, half, edges)
+    arr = _parity(half_axes) * np.asarray(half, dtype=complex)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
     for i in range(n):
@@ -971,7 +927,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
         # j_n > N/2 part comes from the edge piece
         on_plane = (slice(None),) * i + (0,)
         if i < n - 1:
-            missed = (_parity(edge_picks[i]) * edges[i])[on_plane]
+            missed = (_parity(edge_axes[i]) * edges[i])[on_plane]
             plane = np.concatenate([arr[on_plane], missed], axis=-1)
         else:
             plane = arr[on_plane]
@@ -986,16 +942,19 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
                                             * grid.log_prices(i))
                for i in range(n)]
     readout[0] = readout[0] * (grid.delta_b / (2.0 * math.pi) ** n)
-    values = np.fft.irfftn(np.conj(arr), s=(N,) * n, axes=tuple(range(n)),
-                           norm="forward")
-    for i in range(n):
-        values *= _along(readout[i], i, n)
+    # irfftn's passes in place: fresh lattice-sized temporaries page-fault
+    np.conjugate(arr, out=arr)
+    for i in range(n - 1):
+        np.fft.ifft(arr, axis=i, norm="forward", out=arr)
+    values = np.fft.irfft(arr, N, axis=-1, norm="forward")
+    for factor in np.ix_(*readout):
+        values *= factor
 
     central = _central_half_slices(grid)
     imag = sum(np.expand_dims(spectrum[central[1:]], i)
                for i, spectrum in enumerate(spectra)).imag
-    for i in range(n):
-        imag = imag * _along(np.abs(readout[i][central[i]]), i, n)
+    for factor in np.ix_(*(np.abs(r[c]) for r, c in zip(readout, central))):
+        imag = imag * factor
     return values, float(np.abs(imag).max())
 
 
@@ -1112,8 +1071,8 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
         raise ValueError("grid and spec dimensions disagree")
     check_tau(tau)
 
-    def transform(w):
-        out = put_transform(w, spec, tau, style, boundary, time_weights)
+    def transform(axes):
+        out = put_transform(axes, spec, tau, style, boundary, time_weights)
         # after put_transform has checked the style and the asset count
         if boundary is not None and boundary.m != grid.m_steps:
             raise ValueError("boundary curve and grid disagree on M")

@@ -89,17 +89,17 @@ def xi(i=1):
 # ---------------------------------------------------------------------------
 
 
-def _vol_cross_term(kind, w, spec, mode):
+def _vol_cross_term(kind, z, spec, mode):
     """Volatility multiplier: directional derivative of the quadratic form."""
     i = kind.i - 1
-    wi = w[..., i]
+    wi = z[i]
     sig = spec.vols
     if mode == "kernel":
         cross = np.zeros_like(wi)
         for l in range(spec.n):
             if l == i:
                 continue
-            cross = cross + spec.corr[i, l] * sig[l] * w[..., l]
+            cross = cross + spec.corr[i, l] * sig[l] * z[l]
         return sig[i] * wi * (wi + 1.0) + wi * cross
     # published display: symmetric half cross-sum plus w(w-1) diagonal
     total = np.zeros_like(wi)
@@ -107,9 +107,9 @@ def _vol_cross_term(kind, w, spec, mode):
         for b in range(spec.n):
             if a == b:
                 continue
-            total = total + 0.5 * spec.corr[a, b] * sig[b] * w[..., a] * w[..., b]
+            total = total + 0.5 * spec.corr[a, b] * sig[b] * z[a] * z[b]
     for a in range(spec.n):
-        total = total + sig[a] * w[..., a] * (w[..., a] - 1.0)
+        total = total + sig[a] * z[a] * (z[a] - 1.0)
     return total
 
 
@@ -127,9 +127,10 @@ def greek_multiplier(kind: GreekKind, w, spot, tau, s, spec: BasketSpec,
     _check_mode(mode)
     kind.validate(spec.n)
     w = np.asarray(w, dtype=complex)
+    z = [w[..., i] for i in range(w.shape[-1])]
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
-    return (_factor(kind, w, spot, tau, spec, mode, premium=False),
-            _factor(kind, w, spot, s, spec, mode, premium=True))
+    return (_factor(kind, z, spot, tau, spec, mode, premium=False),
+            _factor(kind, z, spot, s, spec, mode, premium=True))
 
 
 def _check_mode(mode):
@@ -137,43 +138,47 @@ def _check_mode(mode):
         raise ValueError(f"unknown multiplier mode {mode!r}")
 
 
-def _factor(kind, w, spot, t, spec, mode, premium):
+def _factor(kind, z, spot, t, spec, mode, premium):
     """One factor of :func:`greek_multiplier`, built alone.
 
     The European factor at maturity ``t``, or with ``premium`` the premium
-    factor at inner time ``t``; ``w`` and ``spot`` are arrays already.
+    factor at inner time ``t``.  ``z`` holds the coordinates w_i of the
+    points, arrays that broadcast together (on a lattice, each along its
+    own axis, so a factor of one coordinate stays one-dimensional);
+    ``spot`` is an array already.
     """
     i = kind.i - 1
     if kind.name == "delta1":
-        f = w[..., i] / spot[i]
+        f = z[i] / spot[i]
         return +f if premium else -f
     if kind.name == "delta2":
         jx = kind.j - 1
-        f = w[..., i] * w[..., jx] / (spot[i] * spot[jx])
+        f = z[i] * z[jx] / (spot[i] * spot[jx])
         return -f if premium == (mode == "kernel") else +f
     if kind.name == "gamma":
         if mode == "kernel":
-            f = w[..., i] * (w[..., i] + 1.0) / spot[i] ** 2
+            f = z[i] * (z[i] + 1.0) / spot[i] ** 2
             return -f if premium else +f
-        f = w[..., i] * (1.0 - w[..., i]) / spot[i] ** 2
+        f = z[i] * (1.0 - z[i]) / spot[i] ** 2
         return -f
     if kind.name == "theta":
+        w = np.stack(np.broadcast_arrays(*z), axis=-1)
         psi_r = char_exponent_wi(w, CovStruct.from_spec(spec)) + spec.rate
         if not premium:
             return -psi_r
         return +psi_r if mode == "kernel" else +(psi_r - 1.0)
     if kind.name == "rho":
-        sw = np.sum(w, axis=-1)
+        sw = sum(z)
         if mode == "kernel":
             return +t * (sw + 1.0) if premium else -t * (sw + 1.0)
         return -t * (sw - 1.0) if premium else -t**2 * (sw - 1.0)
     if kind.name == "nu":
-        d = _vol_cross_term(kind, w, spec, mode)
+        d = _vol_cross_term(kind, z, spec, mode)
         return -t * d if premium else +t * d
     if kind.name == "xi":
         if premium == (mode == "kernel"):
-            return -t * w[..., i]
-        return +t * w[..., i]
+            return -t * z[i]
+        return +t * z[i]
     raise AssertionError(kind.name)
 
 
@@ -186,9 +191,9 @@ def _default_size(n):
     return 2**14 if n == 1 else 2**9
 
 
-def _premium_sensitivity(kind, w, spot, tau, spec, boundary, mode):
+def _premium_sensitivity(kind, axes, spot, tau, spec, boundary, mode):
     """Premium term sum_l c_l f_p(w, t_l) f(w, s*_l) X_l of the sensitivity,
-    at strike 1.
+    at strike 1, on the one-asset contour ``axes``.
 
     f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
     reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
@@ -196,21 +201,21 @@ def _premium_sensitivity(kind, w, spot, tau, spec, boundary, mode):
     (see :func:`~mellin_pricer.fft_pricer.premium_transform`).  Like the
     premium transform, the term at strike K is K^(w+1) times this.
     """
-    alpha = _factor(kind, w, spot, 0.0, spec, mode, premium=True)
-    at_one = _factor(kind, w, spot, 1.0, spec, mode, premium=True)
-    (a0, a1), (t0, t1) = premium_moments(w, spec, tau, boundary,
+    z = [axes[0].points]
+    alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
+    at_one = _factor(kind, z, spot, 1.0, spec, mode, premium=True)
+    (a0, a1), (t0, t1) = premium_moments(axes, spec, tau, boundary,
                                          t_powers=(0, 1))
-    f_q, f_r = exercise_factors(w, spec)
+    f_q, f_r = exercise_factors(axes, spec)
     out = (alpha * (f_q * a1 + f_r * a0)
            + (at_one - alpha) * (f_q * t1 + f_r * t0))
     if mode == "kernel":
         # explicit parameter derivatives of the early-exercise transform:
         # d/dr adds K s*^w / w, d/dq subtracts s*^(w+1) / (w+1); at strike 1
-        wv = np.asarray(w)[..., 0]
         if kind.name == "rho":
-            out = out + a0 / wv
+            out = out + a0 / z[0]
         elif kind.name == "xi":
-            out = out - a1 / (wv + 1.0)
+            out = out - a1 / (z[0] + 1.0)
     return out
 
 
@@ -248,18 +253,19 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
             and float(spot.sum()) <= bnd.at_tte(tau)):
         correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
-    def transform(w):
+    def transform(axes):
+        z = np.ix_(*(ax.points for ax in axes))
         if spec.n == 1:
-            out = (_factor(kind, w, spot, tau, spec, mode, premium=False)
-                   * unit_payoff_transform(w, spec, tau))
+            out = (_factor(kind, z, spot, tau, spec, mode, premium=False)
+                   * unit_payoff_transform(axes, spec, tau))
             if bnd is not None:
-                out += _premium_sensitivity(kind, w, spot, tau, spec, bnd,
+                out += _premium_sensitivity(kind, axes, spot, tau, spec, bnd,
                                             mode)
-            return strike_factor(w, spec) * out
+            return strike_factor(axes, spec) * out
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once
-        values = discounted_payoff_transform(w, spec, tau)
-        return _factor(kind, w, spot, tau, spec, mode, premium=False) * values
+        values = discounted_payoff_transform(axes, spec, tau)
+        return _factor(kind, z, spot, tau, spec, mode, premium=False) * values
 
     return (invert_at_landing(grid, *sample_transform(grid, transform))
             + correction)

@@ -380,10 +380,11 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
                            time_weights="simpson"):
     """Mellin inversion at one spot via the plain truncated trapezoid sum.
 
-    Shares the transform evaluation with the FFT pricer, so at a lattice
+    On the FFT lattice's axes a_i + i (j - size // 2) delta_i, j < size;
+    shares the transform evaluation with the FFT pricer, so at a lattice
     landing point the two agree to reordering-level rounding.
     """
-    from .fft_pricer import contour_sum, put_transform
+    from .fft_pricer import Axis, contour_sum, put_transform
 
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
@@ -394,12 +395,11 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
     strip_a = np.broadcast_to(np.asarray(strip_a, dtype=float), (spec.n,))
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (spec.n,))
 
-    axes = [strip_a[i] + 1j * (np.arange(size) - size / 2) * deltas[i]
-            for i in range(spec.n)]
-    w = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    values = put_transform(w, spec, tau, style, boundary, time_weights)
+    axes = tuple(Axis(a, d, -(size // 2), size)
+                 for a, d in zip(strip_a, deltas))
+    values = put_transform(axes, spec, tau, style, boundary, time_weights)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
-    return contour_sum(values, w, quad, spot)
+    return contour_sum(values, axes, quad, spot)
 
 
 # ---------------------------------------------------------------------------

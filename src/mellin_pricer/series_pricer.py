@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolation
-from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, contour_sum,
-                         put_boundary, put_transform, reduce_to_put)
+from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis, contour_sum,
+                         premium_time_grid, put_boundary, put_transform,
+                         reduce_to_put)
 from .mellin_core import BasketSpec, check_finite_spot
 
 
@@ -48,11 +49,11 @@ class DwConfig:
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
 
-    def contour_points(self):
-        """w_0 = a (half-weight term) and w_j = a + i pi j / L, j = 1..n."""
-        j = np.arange(1, self.n_terms + 1)
-        return np.concatenate(
-            ([self.strip_a], self.strip_a + 1j * math.pi * j / self.log_range))
+    @property
+    def axes(self):
+        """The contour w_j = a + i j pi / L, j = 0..n, folded at b = 0."""
+        return (Axis(self.strip_a, math.pi / self.log_range, 0,
+                     self.n_terms + 1),)
 
 
 def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
@@ -62,6 +63,13 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     The contour is folded at b = 0: the real point w_0 = a carries weight
     h / 2 pi and each w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for
     itself and its conjugate (:func:`~mellin_pricer.fft_pricer.contour_sum`).
+
+    For the American and premium styles the premium's time node 0 (t = 0,
+    no diffusion) is left out of the series: its transform
+    c_0 s*_0^w [q s*_0/(w+1) - rK/w] is that of the step
+    c_0 (rK - qS) 1{S < s*_0} in the put, whose 1/|b| tail the truncated
+    series rings on.  The step is added in S space instead, counted half
+    at S = s*_0.
     """
     if spec.n != 1:
         raise ValueError("series inversion is single-asset only")
@@ -72,12 +80,20 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     if abs(x) > cfg.log_range / 2.0:
         raise RangeViolation(
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
-    w = cfg.contour_points()[:, None]
+    axes = cfg.axes
     bnd = put_boundary(style, spec, cfg.m_steps, tau, boundary_mode)
-    values = put_transform(w, spec, tau, style, bnd, cfg.time_weights)
-    weights = np.full(w.shape[0], 1.0 / cfg.log_range)  # 2 h / 2 pi
+    values = put_transform(axes, spec, tau, style, bnd, cfg.time_weights)
+    step = 0.0
+    s0 = 0.0 if bnd is None else bnd.at_tte(tau)
+    if s0 > 0.0:  # premium node 0: out of the series, into S space
+        c0 = premium_time_grid(bnd.m, tau, cfg.time_weights)[1][0]
+        r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
+        w = axes[0].points
+        values = values + c0 * s0**w * (q * s0 / (w + 1.0) - r * k / w)
+        step = c0 * (r * k - q * spot) * (np.sign(s0 - spot) + 1.0) / 2.0
+    weights = np.full(axes[0].count, 1.0 / cfg.log_range)  # 2 h / 2 pi
     weights[0] /= 2.0
-    return contour_sum(values, w, weights, [spot])
+    return contour_sum(values, axes, weights, [spot]) + float(step)
 
 
 def dw_price_american_call(spot, strike, rate, dividend, vol, tau,

@@ -5,7 +5,11 @@ import math
 
 import pytest
 
+from mellin_pricer import greeks as gk
 from mellin_pricer.cli import main, read_config
+from mellin_pricer.fft_pricer import AMERICAN_PUT
+from mellin_pricer.greeks import greek
+from mellin_pricer.mellin_core import BasketSpec
 
 
 def run_cli(capsys, *argv):
@@ -141,8 +145,8 @@ class TestPriceCommand:
         ("fft", "amer-call"): (5.705168591, 0.0, 261),
         ("dw", "euro-put"): (13.48762844, None, None),
         ("dw", "euro-call"): (5.704784014, None, None),
-        ("dw", "amer-put"): (14.04711792, None, None),
-        ("dw", "amer-call"): (5.705170847, None, None),
+        ("dw", "amer-put"): (14.04688386, None, None),
+        ("dw", "amer-call"): (5.705167943, None, None),
         ("trapezoid", "euro-put"): (13.48762825, None, None),
         ("trapezoid", "euro-call"): (5.704783819, None, None),
         ("trapezoid", "amer-put"): (14.04690419, None, None),
@@ -365,3 +369,97 @@ class TestTable1Command:
         assert code == 2
         assert out == ""
         assert "MELLIN_PRICER_THREADS" in err and repr(raw) in err
+
+
+BASKET_MARKET = ["--spot", "48", "--spot", "53", "--strike", "100",
+                 "--rate", "0.05", "--div", "0.02", "--div", "0.03",
+                 "--vol", "0.2", "--vol", "0.3", "--corr", "1,0.5,0.5,1",
+                 "--tau", "0.5"]
+
+
+class TestGridDefaults:
+    @pytest.mark.parametrize("method", ["fft", "trapezoid"])
+    def test_basket_price_defaults_to_the_basket_n(self, capsys, method):
+        # without --grid-n a basket gets the basket N = 512, not the
+        # one-asset 16384 (a 16384 x 8193 half lattice)
+        prices = []
+        for extra in ([], ["--grid-n", "512"]):
+            code, out, _ = run_cli(capsys, "price", "--method", method,
+                                   "--style", "euro-put", *BASKET_MARKET,
+                                   *extra)
+            assert code == 0
+            prices.append(json.loads(out)["price"])
+        assert prices[0] == prices[1]
+
+    def test_basket_surface_defaults_to_the_basket_n(self, capsys):
+        code, out, _ = run_cli(capsys, "surface", "--style", "euro-put",
+                               "--format", "json", *BASKET_MARKET)
+        assert code == 0
+        assert json.loads(out)["grid"]["N"] == 512
+
+    def test_config_grid_n_is_kept(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid-n = 64\n", encoding="utf-8")
+        outs = []
+        for extra in (["--config", str(cfg)], ["--grid-n", "64"], []):
+            code, out, _ = run_cli(capsys, "greeks", *BASKET_MARKET, *extra)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] != outs[2]
+
+    @pytest.mark.parametrize("key", ["grid-n", "grid_m", "dw-n"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2.5"])
+    def test_non_integral_config_key_exits_2(self, capsys, tmp_path, key,
+                                             value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--method", "fft", "--style", "euro-put",
+                  "--spot", "90", "--strike", "100", "--rate", "0.05",
+                  "--vol", "0.25", "--tau", "1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = "--" + key.replace("_", "-")
+        assert f"{flag} must be an integer, got {float(value)}" \
+            in captured.err
+
+    def test_non_numeric_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("grid-n = many\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--method", "fft", "--style", "euro-put",
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "'grid-n'" in capsys.readouterr().err
+
+
+class TestGreeksFlags:
+    def greeks(self, capsys, *argv):
+        code, out, _ = run_cli(capsys, "greeks", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    def test_basket_honours_grid_n(self, capsys, basket2_spec):
+        spec = basket2_spec  # the market of BASKET_MARKET
+        # a greek read off the 64-point lattice moves in its 2nd digit
+        got = self.greeks(capsys, "--style", "euro-put", *BASKET_MARKET,
+                          "--grid-n", "64")
+        want = greek(gk.delta2(1, 2), [48.0, 53.0], 0.5, spec, size=64)
+        assert got["cross_deltas"] == [[1, 2, float(f"{want:.10g}")]]
+        default = greek(gk.delta2(1, 2), [48.0, 53.0], 0.5, spec)
+        assert float(f"{want:.10g}") != float(f"{default:.10g}")
+
+    def test_honours_delta_target_and_boundary_mode(self, capsys):
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        grid = dict(size=4096, m_steps=20)
+        got = self.greeks(capsys, "--style", "amer-put", "--spot", "95",
+                          "--strike", "100", "--rate", "0.06", "--div",
+                          "0.02", "--vol", "0.3", "--tau", "0.5",
+                          "--grid-n", "4096", "--grid-m", "20",
+                          "--delta-target", "0.3",
+                          "--boundary-mode", "printed")
+        for kw in ({}, dict(delta_target=0.3, boundary_mode="printed")):
+            want = greek(gk.delta1(), [95.0], 0.5, spec, AMERICAN_PUT,
+                         **grid, **kw)
+            assert (got["delta"] == float(f"{want:.10g}")) == bool(kw)

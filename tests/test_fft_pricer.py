@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mellin_pricer.boundary import boundary_curve
 from mellin_pricer import fft_pricer
 from mellin_pricer.errors import (GridTooCoarse, NoAdmissibleK, NonFiniteSpot,
                                   OutOfRange)
-from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT,
+from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       EARLY_EXERCISE_PREMIUM, EUROPEAN_CALL,
                                       EUROPEAN_PUT, build_grid, contour_sum,
                                       discounted_payoff_transform,
@@ -25,7 +26,7 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT,
                                       PriceSurface, put_transform,
                                       reduce_to_put, simpson_weight,
                                       surface_to_csv,
-                                      surface_to_json, _lattice_w)
+                                      surface_to_json)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
                                        early_exercise_mellin)
 from mellin_pricer.oracles import black_scholes
@@ -82,6 +83,33 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(1, 100, 1.0, [100.0])
 
+    def test_three_assets_at_default_n_exceed_the_point_budget(self):
+        # N = 2^9, n = 3: a 2^18 * 257 = 67M-point half lattice, refused
+        # before any lattice-sized array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooCoarse, match="N=512"):
+                build_grid(3, 2**9, 1.0, [50.0, 52.0, 48.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_point_budget_edge(self):
+        # 4096 * 2049 points fit in 2^24, 8192 * 4097 do not
+        build_grid(2, 2**12, 1.0, [50.0, 50.0])
+        with pytest.raises(GridTooCoarse, match="N=8192"):
+            build_grid(2, 2**13, 1.0, [50.0, 50.0])
+
+    @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 2**9)])
+    def test_axes_are_the_lattice_frequencies(self, n, N):
+        # b_j = (j - N/2) delta_i as the same floats, on Re w = a_i
+        g = build_grid(n, N, [1.0, 0.7][:n], [100.0, 40.0][:n])
+        for ax, a, d in zip(g.axes, g.strip_a, g.deltas):
+            assert (ax.a, ax.h, ax.first, ax.count) == (a, d, -N // 2, N)
+            want = a + 1j * (np.arange(N) - N / 2) * d
+            assert np.array_equal(ax.points, want)
+
 
 class TestSimpsonWeight:
     def test_values(self):
@@ -118,15 +146,15 @@ class TestPremiumTimeGrid:
 def integrand_european(j, grid, spec, tau):
     """FFT input at lattice index j: (-1)^(sum j) times the discounted
     payoff transform at a + i b_j."""
-    w = grid.strip_a + 1j * np.array(
-        [grid.frequencies(i)[j[i]] for i in range(grid.n)])
-    return (-1.0) ** sum(j) * complex(discounted_payoff_transform(w, spec, tau))
+    axes = tuple(ax.part(k, k + 1) for ax, k in zip(grid.axes, j))
+    return (-1.0) ** sum(j) * discounted_payoff_transform(
+        axes, spec, tau).item()
 
 
 def integrand_premium(j, l, grid, spec, tau, boundary):
     """Premium FFT input at frequency index j and time node l, unweighted:
     (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l."""
-    w = np.array([grid.strip_a[0] + 1j * grid.frequencies(0)[j[0]]])
+    w = grid.axes[0].points[j[:1]]
     t_l = premium_time_grid(boundary.m, tau, "flat")[0][l]
     s_star = boundary.at_tte(tau - t_l)
     if s_star <= 0.0:
@@ -168,7 +196,7 @@ class TestIntegrands:
         k2 = 2 * (r - q) / sig**2
         tau = 0.5
         for j in (40, 128, 200):
-            w = complex(1.0, self.grid.frequencies(0)[j])
+            w = complex(self.grid.axes[0].points[j])
             alpha = w**2 + (1 - k2) * w - k1
             want = ((-1.0) ** j * 100.0 ** (w + 1) / (w * (w + 1))
                     * np.exp(0.5 * sig**2 * alpha * tau))
@@ -180,20 +208,21 @@ class TestIntegrands:
         curve = boundary_curve(spec, 8, 0.5)
         got = integrand_premium([40], 3, self.grid, spec, 0.5, curve)
         assert got == 0
-        w = np.array([[1.0 + 1j * self.grid.frequencies(0)[40]]])
-        assert premium_transform(w, spec, 0.5, curve)[0] == 0
+        axes = (self.grid.axes[0].part(40, 41),)
+        assert premium_transform(axes, spec, 0.5, curve)[0] == 0
 
     def test_premium_time_zero_factors(self):
         # a single time node sits at t = 0 with weight tau: characteristic
         # function and discount are both unity there
         j = 77
         got = integrand_premium([j], 0, self.grid, self.spec, 0.5, self.curve)
-        w = np.array([1.0 + 1j * self.grid.frequencies(0)[j]])
+        w = self.grid.axes[0].points[[j]]
         want = early_exercise_mellin(w, self.curve.at_tte(0.5), self.spec)
         assert_close(got, (-1.0) ** j * complex(want), rtol=1e-12)
         curve1 = boundary_curve(self.spec, 1, 0.5)
         # the premium style is minus the premium transform at this strike
-        single = -put_transform(w[None], self.spec, 0.5,
+        single = -put_transform((self.grid.axes[0].part(j, j + 1),),
+                                self.spec, 0.5,
                                 EARLY_EXERCISE_PREMIUM, curve1)[0]
         assert_close(complex(single), 0.5 * complex(want), rtol=1e-13)
 
@@ -241,8 +270,7 @@ class TestFftVsDirectSum:
         spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         grid = build_grid(1, 64, 1.0, [2.0], m_steps=6)
         curve = boundary_curve(spec, 6, 0.5)
-        w = _lattice_w(grid)
-        transform = put_transform(w, spec, 0.5, AMERICAN_PUT, curve,
+        transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT, curve,
                                   "simpson")
         fft_vals, imag_resid = invert_transform_lattice(
             grid, *half_and_edges(grid, transform))
@@ -260,7 +288,7 @@ class TestFftVsDirectSum:
         spec = small_basket(n)
         grid = build_grid(n, N, 1.0, [50.0, 40.0, 30.0][:n],
                           delta_target=0.5)
-        transform = discounted_payoff_transform(_lattice_w(grid), spec, 0.5)
+        transform = discounted_payoff_transform(grid.axes, spec, 0.5)
         values, imag_resid = invert_transform_lattice(
             grid, *half_and_edges(grid, transform))
         direct = direct_inverse(grid, transform)
@@ -285,11 +313,11 @@ class TestFftVsDirectSum:
         if n == 1:
             r, q, sig = GROUPING_PARAMS[1]
             spec = BasketSpec.single(100.0, 0.5, q, r, sig)
-            transform = put_transform(_lattice_w(grid), spec, 0.5,
+            transform = put_transform(grid.axes, spec, 0.5,
                                       AMERICAN_PUT,
                                       boundary_curve(spec, 6, 0.5))
         else:
-            transform = discounted_payoff_transform(_lattice_w(grid),
+            transform = discounted_payoff_transform(grid.axes,
                                                     small_basket(n), 0.5)
         samples = half_and_edges(grid, transform)
         k = grid.landing_index
@@ -313,11 +341,16 @@ class TestFftVsDirectSum:
     def test_sampled_pieces_are_the_lattice_slices(self):
         # sample_transform evaluates exactly the half and the edge pieces
         grid = build_grid(3, 8, 1.0, [2.0, 1.5, 2.5], delta_target=1.0)
-        full = _lattice_w(grid)
+        def coordinate(axes, i):
+            shape = tuple(ax.count for ax in axes)
+            return np.broadcast_to(np.ix_(*(ax.points for ax in axes))[i],
+                                   shape)
+
         for i in range(3):
-            half, edges = fft_pricer.sample_transform(grid,
-                                                      lambda w: w[..., i])
-            want_half, want_edges = half_and_edges(grid, full[..., i])
+            half, edges = fft_pricer.sample_transform(
+                grid, lambda axes: coordinate(axes, i))
+            want_half, want_edges = half_and_edges(
+                grid, coordinate(grid.axes, i))
             assert np.array_equal(half, want_half)
             assert len(edges) == 2
             for got, want in zip(edges, want_edges):
@@ -550,33 +583,33 @@ class TestPutTransformAndContourSum:
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         self.curve = boundary_curve(self.spec, 12, 0.5)
-        self.w = (1.0 + 1j * 0.25 * np.arange(-16, 16))[:, None]
+        self.axes = (Axis(1.0, 0.25, -16, 32),)
 
     def test_styles_add_up(self):
-        euro = put_transform(self.w, self.spec, 0.5, EUROPEAN_PUT, None)
-        amer = put_transform(self.w, self.spec, 0.5, AMERICAN_PUT,
+        euro = put_transform(self.axes, self.spec, 0.5, EUROPEAN_PUT, None)
+        amer = put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT,
                              self.curve)
-        prem = put_transform(self.w, self.spec, 0.5, EARLY_EXERCISE_PREMIUM,
-                             self.curve)
+        prem = put_transform(self.axes, self.spec, 0.5,
+                             EARLY_EXERCISE_PREMIUM, self.curve)
         assert np.array_equal(euro, discounted_payoff_transform(
-            self.w, self.spec, 0.5))
+            self.axes, self.spec, 0.5))
         assert np.array_equal(amer, euro + prem)
 
     def test_checks(self, basket2_spec):
         with pytest.raises(ValueError, match="unknown style"):
-            put_transform(self.w, self.spec, 0.5, "bermudan_put", None)
+            put_transform(self.axes, self.spec, 0.5, "bermudan_put", None)
         with pytest.raises(ValueError, match="boundary"):
-            put_transform(self.w, self.spec, 0.5, AMERICAN_PUT, None)
+            put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT, None)
         with pytest.raises(NotImplementedError):
-            put_transform(np.ones((4, 4, 2)), basket2_spec, 0.5,
+            put_transform((Axis(1.0, 0.25, -2, 4),) * 2, basket2_spec, 0.5,
                           AMERICAN_PUT, self.curve)
 
     def test_folded_sum_equals_full_sum(self):
         # weight h/2pi at b = 0 and 2h/2pi on each b > 0 sums the same as
         # weight h/2pi over the symmetric contour
-        full = (1.0 + 1j * 0.25 * np.arange(-400, 401))[:, None]
-        folded = full[400:]
-        weights = np.full(folded.shape[0], 2 * 0.25 / (2 * math.pi))
+        full = (Axis(1.0, 0.25, -400, 801),)
+        folded = (full[0].part(400, 801),)
+        weights = np.full(folded[0].count, 2 * 0.25 / (2 * math.pi))
         weights[0] /= 2
         for style, bnd in ((EUROPEAN_PUT, None), (AMERICAN_PUT, self.curve)):
             a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd),
@@ -605,16 +638,16 @@ class TestPutTransformAndContourSum:
         grid = build_grid(2, 2**9, 1.0, [s1, s2])
         landing = price_surface(spec, grid, tau, EUROPEAN_PUT,
                                 quality_checks=False).landing_value()
-        w = _lattice_w(grid)
-        direct = contour_sum(put_transform(w, spec, tau, EUROPEAN_PUT, None),
-                             w, grid.delta_b / (2 * math.pi) ** 2, [s1, s2])
+        direct = contour_sum(
+            put_transform(grid.axes, spec, tau, EUROPEAN_PUT, None),
+            grid.axes, grid.delta_b / (2 * math.pi) ** 2, [s1, s2])
         assert abs(landing - direct) <= 1e-12 * spec.strike
 
     def test_contour_sum_matches_black_scholes(self):
         spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
-        w = (1.0 + 1j * 0.25 * np.arange(-2000, 2000))[:, None]
-        got = contour_sum(put_transform(w, spec, 1.0, EUROPEAN_PUT, None), w,
-                          0.25 / (2 * math.pi), 100.0)
+        axes = (Axis(1.0, 0.25, -2000, 4000),)
+        got = contour_sum(put_transform(axes, spec, 1.0, EUROPEAN_PUT, None),
+                          axes, 0.25 / (2 * math.pi), 100.0)
         want = black_scholes(100, 100, 0.05, 0.0, 0.2, 1.0, "put").price
         assert abs(got - want) < 1e-8
 

@@ -238,9 +238,12 @@ class TestLandingSum:
         grid = build_grid(2, 2**9, 1.0, spot)
         for kind in (gk.delta1(1), gk.delta2(1, 2), gk.gamma(2), gk.theta(),
                      gk.rho(), gk.nu(1), gk.xi(2)):
-            samples = sample_transform(grid, lambda w: greek_multiplier(
-                kind, w, spot, tau, 0.0, spec)[0]
-                * discounted_payoff_transform(w, spec, tau))
+            # the pointwise multiplier on the points of each piece
+            samples = sample_transform(grid, lambda axes: greek_multiplier(
+                kind, np.stack(np.meshgrid(*(ax.points for ax in axes),
+                                           indexing="ij"), axis=-1),
+                spot, tau, 0.0, spec)[0]
+                * discounted_payoff_transform(axes, spec, tau))
             want = invert_transform_lattice(grid, *samples)[0][
                 grid.landing_index]
             got = invert_at_landing(grid, *samples)

@@ -20,8 +20,7 @@ from mellin_pricer import fft_pricer, mellin_core
 from mellin_pricer.boundary import clear_boundary_cache
 from mellin_pricer.errors import PoleError
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, GAMMA_TABLE,
-                                      TAIL, _axis_logs, _lattice_axes,
-                                      _lattice_picks, _lattice_w,
+                                      TAIL, Axis, _axis_logs, _lattice_parts,
                                       _payoff_log_bound, build_grid,
                                       discounted_payoff_transform, price_put,
                                       price_surface)
@@ -50,22 +49,30 @@ def reference_log_magnitude(w, spec, tau):
             - np.log(sw + 1.0) - tau * psi - spec.rate * tau).real
 
 
-def log_bound(w, spec, tau):
-    """(bound, log T(a)) on the whole lattice ``w``, both as
+def log_bound(axes, spec, tau):
+    """(bound, log T(a)) on the whole lattice of ``axes``, both as
     log |T| rather than log(|T| / (K e^(-r tau)))."""
     cov = CovStruct.from_spec(spec)
-    axes = _lattice_axes(w, spec.n)
+    zs = [ax.points for ax in axes]
     bound, log_peak = _payoff_log_bound(
-        axes, _axis_logs(axes, spec, cov, tau), spec, cov, tau)
+        axes, _axis_logs(zs, spec, cov, tau), spec, cov, tau)
     log_scale = math.log(spec.strike) - spec.rate * tau
     return bound(slice(None)) + log_scale, log_peak + log_scale
 
 
-def lattice(strip_a, deltas, sizes):
-    """Outer-product lattice a_i + i (j - N_i/2) delta_i, shape (N_1..N_n, n)."""
-    axes = [a + 1j * (np.arange(m) - m / 2) * d
-            for a, d, m in zip(strip_a, deltas, sizes)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+def lattice(strip_a, deltas, sizes, firsts=None):
+    """Axes a_i + i (first_i + k) delta_i, k < N_i, first_i = -N_i // 2 by
+    default."""
+    if firsts is None:
+        firsts = [-(m // 2) for m in sizes]
+    return tuple(Axis(a, d, f, m)
+                 for a, d, m, f in zip(strip_a, deltas, sizes, firsts))
+
+
+def points(axes):
+    """The lattice of ``axes`` as an array of points, shape (N_1..N_n, n)."""
+    return np.stack(np.meshgrid(*(ax.points for ax in axes),
+                                indexing="ij"), axis=-1)
 
 
 def assert_peak_close(got, want):
@@ -77,8 +84,8 @@ def assert_peak_close(got, want):
 @st.composite
 def baskets(draw, strip_lo=0.2, delta_hi=1.0):
     """A valid n = 2 or 3 market, its maturity and a lattice with unequal
-    abscissae (at least ``strip_lo``), spacings (at most ``delta_hi``) and
-    sizes per axis."""
+    abscissae (at least ``strip_lo``), spacings (at most ``delta_hi``),
+    sizes and first indices per axis, through b = 0 or not."""
     n = draw(st.sampled_from([2, 3]))
     floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n,
                                      max_size=n)
@@ -97,27 +104,28 @@ def baskets(draw, strip_lo=0.2, delta_hi=1.0):
                       vols=draw(floats(0.1, 0.6)), corr=corr)
     tau = draw(st.floats(0.05, 2.0))
     max_size = 32 if n == 2 else 16
-    w = lattice(draw(floats(strip_lo, 3.0)), draw(floats(0.05, delta_hi)),
-                draw(st.lists(st.integers(1, max_size), min_size=n,
-                              max_size=n)))
-    return spec, tau, w
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=n, max_size=n))
+    firsts = [draw(st.integers(-m, 1)) for m in sizes]
+    axes = lattice(draw(floats(strip_lo, 3.0)), draw(floats(0.05, delta_hi)),
+                   sizes, firsts)
+    return spec, tau, axes
 
 
 class TestAgainstPointwise:
     @settings(max_examples=80, deadline=None)
     @given(baskets())
     def test_random_markets_and_lattices(self, case):
-        spec, tau, w = case
-        assert_peak_close(discounted_payoff_transform(w, spec, tau),
-                          reference_transform(w, spec, tau))
+        spec, tau, axes = case
+        assert_peak_close(discounted_payoff_transform(axes, spec, tau),
+                          reference_transform(points(axes), spec, tau))
 
     def test_pricer_lattice(self, basket2_spec):
         # build_grid gives the two axes different spacings
         grid = build_grid(2, 64, [1.0, 0.7], [40.0, 65.0])
         assert grid.deltas[0] != grid.deltas[1]
-        w = _lattice_w(grid)
-        assert_peak_close(discounted_payoff_transform(w, basket2_spec, 0.5),
-                          reference_transform(w, basket2_spec, 0.5))
+        assert_peak_close(
+            discounted_payoff_transform(grid.axes, basket2_spec, 0.5),
+            reference_transform(points(grid.axes), basket2_spec, 0.5))
 
     def test_large_cross_terms_stay_finite(self):
         # tau = 1, rho = 0.9, vols 0.45 on the N = 2^9 basket lattice: at
@@ -127,24 +135,25 @@ class TestAgainstPointwise:
         spec = BasketSpec(n=2, strike=100.0, maturity=1.0, rate=0.05,
                           dividends=[0.0, 0.0], vols=[0.45, 0.45],
                           corr=[[1.0, 0.9], [0.9, 1.0]])
-        w = _lattice_w(build_grid(2, 512, 1.0, [50.0, 50.0]))
-        assert_peak_close(discounted_payoff_transform(w, spec, 1.0),
-                          reference_transform(w, spec, 1.0))
+        axes = build_grid(2, 512, 1.0, [50.0, 50.0]).axes
+        assert_peak_close(discounted_payoff_transform(axes, spec, 1.0),
+                          reference_transform(points(axes), spec, 1.0))
 
     def test_single_point_is_a_one_by_one_lattice(self, basket2_spec):
-        w = lattice([1.0, 1.3], [0.25, 0.4], [8, 8])
-        full = discounted_payoff_transform(w, basket2_spec, 0.5)
-        point = discounted_payoff_transform(w[3, 6], basket2_spec, 0.5)
-        assert np.shape(point) == ()
-        assert_peak_close(np.array([point]), np.array([full[3, 6]]))
+        axes = lattice([1.0, 1.3], [0.25, 0.4], [8, 8])
+        full = discounted_payoff_transform(axes, basket2_spec, 0.5)
+        point = discounted_payoff_transform(
+            (axes[0].part(3, 4), axes[1].part(6, 7)), basket2_spec, 0.5)
+        assert np.shape(point) == (1, 1)
+        assert_peak_close(point[0], np.array([full[3, 6]]))
 
     def test_integrand_at_index(self, basket2_spec):
         grid = build_grid(2, 64, 1.0, [50.0, 50.0])
-        w = _lattice_w(grid)
-        want = reference_transform(w[5, 11], basket2_spec, 0.5)
+        at = (grid.axes[0].part(5, 6), grid.axes[1].part(11, 12))
+        want = reference_transform(points(at), basket2_spec, 0.5).item()
         # the FFT input at index (5, 11): (-1)^(5 + 11) times the transform
-        got = (-1.0) ** 16 * complex(discounted_payoff_transform(
-            w[5, 11], basket2_spec, 0.5))
+        got = (-1.0) ** 16 * discounted_payoff_transform(
+            at, basket2_spec, 0.5).item()
         assert abs(got - (-1.0) ** 16 * want) <= 1e-13 * abs(want)
 
 
@@ -152,24 +161,24 @@ class TestBandLimit:
     @settings(max_examples=80, deadline=None)
     @given(baskets(strip_lo=0.05, delta_hi=4.0))
     def test_bound_covers_the_log_magnitude(self, case):
-        spec, tau, w = case
-        bound, _ = log_bound(w, spec, tau)
-        assert np.all(bound >= reference_log_magnitude(w, spec, tau)
+        spec, tau, axes = case
+        bound, _ = log_bound(axes, spec, tau)
+        assert np.all(bound >= reference_log_magnitude(points(axes), spec, tau)
                       - LOG_ATOL)
 
     @settings(max_examples=80, deadline=None)
     @given(baskets(strip_lo=0.05, delta_hi=4.0))
     def test_dropped_points_are_below_tail(self, case):
-        spec, tau, w = case
-        bound, log_peak = log_bound(w, spec, tau)
-        a = w.reshape(-1, spec.n)[0].real.astype(complex)
+        spec, tau, axes = case
+        bound, log_peak = log_bound(axes, spec, tau)
+        a = np.array([ax.a for ax in axes], dtype=complex)
         assert log_peak == pytest.approx(
             reference_log_magnitude(a, spec, tau), abs=LOG_ATOL)
         dropped = bound < log_peak - TAIL
-        assert np.all(reference_log_magnitude(w, spec, tau)[dropped]
+        assert np.all(reference_log_magnitude(points(axes), spec, tau)[dropped]
                       <= log_peak - TAIL + LOG_ATOL)
-        if all(m > 1 for m in w.shape[:-1]):
-            out = discounted_payoff_transform(w, spec, tau)
+        if all(ax.count > 1 for ax in axes):
+            out = discounted_payoff_transform(axes, spec, tau)
             assert np.all(out[dropped] == 0.0)
             assert np.all(out[~dropped] != 0.0)
 
@@ -181,38 +190,32 @@ class TestBandLimit:
                           dividends=[0.02] * n, vols=[0.45] * n,
                           corr=np.full((n, n), 0.3) + 0.7 * np.eye(n))
         size = 64 if n == 2 else 16
-        w = lattice([1.0] * n, [64.0 / size] * n, [size] * n)
-        out = discounted_payoff_transform(w, spec, 1.0)
-        rows = np.stack([discounted_payoff_transform(w[j:j + 1], spec, 1.0)[0]
-                         for j in range(size)])
+        axes = lattice([1.0] * n, [64.0 / size] * n, [size] * n)
+        out = discounted_payoff_transform(axes, spec, 1.0)
+        rows = np.stack([discounted_payoff_transform(
+            (axes[0].part(j, j + 1),) + axes[1:], spec, 1.0)[0]
+            for j in range(size)])
         kept = out != 0.0
         assert 0 < kept.sum() < kept.size
         assert np.array_equal(out[kept], rows[kept])
-        _, log_peak = log_bound(w, spec, 1.0)
+        _, log_peak = log_bound(axes, spec, 1.0)
         assert np.all(np.abs(rows[~kept])
                       <= math.exp(log_peak - TAIL) * (1.0 + 1e-12))
 
 
 class TestInputs:
-    def test_rejects_non_lattice(self, basket2_spec):
-        w = lattice([1.0, 1.0], [0.25, 0.25], [8, 8])
-        w[2, 5, 0] += 0.1j
-        with pytest.raises(ValueError, match="outer-product lattice"):
-            discounted_payoff_transform(w, basket2_spec, 0.5)
-
-    def test_rejects_contour_of_points(self, basket2_spec):
-        # a list of n = 2 points is not a lattice, nor is it one when
-        # given the lattice's number of dimensions
-        w = np.array([[1.0 + 1j, 1.0 - 2j], [1.0 + 0.5j, 1.0 + 3j]])
-        with pytest.raises(ValueError, match="lattice of shape"):
-            discounted_payoff_transform(w, basket2_spec, 0.5)
-        with pytest.raises(ValueError, match="outer-product lattice"):
-            discounted_payoff_transform(w[None], basket2_spec, 0.5)
+    def test_rejects_one_axis_per_other_asset_count(self, basket2_spec):
+        axes = lattice([1.0] * 3, [0.25] * 3, [8] * 3)
+        for spec, given in ((basket2_spec, axes), (basket2_spec, axes[:1]),
+                            (BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2),
+                             axes[:2])):
+            with pytest.raises(ValueError, match="axes"):
+                discounted_payoff_transform(given, spec, 0.5)
 
     def test_pole_error_off_strip(self, basket2_spec):
-        w = lattice([-0.5, 1.0], [0.25, 0.25], [8, 8])
+        axes = lattice([-0.5, 1.0], [0.25, 0.25], [8, 8])
         with pytest.raises(PoleError):
-            discounted_payoff_transform(w, basket2_spec, 0.5)
+            discounted_payoff_transform(axes, basket2_spec, 0.5)
 
 
 class TestLogGammaWork:
@@ -251,8 +254,8 @@ class TestLogGammaWork:
                           corr=[[1.0, 0.5], [0.5, 1.0]])
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
-        half, _ = _lattice_picks(grid)
-        discounted_payoff_transform(_lattice_w(grid, half), spec, 1.0)
+        half, _ = _lattice_parts(grid)
+        discounted_payoff_transform(half, spec, 1.0)
         kept = sum(lgamma_points) - (GAMMA_TABLE + 1 + N + (N // 2 + 1))
         assert 0 < kept < N * (N // 2 + 1) / 2
 

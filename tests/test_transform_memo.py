@@ -20,7 +20,7 @@ from mellin_pricer import boundary
 from mellin_pricer import greeks as gk
 from mellin_pricer.boundary import clear_boundary_cache
 from mellin_pricer.cli import main
-from mellin_pricer.fft_pricer import (EUROPEAN_PUT, build_grid,
+from mellin_pricer.fft_pricer import (EUROPEAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
                                       price_surface)
 from mellin_pricer.mellin_core import BasketSpec
@@ -42,9 +42,8 @@ def basket(strike=100.0, r=0.05, q=(0.02, 0.03), vols=(0.2, 0.3), rho=0.5,
 
 
 def lattice(a=(1.0, 1.0), db=(0.25, 0.3), size=16):
-    """An outer-product contour lattice a_i + i (j - size/2) db_i."""
-    axes = [a[i] + 1j * (np.arange(size) - size / 2) * db[i] for i in (0, 1)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    """The axes a_i + i (j - size/2) db_i, j < size."""
+    return tuple(Axis(a[i], db[i], -size // 2, size) for i in (0, 1))
 
 
 def up(x):
@@ -118,7 +117,8 @@ def test_entries_are_read_only_and_shared():
 
 def test_edge_pieces_and_points_bypass_the_cache():
     clear_boundary_cache()
-    for piece in (W[:1], W[:, :1], W[3, 6]):
+    for piece in ((W[0].part(0, 1), W[1]), (W[0], W[1].part(0, 1)),
+                  (W[0].part(3, 4), W[1].part(6, 7))):
         got = discounted_payoff_transform(piece, SPEC, 0.5)
         assert got.flags.writeable
     assert counts() == (0, 0)
