@@ -6,15 +6,16 @@ describes the command line; the module docstrings describe the numerics,
 starting with :mod:`mellin_pricer.fft_pricer`.
 """
 
-from .boundary import (BoundaryCurve, boundary_curve, boundary_residual_cap,
-                       capf_residual, critical_price_approx)
+from .boundary import (BoundaryCurve, TimeGrid, boundary_curve,
+                       boundary_residual_cap, capf_residual,
+                       critical_price_approx, premium_time_grid,
+                       simpson_weight)
 from .errors import PricingError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                          EUROPEAN_CALL, EUROPEAN_PUT, MellinFftGrid,
                          PriceQuote, PriceSurface, build_grid, contour_sum,
                          price_american_call, price_at, price_put,
-                         price_surface, put_transform, reduce_to_put,
-                         simpson_weight)
+                         price_surface, put_transform, reduce_to_put)
 from .greeks import GreekKind, greek, greek_fd, greek_multiplier
 from .mellin_core import (BasketSpec, CovStruct, early_exercise_mellin,
                           lgamma_complex, multinomial_beta, payoff_mellin,
@@ -30,12 +31,13 @@ __all__ = [
     "AMERICAN_CALL", "AMERICAN_PUT", "EARLY_EXERCISE_PREMIUM",
     "EUROPEAN_CALL", "EUROPEAN_PUT", "BasketSpec", "BoundaryCurve",
     "BsQuote", "CovStruct", "DwConfig", "GreekKind", "McConfig",
-    "MellinFftGrid", "PriceQuote", "PriceSurface", "PricingError",
+    "MellinFftGrid", "PriceQuote", "PriceSurface", "PricingError", "TimeGrid",
     "american_put_node_sum", "binomial_price", "black_scholes", "boundary_curve",
     "boundary_residual_cap", "build_grid", "capf_residual", "contour_sum",
     "critical_price_approx", "dw_price", "early_exercise_mellin", "greek",
     "greek_fd", "greek_multiplier", "lgamma_complex", "mc_basket_euro_put",
     "multinomial_beta", "payoff_mellin", "price_american_call", "price_at",
-    "price_direct_trapezoid", "price_put", "price_surface", "put_transform",
+    "premium_time_grid", "price_direct_trapezoid", "price_put",
+    "price_surface", "put_transform",
     "reduce_to_put", "riskneutral_drift", "simpson_weight",
 ]

@@ -1,10 +1,15 @@
-"""American put critical asset price via an implicit approximation.
+"""The premium's time axis, and the American put's critical price on it.
 
-The boundary S*(t) solves a smooth-pasting approximation for an array of
-calendar times t in one vectorised bracketed solve, so a cold curve costs
-one :func:`critical_price_approx` call.  The solve is a short numpy loop
-of Chandrupatla's (1997) method in this module, which does the arithmetic
-of ``scipy.optimize.elementwise.find_root`` and returns the same floats
+:func:`premium_time_grid` alone makes the premium's time nodes, a frozen
+:class:`TimeGrid`.  A :class:`BoundaryCurve` samples S* at their times to
+expiry, and premium node l reads its value by index
+(:meth:`BoundaryCurve.at_nodes`).
+
+S* solves a smooth-pasting approximation for an array of calendar times t
+in one vectorised bracketed solve, so a cold curve costs one
+:func:`critical_price_approx` call.  The solve is a short numpy loop of
+Chandrupatla's (1997) method in this module, which does the arithmetic of
+``scipy.optimize.elementwise.find_root`` and returns the same floats
 without its per-iteration overhead; the terms of the equation that are
 free of S are computed once per solve, not once per iteration.  Three
 formula modes are available:
@@ -21,26 +26,19 @@ formula modes are available:
 ``sigma-squared``
     delta = sigma^2/2 + (q-r)/sigma + 2r and exp(+q (T-t)); same guards.
 
-The critical price is homogeneous of degree 1 in (S, K): the residual,
-the bracket, the root tolerance and the expiry limit all scale with the
-strike.  So every solve runs at K = 1, and a curve at strike K is K times
-its market's unit curve, solved once, with each root then moved by a few
-ulps to the float of least residual at K; the five calls of one market,
-which put-call symmetry maps to five strikes, share one solve.  Both the
-strike-free curves and the scaled ones are cached per rounded parameter
-tuple in bounded least-recently-used caches of CACHE_SIZE entries each;
-cached curves are immutable and shared, so repeated requests are
-bit-identical, and each scaled curve carries its strike-free one.  A third
-cache, of MOMENT_CACHE_SIZE entries, holds the transforms that several
-quotes and greeks share, each keyed on its exact inputs, not
-on the rounded tuple.  ``fft_pricer.premium_moments`` computes the premium
-moments from the strike-free curve (0.5 MB for an N = 2^14 greek) and
-keys them on the market, that curve and the contour, with no strike: the
-greeks of one position share one premium pass, and so do the five calls
-of one market, which are five strikes on one contour.  The basket payoff
-transforms that ``fft_pricer.discounted_payoff_transform`` computes on a
-lattice (about 2.1 MB for a two-asset N = 2^9 half lattice) let a basket
-quote and the greeks at its spot share one transform.
+The critical price is homogeneous of degree 1 in (S, K), so every solve
+runs at K = 1: a curve at strike K is K times its market's strike-1
+curve, solved once and shared by the five calls of a market, with each
+root moved by a few ulps to the float of least residual at K.  Both kinds
+of curve are cached per market, M, tau and mode in bounded
+least-recently-used caches of CACHE_SIZE entries; cached curves are
+immutable and shared, so repeated requests are bit-identical.  A third
+cache, of MOMENT_CACHE_SIZE entries, holds transforms that quotes and
+greeks share, each keyed on its exact inputs: the strike-free premium
+moments of ``fft_pricer.premium_moments`` (0.5 MB for an N = 2^14 greek),
+shared by the greeks of one position and the calls of one market, and the
+basket payoff transforms of ``fft_pricer.discounted_payoff_transform``
+(2.1 MB for a two-asset N = 2^9 half lattice).
 :func:`clear_boundary_cache` empties all three; each counts its hits and
 misses.
 """
@@ -58,8 +56,61 @@ from scipy.special import ndtr
 
 from .errors import NegativeRadicand, NoBracket
 from .mellin_core import BasketSpec
+from .oracles import price_direct_trapezoid
 
 CRITICAL_PRICE_MODES = ("corrected", "printed", "sigma-squared")
+TIME_WEIGHT_MODES = ("simpson", "trapezoid", "flat")
+
+
+def simpson_weight(j_sum):
+    """Composite-Simpson weight alpha = (3 + (-1)^(1+sum j) - delta_0)/3."""
+    j_sum = np.asarray(j_sum)
+    alpha = (3.0 + -((-1.0) ** j_sum) - (j_sum == 0)) / 3.0
+    return alpha if alpha.shape else float(alpha)
+
+
+@dataclass(frozen=True, eq=False)
+class TimeGrid:
+    """The nodes t_l and weights c_l of the premium's time integral on
+    [0, tau], made by :func:`premium_time_grid`; the arrays are read-only.
+    """
+
+    tau: float
+    t: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.t, self.c):
+            a.setflags(write=False)
+
+    @property
+    def m(self):
+        return self.t.shape[0]
+
+    @property
+    def tte(self):
+        """The nodes' times to expiry tau - t_l, ascending, so node l has
+        entry M-1-l: for M >= 2 the uniform nodes themselves, as
+        t_(M-1-l) = tau - t_l; for M = 1, whose one node is t = 0, tau."""
+        return self.t if self.m > 1 else np.full(1, self.tau)
+
+
+def premium_time_grid(m_steps, tau, mode="simpson"):
+    """The premium's M time nodes t_l = l tau/(M-1) (t = 0 alone for
+    M = 1) and their ``mode`` weights, which include the step size."""
+    if mode not in TIME_WEIGHT_MODES:
+        raise ValueError(f"unknown time weight mode {mode!r}")
+    if m_steps == 1:
+        return TimeGrid(tau, np.array([0.0]), np.array([tau]))
+    dt = tau / (m_steps - 1)
+    if mode == "simpson":
+        c = simpson_weight(np.arange(m_steps)) * dt
+    elif mode == "trapezoid":
+        c = np.full(m_steps, dt)
+        c[[0, -1]] *= 0.5
+    else:  # flat
+        c = np.full(m_steps, tau / m_steps)
+    return TimeGrid(tau, np.arange(m_steps) * dt, c)
 
 
 def _capf_terms(strike, r, q, sigma, tte, mode):
@@ -280,14 +331,13 @@ def _nearest_roots(s, t, spec: BasketSpec, mode, reach):
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Critical prices sampled on the pricer's time grid.
+    """Critical prices at a :class:`TimeGrid`'s times to expiry.
 
-    ``times`` are times to expiry theta_l = l*tau/(M-1), ascending, and
-    ``values[l]`` = S* at time-to-expiry ``times[l]`` (i.e. at calendar time
-    T - times[l]).  The premium integrand at pricer time t_l reads the value
-    for time-to-expiry tau - t_l through :meth:`at_tte`.  ``unit`` is the
-    strike-1 curve of the same market that :func:`boundary_curve` scaled
-    to make ``values``; curves made by hand carry none.
+    ``times`` are the grid's :attr:`~TimeGrid.tte`, ascending, and
+    ``values[j]`` is S* at time to expiry ``times[j]``, so premium node l
+    reads ``values[M-1-l]`` (:meth:`at_nodes`).  ``unit`` is the strike-1
+    curve that :func:`boundary_curve` scaled to make ``values``; curves
+    made by hand carry none.
     """
 
     times: np.ndarray
@@ -305,20 +355,16 @@ class BoundaryCurve:
     def m(self):
         return self.times.shape[0]
 
-    def at_tte(self, theta):
-        """Value at time-to-expiry theta, which must lie on the grid.
+    def at_nodes(self, grid: TimeGrid):
+        """S* at each node of ``grid``, in node order: ``values`` reversed.
 
-        ``theta`` may be an array; the values then come back in its shape.
+        ``ValueError`` unless ``times`` are the grid's times to expiry bit
+        for bit, i.e. for a curve sampled for another M or tau.
         """
-        theta = np.asarray(theta, dtype=float)
-        span = self.times[-1]
-        idx = (np.rint(theta / span * (self.m - 1)).astype(int) if span > 0
-               else np.zeros(theta.shape, dtype=int))
-        if (np.any((idx < 0) | (idx >= self.m))
-                or np.any(np.abs(self.times[idx] - theta) > 1e-9)):
-            raise KeyError(f"time-to-expiry {theta} not on the boundary grid")
-        values = self.values[idx]
-        return float(values) if values.ndim == 0 else values
+        if not np.array_equal(self.times, grid.tte):
+            raise ValueError(f"boundary curve of {self.m} samples is not on "
+                             f"the time grid (M = {grid.m}, tau = {grid.tau})")
+        return self.values[::-1]
 
     def to_csv(self, fp):
         """Write `t,s_star` rows (t = time to expiry, ascending)."""
@@ -382,19 +428,14 @@ _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
 
 
 def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
-    """The boundary curve of ``spec`` at strike 1, solved once per market.
-
-    Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.
-    """
+    """The boundary curve of ``spec`` at strike 1, solved once per market
+    at the times to expiry of the M-node premium grid on [0, tau]."""
     unit = dataclasses.replace(spec, strike=1.0)
     key = unit.param_key(extra=(int(m_steps), float(tau), mode))
     hit = _unit_cache.get(key)
     if hit is not None:
         return hit
-    if m_steps == 1:
-        tte = np.array([tau])
-    else:
-        tte = np.arange(m_steps) * (tau / (m_steps - 1))
+    tte = premium_time_grid(m_steps, tau).tte
     # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
     values = critical_price_approx(np.maximum(unit.maturity - tte, 0.0),
                                    unit, mode)
@@ -405,9 +446,10 @@ def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
 
 
 def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
-    """Critical prices on the M-point time grid, cached per parameter tuple.
+    """Critical prices at the times to expiry of the M-node premium grid
+    on [0, tau] (:class:`BoundaryCurve`), cached per parameter tuple.
 
-    Samples S* at times-to-expiry l*tau/(M-1), l = 0..M-1.  The critical
+    The critical
     price is homogeneous of degree 1 in (S, K), so the curve is K times
     the strike-1 curve of the same market, which is solved once, shared
     by every strike and attached as the curve's ``unit``; each scaled root
@@ -445,29 +487,27 @@ def clear_boundary_cache():
     _moment_cache.clear()
 
 
-def boundary_residual_cap(curve: BoundaryCurve, t, spec: BasketSpec, grid,
+def boundary_residual_cap(curve: BoundaryCurve, j, spec: BasketSpec, grid,
                           mode="corrected"):
-    """Residual of the exact free-boundary condition at calendar time t.
+    """Residual of the exact free-boundary condition at the curve's
+    sample ``j``, time to expiry theta = ``curve.times[j]``.
 
-    Evaluates K - S*(t) - [European term - premium term] with both Mellin
-    inversions computed by the pricer's truncated trapezoid sum at the
-    single point S = S*(t) (no FFT).  A diagnostic of how well the
-    approximate boundary satisfies the exact smooth-pasted condition; not a
-    solver.  Single-asset only.
+    Evaluates K - S* - [European term - premium term] at theta with
+    :func:`~mellin_pricer.oracles.price_direct_trapezoid` at S = S* on the
+    axis of ``grid``.  A diagnostic of how well the approximate boundary
+    satisfies the exact smooth-pasted condition; not a solver.
     """
     if spec.n != 1:
         raise ValueError("residual diagnostic is single-asset only")
     # local import: fft_pricer depends on this module
-    from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, contour_sum,
-                             put_boundary, put_transform)
+    from .fft_pricer import AMERICAN_PUT, EUROPEAN_PUT, put_boundary
 
-    tte = spec.maturity - t
-    s_star = curve.at_tte(tte)
+    tte, s_star = curve.times[j], curve.values[j]
     if s_star <= 0.0:
-        return spec.strike - 0.0  # empty exercise region, r = 0 limit
+        return spec.strike  # empty exercise region, r = 0 limit
     style = AMERICAN_PUT if tte > 0 else EUROPEAN_PUT  # no premium at expiry
-    axes = grid.axes[:1]
-    values = put_transform(axes, spec, tte, style,
-                           put_boundary(style, spec, curve.m, tte, mode))
-    put = contour_sum(values, axes, axes[0].h / (2.0 * math.pi), [s_star])
+    put = price_direct_trapezoid(
+        spec, grid.strip_a[0], grid.size, grid.deltas[0], tte, s_star, style,
+        put_boundary(style, spec, curve.m, tte, mode),
+        premium_time_grid(curve.m, tte))
     return spec.strike - s_star - put

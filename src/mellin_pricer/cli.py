@@ -18,7 +18,8 @@ import numpy as np
 
 from . import greeks as greeks_mod
 from . import oracles, table1
-from .boundary import boundary_curve
+from .boundary import (CRITICAL_PRICE_MODES, TIME_WEIGHT_MODES,
+                       boundary_curve, premium_time_grid)
 from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                          EUROPEAN_CALL, EUROPEAN_PUT, build_grid,
@@ -177,9 +178,9 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
                       m_steps=args.grid_m, delta_target=args.delta_target)
     if method == "trapezoid":
         return oracles.price_direct_trapezoid(
-            put_spec, grid.strip_a, grid.size, grid.deltas, args.grid_m, tau,
-            put_spots, style=put_style, boundary=bnd,
-            time_weights=time_weights) + term
+            put_spec, grid.strip_a, grid.size, grid.deltas, tau, put_spots,
+            style=put_style, boundary=bnd,
+            times=premium_time_grid(args.grid_m, tau, time_weights)) + term
     surf = price_surface(put_spec, grid, tau, put_style, boundary=bnd,
                          time_weights=time_weights)
     diagnostics["imag_residual"] = _fmt(surf.imag_residual)
@@ -372,9 +373,8 @@ def _add_grid_flags(p):
     p.add_argument("--binomial-steps", type=int)
     p.add_argument("--mc-paths", type=int)
     p.add_argument("--mc-seed", type=int)
-    p.add_argument("--time-weights", choices=("simpson", "trapezoid", "flat"))
-    p.add_argument("--boundary-mode",
-                   choices=("corrected", "printed", "sigma-squared"))
+    p.add_argument("--time-weights", choices=TIME_WEIGHT_MODES)
+    p.add_argument("--boundary-mode", choices=CRITICAL_PRICE_MODES)
 
 
 def build_parser():

@@ -11,10 +11,10 @@ Quadrature weights
 The frequency axes use the plain trapezoid rule, which is spectrally
 accurate for these analytic, rapidly decaying integrands (composite
 Simpson is only O(delta^4), about 1e-4 of European price accuracy at
-delta = 0.25).  The premium time axis (``time_weights``) has nodes
-t_l = l tau / (M-1) with "simpson" (default), "trapezoid", or "flat"
-(uniform tau / M) weights; the Simpson default is what reproduces the
-reference benchmark table.
+delta = 0.25).  The premium time axis is one
+:class:`~mellin_pricer.boundary.TimeGrid`: nodes t_l = l tau / (M-1) with
+"simpson" (default), "trapezoid" or "flat" (uniform tau / M) weights; the
+Simpson default is what reproduces the reference benchmark table.
 
 Discounting enters once, inside the transform factors.
 
@@ -121,7 +121,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryCurve, _moment_cache, boundary_curve
+from .boundary import _moment_cache, boundary_curve, premium_time_grid
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      OutOfRange, SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _check_strip,
@@ -133,8 +133,6 @@ AMERICAN_PUT = "american_put"
 EARLY_EXERCISE_PREMIUM = "early_exercise_premium"
 EUROPEAN_CALL = "european_call"
 AMERICAN_CALL = "american_call"
-
-TIME_WEIGHT_MODES = ("simpson", "trapezoid", "flat")
 
 IMAG_RESIDUAL_TOL = 1e-6  # times strike
 NEGATIVE_CLAMP_TOL = 1e-6  # times strike; any value below this hard-fails
@@ -226,7 +224,7 @@ class MellinFftGrid:
             v = v.copy()
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if np.any(self.strip_a <= 0):
+        if not np.all(self.strip_a > 0):
             raise ValueError("strip abscissa must be positive")
         coupling = self.deltas * self.lams
         if not np.allclose(coupling, 2.0 * math.pi / N, rtol=1e-13, atol=0):
@@ -257,15 +255,14 @@ class MellinFftGrid:
         return float(np.prod(self.deltas))
 
 
-def build_grid(n, size, strip_a, target_S, m_steps=250, k_hint=None,
-               delta_target=0.25):
+def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     """Build a lattice whose log-price axis lands on ``target_S``.
 
     Per dimension the integer offset m = k - N/2 is chosen so the frequency
     spacing comes closest to ``delta_target`` (root of
     ln(S) - (k - N/2) lam with lam = ln(S)/m), then lam = ln(S)/m and
-    delta = 2 pi/(N lam).  ``k_hint`` (per-dimension index) bypasses the
-    search.  Spot prices below 1 land left of center (negative offset).
+    delta = 2 pi/(N lam).  Spot prices below 1 land left of center
+    (negative offset).
     """
     target_S = np.atleast_1d(np.asarray(target_S, dtype=float))
     if target_S.shape != (n,):
@@ -287,10 +284,7 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, k_hint=None,
     landing = []
     for i in range(n):
         x = math.log(target_S[i])
-        if k_hint is not None:
-            k_i = int(np.atleast_1d(k_hint)[i])
-            m = k_i - N // 2
-        elif x == 0.0:
+        if x == 0.0:
             m = 0
         else:
             m = int(round(x / lam_target))
@@ -317,39 +311,6 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, k_hint=None,
                          lams=lams, m_steps=int(m_steps),
                          target_logS=np.log(target_S),
                          landing_index=tuple(landing))
-
-
-# ---------------------------------------------------------------------------
-# quadrature weights
-# ---------------------------------------------------------------------------
-
-
-def simpson_weight(j_sum):
-    """Composite-Simpson weight alpha = (3 + (-1)^(1+sum j) - delta_0)/3."""
-    j_sum = np.asarray(j_sum)
-    alpha = (3.0 + -((-1.0) ** j_sum) - (j_sum == 0)) / 3.0
-    return alpha if alpha.shape else float(alpha)
-
-
-def premium_time_grid(m_steps, tau, mode="simpson"):
-    """Nodes and quadrature weights for the early-exercise time integral.
-
-    Nodes are t_l = l tau/(M-1); weights already include the step size.
-    """
-    if mode not in TIME_WEIGHT_MODES:
-        raise ValueError(f"unknown time weight mode {mode!r}")
-    if m_steps == 1:
-        return np.array([0.0]), np.array([tau])
-    t = np.arange(m_steps) * (tau / (m_steps - 1))
-    if mode == "simpson":
-        w = simpson_weight(np.arange(m_steps)) * (tau / (m_steps - 1))
-    elif mode == "trapezoid":
-        w = np.full(m_steps, tau / (m_steps - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:  # flat
-        w = np.full(m_steps, tau / m_steps)
-    return t, w
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +550,12 @@ def _running_rows(first, step, rows):
     return x
 
 
-def premium_moments(axes, spec: BasketSpec, tau, boundary,
-                    time_mode="simpson", t_powers=(0,)):
+def premium_moments(axes, spec: BasketSpec, times, boundary, t_powers=(0,)):
     """Weighted time moments of the early-exercise integrand at strike 1,
-    on the one-asset contour ``axes``.
+    on the one-asset contour ``axes`` and the time grid ``times``.
 
-    With u_l the market's strike-1 boundary, X_l(w) = u_l^w
-    exp(-t_l (Psi(wi) + r)) and the time-quadrature weights c_l, returns an
+    With u_l the market's strike-1 boundary at node l, X_l(w) = u_l^w
+    exp(-t_l (Psi(wi) + r)) and the grid's weights c_l, returns an
     array of shape (len(t_powers), 2, count) whose entry [p, e] is
     sum_l c_l t_l^p u_l^e X_l(w), over the nodes with u_l > 0.  On the
     strike-K curve s*_l = K u_l the moment is K^(w+e) times this; callers
@@ -623,8 +583,8 @@ def premium_moments(axes, spec: BasketSpec, tau, boundary,
     (``boundary._moment_cache``, emptied by
     :func:`~mellin_pricer.boundary.clear_boundary_cache`) keyed on the
     exact bytes of every input the pass reads: r, q, sigma, the 1 x 1
-    correlation, tau, ``time_mode``, ``t_powers``, the strike-1 curve's
-    times and values, and the axis.
+    correlation, the grid's tau, nodes and weights, ``t_powers``, the
+    strike-1 boundary and the axis.
     The strike is not in the key.  A hit is therefore the array a
     recompute would give, bit for bit; the American greeks of one
     position, and the calls of one market, read the same moments on the
@@ -635,20 +595,19 @@ def premium_moments(axes, spec: BasketSpec, tau, boundary,
     axis, = axes
     unit = boundary.unit
     # boundary_curve keys a curve on spec.param_key() + (M, tau, mode)
-    if unit is None or boundary.spec_hash[:-3] != spec.param_key():
-        unit = BoundaryCurve(times=boundary.times,
-                             values=boundary.values / spec.strike,
-                             spec_hash=boundary.spec_hash)
+    if unit is not None and boundary.spec_hash[:-3] == spec.param_key():
+        s_star = unit.at_nodes(times)
+    else:  # made by hand or for another strike
+        s_star = boundary.at_nodes(times) / spec.strike
+    t_nodes, t_wgts = times.t, times.c
     key = (np.array([spec.rate, spec.dividends[0], spec.vols[0],
-                     spec.corr[0, 0], tau]).tobytes(),
-           time_mode, tuple(t_powers), unit.times.tobytes(),
-           unit.values.tobytes(), axis)
+                     spec.corr[0, 0], times.tau]).tobytes(),
+           t_nodes.tobytes(), t_wgts.tobytes(), tuple(t_powers),
+           s_star.tobytes(), axis)
     hit = _moment_cache.get(key)
     if hit is not None:
         return hit
 
-    t_nodes, t_wgts = premium_time_grid(unit.m, tau, time_mode)
-    s_star = unit.at_tte(tau - t_nodes)
     live = s_star > 0.0
     log_s = np.log(np.where(live, s_star, 1.0))
     base = np.where(live, t_wgts * np.exp(axis.a * log_s), 0.0)
@@ -659,20 +618,20 @@ def premium_moments(axes, spec: BasketSpec, tau, boundary,
     size, c, h = half.count, half.first * half.h, half.h
     cov = CovStruct.from_spec(spec)
     psi_r = char_exponent_wi(half.points[:, None], cov) + spec.rate
-    step = np.exp(-(t_nodes[1] if unit.m > 1 else 0.0) * psi_r)
+    step = np.exp(-(t_nodes[1] if times.m > 1 else 0.0) * psi_r)
     keep = _node_cutoffs(half, float(spec.vols[0]), t_nodes)
 
     moments = np.zeros((weights.shape[0], size), dtype=complex)
     running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r)), l = lo
     lo = 0
-    while lo < unit.m:
+    while lo < times.m:
         # the following nodes that keep over half of this node's band
         band = int(keep[lo])
         hi = lo + max(1, min(np.count_nonzero(2 * keep[lo:] > band),
                              BLOCK_POINTS // band))
         nodes = slice(lo, hi)
         x = _running_rows(running[:band], step[:band], hi - lo)
-        if hi < unit.m:
+        if hi < times.m:
             nxt = int(keep[hi])
             running[:nxt] = x[-1, :nxt] * step[:nxt]
         # s*^(i b_j) = s*^(i c) (s*^(i h))^j with j = block * width + r:
@@ -704,14 +663,13 @@ def exercise_factors(axes, spec: BasketSpec):
     return float(spec.dividends[0]) / (w + 1.0), -spec.rate / w
 
 
-def premium_transform(axes, spec: BasketSpec, tau, boundary,
-                      time_mode="simpson"):
+def premium_transform(axes, spec: BasketSpec, times, boundary):
     """Time-quadrature of the early-exercise transform at strike 1, on the
-    one-asset contour ``axes``.
+    one-asset contour ``axes`` and the time grid ``times``.
 
     H(w) = sum_l c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
     early-exercise transform at the boundary value s*_l for time-to-expiry
-    tau - t_l and c_l the ``time_mode`` weights; nodes with s*_l = 0 (empty
+    tau - t_l and c_l the grid's weights; nodes with s*_l = 0 (empty
     exercise region) contribute nothing.  The boundary is homogeneous in
     the strike, s*_l = K u_l, so H_K = K^(w+1) H_1, and this returns H_1,
     the transform on the market's strike-1 curve u
@@ -731,7 +689,7 @@ def premium_transform(axes, spec: BasketSpec, tau, boundary,
     terms the result agrees to about 1e-14 of its peak magnitude (the
     tests require 1e-13).
     """
-    (a0, a1), = premium_moments(axes, spec, tau, boundary, time_mode)
+    (a0, a1), = premium_moments(axes, spec, times, boundary)
     f_q, f_r = exercise_factors(axes, spec)
     return f_q * a1 + f_r * a0
 
@@ -786,8 +744,7 @@ def put_boundary(style, spec: BasketSpec, m_steps, tau, mode="corrected"):
     return boundary_curve(spec, m_steps, tau, mode=mode)
 
 
-def put_transform(axes, spec: BasketSpec, tau, style, boundary,
-                  time_weights="simpson"):
+def put_transform(axes, spec: BasketSpec, tau, style, boundary, times=None):
     """Mellin transform of the ``style`` put value on the contour ``axes``.
 
     The European put's is the discounted payoff transform; the American
@@ -795,7 +752,7 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary,
     is minus the premium transform alone (that transform integrates the
     negative-valued early-exercise function, so subtracting it adds a
     nonnegative premium).  The American styles are single-asset only and
-    need ``boundary``, read with the ``time_weights`` quadrature.  For one
+    need ``boundary`` and the time grid ``times`` over ``tau``.  For one
     asset every style is :func:`strike_factor` times its transform at
     strike 1.
     """
@@ -804,10 +761,10 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary,
     if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         raise ValueError(f"unknown style {style!r}")
     _single_asset_only(spec)
-    if boundary is None:
-        raise ValueError(f"{style} requires a boundary curve")
+    if boundary is None or times is None or times.tau != tau:
+        raise ValueError(f"{style} needs a boundary and a time grid over tau")
     factor = strike_factor(axes, spec)
-    out = factor * -premium_transform(axes, spec, tau, boundary, time_weights)
+    out = factor * -premium_transform(axes, spec, times, boundary)
     if style == AMERICAN_PUT:
         # summed like this, the American transform is the European one plus
         # the premium style's bit for bit
@@ -1060,7 +1017,9 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     """Full put-price surface for the requested style.
 
     American pricing (and the premium style) is single-asset only and
-    requires ``boundary`` sampled with the grid's M steps.
+    requires ``boundary`` sampled for the grid's M steps and ``tau``
+    (``ValueError`` otherwise); the premium is read with the
+    ``time_weights`` rule.
 
     ``quality_checks=False`` skips the imaginary-residual and negative-value
     gates (still recording the diagnostics); payoff reconstruction at
@@ -1070,13 +1029,10 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     if grid.n != spec.n:
         raise ValueError("grid and spec dimensions disagree")
     check_tau(tau)
+    times = premium_time_grid(grid.m_steps, tau, time_weights)
 
     def transform(axes):
-        out = put_transform(axes, spec, tau, style, boundary, time_weights)
-        # after put_transform has checked the style and the asset count
-        if boundary is not None and boundary.m != grid.m_steps:
-            raise ValueError("boundary curve and grid disagree on M")
-        return out
+        return put_transform(axes, spec, tau, style, boundary, times)
 
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible

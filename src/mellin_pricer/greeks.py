@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import premium_time_grid
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
                          invert_at_landing, premium_moments, price_surface,
@@ -191,9 +192,9 @@ def _default_size(n):
     return 2**14 if n == 1 else 2**9
 
 
-def _premium_sensitivity(kind, axes, spot, tau, spec, boundary, mode):
+def _premium_sensitivity(kind, axes, spot, times, spec, boundary, mode):
     """Premium term sum_l c_l f_p(w, t_l) f(w, s*_l) X_l of the sensitivity,
-    at strike 1, on the one-asset contour ``axes``.
+    at strike 1, on the one-asset contour ``axes`` and time grid ``times``.
 
     f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
     reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
@@ -204,7 +205,7 @@ def _premium_sensitivity(kind, axes, spot, tau, spec, boundary, mode):
     z = [axes[0].points]
     alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
     at_one = _factor(kind, z, spot, 1.0, spec, mode, premium=True)
-    (a0, a1), (t0, t1) = premium_moments(axes, spec, tau, boundary,
+    (a0, a1), (t0, t1) = premium_moments(axes, spec, times, boundary,
                                          t_powers=(0, 1))
     f_q, f_r = exercise_factors(axes, spec)
     out = (alpha * (f_q * a1 + f_r * a0)
@@ -248,9 +249,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
     bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
+    times = premium_time_grid(m_steps, tau)
     correction = 0.0
     if (bnd is not None and kind.name == "theta" and mode == "kernel"
-            and float(spot.sum()) <= bnd.at_tte(tau)):
+            and float(spot.sum()) <= bnd.at_nodes(times)[0]):
         correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
     def transform(axes):
@@ -259,8 +261,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
             out = (_factor(kind, z, spot, tau, spec, mode, premium=False)
                    * unit_payoff_transform(axes, spec, tau))
             if bnd is not None:
-                out += _premium_sensitivity(kind, axes, spot, tau, spec, bnd,
-                                            mode)
+                out += _premium_sensitivity(kind, axes, spot, times, spec,
+                                            bnd, mode)
             return strike_factor(axes, spec) * out
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once

@@ -42,7 +42,7 @@ def lgamma_complex(z):
     never overflows.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= 0.0):
+    if not np.all(z.real > 0.0):
         raise PoleError("lgamma_complex requires Re(z) > 0")
     out = loggamma(z)
     return out if out.shape else complex(out)
@@ -266,7 +266,7 @@ def check_tau(tau):
 
 
 def _check_strip(w):
-    if np.any(np.asarray(w).real <= 0.0):
+    if not np.all(np.asarray(w).real > 0.0):
         raise PoleError("Mellin argument must satisfy Re(w) > 0 componentwise")
 
 

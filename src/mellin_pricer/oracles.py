@@ -375,14 +375,14 @@ def mc_basket_euro_put(spec: BasketSpec, s0, tau, cfg: McConfig):
 # ---------------------------------------------------------------------------
 
 
-def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
-                           tau, spot, style="european_put", boundary=None,
-                           time_weights="simpson"):
+def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
+                           style="european_put", boundary=None, times=None):
     """Mellin inversion at one spot via the plain truncated trapezoid sum.
 
     On the FFT lattice's axes a_i + i (j - size // 2) delta_i, j < size;
-    shares the transform evaluation with the FFT pricer, so at a lattice
-    landing point the two agree to reordering-level rounding.
+    shares the transform evaluation with the FFT pricer (``boundary`` and
+    ``times`` as in :func:`~mellin_pricer.fft_pricer.put_transform`), so
+    at a lattice landing point the two agree to reordering-level rounding.
     """
     from .fft_pricer import Axis, contour_sum, put_transform
 
@@ -397,7 +397,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
 
     axes = tuple(Axis(a, d, -(size // 2), size)
                  for a, d in zip(strip_a, deltas))
-    values = put_transform(axes, spec, tau, style, boundary, time_weights)
+    values = put_transform(axes, spec, tau, style, boundary, times)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
     return contour_sum(values, axes, quad, spot)
 
@@ -407,13 +407,14 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, m_steps,
 # ---------------------------------------------------------------------------
 
 
-def american_put_node_sum(spots, spec: BasketSpec, tau, boundary,
-                          time_weights="simpson"):
+def american_put_node_sum(spots, spec: BasketSpec, times, boundary):
     """The American put on the pricer's own time nodes, in closed form.
 
     Each premium node's Mellin inverse is a lognormal expectation, so with
-    the nodes t_l and weights c_l of ``time_weights`` and s*_l the
-    ``boundary`` at time-to-expiry tau - t_l, the N -> infinity limit of the
+    the nodes t_l and weights c_l of the time grid ``times`` over [0, tau]
+    and s*_l the ``boundary`` at node l
+    (:meth:`~mellin_pricer.boundary.BoundaryCurve.at_nodes`, which refuses
+    a curve for another M or tau), the N -> infinity limit of the
     FFT, series and trapezoid American puts is
 
         P_BS(S) + sum_{l >= 1} c_l [rK e^(-r t_l) N(-d2_l)
@@ -425,8 +426,6 @@ def american_put_node_sum(spots, spec: BasketSpec, tau, boundary,
     step, counted half at S = s*_0; nodes with s*_l = 0 drop out.  Single
     asset; vectorised over ``spots``, whose shape the result takes.
     """
-    from .fft_pricer import premium_time_grid
-
     if spec.n != 1:
         raise ValueError("the node sum is single-asset only")
     spots = np.asarray(spots, dtype=float)
@@ -443,8 +442,8 @@ def american_put_node_sum(spots, spec: BasketSpec, tau, boundary,
         d1 = (np.log(s / level) + (r - q + vol**2 / 2.0) * t) / sd
         return np.exp(-r * t) * ndtr(sd - d1), np.exp(-q * t) * ndtr(-d1)
 
-    t, c = premium_time_grid(boundary.m, tau, time_weights)
-    s_star = boundary.at_tte(tau - t)
+    t, c, tau = times.t, times.c, times.tau
+    s_star = boundary.at_nodes(times)
     live = (s_star > 0.0) & (t > 0.0)
     euro_k, euro_s = legs(k, tau)
     node_k, node_s = legs(s_star[live], t[live])

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolation
+from .boundary import premium_time_grid
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis, contour_sum,
-                         premium_time_grid, put_boundary, put_transform,
-                         reduce_to_put)
+                         put_boundary, put_transform, reduce_to_put)
 from .mellin_core import BasketSpec, check_finite_spot
 
 
@@ -42,9 +42,9 @@ class DwConfig:
     def __post_init__(self):
         if self.n_terms < 1:
             raise ValueError("n_terms must be >= 1")
-        if self.log_range <= 0:
+        if not self.log_range > 0:
             raise ValueError("log_range must be positive")
-        if self.strip_a <= 0:
+        if not self.strip_a > 0:
             raise ValueError("strip_a must be positive")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
@@ -82,11 +82,12 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
     axes = cfg.axes
     bnd = put_boundary(style, spec, cfg.m_steps, tau, boundary_mode)
-    values = put_transform(axes, spec, tau, style, bnd, cfg.time_weights)
+    times = premium_time_grid(cfg.m_steps, tau, cfg.time_weights)
+    values = put_transform(axes, spec, tau, style, bnd, times)
     step = 0.0
-    s0 = 0.0 if bnd is None else bnd.at_tte(tau)
+    s0 = 0.0 if bnd is None else bnd.at_nodes(times)[0]
     if s0 > 0.0:  # premium node 0: out of the series, into S space
-        c0 = premium_time_grid(bnd.m, tau, cfg.time_weights)[1][0]
+        c0 = times.c[0]
         r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
         w = axes[0].points
         values = values + c0 * s0**w * (q * s0 / (w + 1.0) - r * k / w)

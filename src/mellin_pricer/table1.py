@@ -11,8 +11,6 @@ sweep (``oracles.binomial_price`` with a vector of spots).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,38 +71,15 @@ class TableRow:
         return REF_TRUE[self.grouping][SPOTS.index(self.spot)]
 
 
-def worker_count():
-    """Thread cap from MELLIN_PRICER_THREADS: unset or empty means 1.
-
-    Anything else must be a positive integer, else ``ValueError`` names
-    the variable.  Output is deterministic regardless; threads only
-    change wall time.
-    """
-    raw = os.environ.get("MELLIN_PRICER_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"MELLIN_PRICER_THREADS={raw!r} is not a positive "
-                         "integer")
-    return n
-
-
 def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
                dw_cfg: DwConfig | None = None, binomial_steps=10000,
-               boundary_mode="corrected", time_weights="simpson",
-               threads=None):
+               boundary_mode="corrected", time_weights="simpson"):
     """Recompute the benchmark rows.
 
     Returns (rows, max_fft_deviation): rows in grouping-then-spot order and
     the worst |fft - reference fft| over the computed cells.  The true
     column of each grouping is one binomial sweep over its five spots; the
-    FFT and DW prices are computed cell by cell, in that order.  Results
-    are deterministic; ``threads`` (default from MELLIN_PRICER_THREADS)
-    only runs the sweeps and the cells in parallel.
+    FFT and DW prices are then computed cell by cell, in that order.
     """
     if groupings is None:
         groupings = sorted(GROUPINGS)
@@ -113,37 +88,23 @@ def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
             raise ValueError(f"unknown grouping {g}")
     if dw_cfg is None:
         dw_cfg = DwConfig(m_steps=m_steps, time_weights=time_weights)
-    cells = [(g, s) for g in groupings for s in SPOTS]
-    nthreads = threads if threads else worker_count()
-
-    def true_column(g):
+    rows = []
+    for g in groupings:
         rate, div, vol = GROUPINGS[g]
-        return oracles.binomial_price(np.array(SPOTS), STRIKE, rate, div, vol,
+        true = oracles.binomial_price(np.array(SPOTS), STRIKE, rate, div, vol,
                                       TAU, steps=binomial_steps,
                                       style=oracles.AMER_CALL)
-
-    def quotes(cell):
-        g, s = cell
-        rate, div, vol = GROUPINGS[g]
-        fft = price_american_call(s, STRIKE, rate, div, vol, TAU, size=size,
-                                  m_steps=m_steps, strip_a=strip_a,
-                                  time_weights=time_weights,
-                                  boundary_mode=boundary_mode)
-        dw = dw_price_american_call(s, STRIKE, rate, div, vol, TAU,
-                                    cfg=dw_cfg, boundary_mode=boundary_mode)
-        return fft, dw
-
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=min(nthreads, len(cells))) as ex:
-            columns = ex.map(true_column, groupings)
-            priced = list(ex.map(quotes, cells))
-            columns = list(columns)
-    else:
-        columns = [true_column(g) for g in groupings]
-        priced = [quotes(c) for c in cells]
-    true = [float(v) for column in columns for v in column]
-    rows = [TableRow(grouping=g, spot=s, true=t, fft=fft, dw=dw)
-            for (g, s), t, (fft, dw) in zip(cells, true, priced)]
+        for s, t in zip(SPOTS, true):
+            fft = price_american_call(s, STRIKE, rate, div, vol, TAU,
+                                      size=size, m_steps=m_steps,
+                                      strip_a=strip_a,
+                                      time_weights=time_weights,
+                                      boundary_mode=boundary_mode)
+            dw = dw_price_american_call(s, STRIKE, rate, div, vol, TAU,
+                                        cfg=dw_cfg,
+                                        boundary_mode=boundary_mode)
+            rows.append(TableRow(grouping=g, spot=s, true=float(t), fft=fft,
+                                 dw=dw))
     max_dev = max(abs(r.fft - r.ref_fft) for r in rows)
     return rows, max_dev
 

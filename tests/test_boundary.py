@@ -14,10 +14,10 @@ from scipy.optimize.elementwise import find_root
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import boundary
 from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
-                                    BoundaryCurve, boundary_curve,
-                                    boundary_residual_cap, capf_residual,
-                                    clear_boundary_cache,
-                                    critical_price_approx)
+                                    TIME_WEIGHT_MODES, BoundaryCurve,
+                                    boundary_curve, boundary_residual_cap,
+                                    capf_residual, clear_boundary_cache,
+                                    critical_price_approx, premium_time_grid)
 from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import build_grid, price_american_call
 from mellin_pricer.mellin_core import BasketSpec
@@ -447,12 +447,12 @@ class TestBoundaryCurve:
         assert len(boundary._curve_cache) == 0
         assert len(boundary._unit_cache) == 0
 
-    def test_at_tte_index_lookup(self):
+    def test_node_index_lookup(self):
         curve = boundary_curve(self.spec, 250, 0.5)
-        theta = 0.5 - 3 * (0.5 / 249)
-        assert curve.at_tte(theta) == curve.values[249 - 3]
-        with pytest.raises(KeyError):
-            curve.at_tte(0.1234567)
+        times = premium_time_grid(250, 0.5)
+        assert curve.at_nodes(times)[3] == curve.values[249 - 3]
+        with pytest.raises(ValueError):
+            curve.at_nodes(premium_time_grid(250, 0.1234567))
 
     def test_csv_export(self):
         curve = boundary_curve(self.spec, 5, 0.5)
@@ -468,18 +468,33 @@ class TestBoundaryCurve:
                           values=np.array([1.0, np.nan]), spec_hash=())
 
 
+@settings(max_examples=30, deadline=None)
+@given(strike=st.floats(0.5, 500.0),
+       r=st.just(0.0) | st.floats(0.005, 0.12),
+       q=st.just(0.0) | st.floats(0.005, 0.12), vol=st.floats(0.1, 0.6),
+       tau=st.floats(0.01, 2.0), m=st.sampled_from((1, 2, 3, 250)),
+       rule=st.sampled_from(TIME_WEIGHT_MODES))
+def test_curve_is_sampled_on_the_time_grid(strike, r, q, vol, tau, m, rule):
+    # the strike-K curve and its strike-1 curve both sit on the grid's
+    # times to expiry; node l reads the sample nearest tau - t_l
+    spec = BasketSpec.single(strike, tau, r, q, vol)
+    times = premium_time_grid(m, tau, rule)
+    curve = boundary_curve(spec, m, tau)
+    for c in (curve, curve.unit):
+        assert np.array_equal(c.times, times.t if m > 1 else [tau])
+        nearest = [np.argmin(np.abs(c.times - (tau - t))) for t in times.t]
+        assert np.array_equal(c.at_nodes(times), c.values[nearest])
+        assert np.array_equal(c.at_nodes(times), c.values[::-1])
+
+
 class TestResidualDiagnostic:
     def test_grouping1_near_expiry_fixture(self, grouping1_spec):
         # informational: measured |residual| at the near-expiry grid samples
         # stays inside the 0.5 currency-unit band for grouping-1 markets
         grid = build_grid(1, 2**14, 1.0, [100.0], m_steps=250)
         curve = boundary_curve(grouping1_spec, 250, 0.5)
-        res_expiry = boundary_residual_cap(
-            curve, grouping1_spec.maturity - curve.times[0], grouping1_spec,
-            grid)
-        res_next = boundary_residual_cap(
-            curve, grouping1_spec.maturity - curve.times[1], grouping1_spec,
-            grid)
+        res_expiry = boundary_residual_cap(curve, 0, grouping1_spec, grid)
+        res_next = boundary_residual_cap(curve, 1, grouping1_spec, grid)
         assert abs(res_expiry) < 0.5
         assert abs(res_next) < 0.5
         # measured values pinned loosely against regression
@@ -489,15 +504,12 @@ class TestResidualDiagnostic:
     def test_swapped_market_band(self, grouping1_put_spec):
         grid = build_grid(1, 2**14, 1.0, [100.0], m_steps=250)
         curve = boundary_curve(grouping1_put_spec, 250, 0.5)
-        res = boundary_residual_cap(
-            curve, grouping1_put_spec.maturity - curve.times[0],
-            grouping1_put_spec, grid)
+        res = boundary_residual_cap(curve, 0, grouping1_put_spec, grid)
         assert abs(res) < 0.5
 
     def test_deterministic(self, grouping1_spec):
         grid = build_grid(1, 2**12, 1.0, [100.0], m_steps=50)
         curve = boundary_curve(grouping1_spec, 50, 0.5)
-        t = grouping1_spec.maturity - curve.times[5]
-        a = boundary_residual_cap(curve, t, grouping1_spec, grid)
-        b = boundary_residual_cap(curve, t, grouping1_spec, grid)
+        a = boundary_residual_cap(curve, 5, grouping1_spec, grid)
+        b = boundary_residual_cap(curve, 5, grouping1_spec, grid)
         assert a == b

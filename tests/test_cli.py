@@ -361,15 +361,6 @@ class TestTable1Command:
         assert exc.value.code == 2
         assert f"{flag} must be finite and > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "-4", "0", "2.5"])
-    def test_bad_thread_count_exits_2(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("MELLIN_PRICER_THREADS", raw)
-        code, out, err = run_cli(capsys, "table1", "--groupings", "1",
-                                 "--binomial-steps", "10")
-        assert code == 2
-        assert out == ""
-        assert "MELLIN_PRICER_THREADS" in err and repr(raw) in err
-
 
 BASKET_MARKET = ["--spot", "48", "--spot", "53", "--strike", "100",
                  "--rate", "0.05", "--div", "0.02", "--div", "0.03",

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
-from mellin_pricer.boundary import boundary_curve
+from mellin_pricer.boundary import (boundary_curve, premium_time_grid,
+                                    simpson_weight)
 from mellin_pricer import fft_pricer
 from mellin_pricer.errors import (GridTooCoarse, NoAdmissibleK, NonFiniteSpot,
                                   OutOfRange)
@@ -20,12 +21,11 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       EUROPEAN_PUT, build_grid, contour_sum,
                                       discounted_payoff_transform,
                                       invert_at_landing,
-                                      invert_transform_lattice, premium_time_grid,
+                                      invert_transform_lattice,
                                       premium_transform, price_american_call,
                                       price_at, price_put, price_surface,
                                       PriceSurface, put_transform,
-                                      reduce_to_put, simpson_weight,
-                                      surface_to_csv,
+                                      reduce_to_put, surface_to_csv,
                                       surface_to_json)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
                                        early_exercise_mellin)
@@ -59,15 +59,17 @@ class TestBuildGrid:
         g = build_grid(2, 2**9, 1.0, [50.0, 80.0])
         assert np.allclose(g.deltas * g.lams, 2 * math.pi / 2**9, rtol=1e-14)
 
-    def test_k_hint(self):
-        g = build_grid(1, 2**14, 1.0, [100.0], k_hint=[2**13 + 3002])
-        assert g.landing_index[0] == 2**13 + 3002
-
     @pytest.mark.parametrize("spot", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_spot(self, spot):
         # NaN used to reach int(round(nan)) and inf int(round(inf))
         with pytest.raises(NonFiniteSpot, match="spot must be finite"):
             build_grid(2, 2**9, 1.0, [50.0, spot])
+
+    def test_rejects_nan_strip(self):
+        # NaN passed the old "<= 0" check and the price came out NaN
+        with pytest.raises(ValueError, match="strip abscissa"):
+            price_put(100.0, 100.0, 0.05, 0.02, 0.2, 0.5, style=EUROPEAN_PUT,
+                      size=4096, strip_a=math.nan)
 
     def test_grid_too_coarse(self):
         # admissible offset exists but needs a log spacing above 1
@@ -124,23 +126,24 @@ class TestSimpsonWeight:
 
 class TestPremiumTimeGrid:
     def test_simpson_weights_sum(self):
-        t, w = premium_time_grid(250, 0.5, "simpson")
+        g = premium_time_grid(250, 0.5, "simpson")
+        t, w = g.t, g.c
         assert t[0] == 0.0 and abs(t[-1] - 0.5) < 1e-15
         assert_close(w.sum(), 0.5, rtol=3e-3)  # composite pattern, even count
 
     def test_trapezoid_weights(self):
-        t, w = premium_time_grid(5, 1.0, "trapezoid")
+        w = premium_time_grid(5, 1.0, "trapezoid").c
         assert_close(w.sum(), 1.0, rtol=1e-14)
         assert w[0] == w[-1] == 0.125
 
     def test_flat_weights(self):
-        t, w = premium_time_grid(5, 1.0, "flat")
+        w = premium_time_grid(5, 1.0, "flat").c
         assert np.allclose(w, 0.2)
 
     def test_single_step_degenerate(self):
-        t, w = premium_time_grid(1, 0.7, "simpson")
-        assert t.tolist() == [0.0]
-        assert w.tolist() == [0.7]
+        g = premium_time_grid(1, 0.7, "simpson")
+        assert g.t.tolist() == [0.0]
+        assert g.c.tolist() == [0.7]
 
 
 def integrand_european(j, grid, spec, tau):
@@ -153,10 +156,11 @@ def integrand_european(j, grid, spec, tau):
 
 def integrand_premium(j, l, grid, spec, tau, boundary):
     """Premium FFT input at frequency index j and time node l, unweighted:
-    (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l."""
+    (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l,
+    the boundary's sample M-1-l."""
     w = grid.axes[0].points[j[:1]]
-    t_l = premium_time_grid(boundary.m, tau, "flat")[0][l]
-    s_star = boundary.at_tte(tau - t_l)
+    t_l = premium_time_grid(boundary.m, tau, "flat").t[l]
+    s_star = boundary.values[boundary.m - 1 - l]
     if s_star <= 0.0:
         return 0j
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
@@ -209,7 +213,8 @@ class TestIntegrands:
         got = integrand_premium([40], 3, self.grid, spec, 0.5, curve)
         assert got == 0
         axes = (self.grid.axes[0].part(40, 41),)
-        assert premium_transform(axes, spec, 0.5, curve)[0] == 0
+        times = premium_time_grid(8, 0.5)
+        assert premium_transform(axes, spec, times, curve)[0] == 0
 
     def test_premium_time_zero_factors(self):
         # a single time node sits at t = 0 with weight tau: characteristic
@@ -217,13 +222,13 @@ class TestIntegrands:
         j = 77
         got = integrand_premium([j], 0, self.grid, self.spec, 0.5, self.curve)
         w = self.grid.axes[0].points[[j]]
-        want = early_exercise_mellin(w, self.curve.at_tte(0.5), self.spec)
+        want = early_exercise_mellin(w, self.curve.values[-1], self.spec)
         assert_close(got, (-1.0) ** j * complex(want), rtol=1e-12)
         curve1 = boundary_curve(self.spec, 1, 0.5)
         # the premium style is minus the premium transform at this strike
         single = -put_transform((self.grid.axes[0].part(j, j + 1),),
-                                self.spec, 0.5,
-                                EARLY_EXERCISE_PREMIUM, curve1)[0]
+                                self.spec, 0.5, EARLY_EXERCISE_PREMIUM,
+                                curve1, premium_time_grid(1, 0.5))[0]
         assert_close(complex(single), 0.5 * complex(want), rtol=1e-13)
 
 
@@ -271,7 +276,7 @@ class TestFftVsDirectSum:
         grid = build_grid(1, 64, 1.0, [2.0], m_steps=6)
         curve = boundary_curve(spec, 6, 0.5)
         transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT, curve,
-                                  "simpson")
+                                  premium_time_grid(6, 0.5))
         fft_vals, imag_resid = invert_transform_lattice(
             grid, *half_and_edges(grid, transform))
         direct = direct_inverse(grid, transform).real
@@ -313,9 +318,9 @@ class TestFftVsDirectSum:
         if n == 1:
             r, q, sig = GROUPING_PARAMS[1]
             spec = BasketSpec.single(100.0, 0.5, q, r, sig)
-            transform = put_transform(grid.axes, spec, 0.5,
-                                      AMERICAN_PUT,
-                                      boundary_curve(spec, 6, 0.5))
+            transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT,
+                                      boundary_curve(spec, 6, 0.5),
+                                      premium_time_grid(6, 0.5))
         else:
             transform = discounted_payoff_transform(grid.axes,
                                                     small_basket(n), 0.5)
@@ -442,6 +447,13 @@ class TestAmericanSurface:
     def test_requires_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
             price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT)
+
+    @pytest.mark.parametrize("m, tau", [(119, 0.5), (120, 0.4)])
+    def test_refuses_a_curve_for_another_m_or_tau(self, m, tau):
+        curve = boundary_curve(self.spec, m, tau)
+        with pytest.raises(ValueError, match="not on the time grid"):
+            price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
+                          boundary=curve)
 
     def test_basket_american_unsupported(self, basket2_spec):
         grid = build_grid(2, 2**6, 1.0, [50.0, 50.0], m_steps=4)
@@ -583,14 +595,15 @@ class TestPutTransformAndContourSum:
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         self.curve = boundary_curve(self.spec, 12, 0.5)
+        self.times = premium_time_grid(12, 0.5)
         self.axes = (Axis(1.0, 0.25, -16, 32),)
 
     def test_styles_add_up(self):
         euro = put_transform(self.axes, self.spec, 0.5, EUROPEAN_PUT, None)
         amer = put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT,
-                             self.curve)
+                             self.curve, self.times)
         prem = put_transform(self.axes, self.spec, 0.5,
-                             EARLY_EXERCISE_PREMIUM, self.curve)
+                             EARLY_EXERCISE_PREMIUM, self.curve, self.times)
         assert np.array_equal(euro, discounted_payoff_transform(
             self.axes, self.spec, 0.5))
         assert np.array_equal(amer, euro + prem)
@@ -602,7 +615,7 @@ class TestPutTransformAndContourSum:
             put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT, None)
         with pytest.raises(NotImplementedError):
             put_transform((Axis(1.0, 0.25, -2, 4),) * 2, basket2_spec, 0.5,
-                          AMERICAN_PUT, self.curve)
+                          AMERICAN_PUT, self.curve, self.times)
 
     def test_folded_sum_equals_full_sum(self):
         # weight h/2pi at b = 0 and 2h/2pi on each b > 0 sums the same as
@@ -612,9 +625,11 @@ class TestPutTransformAndContourSum:
         weights = np.full(folded[0].count, 2 * 0.25 / (2 * math.pi))
         weights[0] /= 2
         for style, bnd in ((EUROPEAN_PUT, None), (AMERICAN_PUT, self.curve)):
-            a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd),
+            a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd,
+                                          self.times),
                             full, 0.25 / (2 * math.pi), [95.0])
-            b = contour_sum(put_transform(folded, self.spec, 0.5, style, bnd),
+            b = contour_sum(put_transform(folded, self.spec, 0.5, style, bnd,
+                                          self.times),
                             folded, weights, [95.0])
             assert abs(a - b) <= 1e-13 * abs(a)
 

@@ -285,6 +285,13 @@ class TestLgamma:
         with pytest.raises(PoleError):
             lgamma_complex(-1.0 + 0.5j)
 
+    def test_nan_real_part_is_a_pole_error(self):
+        # NaN passed the old "Re(z) <= 0" check and came back NaN
+        with pytest.raises(PoleError):
+            lgamma_complex(complex(math.nan, 1.0))
+        with pytest.raises(PoleError):
+            payoff_mellin(np.array([complex(math.nan, 1.0)]), 100.0)
+
 
 class TestMultinomialBeta:
     def test_single_asset_unity(self):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import table1
-from mellin_pricer.boundary import BoundaryCurve, boundary_curve
+from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
+                                    premium_time_grid)
 from mellin_pricer.errors import InvalidProbability
 from mellin_pricer.errors import NonFiniteSpot, OutOfRange
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                                      premium_time_grid, price_surface)
+                                      price_surface)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
                                    McConfig, american_put_node_sum,
@@ -303,7 +304,7 @@ class TestDirectTrapezoid:
         surf = price_surface(self.spec, self.grid, 0.5, EUROPEAN_PUT)
         direct = price_direct_trapezoid(
             self.spec, self.grid.strip_a, self.grid.size, self.grid.deltas,
-            60, 0.5, [100.0], EUROPEAN_PUT)
+            0.5, [100.0], EUROPEAN_PUT)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_matches_fft_at_landing_american(self):
@@ -311,13 +312,14 @@ class TestDirectTrapezoid:
                              boundary=self.curve)
         direct = price_direct_trapezoid(
             self.spec, self.grid.strip_a, self.grid.size, self.grid.deltas,
-            60, 0.5, [100.0], AMERICAN_PUT, boundary=self.curve)
+            0.5, [100.0], AMERICAN_PUT, boundary=self.curve,
+            times=premium_time_grid(60, 0.5))
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_payoff_reconstruction_off_kink(self):
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.0, 0.2)
         direct = price_direct_trapezoid(
-            spec, [1.0], 2**14, [0.25], 2, 1e-12, [80.0], EUROPEAN_PUT)
+            spec, [1.0], 2**14, [0.25], 1e-12, [80.0], EUROPEAN_PUT)
         assert abs(direct - 20.0) < 1e-4
 
     def test_fft_surface_beats_repeated_direct_calls(self):
@@ -331,8 +333,8 @@ class TestDirectTrapezoid:
         t0 = time.perf_counter()
         for k in range(16):
             price_direct_trapezoid(spec, grid.strip_a, grid.size,
-                                   grid.deltas, 2, 0.5,
-                                   [90.0 + k], EUROPEAN_PUT)
+                                   grid.deltas, 0.5, [90.0 + k],
+                                   EUROPEAN_PUT)
         t_direct = time.perf_counter() - t0
         assert t_fft < t_direct
 
@@ -353,7 +355,7 @@ def _node0_subtracted_fft(spec, spot, tau, size=2**12, m=250):
     grid = build_grid(1, size, 1.0, [spot], m_steps=m)
     fft = price_surface(spec, grid, tau, AMERICAN_PUT,
                         boundary=dropped).landing_value()
-    c0 = premium_time_grid(m, tau)[1][0]
+    c0 = premium_time_grid(m, tau).c[0]
     r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
     step = 1.0 if spot < curve.values[-1] else 0.5 * (spot == curve.values[-1])
     return fft + c0 * (r * k - q * spot) * step, curve
@@ -373,24 +375,27 @@ class TestAmericanPutNodeSum:
     @pytest.mark.parametrize("spec,spot,tau", NODE_SUM_CASES)
     def test_matches_node0_subtracted_fft(self, spec, spot, tau):
         fft, curve = _node0_subtracted_fft(spec, spot, tau)
-        got = american_put_node_sum(spot, spec, tau, curve)
+        got = american_put_node_sum(spot, spec, premium_time_grid(250, tau),
+                                    curve)
         assert abs(fft - got) <= 1e-8 * spec.strike
 
     def test_vectorised_over_spots(self):
         spec, _, tau = NODE_SUM_CASES[-1]
         curve = boundary_curve(spec, 50, tau)
+        times = premium_time_grid(50, tau)
         spots = np.array([[70.0, 95.0], [100.0, 130.0]])
-        got = american_put_node_sum(spots, spec, tau, curve)
+        got = american_put_node_sum(spots, spec, times, curve)
         assert got.shape == spots.shape
         for s, v in zip(spots.ravel(), got.ravel()):
-            assert_close(american_put_node_sum(s, spec, tau, curve), v,
+            assert_close(american_put_node_sum(s, spec, times, curve), v,
                          rtol=1e-14)
 
     def test_no_premium_is_black_scholes(self):
         # r = 0: the boundary is 0 at every node, so nothing is exercised
         spec = BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.25)
         curve = boundary_curve(spec, 20, 0.5)
-        got = american_put_node_sum(90.0, spec, 0.5, curve)
+        got = american_put_node_sum(90.0, spec, premium_time_grid(20, 0.5),
+                                    curve)
         want = black_scholes(90.0, 100.0, 0.0, 0.03, 0.25, 0.5, "put").price
         assert_close(got, want, atol=1e-13)
 
@@ -400,8 +405,8 @@ class TestAmericanPutNodeSum:
         s0 = curve.values[-1]
         below, at, above = american_put_node_sum(
             np.array([np.nextafter(s0, 0.0), s0, np.nextafter(s0, 2 * s0)]),
-            spec, 0.5, curve)
-        c0 = premium_time_grid(20, 0.5)[1][0]
+            spec, premium_time_grid(20, 0.5), curve)
+        c0 = premium_time_grid(20, 0.5).c[0]
         jump = c0 * (0.06 * 100.0 - 0.02 * s0)
         assert_close(below - at, 0.5 * jump, rtol=1e-9)
         assert_close(at - above, 0.5 * jump, rtol=1e-9)
@@ -409,7 +414,15 @@ class TestAmericanPutNodeSum:
     def test_rejects_bad_spots(self):
         spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
         curve = boundary_curve(spec, 5, 0.5)
+        times = premium_time_grid(5, 0.5)
         with pytest.raises(NonFiniteSpot):
-            american_put_node_sum([100.0, np.nan], spec, 0.5, curve)
+            american_put_node_sum([100.0, np.nan], spec, times, curve)
         with pytest.raises(OutOfRange):
-            american_put_node_sum(0.0, spec, 0.5, curve)
+            american_put_node_sum(0.0, spec, times, curve)
+
+    @pytest.mark.parametrize("m, tau", [(4, 0.5), (5, 0.25)])
+    def test_refuses_a_curve_for_another_m_or_tau(self, m, tau):
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        with pytest.raises(ValueError, match="not on the time grid"):
+            american_put_node_sum(90.0, spec, premium_time_grid(5, 0.5),
+                                  boundary_curve(spec, m, tau))

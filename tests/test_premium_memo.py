@@ -19,7 +19,7 @@ from mellin_pricer import boundary
 from mellin_pricer import greeks as gk
 from mellin_pricer import table1
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
-                                    clear_boundary_cache)
+                                    clear_boundary_cache, premium_time_grid)
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
                                       premium_moments, price_american_call)
@@ -28,6 +28,8 @@ from mellin_pricer.series_pricer import dw_price_american_call
 
 KINDS = (gk.delta1(), gk.gamma(), gk.theta(), gk.rho(), gk.nu(), gk.xi())
 MODES = ("kernel", "paper")
+#: the time grid of the M = 50, tau = 0.5 curves below
+T50 = premium_time_grid(50, 0.5)
 
 
 def counts():
@@ -65,7 +67,7 @@ def test_five_calls_of_one_market_share_one_pass():
 
 def test_each_table_grouping_makes_one_fft_and_one_series_pass():
     clear_boundary_cache()
-    table1.run_table1(binomial_steps=10, threads=1)
+    table1.run_table1(binomial_steps=10)
     # three groupings, each one FFT pass and one DW pass for its five calls
     assert counts() == (6, 24)
 
@@ -99,8 +101,8 @@ def test_curve_made_by_hand_shares_the_pass_of_its_market():
                          spec_hash=())
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, 0.5, curve)
-    assert premium_moments(w, spec, 0.5, copy) is got
+    got = premium_moments(w, spec, T50, curve)
+    assert premium_moments(w, spec, T50, copy) is got
     assert counts() == (1, 1)
 
 
@@ -114,8 +116,8 @@ def test_curve_of_another_strike_is_read_as_made_by_hand():
                          spec_hash=())
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, 0.5, other)
-    assert premium_moments(w, spec, 0.5, copy) is got
+    got = premium_moments(w, spec, T50, other)
+    assert premium_moments(w, spec, T50, copy) is got
     assert counts() == (1, 1)
 
 
@@ -145,11 +147,11 @@ def test_cached_moments_are_read_only_and_shared():
     curve = boundary_curve(spec, 50, 0.5)
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, 0.5, curve, t_powers=(0, 1))
+    got = premium_moments(w, spec, T50, curve, t_powers=(0, 1))
     assert not got.flags.writeable
     with pytest.raises(ValueError):
         got[0, 0, 0] = 0.0
-    assert premium_moments(w, spec, 0.5, curve, t_powers=(0, 1)) is got
+    assert premium_moments(w, spec, T50, curve, t_powers=(0, 1)) is got
     assert counts() == (1, 1)
 
 
@@ -160,11 +162,25 @@ def test_curve_with_same_spec_hash_but_other_values_misses():
                           spec_hash=curve.spec_hash)
     w = half_contour()
     clear_boundary_cache()
-    first = premium_moments(w, spec, 0.5, curve)
-    second = premium_moments(w, spec, 0.5, other)
+    first = premium_moments(w, spec, T50, curve)
+    second = premium_moments(w, spec, T50, other)
     assert counts() == (2, 0)
     assert not np.array_equal(first, second)
-    assert premium_moments(w, spec, 0.5, other) is second
+    assert premium_moments(w, spec, T50, other) is second
+
+
+def test_time_rules_never_share_an_entry():
+    # the key holds the grid's nodes and weights, not a rule name
+    spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+    curve = boundary_curve(spec, 50, 0.5)
+    w = half_contour()
+    clear_boundary_cache()
+    got = [premium_moments(w, spec, premium_time_grid(50, 0.5, rule), curve)
+           for rule in ("simpson", "trapezoid")]
+    assert counts() == (2, 0)
+    assert not np.array_equal(got[0], got[1])
+    again = premium_moments(w, spec, premium_time_grid(50, 0.5), curve)
+    assert again is got[0]
 
 
 def test_axes_that_differ_in_first_or_h_never_share_an_entry():
@@ -180,7 +196,7 @@ def test_axes_that_differ_in_first_or_h_never_share_an_entry():
     others = [Axis(1.0, h, first, 9) for first in (-3, 0, 1, -9)]
     others.append(Axis(1.0, float(np.nextafter(h, 1.0)), -4, 9))
     transforms = (
-        lambda ax: premium_moments((ax,), spec, 0.5, curve),
+        lambda ax: premium_moments((ax,), spec, T50, curve),
         lambda ax: discounted_payoff_transform((ax, Axis(1.0, 0.3, -4, 9)),
                                                basket, 0.5))
     for transform in transforms:
@@ -201,14 +217,14 @@ def test_cache_stays_bounded_and_clears():
     curve = boundary_curve(spec, 50, 0.5)
     clear_boundary_cache()
     spots = [80.0 + 5.0 * k for k in range(boundary.MOMENT_CACHE_SIZE + 3)]
-    first = premium_moments(half_contour(spots[0]), spec, 0.5, curve)
+    first = premium_moments(half_contour(spots[0]), spec, T50, curve)
     for spot in spots[1:]:
-        premium_moments(half_contour(spot), spec, 0.5, curve)
+        premium_moments(half_contour(spot), spec, T50, curve)
         assert len(boundary._moment_cache) <= boundary.MOMENT_CACHE_SIZE
     assert len(boundary._moment_cache) == boundary.MOMENT_CACHE_SIZE
     assert counts() == (len(spots), 0)
     # the least recently used contour was evicted and is computed anew
-    again = premium_moments(half_contour(spots[0]), spec, 0.5, curve)
+    again = premium_moments(half_contour(spots[0]), spec, T50, curve)
     assert again is not first
     assert np.array_equal(again, first)
     clear_boundary_cache()
@@ -217,15 +233,23 @@ def test_cache_stays_bounded_and_clears():
 
 
 def test_threaded_table_rows_equal_serial():
-    # the boundary and moment caches are shared by run_table1's workers,
-    # which run the three groupings' sweeps and their cells side by side
+    # the boundary and moment caches are shared by threads that price the
+    # table's cells side by side
     clear_boundary_cache()
-    serial, serial_dev = table1.run_table1(binomial_steps=200, threads=1)
-    clear_boundary_cache()
-    threaded, threaded_dev = table1.run_table1(binomial_steps=200, threads=2)
+    serial, _ = table1.run_table1(binomial_steps=200)
     assert len(serial) == 3 * len(table1.SPOTS)
-    assert threaded == serial
-    assert threaded_dev == serial_dev
+
+    def quotes(row):
+        rate, div, vol = table1.GROUPINGS[row.grouping]
+        return (price_american_call(row.spot, table1.STRIKE, rate, div, vol,
+                                    table1.TAU),
+                dw_price_american_call(row.spot, table1.STRIKE, rate, div,
+                                       vol, table1.TAU))
+
+    clear_boundary_cache()
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        threaded = list(ex.map(quotes, serial))
+    assert threaded == [(row.fft, row.dw) for row in serial]
 
 
 def test_concurrent_lookups_count_every_call_and_return_exact_entries():
@@ -235,12 +259,12 @@ def test_concurrent_lookups_count_every_call_and_return_exact_entries():
     curve = boundary_curve(spec, 50, 0.5)
     contours = [(Axis(1.0, db, -4, 9),) for db in (0.25, 0.5, 0.75)]
     clear_boundary_cache()
-    want = [premium_moments(w, spec, 0.5, curve) for w in contours]
+    want = [premium_moments(w, spec, T50, curve) for w in contours]
     clear_boundary_cache()
     calls = 8 * 60
 
     def work(k):
-        got = premium_moments(contours[k % 3], spec, 0.5, curve)
+        got = premium_moments(contours[k % 3], spec, T50, curve)
         assert len(boundary._moment_cache) <= boundary.MOMENT_CACHE_SIZE
         return np.array_equal(got, want[k % 3])
 

@@ -18,12 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mellin_pricer import greeks as gk
-from mellin_pricer.boundary import BoundaryCurve, boundary_curve
-from mellin_pricer.fft_pricer import (EARLY_EXERCISE_PREMIUM,
-                                      TIME_WEIGHT_MODES, Axis, _fold,
+from mellin_pricer.boundary import (TIME_WEIGHT_MODES, BoundaryCurve,
+                                    boundary_curve, premium_time_grid)
+from mellin_pricer.fft_pricer import (EARLY_EXERCISE_PREMIUM, Axis, _fold,
                                       build_grid, premium_moments,
-                                      premium_time_grid, premium_transform,
-                                      put_transform)
+                                      premium_transform, put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
                                        exercise_indicator_mellin)
@@ -32,15 +31,15 @@ from mellin_pricer.series_pricer import DwConfig
 PEAK_RTOL = 1e-13
 
 
-def reference_premium(w, spec, tau, boundary, time_mode, term=None):
-    """sum_l c_l term(w, s*_l, t_l) exp(-t_l Psi(wi) - r t_l), node by node."""
+def reference_premium(w, spec, times, boundary, term=None):
+    """sum_l c_l term(w, s*_l, t_l) exp(-t_l Psi(wi) - r t_l), node by node;
+    node l reads the boundary's sample M-1-l, at time to expiry tau - t_l."""
     if term is None:
         term = lambda ws, s_star, t_l: early_exercise_mellin(ws, s_star, spec)
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
-    t_nodes, t_wgts = premium_time_grid(boundary.m, tau, time_mode)
     acc = np.zeros(w.shape[:-1], dtype=complex)
-    for t_l, c_l in zip(t_nodes, t_wgts):
-        s_star = boundary.at_tte(tau - t_l)
+    for l, (t_l, c_l) in enumerate(zip(times.t, times.c)):
+        s_star = boundary.values[boundary.m - 1 - l]
         if s_star <= 0.0:
             continue
         acc += (c_l * term(w, s_star, t_l)
@@ -125,10 +124,10 @@ def make_spec(mk):
 def test_matches_per_node_sum(mk, m, w, time_mode):
     spec = make_spec(mk)
     curve = boundary_curve(spec, m, mk["tau"])
-    got = premium_transform(w, spec, mk["tau"], curve, time_mode)
+    times = premium_time_grid(m, mk["tau"], time_mode)
+    got = premium_transform(w, spec, times, curve)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(points(w), unit_spec, mk["tau"], unit,
-                             time_mode)
+    want = reference_premium(points(w), unit_spec, times, unit)
     assert got.shape == (w[0].count,)
     if mk["rate"] == 0.0:
         # empty exercise region at every node
@@ -151,9 +150,10 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
     base = boundary_curve(spec, m, mk["tau"])
     values = np.where(skip[:m], 0.0, base.values)
     curve = BoundaryCurve(times=base.times, values=values, spec_hash=())
-    got = premium_transform(w, spec, mk["tau"], curve)
+    times = premium_time_grid(m, mk["tau"])
+    got = premium_transform(w, spec, times, curve)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(points(w), unit_spec, mk["tau"], unit, "simpson")
+    want = reference_premium(points(w), unit_spec, times, unit)
     if all(skip[:m]):
         assert not np.any(got)
     else:
@@ -165,7 +165,8 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
 def test_time_moments_match_per_node_sums(mk, m, w):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
     curve = boundary_curve(spec, m, mk["tau"])
-    got = premium_moments(w, spec, mk["tau"], curve, t_powers=(0, 1, 2))
+    times = premium_time_grid(m, mk["tau"])
+    got = premium_moments(w, spec, times, curve, t_powers=(0, 1, 2))
     assert got.shape == (3, 2, w[0].count)
     w = points(w)
     unit_spec, unit = unit_market(spec, curve)
@@ -173,8 +174,7 @@ def test_time_moments_match_per_node_sums(mk, m, w):
         for e in range(2):
             term = lambda ws, s_star, t_l: (t_l**p * s_star**e
                                             * np.exp(ws[..., 0] * math.log(s_star)))
-            want = reference_premium(w, unit_spec, mk["tau"], unit,
-                                     "simpson", term)
+            want = reference_premium(w, unit_spec, times, unit, term)
             assert_peak_close(got[p, e], want, max_phase(w, unit))
 
 
@@ -184,10 +184,11 @@ def test_full_lattice_conjugate_fill_and_corner():
     spec = BasketSpec.single(100.0, 1.0, 0.06, 0.03, 0.25)
     curve = boundary_curve(spec, 250, 1.0)
     axes = build_grid(1, 2**12, 1.0, [100.0], m_steps=250).axes
-    got = premium_transform(axes, spec, 1.0, curve)
+    times = premium_time_grid(250, 1.0)
+    got = premium_transform(axes, spec, times, curve)
     unit_spec, unit = unit_market(spec, curve)
-    assert_peak_close(got, reference_premium(points(axes), unit_spec, 1.0,
-                                             unit, "simpson"))
+    assert_peak_close(got, reference_premium(points(axes), unit_spec, times,
+                                             unit))
     # b_j and b_(N-j) are mirror images for 0 < j < N
     np.testing.assert_array_equal(got[1:], got[:0:-1].conj())
 
@@ -200,9 +201,10 @@ def test_band_limited_pass_on_the_pricing_lattice(vol, tau):
     spec = BasketSpec.single(100.0, tau, 0.06, 0.02, vol)
     curve = boundary_curve(spec, 250, tau)
     axes = build_grid(1, 2**14, 1.0, [100.0], m_steps=250).axes
-    got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve)
-    assert_peak_close(got, reference_premium(points(axes), spec, tau, curve,
-                                             "simpson"))
+    times = premium_time_grid(250, tau)
+    got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve, times)
+    assert_peak_close(got, reference_premium(points(axes), spec, times,
+                                             curve))
 
 
 def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():
@@ -223,15 +225,17 @@ def test_descending_contour_is_reversed_ascending():
     # b_k = (-31 + k)(-0.3) = (31 - k) 0.3 runs the lattice backwards
     up = lattice_contour(64, 1.0, 0.3)
     down = (Axis(1.0, -0.3, -31, 64),)
-    prem = lambda w: put_transform(w, spec, 0.5, EARLY_EXERCISE_PREMIUM, curve)
+    prem = lambda w: put_transform(w, spec, 0.5, EARLY_EXERCISE_PREMIUM, curve,
+                                   premium_time_grid(9, 0.5))
     np.testing.assert_allclose(prem(down), prem(up)[::-1],
                                rtol=0, atol=1e-14 * 100.0)
 
 
-def reference_greek_premium(kind, w, spot, tau, spec, curve, mode):
+def reference_greek_premium(kind, w, spot, times, spec, curve, mode):
     """Premium term of an American greek with the multiplier applied per node."""
     def term(ws, s_star, t_l):
-        _, f_p = gk.greek_multiplier(kind, ws, spot, tau, t_l, spec, mode)
+        _, f_p = gk.greek_multiplier(kind, ws, spot, times.tau, t_l, spec,
+                                     mode)
         out = f_p * early_exercise_mellin(ws, s_star, spec)
         if mode == "kernel":
             if kind.name == "rho":
@@ -241,7 +245,7 @@ def reference_greek_premium(kind, w, spot, tau, spec, curve, mode):
                              * ws[..., 0] * s_star / (ws[..., 0] + 1.0))
         return out
 
-    return reference_premium(w, spec, tau, curve, "simpson", term)
+    return reference_premium(w, spec, times, curve, term)
 
 
 @settings(max_examples=20, deadline=None)
@@ -253,10 +257,11 @@ def test_greek_premium_terms_match_per_node_multipliers(mk, m, spot, mode):
     axes = build_grid(1, 128, 1.0, [spot], m_steps=2, delta_target=0.5).axes
     w = points(axes)
     unit_spec, unit = unit_market(spec, curve)
+    times = premium_time_grid(m, mk["tau"])
     for kind in (gk.delta1(), gk.gamma(), gk.theta(), gk.rho(), gk.nu(),
                  gk.xi()):
-        got = gk._premium_sensitivity(kind, axes, [spot], mk["tau"], spec,
-                                      curve, mode)
-        want = reference_greek_premium(kind, w, [spot], mk["tau"], unit_spec,
+        got = gk._premium_sensitivity(kind, axes, [spot], times, spec, curve,
+                                      mode)
+        want = reference_greek_premium(kind, w, [spot], times, unit_spec,
                                        unit, mode)
         assert_peak_close(got, want, max_phase(w, unit))

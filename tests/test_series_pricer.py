@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
-from mellin_pricer.boundary import boundary_curve
+from mellin_pricer import series_pricer
+from mellin_pricer.boundary import boundary_curve, premium_time_grid
 from mellin_pricer.errors import RangeViolation
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                                       EUROPEAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
-                                      premium_time_grid, put_transform)
+                                      put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
                                        payoff_mellin)
@@ -33,7 +34,8 @@ def g_hat(w, tau, spec):
 
 def h_hat(w, tau, spec, boundary):
     """The series' premium transform: minus the premium-style transform."""
-    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
+    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary,
+                          premium_time_grid(boundary.m, tau))
 
 
 class TestGHat:
@@ -81,21 +83,22 @@ class TestHHat:
         got = h_hat(w, 0.5, self.spec, curve1)
         # one node at t = 0 with weight tau: f(w, tau) * 1 * 1 * tau
         want = 0.5 * early_exercise_mellin(np.array([w]),
-                                           curve1.at_tte(0.5), self.spec)
+                                           curve1.values[-1], self.spec)
         assert_close(complex(got[0]), complex(want), rtol=1e-13)
 
     def test_matches_fft_premium_accumulation(self):
         # cross-module identity: h-hat equals the weighted per-node sum of
         # early-exercise terms at a matching FFT contour point
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=12)
-        t_nodes, wgt = premium_time_grid(12, 0.5, "simpson")
+        times = premium_time_grid(12, 0.5, "simpson")
+        t_nodes, wgt = times.t, times.c
         cov = CovStruct.from_spec(self.spec)
         for j in (10, 128, 199):
             w = complex(grid.axes[0].points[j])
             psi = char_exponent_wi(np.array([w]), cov)
             acc = 0j
             for l, t_l in enumerate(t_nodes):
-                s_star = self.curve.at_tte(0.5 - t_l)
+                s_star = self.curve.values[11 - l]
                 if s_star > 0.0:
                     acc += wgt[l] * complex(
                         early_exercise_mellin(np.array([w]), s_star, self.spec)
@@ -118,6 +121,20 @@ class TestDwPrice:
         r, q, sig = GROUPING_PARAMS[2]
         got = dw_price_american_call(120.0, 100.0, r, q, sig, 0.5)
         assert abs(got - 23.4010) < 2e-3
+
+    @pytest.mark.parametrize("field", ["strip_a", "log_range"])
+    def test_config_refuses_nan(self, field):
+        # NaN passed the old "<= 0" checks and the price came out NaN
+        with pytest.raises(ValueError, match=field):
+            DwConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("m, tau", [(11, 0.5), (12, 0.25)])
+    def test_refuses_a_curve_for_another_m_or_tau(self, monkeypatch, m, tau):
+        spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+        monkeypatch.setattr(series_pricer, "put_boundary",
+                            lambda *args: boundary_curve(spec, m, tau))
+        with pytest.raises(ValueError, match="not on the time grid"):
+            dw_price(95.0, 0.5, spec, DwConfig(m_steps=12))
 
     def test_range_guard(self):
         spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
@@ -225,7 +242,7 @@ def test_series_meets_the_node_sum_where_node_zero_rang(seed, r, q, vol, tau,
         spec, spot = BasketSpec.single(120.0, tau, q, r, vol), 100.0
     else:
         spec, spot = BasketSpec.single(100.0, tau, r, q, vol), 80.0
-    want = american_put_node_sum(spot, spec, tau,
+    want = american_put_node_sum(spot, spec, premium_time_grid(250, tau),
                                  boundary_curve(spec, 250, tau))
     got = dw_price(spot, tau, spec, DwConfig(n_terms=1000))
     assert abs(got - want) <= 1e-5
