@@ -1,9 +1,10 @@
 """The premium's time axis, and the American put's critical price on it.
 
 :func:`premium_time_grid` alone makes the premium's time nodes, a frozen
-:class:`TimeGrid`.  A :class:`BoundaryCurve` samples S* at their times to
-expiry, and premium node l reads its value by index
-(:meth:`BoundaryCurve.at_nodes`).
+:class:`TimeGrid`, and :func:`boundary_curve` alone makes a
+:class:`BoundaryCurve`: that grid, the market's strike-1 critical prices
+u_l at its nodes in node order, and the strike K, so node l reads
+S*_l = K u_l.  The American pricers take the curve alone.
 
 S* solves a smooth-pasting approximation for an array of calendar times t
 in one vectorised bracketed solve, so a cold curve costs one
@@ -26,21 +27,19 @@ formula modes are available:
 ``sigma-squared``
     delta = sigma^2/2 + (q-r)/sigma + 2r and exp(+q (T-t)); same guards.
 
-The critical price is homogeneous of degree 1 in (S, K), so every solve
-runs at K = 1: a curve at strike K is K times its market's strike-1
-curve, solved once and shared by the five calls of a market, with each
-root moved by a few ulps to the float of least residual at K.  Both kinds
-of curve are cached per market, M, tau and mode in bounded
-least-recently-used caches of CACHE_SIZE entries; cached curves are
-immutable and shared, so repeated requests are bit-identical.  A third
-cache, of MOMENT_CACHE_SIZE entries, holds transforms that quotes and
-greeks share, each keyed on its exact inputs: the strike-free premium
-moments of ``fft_pricer.premium_moments`` (0.5 MB for an N = 2^14 greek),
-shared by the greeks of one position and the calls of one market, and the
-basket payoff transforms of ``fft_pricer.discounted_payoff_transform``
-(2.1 MB for a two-asset N = 2^9 half lattice).
-:func:`clear_boundary_cache` empties all three; each counts its hits and
-misses.
+The critical price is homogeneous of degree 1 in (S, K), so every curve
+is solved at K = 1, once per market, node times, tau and mode, and shared
+by every strike: the five calls of one market read one solve.  The solved
+arrays are kept in a bounded least-recently-used cache of CACHE_SIZE
+entries; they are read-only and shared, so repeated requests are
+bit-identical.  A second cache, of MOMENT_CACHE_SIZE entries, holds
+transforms that quotes and greeks share, each keyed on its exact inputs:
+the strike-free premium moments of ``fft_pricer.premium_moments`` (0.5 MB
+for an N = 2^14 greek), shared by the greeks of one position and the calls
+of one market, and the basket payoff transforms of
+``fft_pricer.discounted_payoff_transform`` (2.1 MB for a two-asset N = 2^9
+half lattice).  :func:`clear_boundary_cache` empties both; each counts its
+hits and misses.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import NegativeRadicand, NoBracket
-from .mellin_core import BasketSpec
+from .mellin_core import BasketSpec, check_tau
 from .oracles import price_direct_trapezoid
 
 CRITICAL_PRICE_MODES = ("corrected", "printed", "sigma-squared")
@@ -89,17 +88,24 @@ class TimeGrid:
 
     @property
     def tte(self):
-        """The nodes' times to expiry tau - t_l, ascending, so node l has
-        entry M-1-l: for M >= 2 the uniform nodes themselves, as
-        t_(M-1-l) = tau - t_l; for M = 1, whose one node is t = 0, tau."""
-        return self.t if self.m > 1 else np.full(1, self.tau)
+        """The nodes' times to expiry tau - t_l, in node order: for M >= 2
+        the uniform nodes reversed, as t_(M-1-l) = tau - t_l; for M = 1,
+        whose one node is t = 0, tau."""
+        return self.t[::-1] if self.m > 1 else np.full(1, self.tau)
 
 
 def premium_time_grid(m_steps, tau, mode="simpson"):
     """The premium's M time nodes t_l = l tau/(M-1) (t = 0 alone for
-    M = 1) and their ``mode`` weights, which include the step size."""
+    M = 1) and their ``mode`` weights, which include the step size.
+
+    ``ValueError`` for an M that is not an integer >= 1, a tau that is not
+    finite and positive, or an unknown ``mode``.
+    """
     if mode not in TIME_WEIGHT_MODES:
         raise ValueError(f"unknown time weight mode {mode!r}")
+    if not (m_steps >= 1 and float(m_steps).is_integer()):
+        raise ValueError(f"m_steps must be an integer >= 1, got {m_steps!r}")
+    check_tau(tau)
     if m_steps == 1:
         return TimeGrid(tau, np.array([0.0]), np.array([tau]))
     dt = tau / (m_steps - 1)
@@ -242,8 +248,7 @@ def critical_price_approx(t, spec: BasketSpec, mode="corrected"):
         resid = np.max(np.abs(capf_residual(root, t, unit, mode)))
         if not resid <= 1e-10:
             raise NoBracket(f"root did not converge: |G| = {resid} K")
-        out[live] = _nearest_roots(spec.strike * root, t, spec, mode,
-                                   SOLVED_REACH)
+        out[live] = _nearest_roots(spec.strike * root, t, spec, mode)
     return float(out) if out.ndim == 0 else out
 
 
@@ -309,67 +314,55 @@ def _chandrupatla(f, x1, x2, f1, f2, args):
 
 
 # ulps searched on either side of a root: the strike-1 roots of
-# _chandrupatla times K sat up to 7 ulps from the float of least |G| at K,
-# and K times those floats up to 3 (over amer_book's market range, 75,000
-# nodes each)
+# _chandrupatla times K sat up to 7 ulps from the float of least |G| at K
+# (over amer_book's market range, 75,000 nodes)
 SOLVED_REACH = 8
-SCALED_REACH = 4
 
 
-def _nearest_roots(s, t, spec: BasketSpec, mode, reach):
+def _nearest_roots(s, t, spec: BasketSpec, mode):
     """Each root ``s`` at calendar time ``t`` moved to the float within
-    ``reach`` ulps of it with the least |G| at ``spec``'s strike, the
+    SOLVED_REACH ulps of it with the least |G| at ``spec``'s strike, the
     nearest one on ties: as near as a solve at that strike gets.  One
-    vectorised residual over the 2 reach + 1 floats around each root.
+    vectorised residual over the 2 SOLVED_REACH + 1 floats around each
+    root.
     """
-    steps = np.arange(-reach, reach + 1)
+    steps = np.arange(-SOLVED_REACH, SOLVED_REACH + 1)
     steps = steps[np.argsort(np.abs(steps), kind="stable")]  # 0, -1, 1, ...
     cand = s + steps[:, None] * np.spacing(s)
     g = np.abs(capf_residual(cand, t, spec, mode))
     return np.take_along_axis(cand, np.argmin(g, axis=0)[None], axis=0)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """Critical prices at a :class:`TimeGrid`'s times to expiry.
+    """The critical prices S*_l = K u_l at the nodes of a :class:`TimeGrid`.
 
-    ``times`` are the grid's :attr:`~TimeGrid.tte`, ascending, and
-    ``values[j]`` is S* at time to expiry ``times[j]``, so premium node l
-    reads ``values[M-1-l]`` (:meth:`at_nodes`).  ``unit`` is the strike-1
-    curve that :func:`boundary_curve` scaled to make ``values``; curves
-    made by hand carry none.
+    ``u`` holds the market's strike-1 critical prices in node order: u_l at
+    node l's time to expiry ``grid.tte[l]``, read-only and shared by every
+    strike.  Made by :func:`boundary_curve`.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    spec_hash: tuple
-    unit: BoundaryCurve | None = None
+    grid: TimeGrid
+    u: np.ndarray
+    strike: float
 
     def __post_init__(self):
-        if self.times.shape != self.values.shape:
-            raise ValueError("times/values length mismatch")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        if self.u.shape != (self.grid.m,):
+            raise ValueError("one critical price per time node required")
+        # min and max, not isfinite and any: this runs on every quote
+        if not 0.0 <= self.u.min() <= self.u.max() < math.inf:
             raise ValueError("boundary values must be finite and nonnegative")
+        self.u.setflags(write=False)
 
     @property
-    def m(self):
-        return self.times.shape[0]
-
-    def at_nodes(self, grid: TimeGrid):
-        """S* at each node of ``grid``, in node order: ``values`` reversed.
-
-        ``ValueError`` unless ``times`` are the grid's times to expiry bit
-        for bit, i.e. for a curve sampled for another M or tau.
-        """
-        if not np.array_equal(self.times, grid.tte):
-            raise ValueError(f"boundary curve of {self.m} samples is not on "
-                             f"the time grid (M = {grid.m}, tau = {grid.tau})")
-        return self.values[::-1]
+    def s_star(self):
+        """S*_l = K u_l, in node order."""
+        return self.strike * self.u
 
     def to_csv(self, fp):
         """Write `t,s_star` rows (t = time to expiry, ascending)."""
         fp.write("t,s_star\n")
-        for t, v in zip(self.times, self.values):
+        for t, v in zip(self.grid.tte[::-1], self.s_star[::-1]):
             fp.write(f"{t:.12g},{v:.12g}\n")
 
 
@@ -414,8 +407,7 @@ class _LruCache:
             self.hits = self.misses = 0
 
 
-CACHE_SIZE = 256  # curves per cache; an M = 250 curve holds 4 kB of arrays
-_curve_cache = _LruCache(CACHE_SIZE)
+CACHE_SIZE = 256  # strike-1 curves; an M = 250 curve holds 2 kB
 _unit_cache = _LruCache(CACHE_SIZE)
 # premium moments per (market, strike-1 curve, contour), filled by
 # fft_pricer.premium_moments (an N = 2^14 greek entry holds 0.5 MB), and
@@ -427,87 +419,64 @@ MOMENT_CACHE_SIZE = 2
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
 
 
-def _unit_curve(spec: BasketSpec, m_steps, tau, mode):
-    """The boundary curve of ``spec`` at strike 1, solved once per market
-    at the times to expiry of the M-node premium grid on [0, tau]."""
-    unit = dataclasses.replace(spec, strike=1.0)
-    key = unit.param_key(extra=(int(m_steps), float(tau), mode))
-    hit = _unit_cache.get(key)
-    if hit is not None:
-        return hit
-    tte = premium_time_grid(m_steps, tau).tte
-    # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
-    values = critical_price_approx(np.maximum(unit.maturity - tte, 0.0),
-                                   unit, mode)
-    tte.setflags(write=False)
-    values.setflags(write=False)
-    return _unit_cache.add(key, BoundaryCurve(times=tte, values=values,
-                                              spec_hash=key))
+def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
+    """The critical prices of ``spec`` at the times to expiry of the
+    premium grid ``grid`` (:class:`BoundaryCurve`).
 
-
-def boundary_curve(spec: BasketSpec, m_steps, tau, mode="corrected"):
-    """Critical prices at the times to expiry of the M-node premium grid
-    on [0, tau] (:class:`BoundaryCurve`), cached per parameter tuple.
-
-    The critical
-    price is homogeneous of degree 1 in (S, K), so the curve is K times
-    the strike-1 curve of the same market, which is solved once, shared
-    by every strike and attached as the curve's ``unit``; each scaled root
-    is then moved to the float near it with the least |G| at K.  Both
-    caches key a market on the exact bytes of its parameters
-    (:meth:`BasketSpec.param_key`), M, tau and ``mode``: two calls with
-    identical parameters return the same immutable curve object, and
-    markets that differ in any bit do not share one.
+    The critical price is homogeneous of degree 1 in (S, K), so the curve
+    holds the market's strike-1 prices u, solved once and shared by every
+    strike.  They are cached on the exact bytes of every market parameter
+    but the strike, the grid's tau and nodes, and on ``mode``: two calls
+    with identical inputs read the same read-only array, and markets that
+    differ in any bit do not share one.  ``ValueError`` for a grid longer
+    than the contract.
     """
-    if m_steps < 1:
-        raise ValueError("m_steps must be >= 1")
-    if not 0 < tau <= spec.maturity + 1e-12:
+    if not grid.tau <= spec.maturity + 1e-12:
         raise ValueError("require 0 < tau <= maturity")
-    key = spec.param_key(extra=(int(m_steps), float(tau), mode))
-    hit = _curve_cache.get(key)
-    if hit is not None:
-        return hit
-    unit = _unit_curve(spec, m_steps, tau, mode)
-    values = spec.strike * unit.values
-    t = np.maximum(spec.maturity - unit.times, 0.0)
-    live = (spec.maturity - t > 0.0) & (values > 0.0)
-    if spec.strike != 1.0 and np.any(live):
-        values[live] = _nearest_roots(values[live], t[live], spec, mode,
-                                      SCALED_REACH)
-    values.setflags(write=False)
-    return _curve_cache.add(key, BoundaryCurve(times=unit.times, values=values,
-                                               spec_hash=key, unit=unit))
+    key = (np.concatenate([[spec.maturity, spec.rate], spec.dividends,
+                           spec.vols, spec.corr.ravel(), [grid.tau],
+                           grid.t]).tobytes(), mode)
+    u = _unit_cache.get(key)
+    if u is None:
+        unit = dataclasses.replace(spec, strike=1.0)
+        # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
+        u = critical_price_approx(np.maximum(unit.maturity - grid.tte, 0.0),
+                                  unit, mode)
+        u.setflags(write=False)
+        u = _unit_cache.add(key, u)
+    return BoundaryCurve(grid, u, spec.strike)
 
 
 def clear_boundary_cache():
-    """Empty the per-strike and strike-1 curve caches and the cache of
-    premium moments and basket payoff transforms, and zero their counts."""
-    _curve_cache.clear()
+    """Empty the cache of strike-1 curves and the cache of premium moments
+    and basket payoff transforms, and zero their counts."""
     _unit_cache.clear()
     _moment_cache.clear()
 
 
-def boundary_residual_cap(curve: BoundaryCurve, j, spec: BasketSpec, grid,
+def boundary_residual_cap(curve: BoundaryCurve, l, spec: BasketSpec, grid,
                           mode="corrected"):
-    """Residual of the exact free-boundary condition at the curve's
-    sample ``j``, time to expiry theta = ``curve.times[j]``.
+    """Residual of the exact free-boundary condition at the curve's node
+    ``l``, time to expiry theta = ``curve.grid.tte[l]``.
 
     Evaluates K - S* - [European term - premium term] at theta with
     :func:`~mellin_pricer.oracles.price_direct_trapezoid` at S = S* on the
-    axis of ``grid``.  A diagnostic of how well the approximate boundary
-    satisfies the exact smooth-pasted condition; not a solver.
+    axis of ``grid``, the premium on the curve's M nodes over [0, theta].
+    A diagnostic of how well the approximate boundary satisfies the exact
+    smooth-pasted condition; not a solver.
     """
     if spec.n != 1:
         raise ValueError("residual diagnostic is single-asset only")
     # local import: fft_pricer depends on this module
-    from .fft_pricer import AMERICAN_PUT, EUROPEAN_PUT, put_boundary
+    from .fft_pricer import AMERICAN_PUT, EUROPEAN_PUT
 
-    tte, s_star = curve.times[j], curve.values[j]
+    tte, s_star = curve.grid.tte[l], curve.s_star[l]
     if s_star <= 0.0:
         return spec.strike  # empty exercise region, r = 0 limit
-    style = AMERICAN_PUT if tte > 0 else EUROPEAN_PUT  # no premium at expiry
-    put = price_direct_trapezoid(
-        spec, grid.strip_a[0], grid.size, grid.deltas[0], tte, s_star, style,
-        put_boundary(style, spec, curve.m, tte, mode),
-        premium_time_grid(curve.m, tte))
+    style, bnd = EUROPEAN_PUT, None  # no premium at expiry
+    if tte > 0:
+        style = AMERICAN_PUT
+        bnd = boundary_curve(spec, premium_time_grid(curve.grid.m, tte), mode)
+    put = price_direct_trapezoid(spec, grid.strip_a[0], grid.size,
+                                 grid.deltas[0], tte, s_star, style, bnd)
     return spec.strike - s_star - put

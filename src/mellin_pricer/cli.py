@@ -65,7 +65,10 @@ def read_config(path):
 
 
 def _apply_config(args, parser):
-    """Fill unset flags from --config; explicit flags take precedence."""
+    """Fill unset flags from --config; explicit flags take precedence.
+
+    A text value is parsed by the subcommand's own flag, so a value outside
+    its choices exits 2 as it would on the command line."""
     if not getattr(args, "config", None):
         return args
     try:
@@ -83,7 +86,9 @@ def _apply_config(args, parser):
                 setattr(args, attr, [float(v) for v in val.split(",")])
             elif attr in ("corr", "groupings", "style", "method", "out",
                           "format", "time_weights", "boundary_mode"):
-                setattr(args, attr, val)
+                flag = "--" + attr.replace("_", "-")
+                parsed = parser.parse_args([args.command, f"{flag}={val}"])
+                setattr(args, attr, getattr(parsed, attr))
             else:
                 try:
                     setattr(args, attr, float(val))
@@ -172,17 +177,16 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
                        time_weights=time_weights)
         return dw_price(float(put_spots[0]), tau, put_spec, cfg, put_style,
                         mode) + term
-    bnd = put_boundary(put_style, put_spec, args.grid_m, tau, mode)
+    bnd = put_boundary(put_style, put_spec,
+                       premium_time_grid(args.grid_m, tau, time_weights), mode)
     # trapezoid sums on the landing grid's frequencies, comparable with fft
     grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
                       m_steps=args.grid_m, delta_target=args.delta_target)
     if method == "trapezoid":
         return oracles.price_direct_trapezoid(
             put_spec, grid.strip_a, grid.size, grid.deltas, tau, put_spots,
-            style=put_style, boundary=bnd,
-            times=premium_time_grid(args.grid_m, tau, time_weights)) + term
-    surf = price_surface(put_spec, grid, tau, put_style, boundary=bnd,
-                         time_weights=time_weights)
+            style=put_style, boundary=bnd) + term
+    surf = price_surface(put_spec, grid, tau, put_style, boundary=bnd)
     diagnostics["imag_residual"] = _fmt(surf.imag_residual)
     diagnostics["clamped_points"] = surf.clamped_points
     return surf.landing_value() + term
@@ -237,6 +241,9 @@ def cmd_greeks(args, parser):
     style = args.style or "euro-put"
     if style not in ("euro-put", "amer-put"):
         parser.error("greeks supports --style euro-put or amer-put")
+    if args.time_weights not in (None, "simpson"):
+        parser.error(f"greeks uses the simpson time weights; --time-weights "
+                     f"{args.time_weights} is not supported")
     pstyle = _PRICE_STYLES[style]
     tau = float(args.tau)
     kw = dict(style=pstyle, size=args.grid_n, m_steps=args.grid_m,
@@ -275,10 +282,10 @@ def cmd_surface(args, parser):
     tau = float(args.tau)
     grid = build_grid(spec.n, args.grid_n, args.strip_a, spots,
                       m_steps=args.grid_m, delta_target=args.delta_target)
-    bnd = put_boundary(style, spec, args.grid_m, tau,
-                       args.boundary_mode or "corrected")
-    surf = price_surface(spec, grid, tau, style, boundary=bnd,
-                         time_weights=args.time_weights or "simpson")
+    times = premium_time_grid(args.grid_m, tau,
+                              args.time_weights or "simpson")
+    bnd = put_boundary(style, spec, times, args.boundary_mode or "corrected")
+    surf = price_surface(spec, grid, tau, style, boundary=bnd)
     fmt = args.format or "csv"
     text_target = args.out
     if fmt == "json":
@@ -302,7 +309,8 @@ def cmd_boundary(args, parser):
     div = float(args.div[0]) if args.div else 0.0
     spec = BasketSpec.single(float(args.strike), float(args.tau),
                              float(args.rate), div, float(args.vol[0]))
-    curve = boundary_curve(spec, args.grid_m, float(args.tau),
+    times = premium_time_grid(args.grid_m, float(args.tau))
+    curve = boundary_curve(spec, times,
                            mode=args.boundary_mode or "corrected")
     import io
 

@@ -90,13 +90,14 @@ Strike
 ------
 For one asset every put transform is homogeneous in the strike:
 T_K(w) = K^(w+1) T_1(w), the boundary included (S* is homogeneous of
-degree 1 in (S, K)).  So the premium pass runs on the market's strike-1
-boundary curve, and the strike enters as the one factor K^(w+1)
+degree 1 in (S, K)).  A :class:`~mellin_pricer.boundary.BoundaryCurve`
+holds the market's strike-1 critical prices u_l, so the premium pass runs
+on u alone, and the strike enters as the one factor K^(w+1)
 (:func:`strike_factor`), the exp((1 + w) ln K) of the payoff transform,
 applied once to the whole strike-1 transform.  The moments are memoised
-on the exact market, strike-1 curve and contour, with no strike in the
-key (:func:`premium_moments`).  The greeks of one position share all
-three and pay for one pass; so do the five calls of one market, which
+on the exact market, time grid, u and contour, with no strike in the
+key (:func:`premium_moments`).  The greeks of one position share all of
+them and pay for one pass; so do the five calls of one market, which
 put-call symmetry maps to five put strikes on one lattice landing on
 ln K.  Put quotes at different spots have different spacings and miss.
 
@@ -550,22 +551,20 @@ def _running_rows(first, step, rows):
     return x
 
 
-def premium_moments(axes, spec: BasketSpec, times, boundary, t_powers=(0,)):
+def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     """Weighted time moments of the early-exercise integrand at strike 1,
-    on the one-asset contour ``axes`` and the time grid ``times``.
+    on the one-asset contour ``axes`` and the time grid of ``boundary``.
 
-    With u_l the market's strike-1 boundary at node l, X_l(w) = u_l^w
-    exp(-t_l (Psi(wi) + r)) and the grid's weights c_l, returns an
-    array of shape (len(t_powers), 2, count) whose entry [p, e] is
-    sum_l c_l t_l^p u_l^e X_l(w), over the nodes with u_l > 0.  On the
-    strike-K curve s*_l = K u_l the moment is K^(w+e) times this; callers
-    fold that into the one factor K^(w+1) of the whole transform.  The
-    strike-1 curve is ``boundary.unit`` when
-    :func:`~mellin_pricer.boundary.boundary_curve` made ``boundary`` for
-    ``spec``, so the strikes of one market read the same bytes; any other
-    curve, e.g. one made by hand or for another strike, is divided by K.
-    Single-asset only.  An axis through b = 0 is evaluated on b >= 0 only
-    and the rest filled in by conjugation (:func:`_fold`).
+    With u_l = ``boundary.u[l]`` the market's strike-1 critical price at
+    node l, X_l(w) = u_l^w exp(-t_l (Psi(wi) + r)) and the grid's nodes t_l
+    and weights c_l, returns an array of shape (len(t_powers), 2, count)
+    whose entry [p, e] is sum_l c_l t_l^p u_l^e X_l(w), over the nodes with
+    u_l > 0.  On the strike-K curve s*_l = K u_l the moment is K^(w+e)
+    times this; callers fold that into the one factor K^(w+1) of the whole
+    transform.  The curve's own strike is never read, so every strike of
+    one market reads the same bytes.  Single-asset only.  An axis through
+    b = 0 is evaluated on b >= 0 only and the rest filled in by
+    conjugation (:func:`_fold`).
 
     The pass is band-limited: |X_l(a + ib)| = |X_l(a)| exp(-t_l sigma^2
     b^2 / 2), so on a contour through b = 0 node l only updates
@@ -577,14 +576,14 @@ def premium_moments(axes, spec: BasketSpec, times, boundary, t_powers=(0,)):
     cutoffs lie within a factor of two are evaluated together as one
     (nodes x frequencies) block of at most BLOCK_POINTS entries: the
     running products fill the block's rows by repeated doubling and the
-    weights c_l t_l^p (s*_l)^e s*_l^a reduce it by one matrix product.
+    weights c_l t_l^p u_l^e u_l^a reduce it by one matrix product.
 
     The result is memoised in a bounded LRU cache
     (``boundary._moment_cache``, emptied by
     :func:`~mellin_pricer.boundary.clear_boundary_cache`) keyed on the
     exact bytes of every input the pass reads: r, q, sigma, the 1 x 1
-    correlation, the grid's tau, nodes and weights, ``t_powers``, the
-    strike-1 boundary and the axis.
+    correlation, the grid's tau, nodes and weights, ``t_powers``, u and
+    the axis.
     The strike is not in the key.  A hit is therefore the array a
     recompute would give, bit for bit; the American greeks of one
     position, and the calls of one market, read the same moments on the
@@ -593,25 +592,20 @@ def premium_moments(axes, spec: BasketSpec, times, boundary, t_powers=(0,)):
     if spec.n != 1 or len(axes) != 1:
         raise NotImplementedError("the premium transform is single-asset only")
     axis, = axes
-    unit = boundary.unit
-    # boundary_curve keys a curve on spec.param_key() + (M, tau, mode)
-    if unit is not None and boundary.spec_hash[:-3] == spec.param_key():
-        s_star = unit.at_nodes(times)
-    else:  # made by hand or for another strike
-        s_star = boundary.at_nodes(times) / spec.strike
+    times, u = boundary.grid, boundary.u
     t_nodes, t_wgts = times.t, times.c
     key = (np.array([spec.rate, spec.dividends[0], spec.vols[0],
                      spec.corr[0, 0], times.tau]).tobytes(),
            t_nodes.tobytes(), t_wgts.tobytes(), tuple(t_powers),
-           s_star.tobytes(), axis)
+           u.tobytes(), axis)
     hit = _moment_cache.get(key)
     if hit is not None:
         return hit
 
-    live = s_star > 0.0
-    log_s = np.log(np.where(live, s_star, 1.0))
+    live = u > 0.0
+    log_s = np.log(np.where(live, u, 1.0))
     base = np.where(live, t_wgts * np.exp(axis.a * log_s), 0.0)
-    weights = np.array([base * t_nodes**p * s_star**e
+    weights = np.array([base * t_nodes**p * u**e
                         for p in t_powers for e in (0, 1)], dtype=complex)
 
     half, index, conj = _fold(axis)
@@ -663,16 +657,16 @@ def exercise_factors(axes, spec: BasketSpec):
     return float(spec.dividends[0]) / (w + 1.0), -spec.rate / w
 
 
-def premium_transform(axes, spec: BasketSpec, times, boundary):
+def premium_transform(axes, spec: BasketSpec, boundary):
     """Time-quadrature of the early-exercise transform at strike 1, on the
-    one-asset contour ``axes`` and the time grid ``times``.
+    one-asset contour ``axes`` and the time grid of ``boundary``.
 
     H(w) = sum_l c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
     early-exercise transform at the boundary value s*_l for time-to-expiry
     tau - t_l and c_l the grid's weights; nodes with s*_l = 0 (empty
     exercise region) contribute nothing.  The boundary is homogeneous in
     the strike, s*_l = K u_l, so H_K = K^(w+1) H_1, and this returns H_1,
-    the transform on the market's strike-1 curve u
+    the transform on the curve's strike-1 prices u
     (see :func:`premium_moments`); callers apply :func:`strike_factor`
     once to the whole put transform.
 
@@ -689,7 +683,7 @@ def premium_transform(axes, spec: BasketSpec, times, boundary):
     terms the result agrees to about 1e-14 of its peak magnitude (the
     tests require 1e-13).
     """
-    (a0, a1), = premium_moments(axes, spec, times, boundary)
+    (a0, a1), = premium_moments(axes, spec, boundary)
     f_q, f_r = exercise_factors(axes, spec)
     return f_q * a1 + f_r * a0
 
@@ -732,19 +726,19 @@ def reduce_to_put(style, spec: BasketSpec, spots):
     return spec, spots, style, 0.0
 
 
-def put_boundary(style, spec: BasketSpec, m_steps, tau, mode="corrected"):
+def put_boundary(style, spec: BasketSpec, grid, mode="corrected"):
     """The exercise boundary :func:`put_transform` needs for ``style``.
 
-    None for the European put; otherwise the cached critical-price curve
-    on the M-step time grid, single-asset only.
+    None for the European put; otherwise the critical-price curve on the
+    premium time grid ``grid``, single-asset only.
     """
     if style == EUROPEAN_PUT:
         return None
     _single_asset_only(spec)
-    return boundary_curve(spec, m_steps, tau, mode=mode)
+    return boundary_curve(spec, grid, mode=mode)
 
 
-def put_transform(axes, spec: BasketSpec, tau, style, boundary, times=None):
+def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     """Mellin transform of the ``style`` put value on the contour ``axes``.
 
     The European put's is the discounted payoff transform; the American
@@ -752,19 +746,22 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary, times=None):
     is minus the premium transform alone (that transform integrates the
     negative-valued early-exercise function, so subtracting it adds a
     nonnegative premium).  The American styles are single-asset only and
-    need ``boundary`` and the time grid ``times`` over ``tau``.  For one
-    asset every style is :func:`strike_factor` times its transform at
-    strike 1.
+    need ``boundary`` on a time grid over ``tau`` (``ValueError``
+    otherwise).  For one asset every style is :func:`strike_factor` times
+    its transform at strike 1.
     """
     if style == EUROPEAN_PUT:
         return discounted_payoff_transform(axes, spec, tau)
     if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         raise ValueError(f"unknown style {style!r}")
     _single_asset_only(spec)
-    if boundary is None or times is None or times.tau != tau:
-        raise ValueError(f"{style} needs a boundary and a time grid over tau")
+    if boundary is None:
+        raise ValueError(f"{style} needs a boundary")
+    if boundary.grid.tau != tau:
+        raise ValueError(f"boundary curve is not on the time grid over "
+                         f"tau = {tau} (tau = {boundary.grid.tau})")
     factor = strike_factor(axes, spec)
-    out = factor * -premium_transform(axes, spec, times, boundary)
+    out = factor * -premium_transform(axes, spec, boundary)
     if style == AMERICAN_PUT:
         # summed like this, the American transform is the European one plus
         # the premium style's bit for bit
@@ -1013,13 +1010,13 @@ def _central_half_slices(grid):
 
 
 def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
-                  boundary=None, time_weights="simpson", quality_checks=True):
+                  boundary=None, quality_checks=True):
     """Full put-price surface for the requested style.
 
     American pricing (and the premium style) is single-asset only and
-    requires ``boundary`` sampled for the grid's M steps and ``tau``
-    (``ValueError`` otherwise); the premium is read with the
-    ``time_weights`` rule.
+    requires ``boundary`` on a time grid of the lattice's M steps over
+    ``tau`` (``ValueError`` otherwise); the premium uses that grid's
+    weights.
 
     ``quality_checks=False`` skips the imaginary-residual and negative-value
     gates (still recording the diagnostics); payoff reconstruction at
@@ -1029,10 +1026,13 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     if grid.n != spec.n:
         raise ValueError("grid and spec dimensions disagree")
     check_tau(tau)
-    times = premium_time_grid(grid.m_steps, tau, time_weights)
+    if (boundary is not None and spec.n == 1
+            and boundary.grid.m != grid.m_steps):
+        raise ValueError(f"boundary curve of {boundary.grid.m} nodes is not "
+                         f"on the time grid (M = {grid.m_steps})")
 
     def transform(axes):
-        return put_transform(axes, spec, tau, style, boundary, times)
+        return put_transform(axes, spec, tau, style, boundary)
 
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible
@@ -1126,9 +1126,10 @@ def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
     spec = BasketSpec.single(strike, max(tau, 1e-12), rate, dividend, vol)
     grid = build_grid(1, size, strip_a, [spot], m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
-    surf = price_surface(spec, grid, tau, style, boundary=bnd,
-                         time_weights=time_weights)
+    bnd = put_boundary(style, spec,
+                       premium_time_grid(m_steps, tau, time_weights),
+                       boundary_mode)
+    surf = price_surface(spec, grid, tau, style, boundary=bnd)
     return surf.landing_value(), surf
 
 

@@ -192,9 +192,10 @@ def _default_size(n):
     return 2**14 if n == 1 else 2**9
 
 
-def _premium_sensitivity(kind, axes, spot, times, spec, boundary, mode):
+def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     """Premium term sum_l c_l f_p(w, t_l) f(w, s*_l) X_l of the sensitivity,
-    at strike 1, on the one-asset contour ``axes`` and time grid ``times``.
+    at strike 1, on the one-asset contour ``axes`` and the time grid of
+    ``boundary``.
 
     f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
     reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
@@ -205,7 +206,7 @@ def _premium_sensitivity(kind, axes, spot, times, spec, boundary, mode):
     z = [axes[0].points]
     alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
     at_one = _factor(kind, z, spot, 1.0, spec, mode, premium=True)
-    (a0, a1), (t0, t1) = premium_moments(axes, spec, times, boundary,
+    (a0, a1), (t0, t1) = premium_moments(axes, spec, boundary,
                                          t_powers=(0, 1))
     f_q, f_r = exercise_factors(axes, spec)
     out = (alpha * (f_q * a1 + f_r * a0)
@@ -226,7 +227,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     """Sensitivity of the put at ``spot`` via the FFT pipeline.
 
     European style drops the premium term.  American sensitivities are
-    single-asset only and, in kernel mode, theta additionally picks up the
+    single-asset only, read the premium on the Simpson time grid of
+    ``m_steps`` nodes and, in kernel mode, theta additionally picks up the
     early-exercise function value inside the exercise region.  For one
     asset the transform is the strike factor K^(w+1) times the
     sensitivity's transform at strike 1, as for the price.
@@ -248,11 +250,11 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         size = _default_size(spec.n)
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
-    times = premium_time_grid(m_steps, tau)
+    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
+                       boundary_mode)
     correction = 0.0
     if (bnd is not None and kind.name == "theta" and mode == "kernel"
-            and float(spot.sum()) <= bnd.at_nodes(times)[0]):
+            and float(spot.sum()) <= bnd.s_star[0]):
         correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
     def transform(axes):
@@ -261,8 +263,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
             out = (_factor(kind, z, spot, tau, spec, mode, premium=False)
                    * unit_payoff_transform(axes, spec, tau))
             if bnd is not None:
-                out += _premium_sensitivity(kind, axes, spot, times, spec,
-                                            bnd, mode)
+                out += _premium_sensitivity(kind, axes, spot, spec, bnd,
+                                            mode)
             return strike_factor(axes, spec) * out
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once
@@ -277,7 +279,8 @@ def _pipeline_price(spot, tau, spec, style, size, m_steps, strip_a,
                     delta_target, boundary_mode):
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = put_boundary(style, spec, m_steps, tau, boundary_mode)
+    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
+                       boundary_mode)
     surf = price_surface(spec, grid, tau, style, boundary=bnd)
     return surf.landing_value()
 

@@ -376,13 +376,13 @@ def mc_basket_euro_put(spec: BasketSpec, s0, tau, cfg: McConfig):
 
 
 def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
-                           style="european_put", boundary=None, times=None):
+                           style="european_put", boundary=None):
     """Mellin inversion at one spot via the plain truncated trapezoid sum.
 
     On the FFT lattice's axes a_i + i (j - size // 2) delta_i, j < size;
-    shares the transform evaluation with the FFT pricer (``boundary`` and
-    ``times`` as in :func:`~mellin_pricer.fft_pricer.put_transform`), so
-    at a lattice landing point the two agree to reordering-level rounding.
+    shares the transform evaluation with the FFT pricer (``boundary`` as
+    in :func:`~mellin_pricer.fft_pricer.put_transform`), so at a lattice
+    landing point the two agree to reordering-level rounding.
     """
     from .fft_pricer import Axis, contour_sum, put_transform
 
@@ -397,7 +397,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
 
     axes = tuple(Axis(a, d, -(size // 2), size)
                  for a, d in zip(strip_a, deltas))
-    values = put_transform(axes, spec, tau, style, boundary, times)
+    values = put_transform(axes, spec, tau, style, boundary)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
     return contour_sum(values, axes, quad, spot)
 
@@ -407,15 +407,13 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
 # ---------------------------------------------------------------------------
 
 
-def american_put_node_sum(spots, spec: BasketSpec, times, boundary):
+def american_put_node_sum(spots, spec: BasketSpec, boundary):
     """The American put on the pricer's own time nodes, in closed form.
 
     Each premium node's Mellin inverse is a lognormal expectation, so with
-    the nodes t_l and weights c_l of the time grid ``times`` over [0, tau]
-    and s*_l the ``boundary`` at node l
-    (:meth:`~mellin_pricer.boundary.BoundaryCurve.at_nodes`, which refuses
-    a curve for another M or tau), the N -> infinity limit of the
-    FFT, series and trapezoid American puts is
+    the nodes t_l and weights c_l of the curve's time grid over [0, tau]
+    and s*_l = K u_l the ``boundary`` at node l, the N -> infinity limit of
+    the FFT, series and trapezoid American puts is
 
         P_BS(S) + sum_{l >= 1} c_l [rK e^(-r t_l) N(-d2_l)
                                     - qS e^(-q t_l) N(-d1_l)]
@@ -442,8 +440,8 @@ def american_put_node_sum(spots, spec: BasketSpec, times, boundary):
         d1 = (np.log(s / level) + (r - q + vol**2 / 2.0) * t) / sd
         return np.exp(-r * t) * ndtr(sd - d1), np.exp(-q * t) * ndtr(-d1)
 
-    t, c, tau = times.t, times.c, times.tau
-    s_star = boundary.at_nodes(times)
+    t, c, tau = boundary.grid.t, boundary.grid.c, boundary.grid.tau
+    s_star = boundary.s_star
     live = (s_star > 0.0) & (t > 0.0)
     euro_k, euro_s = legs(k, tau)
     node_k, node_s = legs(s_star[live], t[live])

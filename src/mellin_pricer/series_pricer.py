@@ -81,13 +81,14 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
         raise RangeViolation(
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
     axes = cfg.axes
-    bnd = put_boundary(style, spec, cfg.m_steps, tau, boundary_mode)
-    times = premium_time_grid(cfg.m_steps, tau, cfg.time_weights)
-    values = put_transform(axes, spec, tau, style, bnd, times)
+    bnd = put_boundary(style, spec,
+                       premium_time_grid(cfg.m_steps, tau, cfg.time_weights),
+                       boundary_mode)
+    values = put_transform(axes, spec, tau, style, bnd)
     step = 0.0
-    s0 = 0.0 if bnd is None else bnd.at_nodes(times)[0]
+    s0 = 0.0 if bnd is None else bnd.s_star[0]
     if s0 > 0.0:  # premium node 0: out of the series, into S space
-        c0 = times.c[0]
+        c0 = bnd.grid.c[0]
         r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
         w = axes[0].points
         values = values + c0 * s0**w * (q * s0 / (w + 1.0) - r * k / w)

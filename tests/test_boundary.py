@@ -1,5 +1,6 @@
 """Critical-price approximation, curve sampling, and the residual diagnostic."""
 
+import dataclasses
 import io
 import warnings
 from unittest import mock
@@ -19,7 +20,9 @@ from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
                                     capf_residual, clear_boundary_cache,
                                     critical_price_approx, premium_time_grid)
 from mellin_pricer.errors import NegativeRadicand, NoBracket
-from mellin_pricer.fft_pricer import build_grid, price_american_call
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, build_grid,
+                                      premium_moments, price_american_call,
+                                      price_surface)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import black_scholes
 
@@ -69,6 +72,16 @@ def max_abs_residual(values, times, spec):
     live = spec.maturity - times > 0
     return np.max(np.abs(capf_residual(values[live], times[live], spec)),
                   initial=0.0)
+
+
+def curve_of(spec, m, tau, mode="corrected"):
+    """The curve of ``spec`` on the M-node Simpson grid over [0, tau]."""
+    return boundary_curve(spec, premium_time_grid(m, tau), mode)
+
+
+def calendar_times(spec, curve):
+    """The calendar times of the curve's nodes, in node order."""
+    return np.maximum(spec.maturity - curve.grid.tte, 0.0)
 
 
 @st.composite
@@ -132,18 +145,21 @@ class TestVectorisedSolve:
     @settings(max_examples=60, deadline=None)
     @given(solver_markets())
     @example((BasketSpec.single(50.0, 0.9375, 0.01, 0.0, 0.5), 59))
-    # 100 times the strike-1 roots sat up to 2 ulps from the float of least
-    # |G| at K = 100, where Brent's roots were within 1
     @example((BasketSpec.single(100.0, 0.25, 0.01, 0.017578125, 0.15625), 250))
     def test_curve_matches_per_node_brentq(self, case):
+        # the curve's strike-1 roots hold the least residual at strike 1,
+        # and K times them agree with a solve at K to the solver's tolerance
         spec, m = case
+        unit = dataclasses.replace(spec, strike=1.0)
         clear_boundary_cache()
-        curve = boundary_curve(spec, m, spec.maturity)
-        times = np.maximum(spec.maturity - curve.times, 0.0)
-        ref = brentq_curve(spec, times)
-        np.testing.assert_allclose(curve.values, ref, rtol=1e-12, atol=0)
-        assert (max_abs_residual(curve.values, times, spec)
-                <= max_abs_residual(ref, times, spec))
+        curve = curve_of(spec, m, spec.maturity)
+        times = calendar_times(spec, curve)
+        ref = brentq_curve(unit, times)
+        np.testing.assert_allclose(curve.u, ref, rtol=1e-12, atol=0)
+        assert (max_abs_residual(curve.u, times, unit)
+                <= max_abs_residual(ref, times, unit))
+        np.testing.assert_allclose(curve.s_star, brentq_curve(spec, times),
+                                   rtol=1e-12, atol=0)
 
     def test_array_times_match_scalar_times(self):
         spec = BasketSpec.single(100.0, 0.5, 0.07, 0.03, 0.3)
@@ -192,7 +208,7 @@ def solves_of_curve(spec, m, mode):
     clear_boundary_cache()
     with mock.patch.object(boundary, "_chandrupatla", spy):
         try:
-            boundary_curve(spec, m, spec.maturity, mode)
+            curve_of(spec, m, spec.maturity, mode)
         except (NegativeRadicand, NoBracket):
             pass  # printed and sigma-squared modes fail on some markets
     return solves
@@ -239,13 +255,13 @@ class TestTinyPositiveRates:
         clear_boundary_cache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = boundary_curve(spec, 50, 0.34)
-        times = np.maximum(spec.maturity - curve.times, 0.0)
-        assert max_abs_residual(curve.values, times, spec) < 1e-10 * 30.0
+            curve = curve_of(spec, 50, 0.34)
+        times = calendar_times(spec, curve)
+        assert max_abs_residual(curve.s_star, times, spec) < 1e-10 * 30.0
         limit = 30.0 * r / 0.056
-        assert curve.values[0] == pytest.approx(limit, rel=1e-12)
-        assert np.all((curve.values > 0.5 * limit)
-                      & (curve.values <= curve.values[0]))
+        assert curve.s_star[-1] == pytest.approx(limit, rel=1e-12)
+        assert np.all((curve.s_star > 0.5 * limit)
+                      & (curve.s_star <= curve.s_star[-1]))
 
     @pytest.mark.parametrize("r", [1e-6, 1e-8, 1e-12])
     def test_call_on_a_tiny_dividend_prices(self, r):
@@ -271,21 +287,19 @@ class TestCacheKey:
         clear_boundary_cache()
 
     def test_rate_of_4e_13_after_zero_gets_its_own_curve(self):
-        zero = boundary_curve(BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.2),
-                              50, 0.5)
+        zero = curve_of(BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.2), 50, 0.5)
         spec = BasketSpec.single(100.0, 0.5, 4e-13, 0.03, 0.2)
-        warm = boundary_curve(spec, 50, 0.5)
-        assert warm is not zero
-        assert np.all(zero.values == 0.0) and np.all(warm.values > 1e-9)
+        warm = curve_of(spec, 50, 0.5)
+        assert warm.u is not zero.u
+        assert np.all(zero.u == 0.0) and np.all(warm.s_star > 1e-9)
         clear_boundary_cache()
-        assert np.array_equal(warm.values, boundary_curve(spec, 50, 0.5).values)
+        assert np.array_equal(warm.u, curve_of(spec, 50, 0.5).u)
 
     def test_denormal_rate_after_1e_300_raises_as_when_cold(self):
-        boundary_curve(BasketSpec.single(30.0, 0.34, 1e-300, 0.056, 0.37),
-                       50, 0.34)
+        curve_of(BasketSpec.single(30.0, 0.34, 1e-300, 0.056, 0.37), 50, 0.34)
         with pytest.raises(NoBracket, match="no sign change"):
-            boundary_curve(BasketSpec.single(30.0, 0.34, 5e-324, 0.056,
-                                             0.37), 50, 0.34)
+            curve_of(BasketSpec.single(30.0, 0.34, 5e-324, 0.056, 0.37),
+                     50, 0.34)
 
 
 class TestFormulaModes:
@@ -310,7 +324,7 @@ class TestFormulaModes:
         # on a curve only the nodes far from expiry lack a bracket
         assert critical_price_approx(5.9, spec, mode=mode) < spec.strike
         with pytest.raises(NoBracket, match=f"mode={mode}"):
-            boundary_curve(spec, 20, 6.0, mode=mode)
+            curve_of(spec, 20, 6.0, mode=mode)
 
     def test_printed_mode_valid_domain(self):
         # verbatim formula admits the unswapped grouping-1 parameters
@@ -354,18 +368,18 @@ class TestBoundaryCurve:
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
 
     def test_two_point_curve_is_endpoints(self):
-        curve = boundary_curve(self.spec, 2, 0.5)
-        assert curve.m == 2
-        assert_close(curve.values[0],
-                     critical_price_approx(0.5, self.spec), atol=1e-12)
-        assert_close(curve.values[1],
+        curve = curve_of(self.spec, 2, 0.5)
+        assert curve.grid.m == 2
+        assert_close(curve.s_star[0],
                      critical_price_approx(0.0, self.spec), atol=1e-12)
+        assert_close(curve.s_star[1],
+                     critical_price_approx(0.5, self.spec), atol=1e-12)
 
     def test_monotone_matches_bisection_oracle(self):
         # the oracle curve decides the shape; ours must follow it pointwise
-        curve = boundary_curve(self.spec, 40, 0.5)
+        curve = curve_of(self.spec, 40, 0.5)
         oracle = []
-        for theta in curve.times:
+        for theta in curve.grid.tte[::-1]:
             if theta == 0.0:
                 oracle.append(self.spec.strike)  # r > q expiry limit
                 continue
@@ -377,36 +391,38 @@ class TestBoundaryCurve:
         oracle = np.array(oracle)
         diffs = np.diff(oracle)
         assert np.all(diffs <= 1e-9), "oracle curve is monotone in tte"
-        assert np.abs(curve.values - oracle).max() < 1e-8
+        assert np.abs(curve.s_star[::-1] - oracle).max() < 1e-8
 
     def test_last_node_rounding_past_maturity(self):
-        # 58 * (0.9375 / 58) exceeds 0.9375 by an ulp; the last node is
-        # expiry, not a calendar time before the contract starts
+        # 58 * (0.9375 / 58) exceeds 0.9375 by an ulp; node 0's time to
+        # expiry is the contract start, not a calendar time before it
         spec = BasketSpec.single(50.0, 0.9375, 0.01, 0.0, 0.5)
-        curve = boundary_curve(spec, 59, 0.9375)
-        assert curve.times[-1] > 0.9375
-        assert curve.values[-1] == critical_price_approx(0.0, spec)
+        curve = curve_of(spec, 59, 0.9375)
+        assert curve.grid.tte[0] > 0.9375
+        unit = dataclasses.replace(spec, strike=1.0)
+        assert curve.u[0] == critical_price_approx(0.0, unit)
 
     def test_cache_returns_identical_object(self):
-        a = boundary_curve(self.spec, 50, 0.5)
-        b = boundary_curve(self.spec, 50, 0.5)
-        assert a is b
-        assert np.array_equal(a.values, b.values)
+        a = curve_of(self.spec, 50, 0.5)
+        b = curve_of(self.spec, 50, 0.5)
+        assert a.u is b.u
+        assert np.array_equal(a.s_star, b.s_star)
 
     @pytest.mark.parametrize("strike", [0.37, 80.0, 100.0, 123.456, 5e4])
     def test_curve_scales_with_strike(self, strike):
-        # the critical price is homogeneous of degree 1 in (S, K)
+        # the critical price is homogeneous of degree 1 in (S, K): every
+        # strike of a market reads one strike-1 solve
         r, q, sig = GROUPING_PARAMS[3]
         spec = BasketSpec.single(strike, 0.5, r, q, sig)
         unit = BasketSpec.single(1.0, 0.5, r, q, sig)
-        curve = boundary_curve(spec, 40, 0.5)
-        np.testing.assert_allclose(
-            curve.values, strike * boundary_curve(unit, 40, 0.5).values,
-            rtol=4 * np.finfo(float).eps, atol=0)
+        curve = curve_of(spec, 40, 0.5)
+        assert curve.u is curve_of(unit, 40, 0.5).u
+        assert np.array_equal(curve.s_star, strike * curve.u)
         # and agrees with a solve at the strike itself to the solver's
         # tolerance
-        direct = [critical_price_approx(0.5 - th, spec) for th in curve.times]
-        np.testing.assert_allclose(curve.values, direct, rtol=1e-12)
+        direct = [critical_price_approx(t, spec)
+                  for t in calendar_times(spec, curve)]
+        np.testing.assert_allclose(curve.s_star, direct, rtol=1e-12)
 
     def test_five_calls_of_one_market_share_one_solve(self, monkeypatch):
         # put-call symmetry maps the calls to puts struck at each spot; all
@@ -428,44 +444,57 @@ class TestBoundaryCurve:
         size = boundary.CACHE_SIZE
         specs = [BasketSpec.single(100.0, 0.5, 0.01 + 1e-4 * i, 0.02, 0.3)
                  for i in range(size + 10)]
-        first = boundary_curve(specs[0], 2, 0.5)
+        first = curve_of(specs[0], 2, 0.5)
         for spec in specs[1:]:
-            boundary_curve(spec, 2, 0.5)
-        assert len(boundary._curve_cache) == size
+            curve_of(spec, 2, 0.5)
         assert len(boundary._unit_cache) == size
-        last = boundary_curve(specs[-1], 2, 0.5)
-        assert boundary_curve(specs[-1], 2, 0.5) is last
+        last = curve_of(specs[-1], 2, 0.5)
+        assert curve_of(specs[-1], 2, 0.5).u is last.u
         # the least recently used market was evicted and is solved anew
-        again = boundary_curve(specs[0], 2, 0.5)
-        assert again is not first
-        assert np.array_equal(again.values, first.values)
+        again = curve_of(specs[0], 2, 0.5)
+        assert again.u is not first.u
+        assert np.array_equal(again.u, first.u)
 
     def test_clear_empties_both_caches(self):
-        boundary_curve(self.spec, 5, 0.5)
-        assert len(boundary._curve_cache) and len(boundary._unit_cache)
+        curve = curve_of(self.spec, 5, 0.5)
+        w = build_grid(1, 2**6, 1.0, [100.0], m_steps=5).axes
+        premium_moments(w, self.spec, curve)
+        assert len(boundary._unit_cache) and len(boundary._moment_cache)
         clear_boundary_cache()
-        assert len(boundary._curve_cache) == 0
         assert len(boundary._unit_cache) == 0
+        assert len(boundary._moment_cache) == 0
 
     def test_node_index_lookup(self):
-        curve = boundary_curve(self.spec, 250, 0.5)
+        # node l reads S* at its time to expiry tau - t_l; the last node
+        # is expiry, where S* is K min(1, r/q) = K here (r > q)
+        curve = curve_of(self.spec, 250, 0.5)
         times = premium_time_grid(250, 0.5)
-        assert curve.at_nodes(times)[3] == curve.values[249 - 3]
-        with pytest.raises(ValueError):
-            curve.at_nodes(premium_time_grid(250, 0.1234567))
+        assert curve.grid.tte[3] == times.t[246]
+        unit = dataclasses.replace(self.spec, strike=1.0)
+        assert curve.u[3] == critical_price_approx(0.5 - times.t[246], unit)
+        assert curve.s_star[3] == self.spec.strike * curve.u[3]
+        assert curve.s_star[-1] == self.spec.strike
+        with pytest.raises(ValueError, match="not on the time grid"):
+            price_surface(self.spec, build_grid(1, 2**10, 1.0, [100.0],
+                                                m_steps=250),
+                          0.1234567, AMERICAN_PUT, curve)
 
     def test_csv_export(self):
-        curve = boundary_curve(self.spec, 5, 0.5)
+        curve = curve_of(self.spec, 5, 0.5)
         buf = io.StringIO()
         curve.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,s_star"
         assert len(lines) == 6
+        # ascending time to expiry: expiry first
+        assert lines[1] == "0,100"
 
     def test_rejects_invalid_values(self):
+        times = premium_time_grid(2, 1.0)
         with pytest.raises(ValueError):
-            BoundaryCurve(times=np.array([0.0, 1.0]),
-                          values=np.array([1.0, np.nan]), spec_hash=())
+            BoundaryCurve(times, np.array([1.0, np.nan]), 100.0)
+        with pytest.raises(ValueError):
+            BoundaryCurve(times, np.array([1.0, 0.5, 0.2]), 100.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,16 +504,22 @@ class TestBoundaryCurve:
        tau=st.floats(0.01, 2.0), m=st.sampled_from((1, 2, 3, 250)),
        rule=st.sampled_from(TIME_WEIGHT_MODES))
 def test_curve_is_sampled_on_the_time_grid(strike, r, q, vol, tau, m, rule):
-    # the strike-K curve and its strike-1 curve both sit on the grid's
-    # times to expiry; node l reads the sample nearest tau - t_l
+    # the curve holds the grid it was made on, and node l reads the
+    # strike-1 solve at the time to expiry nearest tau - t_l; every rule's
+    # nodes share one solve
     spec = BasketSpec.single(strike, tau, r, q, vol)
     times = premium_time_grid(m, tau, rule)
-    curve = boundary_curve(spec, m, tau)
-    for c in (curve, curve.unit):
-        assert np.array_equal(c.times, times.t if m > 1 else [tau])
-        nearest = [np.argmin(np.abs(c.times - (tau - t))) for t in times.t]
-        assert np.array_equal(c.at_nodes(times), c.values[nearest])
-        assert np.array_equal(c.at_nodes(times), c.values[::-1])
+    curve = boundary_curve(spec, times)
+    assert curve.grid is times and curve.strike == strike
+    assert curve.u is curve_of(spec, m, tau).u
+    tte = times.t[::-1] if m > 1 else [tau]
+    assert np.array_equal(curve.grid.tte, tte)
+    nearest = [tte[np.argmin(np.abs(np.subtract(tte, tau - t)))]
+               for t in times.t]
+    unit = dataclasses.replace(spec, strike=1.0)
+    want = critical_price_approx(np.maximum(tau - np.array(nearest), 0.0),
+                                 unit)
+    assert np.array_equal(curve.u, want)
 
 
 class TestResidualDiagnostic:
@@ -492,9 +527,9 @@ class TestResidualDiagnostic:
         # informational: measured |residual| at the near-expiry grid samples
         # stays inside the 0.5 currency-unit band for grouping-1 markets
         grid = build_grid(1, 2**14, 1.0, [100.0], m_steps=250)
-        curve = boundary_curve(grouping1_spec, 250, 0.5)
-        res_expiry = boundary_residual_cap(curve, 0, grouping1_spec, grid)
-        res_next = boundary_residual_cap(curve, 1, grouping1_spec, grid)
+        curve = curve_of(grouping1_spec, 250, 0.5)
+        res_expiry = boundary_residual_cap(curve, 249, grouping1_spec, grid)
+        res_next = boundary_residual_cap(curve, 248, grouping1_spec, grid)
         assert abs(res_expiry) < 0.5
         assert abs(res_next) < 0.5
         # measured values pinned loosely against regression
@@ -503,13 +538,13 @@ class TestResidualDiagnostic:
 
     def test_swapped_market_band(self, grouping1_put_spec):
         grid = build_grid(1, 2**14, 1.0, [100.0], m_steps=250)
-        curve = boundary_curve(grouping1_put_spec, 250, 0.5)
-        res = boundary_residual_cap(curve, 0, grouping1_put_spec, grid)
+        curve = curve_of(grouping1_put_spec, 250, 0.5)
+        res = boundary_residual_cap(curve, 249, grouping1_put_spec, grid)
         assert abs(res) < 0.5
 
     def test_deterministic(self, grouping1_spec):
         grid = build_grid(1, 2**12, 1.0, [100.0], m_steps=50)
-        curve = boundary_curve(grouping1_spec, 50, 0.5)
-        a = boundary_residual_cap(curve, 5, grouping1_spec, grid)
-        b = boundary_residual_cap(curve, 5, grouping1_spec, grid)
+        curve = curve_of(grouping1_spec, 50, 0.5)
+        a = boundary_residual_cap(curve, 44, grouping1_spec, grid)
+        b = boundary_residual_cap(curve, 44, grouping1_spec, grid)
         assert a == b

@@ -258,6 +258,32 @@ class TestConfigFile:
                   "--config", str(cfg)])
         assert exc.value.code == 2
 
+    # a value outside a flag's choices used to be taken as given: format =
+    # xml wrote CSV, boundary-mode = bogus priced a European put
+    @pytest.mark.parametrize("command, key", [
+        ("surface", "format"), ("price", "boundary-mode"),
+        ("price", "time-weights"), ("surface", "time-weights"),
+        ("price", "method"), ("price", "style"), ("surface", "style")])
+    def test_bad_choice_exits_2(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
+        style = [] if key == "style" else ["--style", "euro-put"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *style, *TestPriceCommand.SINGLE, "--grid-n",
+                  "512", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{key}" in captured.err and "'bogus'" in captured.err
+
+    def test_good_choice_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "good.cfg"
+        cfg.write_text("format = json\nstyle = euro-put\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "surface", *TestPriceCommand.SINGLE,
+                               "--grid-m", "50", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["style"] == "european_put"
+
 
 class TestSurfaceCommand:
     def test_csv_header_and_rows(self, capsys):
@@ -309,6 +335,32 @@ class TestGreeksCommand:
         assert set(payload) >= {"delta", "gamma", "theta", "rho", "nu", "xi"}
         assert isinstance(payload["delta"], float)
 
+    AMER = ["--style", "amer-put", "--spot", "90", "--strike", "100",
+            "--rate", "0.05", "--div", "0.03", "--vol", "0.25", "--tau", "1",
+            "--grid-n", "4096", "--grid-m", "50"]
+
+    # greeks price on the Simpson grid; the flag used to be ignored
+    @pytest.mark.parametrize("rule", ["flat", "trapezoid"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_time_weights_exit_2(self, capsys, tmp_path, rule, source):
+        if source == "flag":
+            extra = ["--time-weights", rule]
+        else:
+            cfg = tmp_path / "rule.cfg"
+            cfg.write_text(f"time-weights = {rule}\n", encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(["greeks", *self.AMER, *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--time-weights" in captured.err and rule in captured.err
+
+    def test_simpson_time_weights_are_the_default(self, capsys):
+        outs = [run_cli(capsys, "greeks", *self.AMER, *extra)[1:]
+                for extra in ([], ["--time-weights", "simpson"])]
+        assert outs[0] == outs[1]
+
 
 @pytest.mark.parametrize("argv, head", [
     (["greeks", "--style", "euro-put", "--spot", "100", "--strike", "100",
@@ -339,6 +391,26 @@ class TestBoundaryCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "t,s_star"
         assert len(lines) == 1 + 17
+
+
+class TestQualityFailure:
+    # the price on each refused surface is badly wrong (see
+    # test_fft_pricer.TestQualityGates)
+    @pytest.mark.parametrize("argv", [
+        ["--spot", "55.7387", "--spot", "42.4256", "--strike", "100",
+         "--rate", "0.0235158", "--div", "0.0294423", "--div", "0.000162097",
+         "--vol", "0.150094", "--vol", "0.21498",
+         "--corr", "1,-0.27499,-0.27499,1", "--tau", "0.25",
+         "--grid-n", "128"],
+        ["--spot", "100", "--strike", "100", "--rate", "0.05", "--div",
+         "0.02", "--vol", "0.2", "--tau", "0.05", "--grid-n", "64"]],
+        ids=["imag-residual", "negative-values"])
+    def test_refused_surface_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "price", "--method", "fft",
+                                 "--style", "euro-put", *argv)
+        assert code == 3
+        assert out == ""
+        assert "numerical quality failure" in err
 
 
 class TestTable1Command:

@@ -14,8 +14,9 @@ from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer.boundary import (boundary_curve, premium_time_grid,
                                     simpson_weight)
 from mellin_pricer import fft_pricer
-from mellin_pricer.errors import (GridTooCoarse, NoAdmissibleK, NonFiniteSpot,
-                                  OutOfRange)
+from mellin_pricer.errors import (GridTooCoarse, ImagResidualTooLarge,
+                                  NoAdmissibleK, NonFiniteSpot, OutOfRange,
+                                  SurfaceQualityError)
 from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       EARLY_EXERCISE_PREMIUM, EUROPEAN_CALL,
                                       EUROPEAN_PUT, build_grid, contour_sum,
@@ -145,6 +146,18 @@ class TestPremiumTimeGrid:
         assert g.t.tolist() == [0.0]
         assert g.c.tolist() == [0.7]
 
+    @pytest.mark.parametrize("m", [0, -3, 2.5, float("nan"), float("inf")])
+    def test_refuses_fewer_than_one_node(self, m):
+        # M = 0 gave an empty grid, and M = 2.5 three nodes past tau
+        with pytest.raises(ValueError, match="m_steps must be an integer"):
+            premium_time_grid(m, 0.5)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
+    def test_refuses_a_tau_that_is_not_finite_and_positive(self, tau):
+        # tau = nan gave NaN nodes
+        with pytest.raises(ValueError, match="tau must be positive"):
+            premium_time_grid(3, tau)
+
 
 def integrand_european(j, grid, spec, tau):
     """FFT input at lattice index j: (-1)^(sum j) times the discounted
@@ -156,11 +169,10 @@ def integrand_european(j, grid, spec, tau):
 
 def integrand_premium(j, l, grid, spec, tau, boundary):
     """Premium FFT input at frequency index j and time node l, unweighted:
-    (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l,
-    the boundary's sample M-1-l."""
+    (-1)^j f(w, s*_l) exp(-t_l (Psi(wi) + r)), s*_l read at tau - t_l."""
     w = grid.axes[0].points[j[:1]]
-    t_l = premium_time_grid(boundary.m, tau, "flat").t[l]
-    s_star = boundary.values[boundary.m - 1 - l]
+    t_l = boundary.grid.t[l]
+    s_star = boundary.s_star[l]
     if s_star <= 0.0:
         return 0j
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
@@ -173,7 +185,7 @@ class TestIntegrands:
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         self.grid = build_grid(1, 256, 1.0, [100.0], m_steps=8)
-        self.curve = boundary_curve(self.spec, 8, 0.5)
+        self.curve = boundary_curve(self.spec, premium_time_grid(8, 0.5))
 
     def test_european_at_center_tau_zero(self):
         # at b = 0 and tau = 0 the integrand is the payoff transform with
@@ -209,12 +221,11 @@ class TestIntegrands:
 
     def test_premium_zero_when_no_rate_no_dividend(self):
         spec = BasketSpec.single(100.0, 0.5, 0.0, 0.0, 0.2)
-        curve = boundary_curve(spec, 8, 0.5)
+        curve = boundary_curve(spec, premium_time_grid(8, 0.5))
         got = integrand_premium([40], 3, self.grid, spec, 0.5, curve)
         assert got == 0
         axes = (self.grid.axes[0].part(40, 41),)
-        times = premium_time_grid(8, 0.5)
-        assert premium_transform(axes, spec, times, curve)[0] == 0
+        assert premium_transform(axes, spec, curve)[0] == 0
 
     def test_premium_time_zero_factors(self):
         # a single time node sits at t = 0 with weight tau: characteristic
@@ -222,13 +233,13 @@ class TestIntegrands:
         j = 77
         got = integrand_premium([j], 0, self.grid, self.spec, 0.5, self.curve)
         w = self.grid.axes[0].points[[j]]
-        want = early_exercise_mellin(w, self.curve.values[-1], self.spec)
+        want = early_exercise_mellin(w, self.curve.s_star[0], self.spec)
         assert_close(got, (-1.0) ** j * complex(want), rtol=1e-12)
-        curve1 = boundary_curve(self.spec, 1, 0.5)
+        curve1 = boundary_curve(self.spec, premium_time_grid(1, 0.5))
         # the premium style is minus the premium transform at this strike
         single = -put_transform((self.grid.axes[0].part(j, j + 1),),
                                 self.spec, 0.5, EARLY_EXERCISE_PREMIUM,
-                                curve1, premium_time_grid(1, 0.5))[0]
+                                curve1)[0]
         assert_close(complex(single), 0.5 * complex(want), rtol=1e-13)
 
 
@@ -274,9 +285,8 @@ class TestFftVsDirectSum:
         r, q, sig = GROUPING_PARAMS[1]
         spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         grid = build_grid(1, 64, 1.0, [2.0], m_steps=6)
-        curve = boundary_curve(spec, 6, 0.5)
-        transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT, curve,
-                                  premium_time_grid(6, 0.5))
+        curve = boundary_curve(spec, premium_time_grid(6, 0.5))
+        transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT, curve)
         fft_vals, imag_resid = invert_transform_lattice(
             grid, *half_and_edges(grid, transform))
         direct = direct_inverse(grid, transform).real
@@ -319,8 +329,8 @@ class TestFftVsDirectSum:
             r, q, sig = GROUPING_PARAMS[1]
             spec = BasketSpec.single(100.0, 0.5, q, r, sig)
             transform = put_transform(grid.axes, spec, 0.5, AMERICAN_PUT,
-                                      boundary_curve(spec, 6, 0.5),
-                                      premium_time_grid(6, 0.5))
+                                      boundary_curve(
+                                          spec, premium_time_grid(6, 0.5)))
         else:
             transform = discounted_payoff_transform(grid.axes,
                                                     small_basket(n), 0.5)
@@ -413,7 +423,7 @@ class TestAmericanSurface:
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         self.grid = build_grid(1, 2**13, 1.0, [100.0], m_steps=120)
-        self.curve = boundary_curve(self.spec, 120, 0.5)
+        self.curve = boundary_curve(self.spec, premium_time_grid(120, 0.5))
 
     def test_dominates_european(self):
         amer = price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
@@ -450,7 +460,7 @@ class TestAmericanSurface:
 
     @pytest.mark.parametrize("m, tau", [(119, 0.5), (120, 0.4)])
     def test_refuses_a_curve_for_another_m_or_tau(self, m, tau):
-        curve = boundary_curve(self.spec, m, tau)
+        curve = boundary_curve(self.spec, premium_time_grid(m, tau))
         with pytest.raises(ValueError, match="not on the time grid"):
             price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
                           boundary=curve)
@@ -594,16 +604,15 @@ class TestPutTransformAndContourSum:
     def setup_method(self):
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
-        self.curve = boundary_curve(self.spec, 12, 0.5)
-        self.times = premium_time_grid(12, 0.5)
+        self.curve = boundary_curve(self.spec, premium_time_grid(12, 0.5))
         self.axes = (Axis(1.0, 0.25, -16, 32),)
 
     def test_styles_add_up(self):
         euro = put_transform(self.axes, self.spec, 0.5, EUROPEAN_PUT, None)
         amer = put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT,
-                             self.curve, self.times)
+                             self.curve)
         prem = put_transform(self.axes, self.spec, 0.5,
-                             EARLY_EXERCISE_PREMIUM, self.curve, self.times)
+                             EARLY_EXERCISE_PREMIUM, self.curve)
         assert np.array_equal(euro, discounted_payoff_transform(
             self.axes, self.spec, 0.5))
         assert np.array_equal(amer, euro + prem)
@@ -615,7 +624,7 @@ class TestPutTransformAndContourSum:
             put_transform(self.axes, self.spec, 0.5, AMERICAN_PUT, None)
         with pytest.raises(NotImplementedError):
             put_transform((Axis(1.0, 0.25, -2, 4),) * 2, basket2_spec, 0.5,
-                          AMERICAN_PUT, self.curve, self.times)
+                          AMERICAN_PUT, self.curve)
 
     def test_folded_sum_equals_full_sum(self):
         # weight h/2pi at b = 0 and 2h/2pi on each b > 0 sums the same as
@@ -625,11 +634,9 @@ class TestPutTransformAndContourSum:
         weights = np.full(folded[0].count, 2 * 0.25 / (2 * math.pi))
         weights[0] /= 2
         for style, bnd in ((EUROPEAN_PUT, None), (AMERICAN_PUT, self.curve)):
-            a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd,
-                                          self.times),
+            a = contour_sum(put_transform(full, self.spec, 0.5, style, bnd),
                             full, 0.25 / (2 * math.pi), [95.0])
-            b = contour_sum(put_transform(folded, self.spec, 0.5, style, bnd,
-                                          self.times),
+            b = contour_sum(put_transform(folded, self.spec, 0.5, style, bnd),
                             folded, weights, [95.0])
             assert abs(a - b) <= 1e-13 * abs(a)
 
@@ -665,6 +672,43 @@ class TestPutTransformAndContourSum:
                           axes, 0.25 / (2 * math.pi), 100.0)
         want = black_scholes(100, 100, 0.05, 0.0, 0.2, 1.0, "put").price
         assert abs(got - want) < 1e-8
+
+
+class TestQualityGates:
+    """Each gate refuses a surface whose landing value is badly wrong."""
+
+    # basket_book seed 25's first market
+    BASKET = BasketSpec(n=2, strike=100.0, maturity=0.25, rate=0.0235158,
+                        dividends=[0.0294423, 0.000162097],
+                        vols=[0.150094, 0.21498],
+                        corr=[[1.0, -0.27499], [-0.27499, 1.0]])
+    BASKET_SPOTS = [55.7387, 42.4256]
+    PUT = BasketSpec.single(100.0, 0.05, 0.05, 0.02, 0.2)
+
+    def test_imaginary_residual_refuses_a_coarse_basket_lattice(self):
+        grid = build_grid(2, 2**7, 1.0, self.BASKET_SPOTS)
+        with pytest.raises(ImagResidualTooLarge):
+            price_surface(self.BASKET, grid, 0.25, EUROPEAN_PUT)
+        ungated = price_surface(self.BASKET, grid, 0.25, EUROPEAN_PUT,
+                                quality_checks=False)
+        assert ungated.imag_residual > 1e4
+        # the fallback grid the benchmark uses for this market passes
+        fine = price_surface(self.BASKET, build_grid(
+            2, 2**9, 1.0, self.BASKET_SPOTS, delta_target=0.35), 0.25,
+                             EUROPEAN_PUT).landing_value()
+        assert abs(fine - 3.05280) < 1e-5
+        assert abs(ungated.landing_value() - fine) > 0.02
+
+    def test_negative_values_refuse_a_short_put_on_64_points(self):
+        grid = build_grid(1, 64, 1.0, [100.0])
+        with pytest.raises(SurfaceQualityError, match="below"):
+            price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
+        ungated = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT,
+                                quality_checks=False).landing_value()
+        want = black_scholes(100.0, 100.0, 0.05, 0.02, 0.2, 0.05,
+                             "put").price
+        assert abs(want - 1.70699) < 1e-5
+        assert abs(ungated - want) > 2.0
 
 
 class TestExports:

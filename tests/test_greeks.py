@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
+from mellin_pricer.boundary import premium_time_grid
 from mellin_pricer import fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
@@ -257,7 +258,7 @@ def test_bad_tau_is_refused(tau, style):
     # and greek had no check at all
     spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
     grid = build_grid(1, 2**10, 1.0, [100.0], m_steps=20)
-    bnd = put_boundary(style, spec, 20, 0.5)
+    bnd = put_boundary(style, spec, premium_time_grid(20, 0.5))
     with pytest.raises(ValueError, match="tau must be positive"):
         price_surface(spec, grid, tau, style, boundary=bnd)
     with pytest.raises(ValueError, match="tau must be positive"):

@@ -298,7 +298,7 @@ class TestDirectTrapezoid:
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(80.0, 0.5, q, r, sig)
         self.grid = build_grid(1, 2**13, 1.0, [100.0], m_steps=60)
-        self.curve = boundary_curve(self.spec, 60, 0.5)
+        self.curve = boundary_curve(self.spec, premium_time_grid(60, 0.5))
 
     def test_matches_fft_at_landing_european(self):
         surf = price_surface(self.spec, self.grid, 0.5, EUROPEAN_PUT)
@@ -312,8 +312,7 @@ class TestDirectTrapezoid:
                              boundary=self.curve)
         direct = price_direct_trapezoid(
             self.spec, self.grid.strip_a, self.grid.size, self.grid.deltas,
-            0.5, [100.0], AMERICAN_PUT, boundary=self.curve,
-            times=premium_time_grid(60, 0.5))
+            0.5, [100.0], AMERICAN_PUT, boundary=self.curve)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_payoff_reconstruction_off_kink(self):
@@ -347,17 +346,17 @@ def _node0_subtracted_fft(spec, spot, tau, size=2**12, m=250):
     Zeroing the boundary at that node (time to expiry tau) drops it from
     the transform; the step is added back at the spot.
     """
-    curve = boundary_curve(spec, m, tau)
-    values = curve.values.copy()
-    values[-1] = 0.0
-    dropped = BoundaryCurve(times=curve.times, values=values,
-                            spec_hash=("node 0 dropped",) + curve.spec_hash)
+    curve = boundary_curve(spec, premium_time_grid(m, tau))
+    u = curve.u.copy()
+    u[0] = 0.0
+    dropped = BoundaryCurve(curve.grid, u, curve.strike)
     grid = build_grid(1, size, 1.0, [spot], m_steps=m)
     fft = price_surface(spec, grid, tau, AMERICAN_PUT,
                         boundary=dropped).landing_value()
-    c0 = premium_time_grid(m, tau).c[0]
+    c0 = curve.grid.c[0]
     r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
-    step = 1.0 if spot < curve.values[-1] else 0.5 * (spot == curve.values[-1])
+    s0 = curve.s_star[0]
+    step = 1.0 if spot < s0 else 0.5 * (spot == s0)
     return fft + c0 * (r * k - q * spot) * step, curve
 
 
@@ -375,54 +374,43 @@ class TestAmericanPutNodeSum:
     @pytest.mark.parametrize("spec,spot,tau", NODE_SUM_CASES)
     def test_matches_node0_subtracted_fft(self, spec, spot, tau):
         fft, curve = _node0_subtracted_fft(spec, spot, tau)
-        got = american_put_node_sum(spot, spec, premium_time_grid(250, tau),
-                                    curve)
+        got = american_put_node_sum(spot, spec, curve)
         assert abs(fft - got) <= 1e-8 * spec.strike
 
     def test_vectorised_over_spots(self):
         spec, _, tau = NODE_SUM_CASES[-1]
-        curve = boundary_curve(spec, 50, tau)
-        times = premium_time_grid(50, tau)
+        curve = boundary_curve(spec, premium_time_grid(50, tau))
         spots = np.array([[70.0, 95.0], [100.0, 130.0]])
-        got = american_put_node_sum(spots, spec, times, curve)
+        got = american_put_node_sum(spots, spec, curve)
         assert got.shape == spots.shape
         for s, v in zip(spots.ravel(), got.ravel()):
-            assert_close(american_put_node_sum(s, spec, times, curve), v,
+            assert_close(american_put_node_sum(s, spec, curve), v,
                          rtol=1e-14)
 
     def test_no_premium_is_black_scholes(self):
         # r = 0: the boundary is 0 at every node, so nothing is exercised
         spec = BasketSpec.single(100.0, 0.5, 0.0, 0.03, 0.25)
-        curve = boundary_curve(spec, 20, 0.5)
-        got = american_put_node_sum(90.0, spec, premium_time_grid(20, 0.5),
-                                    curve)
+        curve = boundary_curve(spec, premium_time_grid(20, 0.5))
+        got = american_put_node_sum(90.0, spec, curve)
         want = black_scholes(90.0, 100.0, 0.0, 0.03, 0.25, 0.5, "put").price
         assert_close(got, want, atol=1e-13)
 
     def test_step_counts_half_on_the_boundary(self):
         spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
-        curve = boundary_curve(spec, 20, 0.5)
-        s0 = curve.values[-1]
+        curve = boundary_curve(spec, premium_time_grid(20, 0.5))
+        s0 = curve.s_star[0]
         below, at, above = american_put_node_sum(
             np.array([np.nextafter(s0, 0.0), s0, np.nextafter(s0, 2 * s0)]),
-            spec, premium_time_grid(20, 0.5), curve)
-        c0 = premium_time_grid(20, 0.5).c[0]
+            spec, curve)
+        c0 = curve.grid.c[0]
         jump = c0 * (0.06 * 100.0 - 0.02 * s0)
         assert_close(below - at, 0.5 * jump, rtol=1e-9)
         assert_close(at - above, 0.5 * jump, rtol=1e-9)
 
     def test_rejects_bad_spots(self):
         spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
-        curve = boundary_curve(spec, 5, 0.5)
-        times = premium_time_grid(5, 0.5)
+        curve = boundary_curve(spec, premium_time_grid(5, 0.5))
         with pytest.raises(NonFiniteSpot):
-            american_put_node_sum([100.0, np.nan], spec, times, curve)
+            american_put_node_sum([100.0, np.nan], spec, curve)
         with pytest.raises(OutOfRange):
-            american_put_node_sum(0.0, spec, times, curve)
-
-    @pytest.mark.parametrize("m, tau", [(4, 0.5), (5, 0.25)])
-    def test_refuses_a_curve_for_another_m_or_tau(self, m, tau):
-        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
-        with pytest.raises(ValueError, match="not on the time grid"):
-            american_put_node_sum(90.0, spec, premium_time_grid(5, 0.5),
-                                  boundary_curve(spec, m, tau))
+            american_put_node_sum(0.0, spec, curve)

@@ -93,31 +93,28 @@ def test_warm_call_equals_cold(r, q, vol, tau, spot):
 
 
 def test_curve_made_by_hand_shares_the_pass_of_its_market():
-    # divided by its strike, a hand-made copy of a solved curve reads the
-    # same strike-1 values as the curve itself whenever K u / K == u
+    # a hand-made copy of a solved curve reads the same strike-1 bytes
     spec = BasketSpec.single(64.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
-    copy = BoundaryCurve(times=curve.times, values=curve.values.copy(),
-                         spec_hash=())
+    curve = boundary_curve(spec, T50)
+    copy = BoundaryCurve(premium_time_grid(50, 0.5), curve.u.copy(),
+                         curve.strike)
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, T50, curve)
-    assert premium_moments(w, spec, T50, copy) is got
+    got = premium_moments(w, spec, curve)
+    assert premium_moments(w, spec, copy) is got
     assert counts() == (1, 1)
 
 
-def test_curve_of_another_strike_is_read_as_made_by_hand():
-    # a solved curve carries its strike-1 curve, but it was not made for
-    # another strike's spec, so with that spec it is divided like any other
+def test_curve_of_another_strike_shares_the_pass_of_its_market():
+    # every strike of a market holds the same strike-1 prices, so a curve
+    # made for another strike reads the pass of this one
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
     other = boundary_curve(BasketSpec.single(80.0, 0.5, 0.05, 0.03, 0.25),
-                           50, 0.5)
-    copy = BoundaryCurve(times=other.times, values=other.values.copy(),
-                         spec_hash=())
+                           T50)
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, T50, other)
-    assert premium_moments(w, spec, T50, copy) is got
+    got = premium_moments(w, spec, other)
+    assert premium_moments(w, spec, boundary_curve(spec, T50)) is got
     assert counts() == (1, 1)
 
 
@@ -144,42 +141,42 @@ def test_warm_greek_equals_cold(kind, mode, r, q, vol, tau, warm_kind,
 
 def test_cached_moments_are_read_only_and_shared():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
+    curve = boundary_curve(spec, T50)
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, T50, curve, t_powers=(0, 1))
+    got = premium_moments(w, spec, curve, t_powers=(0, 1))
     assert not got.flags.writeable
     with pytest.raises(ValueError):
         got[0, 0, 0] = 0.0
-    assert premium_moments(w, spec, T50, curve, t_powers=(0, 1)) is got
+    assert premium_moments(w, spec, curve, t_powers=(0, 1)) is got
     assert counts() == (1, 1)
 
 
-def test_curve_with_same_spec_hash_but_other_values_misses():
+def test_curve_on_the_same_grid_but_with_other_values_misses():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
-    other = BoundaryCurve(times=curve.times, values=0.99 * curve.values,
-                          spec_hash=curve.spec_hash)
+    curve = boundary_curve(spec, T50)
+    other = BoundaryCurve(curve.grid, 0.99 * curve.u, curve.strike)
     w = half_contour()
     clear_boundary_cache()
-    first = premium_moments(w, spec, T50, curve)
-    second = premium_moments(w, spec, T50, other)
+    first = premium_moments(w, spec, curve)
+    second = premium_moments(w, spec, other)
     assert counts() == (2, 0)
     assert not np.array_equal(first, second)
-    assert premium_moments(w, spec, T50, other) is second
+    assert premium_moments(w, spec, other) is second
 
 
 def test_time_rules_never_share_an_entry():
     # the key holds the grid's nodes and weights, not a rule name
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
+    curve = boundary_curve(spec, T50)
     w = half_contour()
     clear_boundary_cache()
-    got = [premium_moments(w, spec, premium_time_grid(50, 0.5, rule), curve)
-           for rule in ("simpson", "trapezoid")]
+    curves = [boundary_curve(spec, premium_time_grid(50, 0.5, rule))
+              for rule in ("simpson", "trapezoid")]
+    got = [premium_moments(w, spec, c) for c in curves]
     assert counts() == (2, 0)
     assert not np.array_equal(got[0], got[1])
-    again = premium_moments(w, spec, premium_time_grid(50, 0.5), curve)
+    again = premium_moments(w, spec, curve)
     assert again is got[0]
 
 
@@ -190,13 +187,13 @@ def test_axes_that_differ_in_first_or_h_never_share_an_entry():
     basket = BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
                         dividends=[0.02, 0.03], vols=[0.2, 0.3],
                         corr=[[1.0, 0.5], [0.5, 1.0]])
-    curve = boundary_curve(spec, 50, 0.5)
+    curve = boundary_curve(spec, T50)
     h = 0.25
     base = Axis(1.0, h, -4, 9)
     others = [Axis(1.0, h, first, 9) for first in (-3, 0, 1, -9)]
     others.append(Axis(1.0, float(np.nextafter(h, 1.0)), -4, 9))
     transforms = (
-        lambda ax: premium_moments((ax,), spec, T50, curve),
+        lambda ax: premium_moments((ax,), spec, curve),
         lambda ax: discounted_payoff_transform((ax, Axis(1.0, 0.3, -4, 9)),
                                                basket, 0.5))
     for transform in transforms:
@@ -214,17 +211,17 @@ def test_axes_that_differ_in_first_or_h_never_share_an_entry():
 
 def test_cache_stays_bounded_and_clears():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
+    curve = boundary_curve(spec, T50)
     clear_boundary_cache()
     spots = [80.0 + 5.0 * k for k in range(boundary.MOMENT_CACHE_SIZE + 3)]
-    first = premium_moments(half_contour(spots[0]), spec, T50, curve)
+    first = premium_moments(half_contour(spots[0]), spec, curve)
     for spot in spots[1:]:
-        premium_moments(half_contour(spot), spec, T50, curve)
+        premium_moments(half_contour(spot), spec, curve)
         assert len(boundary._moment_cache) <= boundary.MOMENT_CACHE_SIZE
     assert len(boundary._moment_cache) == boundary.MOMENT_CACHE_SIZE
     assert counts() == (len(spots), 0)
     # the least recently used contour was evicted and is computed anew
-    again = premium_moments(half_contour(spots[0]), spec, T50, curve)
+    again = premium_moments(half_contour(spots[0]), spec, curve)
     assert again is not first
     assert np.array_equal(again, first)
     clear_boundary_cache()
@@ -256,15 +253,15 @@ def test_concurrent_lookups_count_every_call_and_return_exact_entries():
     # more workers than keys and than cores, with frequent thread switches:
     # a lost counter update or a mixed-up entry breaks the invariants below
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
-    curve = boundary_curve(spec, 50, 0.5)
+    curve = boundary_curve(spec, T50)
     contours = [(Axis(1.0, db, -4, 9),) for db in (0.25, 0.5, 0.75)]
     clear_boundary_cache()
-    want = [premium_moments(w, spec, T50, curve) for w in contours]
+    want = [premium_moments(w, spec, curve) for w in contours]
     clear_boundary_cache()
     calls = 8 * 60
 
     def work(k):
-        got = premium_moments(contours[k % 3], spec, T50, curve)
+        got = premium_moments(contours[k % 3], spec, curve)
         assert len(boundary._moment_cache) <= boundary.MOMENT_CACHE_SIZE
         return np.array_equal(got, want[k % 3])
 

@@ -31,15 +31,16 @@ from mellin_pricer.series_pricer import DwConfig
 PEAK_RTOL = 1e-13
 
 
-def reference_premium(w, spec, times, boundary, term=None):
-    """sum_l c_l term(w, s*_l, t_l) exp(-t_l Psi(wi) - r t_l), node by node;
-    node l reads the boundary's sample M-1-l, at time to expiry tau - t_l."""
+def reference_premium(w, spec, boundary, term=None):
+    """sum_l c_l term(w, s*_l, t_l) exp(-t_l Psi(wi) - r t_l), node by node
+    over the boundary's time grid."""
     if term is None:
         term = lambda ws, s_star, t_l: early_exercise_mellin(ws, s_star, spec)
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
     acc = np.zeros(w.shape[:-1], dtype=complex)
+    times = boundary.grid
     for l, (t_l, c_l) in enumerate(zip(times.t, times.c)):
-        s_star = boundary.values[boundary.m - 1 - l]
+        s_star = boundary.s_star[l]
         if s_star <= 0.0:
             continue
         acc += (c_l * term(w, s_star, t_l)
@@ -49,12 +50,9 @@ def reference_premium(w, spec, times, boundary, term=None):
 
 def unit_market(spec, curve):
     """The strike-1 spec and boundary the premium pass evaluates: the
-    curve's attached strike-1 curve, else its values divided by K."""
-    unit = curve.unit
-    if unit is None:
-        unit = BoundaryCurve(times=curve.times,
-                             values=curve.values / spec.strike, spec_hash=())
-    return dataclasses.replace(spec, strike=1.0), unit
+    curve's strike-1 prices u on its grid."""
+    return (dataclasses.replace(spec, strike=1.0),
+            dataclasses.replace(curve, strike=1.0))
 
 
 def assert_peak_close(got, want, phase=0.0):
@@ -68,7 +66,7 @@ def assert_peak_close(got, want, phase=0.0):
 
 def max_phase(w, curve):
     """Largest |b ln s*| over the contour and the boundary."""
-    s = curve.values[curve.values > 0]
+    s = curve.s_star[curve.s_star > 0]
     return float(np.abs(w.imag).max() * np.abs(np.log(s)).max(initial=0.0))
 
 
@@ -123,11 +121,10 @@ def make_spec(mk):
        time_mode=st.sampled_from(TIME_WEIGHT_MODES))
 def test_matches_per_node_sum(mk, m, w, time_mode):
     spec = make_spec(mk)
-    curve = boundary_curve(spec, m, mk["tau"])
-    times = premium_time_grid(m, mk["tau"], time_mode)
-    got = premium_transform(w, spec, times, curve)
+    curve = boundary_curve(spec, premium_time_grid(m, mk["tau"], time_mode))
+    got = premium_transform(w, spec, curve)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(points(w), unit_spec, times, unit)
+    want = reference_premium(points(w), unit_spec, unit)
     assert got.shape == (w[0].count,)
     if mk["rate"] == 0.0:
         # empty exercise region at every node
@@ -147,13 +144,12 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
     # a curve whose exercise region is empty at arbitrary nodes: those
     # nodes add nothing, but later nodes keep their own exp(-t_l Psi)
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
-    base = boundary_curve(spec, m, mk["tau"])
-    values = np.where(skip[:m], 0.0, base.values)
-    curve = BoundaryCurve(times=base.times, values=values, spec_hash=())
-    times = premium_time_grid(m, mk["tau"])
-    got = premium_transform(w, spec, times, curve)
+    base = boundary_curve(spec, premium_time_grid(m, mk["tau"]))
+    curve = BoundaryCurve(base.grid, np.where(skip[:m], 0.0, base.u),
+                          base.strike)
+    got = premium_transform(w, spec, curve)
     unit_spec, unit = unit_market(spec, curve)
-    want = reference_premium(points(w), unit_spec, times, unit)
+    want = reference_premium(points(w), unit_spec, unit)
     if all(skip[:m]):
         assert not np.any(got)
     else:
@@ -164,9 +160,8 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
 @given(mk=markets, m=m_steps, w=contours)
 def test_time_moments_match_per_node_sums(mk, m, w):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
-    curve = boundary_curve(spec, m, mk["tau"])
-    times = premium_time_grid(m, mk["tau"])
-    got = premium_moments(w, spec, times, curve, t_powers=(0, 1, 2))
+    curve = boundary_curve(spec, premium_time_grid(m, mk["tau"]))
+    got = premium_moments(w, spec, curve, t_powers=(0, 1, 2))
     assert got.shape == (3, 2, w[0].count)
     w = points(w)
     unit_spec, unit = unit_market(spec, curve)
@@ -174,7 +169,7 @@ def test_time_moments_match_per_node_sums(mk, m, w):
         for e in range(2):
             term = lambda ws, s_star, t_l: (t_l**p * s_star**e
                                             * np.exp(ws[..., 0] * math.log(s_star)))
-            want = reference_premium(w, unit_spec, times, unit, term)
+            want = reference_premium(w, unit_spec, unit, term)
             assert_peak_close(got[p, e], want, max_phase(w, unit))
 
 
@@ -182,13 +177,11 @@ def test_full_lattice_conjugate_fill_and_corner():
     # the unpaired corner -N delta/2 has no mirror on the lattice and is
     # evaluated as its own frequency on the half axis
     spec = BasketSpec.single(100.0, 1.0, 0.06, 0.03, 0.25)
-    curve = boundary_curve(spec, 250, 1.0)
+    curve = boundary_curve(spec, premium_time_grid(250, 1.0))
     axes = build_grid(1, 2**12, 1.0, [100.0], m_steps=250).axes
-    times = premium_time_grid(250, 1.0)
-    got = premium_transform(axes, spec, times, curve)
+    got = premium_transform(axes, spec, curve)
     unit_spec, unit = unit_market(spec, curve)
-    assert_peak_close(got, reference_premium(points(axes), unit_spec, times,
-                                             unit))
+    assert_peak_close(got, reference_premium(points(axes), unit_spec, unit))
     # b_j and b_(N-j) are mirror images for 0 < j < N
     np.testing.assert_array_equal(got[1:], got[:0:-1].conj())
 
@@ -199,12 +192,10 @@ def test_band_limited_pass_on_the_pricing_lattice(vol, tau):
     # the benchmark's lattice, where most nodes cut most of the half axis;
     # at strike K, so the strike factor is checked as well
     spec = BasketSpec.single(100.0, tau, 0.06, 0.02, vol)
-    curve = boundary_curve(spec, 250, tau)
+    curve = boundary_curve(spec, premium_time_grid(250, tau))
     axes = build_grid(1, 2**14, 1.0, [100.0], m_steps=250).axes
-    times = premium_time_grid(250, tau)
-    got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve, times)
-    assert_peak_close(got, reference_premium(points(axes), spec, times,
-                                             curve))
+    got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve)
+    assert_peak_close(got, reference_premium(points(axes), spec, curve))
 
 
 def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():
@@ -221,21 +212,20 @@ def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():
 
 def test_descending_contour_is_reversed_ascending():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.3)
-    curve = boundary_curve(spec, 9, 0.5)
+    curve = boundary_curve(spec, premium_time_grid(9, 0.5))
     # b_k = (-31 + k)(-0.3) = (31 - k) 0.3 runs the lattice backwards
     up = lattice_contour(64, 1.0, 0.3)
     down = (Axis(1.0, -0.3, -31, 64),)
-    prem = lambda w: put_transform(w, spec, 0.5, EARLY_EXERCISE_PREMIUM, curve,
-                                   premium_time_grid(9, 0.5))
+    prem = lambda w: put_transform(w, spec, 0.5, EARLY_EXERCISE_PREMIUM, curve)
     np.testing.assert_allclose(prem(down), prem(up)[::-1],
                                rtol=0, atol=1e-14 * 100.0)
 
 
-def reference_greek_premium(kind, w, spot, times, spec, curve, mode):
+def reference_greek_premium(kind, w, spot, spec, curve, mode):
     """Premium term of an American greek with the multiplier applied per node."""
     def term(ws, s_star, t_l):
-        _, f_p = gk.greek_multiplier(kind, ws, spot, times.tau, t_l, spec,
-                                     mode)
+        _, f_p = gk.greek_multiplier(kind, ws, spot, curve.grid.tau, t_l,
+                                     spec, mode)
         out = f_p * early_exercise_mellin(ws, s_star, spec)
         if mode == "kernel":
             if kind.name == "rho":
@@ -245,7 +235,7 @@ def reference_greek_premium(kind, w, spot, times, spec, curve, mode):
                              * ws[..., 0] * s_star / (ws[..., 0] + 1.0))
         return out
 
-    return reference_premium(w, spec, times, curve, term)
+    return reference_premium(w, spec, curve, term)
 
 
 @settings(max_examples=20, deadline=None)
@@ -253,15 +243,13 @@ def reference_greek_premium(kind, w, spot, times, spec, curve, mode):
        spot=st.floats(60.0, 160.0), mode=st.sampled_from(gk.MULTIPLIER_MODES))
 def test_greek_premium_terms_match_per_node_multipliers(mk, m, spot, mode):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
-    curve = boundary_curve(spec, m, mk["tau"])
+    curve = boundary_curve(spec, premium_time_grid(m, mk["tau"]))
     axes = build_grid(1, 128, 1.0, [spot], m_steps=2, delta_target=0.5).axes
     w = points(axes)
     unit_spec, unit = unit_market(spec, curve)
-    times = premium_time_grid(m, mk["tau"])
     for kind in (gk.delta1(), gk.gamma(), gk.theta(), gk.rho(), gk.nu(),
                  gk.xi()):
-        got = gk._premium_sensitivity(kind, axes, [spot], times, spec, curve,
-                                      mode)
-        want = reference_greek_premium(kind, w, [spot], times, unit_spec,
-                                       unit, mode)
+        got = gk._premium_sensitivity(kind, axes, [spot], spec, curve, mode)
+        want = reference_greek_premium(kind, w, [spot], unit_spec, unit,
+                                       mode)
         assert_peak_close(got, want, max_phase(w, unit))

@@ -34,8 +34,7 @@ def g_hat(w, tau, spec):
 
 def h_hat(w, tau, spec, boundary):
     """The series' premium transform: minus the premium-style transform."""
-    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary,
-                          premium_time_grid(boundary.m, tau))
+    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
 
 
 class TestGHat:
@@ -69,21 +68,21 @@ class TestHHat:
     def setup_method(self):
         r, q, sig = GROUPING_PARAMS[1]
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
-        self.curve = boundary_curve(self.spec, 12, 0.5)
+        self.curve = boundary_curve(self.spec, premium_time_grid(12, 0.5))
 
     def test_zero_when_rate_and_dividend_zero(self):
         spec = BasketSpec.single(100.0, 0.5, 0.0, 0.0, 0.2)
-        curve = boundary_curve(spec, 12, 0.5)
+        curve = boundary_curve(spec, premium_time_grid(12, 0.5))
         got = h_hat(1.0 + 2j, 0.5, spec, curve)
         assert got[0] == 0
 
     def test_single_step_degenerate(self):
-        curve1 = boundary_curve(self.spec, 1, 0.5)
+        curve1 = boundary_curve(self.spec, premium_time_grid(1, 0.5))
         w = 1.0 + 2j
         got = h_hat(w, 0.5, self.spec, curve1)
         # one node at t = 0 with weight tau: f(w, tau) * 1 * 1 * tau
         want = 0.5 * early_exercise_mellin(np.array([w]),
-                                           curve1.values[-1], self.spec)
+                                           curve1.s_star[0], self.spec)
         assert_close(complex(got[0]), complex(want), rtol=1e-13)
 
     def test_matches_fft_premium_accumulation(self):
@@ -98,7 +97,7 @@ class TestHHat:
             psi = char_exponent_wi(np.array([w]), cov)
             acc = 0j
             for l, t_l in enumerate(t_nodes):
-                s_star = self.curve.values[11 - l]
+                s_star = self.curve.s_star[l]
                 if s_star > 0.0:
                     acc += wgt[l] * complex(
                         early_exercise_mellin(np.array([w]), s_star, self.spec)
@@ -128,11 +127,13 @@ class TestDwPrice:
         with pytest.raises(ValueError, match=field):
             DwConfig(**{field: float("nan")})
 
-    @pytest.mark.parametrize("m, tau", [(11, 0.5), (12, 0.25)])
+    # the curve holds its own grid, so only another tau can disagree
+    @pytest.mark.parametrize("m, tau", [(12, 0.25)])
     def test_refuses_a_curve_for_another_m_or_tau(self, monkeypatch, m, tau):
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+        curve = boundary_curve(spec, premium_time_grid(m, tau))
         monkeypatch.setattr(series_pricer, "put_boundary",
-                            lambda *args: boundary_curve(spec, m, tau))
+                            lambda *args: curve)
         with pytest.raises(ValueError, match="not on the time grid"):
             dw_price(95.0, 0.5, spec, DwConfig(m_steps=12))
 
@@ -242,7 +243,7 @@ def test_series_meets_the_node_sum_where_node_zero_rang(seed, r, q, vol, tau,
         spec, spot = BasketSpec.single(120.0, tau, q, r, vol), 100.0
     else:
         spec, spot = BasketSpec.single(100.0, tau, r, q, vol), 80.0
-    want = american_put_node_sum(spot, spec, premium_time_grid(250, tau),
-                                 boundary_curve(spec, 250, tau))
+    want = american_put_node_sum(
+        spot, spec, boundary_curve(spec, premium_time_grid(250, tau)))
     got = dw_price(spot, tau, spec, DwConfig(n_terms=1000))
     assert abs(got - want) <= 1e-5
