@@ -13,9 +13,9 @@ from .boundary import (BoundaryCurve, TimeGrid, boundary_curve,
 from .errors import PricingError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                          EUROPEAN_CALL, EUROPEAN_PUT, MellinFftGrid,
-                         PriceQuote, PriceSurface, build_grid, contour_sum,
-                         price_american_call, price_at, price_put,
-                         price_surface, put_transform, reduce_to_put)
+                         PriceSurface, build_grid, contour_sum,
+                         price_american_call, price_put, price_surface,
+                         put_transform, reduce_to_put)
 from .greeks import GreekKind, greek, greek_fd, greek_multiplier
 from .mellin_core import (BasketSpec, CovStruct, early_exercise_mellin,
                           lgamma_complex, multinomial_beta, payoff_mellin,
@@ -31,12 +31,12 @@ __all__ = [
     "AMERICAN_CALL", "AMERICAN_PUT", "EARLY_EXERCISE_PREMIUM",
     "EUROPEAN_CALL", "EUROPEAN_PUT", "BasketSpec", "BoundaryCurve",
     "BsQuote", "CovStruct", "DwConfig", "GreekKind", "McConfig",
-    "MellinFftGrid", "PriceQuote", "PriceSurface", "PricingError", "TimeGrid",
+    "MellinFftGrid", "PriceSurface", "PricingError", "TimeGrid",
     "american_put_node_sum", "binomial_price", "black_scholes", "boundary_curve",
     "boundary_residual_cap", "build_grid", "capf_residual", "contour_sum",
     "critical_price_approx", "dw_price", "early_exercise_mellin", "greek",
     "greek_fd", "greek_multiplier", "lgamma_complex", "mc_basket_euro_put",
-    "multinomial_beta", "payoff_mellin", "price_american_call", "price_at",
+    "multinomial_beta", "payoff_mellin", "price_american_call",
     "premium_time_grid", "price_direct_trapezoid", "price_put",
     "price_surface", "put_transform",
     "reduce_to_put", "riskneutral_drift", "simpson_weight",

@@ -5,6 +5,8 @@ The inversion contour Re(w) = a is discretized with frequency spacing
 log-price lattice an FFT output.  Centering is carried entirely by the
 (-1)^(sum j) / (-1)^(sum k) sign factors (kernel exp(-2 pi i j'k / N),
 which is the forward transform numpy computes); arrays are never rotated.
+A basket lattice is shifted by a sub-cell origin, so its frequencies do
+not depend on the spot; the shift is a phase folded into those factors.
 
 Quadrature weights
 ------------------
@@ -54,12 +56,13 @@ cross terms of Psi and 1/(sum w (sum w + 1)) depends on one axis.
 the three others only at the lattice points where a cheap upper bound
 on |T| (one-axis parts, real cross terms and a table of log Gamma along
 |Im sum w|) reaches e^-TAIL of the transform at b = 0; every other
-point is exactly 0.  Log Gamma(sum w) at the kept points still
-dominates, so the transform of a lattice is memoised
-on its exact market and axes, next to the premium moments and
-under the same bound: a basket quote and the greeks at the same spot,
-which differ only in their polynomial multipliers (w_i / S_i,
-w_i (w_i + 1) / S_i^2, ...), share one transform.
+point is exactly 0.  Every basket axis has the spacing delta, so
+log Gamma(sum w) is one table over the index sums j_1 + ... + j_n (about
+3N/2 on the half lattice).  The frequencies do not depend on the spot, so
+one transform, memoised on its exact market and axes next to the premium
+moments and under the same bound, serves every quote and greek of a
+market, which differ only in the origin phase and their polynomial
+multipliers (w_i / S_i, w_i (w_i + 1) / S_i^2, ...).
 
 Premium transform
 -----------------
@@ -124,7 +127,7 @@ import numpy as np
 
 from .boundary import _moment_cache, boundary_curve, premium_time_grid
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
-                     OutOfRange, SurfaceQualityError)
+                     SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _check_strip,
                           char_exponent_wi, check_finite_spot, check_tau,
                           lgamma_complex)
@@ -198,9 +201,11 @@ class MellinFftGrid:
     """Coupled frequency / log-price lattice for the n-dimensional FFT.
 
     Per dimension i: frequencies b_j = (j - N/2) delta_i for j = 0..N-1 and
-    log prices s_k = (k - N/2) lam_i, with delta_i lam_i = 2 pi / N.
-    ``landing_index`` is the lattice index whose log price equals
-    ``target_logS`` exactly.
+    log prices s_k = origin_i + (k - N/2) lam_i, with
+    delta_i lam_i = 2 pi / N.  The frequencies, and so every transform on
+    the lattice, do not depend on ``origin`` (0 by default); the inverters
+    apply it as the phase e^(-i b_j origin_i).  ``landing_index`` is the
+    lattice index whose log price equals ``target_logS``.
     """
 
     n: int
@@ -211,6 +216,7 @@ class MellinFftGrid:
     m_steps: int                  # premium time steps M
     target_logS: np.ndarray | None = None
     landing_index: tuple | None = None
+    origin: np.ndarray | None = None  # log price of index N/2 per dimension
 
     def __post_init__(self):
         N = self.size
@@ -218,7 +224,9 @@ class MellinFftGrid:
             raise ValueError("size must be a power of two >= 4")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
-        for name in ("strip_a", "deltas", "lams"):
+        if self.origin is None:
+            object.__setattr__(self, "origin", np.zeros(self.n))
+        for name in ("strip_a", "deltas", "lams", "origin"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (self.n,):
                 raise ValueError(f"{name} must have length n={self.n}")
@@ -237,7 +245,7 @@ class MellinFftGrid:
             k = tuple(int(v) for v in np.atleast_1d(self.landing_index))
             object.__setattr__(self, "landing_index", k)
             for i in range(self.n):
-                s_at_k = (k[i] - N / 2) * self.lams[i]
+                s_at_k = self.origin[i] + (k[i] - N / 2) * self.lams[i]
                 if abs(s_at_k - t[i]) > 1e-9:
                     raise ValueError("landing index misses target_logS")
 
@@ -248,7 +256,8 @@ class MellinFftGrid:
                      for a, d in zip(self.strip_a, self.deltas))
 
     def log_prices(self, dim):
-        return (np.arange(self.size) - self.size / 2) * self.lams[dim]
+        return (self.origin[dim]
+                + (np.arange(self.size) - self.size / 2) * self.lams[dim])
 
     @property
     def delta_b(self):
@@ -259,11 +268,14 @@ class MellinFftGrid:
 def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     """Build a lattice whose log-price axis lands on ``target_S``.
 
-    Per dimension the integer offset m = k - N/2 is chosen so the frequency
-    spacing comes closest to ``delta_target`` (root of
-    ln(S) - (k - N/2) lam with lam = ln(S)/m), then lam = ln(S)/m and
-    delta = 2 pi/(N lam).  Spot prices below 1 land left of center
-    (negative offset).
+    For n >= 2 every axis has delta = ``delta_target`` exactly, so the
+    frequencies and the payoff transform on them are the same for every
+    spot: with lam = 2 pi / (N delta) and m = round(ln S / lam) the landing
+    index N/2 + m has the log price ln S through the sub-cell shift
+    origin = ln S - m lam.  For one asset the origin is 0 and the offset m
+    is chosen so the frequency spacing comes closest to ``delta_target``
+    (root of ln(S) - (k - N/2) lam with lam = ln(S)/m), then lam = ln(S)/m
+    and delta = 2 pi/(N lam).  Spot prices below 1 land left of center.
     """
     target_S = np.atleast_1d(np.asarray(target_S, dtype=float))
     if target_S.shape != (n,):
@@ -282,18 +294,21 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
 
     lams = np.empty(n)
     deltas = np.empty(n)
+    origin = np.zeros(n)
     landing = []
     for i in range(n):
         x = math.log(target_S[i])
-        if x == 0.0:
+        if n > 1:
+            m = round(x / lam_target)
+            lam = lam_target
+            origin[i] = x - m * lam
+        elif x == 0.0:
             m = 0
+            lam = lam_target  # log price 0 lands at center for any spacing
         else:
             m = int(round(x / lam_target))
             if m == 0:
                 m = 1 if x > 0 else -1
-        if m == 0:
-            lam = lam_target  # log price 0 lands at center for any spacing
-        else:
             lam = x / m
         k_i = N // 2 + m
         if not 0 <= k_i <= N - 1:
@@ -306,12 +321,12 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
             raise GridTooCoarse(
                 f"dimension {i}: landing needs lam={lam} > 1; increase N")
         lams[i] = lam
-        deltas[i] = 2.0 * math.pi / (N * lam)
+        deltas[i] = float(delta_target) if n > 1 else 2.0 * math.pi / (N * lam)
         landing.append(k_i)
     return MellinFftGrid(n=n, size=N, strip_a=strip_a, deltas=deltas,
                          lams=lams, m_steps=int(m_steps),
                          target_logS=np.log(target_S),
-                         landing_index=tuple(landing))
+                         landing_index=tuple(landing), origin=origin)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +343,15 @@ def _axis_logs(zs, spec: BasketSpec, cov: CovStruct, tau):
             for i, z in enumerate(zs)]
 
 
-def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale):
+def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale,
+                         lgamma_sw=None):
     """The basket transform at points given by their coordinates ``zs[i]``
     and one-axis logs ``logs[i]``, which broadcast to one shape: one-axis
-    logs, - log Gamma(sum w), + cross terms, exp, * ``scale`` (K e^(-r tau)),
-    / (sum w (sum w + 1)), in that order."""
+    logs, - log Gamma(sum w) (``lgamma_sw`` if given), + cross terms, exp,
+    * ``scale`` (K e^(-r tau)), / (sum w (sum w + 1)), in that order."""
     sw = sum(zs)
     log_t = sum(logs)
-    log_t -= lgamma_complex(sw)
+    log_t -= lgamma_complex(sw) if lgamma_sw is None else lgamma_sw
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
             log_t += (tau * cov.cov[i, j]) * zs[i] * zs[j]
@@ -411,7 +427,10 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     where the cross terms alone overflow, so multiplying exponentiated
     factors would give 0 * inf = NaN on some lattice points.  The result
     matches the pointwise ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)``
-    to about 1e-15 of its peak.
+    to about 1e-15 of its peak.  Where every axis has the same spacing h,
+    log Gamma(sum w) comes from one table over the integer index sums,
+    sum a_i + i h (sum of indices); at a dyadic h such as the default 0.25
+    every b is exact and the table is the pointwise value bit for bit.
 
     A lattice with more than one point on every axis is band-limited:
     log Gamma(sum w), the cross terms, the exp and the division are
@@ -444,10 +463,11 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     :func:`~mellin_pricer.boundary.clear_boundary_cache`), keyed on the
     exact bytes of K, r, tau, each q_i, each sigma_i and the correlation
     matrix, and on the axes.  A hit is the array a recompute would give,
-    bit for bit, and is read-only; the quote and the greeks at one spot,
-    which build the same lattice, share one transform.  Edge pieces and
+    bit for bit, and is read-only; the quotes and greeks of one market,
+    whose lattices have the same frequencies at every spot, share one
+    transform.  Edge pieces and
     single points, which have one point on some axis and so cost about
-    1/N of a lattice, are always computed in full.
+    1/N of a lattice, are always computed in full, log Gamma pointwise.
     """
     if len(axes) != spec.n:
         raise ValueError(f"expected {spec.n} axes, got {len(axes)}")
@@ -473,6 +493,13 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
         return _transform_from_logs(np.ix_(*zs), np.ix_(*logs), cov, tau,
                                     scale)
     bound, log_peak = _payoff_log_bound(axes, logs, spec, cov, tau)
+    table = None
+    if len({ax.h for ax in axes}) == 1:
+        # sum w = sum a_i + i h (sum of indices): one log Gamma per index sum
+        sums = sum(ax.first for ax in axes) + np.arange(
+            sum(ax.count - 1 for ax in axes) + 1)
+        table = lgamma_complex(sum(ax.a for ax in axes)
+                               + 1j * (axes[0].h * sums))
     out = np.zeros(tuple(ax.count for ax in axes), dtype=complex)
     rows = max(1, BLOCK_POINTS * axes[0].count // out.size)
     for lo in range(0, axes[0].count, rows):
@@ -484,7 +511,8 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
         at = (kept[0] + lo,) + kept[1:]
         out[at] = _transform_from_logs(
             [z[j] for z, j in zip(zs, at)],
-            [f[j] for f, j in zip(logs, at)], cov, tau, scale)
+            [f[j] for f, j in zip(logs, at)], cov, tau, scale,
+            None if table is None else table[sum(at)])
     out.setflags(write=False)
     return _moment_cache.add(key, out)
 
@@ -812,13 +840,19 @@ def _sign(j):
     return 1.0 - 2.0 * (j & 1)
 
 
-def _parity(axes):
-    """(-1)^(sum of lattice indices) over the lattice of ``axes``; index
+def _phased(x, axes, origin):
+    """``x`` times (-1)^(sum of lattice indices) e^(-i sum_i b_i origin_i)
+    over the lattice of ``axes``, as a new complex array: the centring
+    signs and the phase of the lattice origin, one factor per axis, the
+    first making the array and the others applied in place.  Index
     j = first + k + N/2 has the parity of first + k, as N/2 is even."""
-    out = 1.0
-    for sign in np.ix_(*(_sign(ax.first + np.arange(ax.count))
-                         for ax in axes)):
-        out = out * sign
+    first, *rest = np.ix_(*(
+        _sign(ax.first + np.arange(ax.count))
+        * (np.exp(-1j * o * ax.points.imag) if o else 1.0)
+        for ax, o in zip(axes, origin)))
+    out = np.multiply(x, first, dtype=complex)
+    for factor in rest:
+        out *= factor
     return out
 
 
@@ -861,19 +895,19 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
 
     The transform of a real payoff satisfies T(conj w) = conj T(w), and
     the lattice pairs b_j with -b_j at index -j mod N, so the FFT input
-    X_j = (-1)^(sum j) T(a + i b_j) is Hermitian except on the hyperplanes
-    j_i = 0, whose frequency -N delta/2 has no mirror.  Its Hermitian part
-    H gives the real surface, N^n irfftn(conj H) over the half.  Its
-    anti-Hermitian part E lives only on those hyperplanes; E's inverse is
-    the imaginary part, so the residual is the exact truncation at the
-    unpaired edges, one (n-1)-dimensional FFT per hyperplane (each keeping
-    the points not on an earlier one).  The corner is real-ified, the
-    trapezoid average of its conjugate pair, so for n = 1, where it is the
-    only unpaired point, the residual is 0.
+    X_j = (-1)^(sum j) e^(-i b_j . origin) T(a + i b_j) is Hermitian except
+    on the hyperplanes j_i = 0, whose frequency -N delta/2 has no mirror.
+    Its Hermitian part H gives the real surface, N^n irfftn(conj H) over
+    the half.  Its anti-Hermitian part E lives only on those hyperplanes;
+    E's inverse is the imaginary part, so the residual is the exact
+    truncation at the unpaired edges, one (n-1)-dimensional FFT per
+    hyperplane (each keeping the points not on an earlier one).  The corner
+    is real-ified, the trapezoid average of its conjugate pair, so for
+    n = 1, where it is the only unpaired point, the residual is 0.
     """
     n, N = grid.n, grid.size
     half_axes, edge_axes = _check_samples(grid, half, edges)
-    arr = _parity(half_axes) * np.asarray(half, dtype=complex)
+    arr = _phased(half, half_axes, grid.origin)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
     for i in range(n):
@@ -881,7 +915,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
         # j_n > N/2 part comes from the edge piece
         on_plane = (slice(None),) * i + (0,)
         if i < n - 1:
-            missed = (_parity(edge_axes[i]) * edges[i])[on_plane]
+            missed = _phased(edges[i], edge_axes[i], grid.origin)[on_plane]
             plane = np.concatenate([arr[on_plane], missed], axis=-1)
         else:
             plane = arr[on_plane]
@@ -928,16 +962,17 @@ def invert_at_landing(grid: MellinFftGrid, half, edges):
     The inverter's real output at k is Re sum_j X_j prod_i g_i[j_i] over
     the full lattice, times (-1)^(sum k) prod_i exp(-a_i s_(k_i))
     delta_b / (2 pi)^n, with X the transform samples and
-    g_i[j] = (-1)^j exp(-2 pi i ((j k_i) mod N) / N), the DFT's own roots
-    of unity: the phases are integers mod N, not b ln S.  The real part of
-    a Hermitian pair is twice that of either point, so a half-lattice
-    point with 0 < j_n < N/2 off the edge hyperplanes j_i = 0 (i < n - 1)
-    counts twice, for its mirror j_n > N/2; every other half-lattice
-    point, whose mirror is in the half or unpaired, counts once, and so
-    does each edge-piece point.  Where edge pieces overlap (n >= 3,
-    j_1 = j_2 = 0) a point counts on the first hyperplane it lies on only,
-    as in the inverter.  The sum is contracted one axis at a time: O(N^n)
-    multiply-adds and no FFT.
+    g_i[j] = (-1)^j exp(-2 pi i ((j k_i) mod N) / N) e^(-i b_j origin_i),
+    the DFT's own roots of unity (integer phases mod N, not b ln S) times
+    the origin's phase.  The real part of a Hermitian pair is twice that of
+    either point, so a half-lattice point with 0 < j_n < N/2 off the edge
+    hyperplanes j_i = 0 (i < n - 1) counts twice, for its mirror
+    j_n > N/2; every other half-lattice point, whose mirror is in the half
+    or unpaired, counts once, and so does each edge-piece point.  Where
+    edge pieces overlap (n >= 3, j_1 = j_2 = 0) a point counts on the first
+    hyperplane it lies on only, as in the inverter.  A hyperplane j_i = 0
+    term carries g_i[0], 1 only at origin_i = 0.  The sum is contracted one
+    axis at a time: O(N^n) multiply-adds and no FFT.
     """
     n, N = grid.n, grid.size
     if grid.landing_index is None:
@@ -950,25 +985,29 @@ def invert_at_landing(grid: MellinFftGrid, half, edges):
     width = math.isqrt(N)
     blocks = np.arange(-(-N // width))
     kernels = []
-    for k in grid.landing_index:
+    for k, ax, x in zip(grid.landing_index, grid.axes, grid.origin):
         step = k + N // 2
         starts = np.exp(-2j * math.pi / N * (step * width * blocks % N))
         inner = np.exp(-2j * math.pi / N * (step * np.arange(width) % N))
-        kernels.append((starts[:, None] * inner).ravel()[:N])
+        kernel = (starts[:, None] * inner).ravel()[:N]
+        if x:
+            kernel *= np.exp(-1j * x * ax.points.imag)  # origin phase
+        kernels.append(kernel)
     paired, missed = slice(1, N // 2), slice(N // 2 + 1, None)
     twice = np.ones(N // 2 + 1)
     twice[paired] = 2.0
     total = _contract(half, kernels[:-1] + [twice * kernels[-1][:N // 2 + 1]])
     for i, edge in enumerate(edges):
-        # hyperplane j_i = 0 (g_i[0] = 1), off the earlier hyperplanes: its
-        # half points with 0 < j_n < N/2 count once, not twice, and its
-        # points with j_n > N/2 come from the edge piece
+        # hyperplane j_i = 0, off the earlier hyperplanes: its half points
+        # with 0 < j_n < N/2 count once, not twice, and its points with
+        # j_n > N/2 come from the edge piece
         plane = (slice(1, None),) * i + (0,)
         on_plane = [v[1:] for v in kernels[:i]] + kernels[i + 1:-1]
-        total += (_contract(np.asarray(edge)[plane],
-                            on_plane + [kernels[-1][missed]])
-                  - _contract(half[plane + (Ellipsis, paired)],
-                              on_plane + [kernels[-1][paired]]))
+        total += kernels[i][0] * (
+            _contract(np.asarray(edge)[plane],
+                      on_plane + [kernels[-1][missed]])
+            - _contract(half[plane + (Ellipsis, paired)],
+                        on_plane + [kernels[-1][paired]]))
     scale = grid.delta_b / (2.0 * math.pi) ** n
     for i, k in enumerate(grid.landing_index):
         scale *= _sign(k) * math.exp(-grid.strip_a[i] * grid.log_prices(i)[k])
@@ -996,12 +1035,6 @@ class PriceSurface:
         if self.grid.landing_index is None:
             raise ValueError("grid has no landing index")
         return float(self.values[self.grid.landing_index])
-
-
-@dataclass(frozen=True)
-class PriceQuote:
-    value: float
-    interpolated: bool
 
 
 def _central_half_slices(grid):
@@ -1061,59 +1094,15 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
             raise SurfaceQualityError(
                 f"{material.mean():.1%} of central lattice points below "
                 f"-{NEGATIVE_MATERIAL_TOL * spec.strike:g}")
-        values = np.where(negative, 0.0, values)
+        values[negative] = 0.0
     values.setflags(write=False)
     return PriceSurface(grid=grid, values=values, style=style, tau=float(tau),
                         imag_residual=imag_resid, clamped_points=clamped)
 
 
 # ---------------------------------------------------------------------------
-# point queries and call drivers
+# call drivers
 # ---------------------------------------------------------------------------
-
-
-def price_at(surface: PriceSurface, s):
-    """Read the surface at spot vector ``s``.
-
-    Exact lattice landings (within 1e-9 in log price) return the stored
-    entry; anything else is multilinear interpolation in log price across
-    the 2^n surrounding lattice points, flagged in the result.
-    """
-    grid = surface.grid
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (grid.n,):
-        raise ValueError(f"spot must have length n={grid.n}")
-    check_finite_spot(s)
-    if np.any(s <= 0):
-        raise OutOfRange("spot prices must be positive")
-    x = np.log(s)
-    N = grid.size
-    lo_idx = np.empty(grid.n, dtype=int)
-    frac = np.empty(grid.n)
-    exact = True
-    for i in range(grid.n):
-        f = x[i] / grid.lams[i] + N / 2
-        if f < 0 or f > N - 1:
-            raise OutOfRange(
-                f"log price {x[i]:g} outside lattice in dimension {i}")
-        nearest = round(f)
-        if 0 <= nearest <= N - 1 and abs((nearest - N / 2) * grid.lams[i] - x[i]) <= 1e-9:
-            lo_idx[i], frac[i] = int(nearest), 0.0
-            continue
-        exact = False
-        lo_idx[i] = min(int(math.floor(f)), N - 2)
-        frac[i] = f - lo_idx[i]
-    if exact:
-        return PriceQuote(float(surface.values[tuple(lo_idx)]), False)
-    acc = 0.0
-    for corner in range(2**grid.n):
-        widx, weight = [], 1.0
-        for i in range(grid.n):
-            hi = (corner >> i) & 1
-            widx.append(lo_idx[i] + hi)
-            weight *= frac[i] if hi else (1.0 - frac[i])
-        acc += weight * float(surface.values[tuple(widx)])
-    return PriceQuote(acc, True)
 
 
 def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
@@ -1205,6 +1194,7 @@ def surface_to_json(surface: PriceSurface):
             "a": list(map(float, g.strip_a)),
             "delta": list(map(float, g.deltas)),
             "lambda": list(map(float, g.lams)),
+            "origin": list(map(float, g.origin)),
             "M": g.m_steps,
         },
         "tau": surface.tau,

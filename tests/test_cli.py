@@ -312,6 +312,34 @@ class TestSurfaceCommand:
         assert len(payload["values"]) == 1024
         assert payload["trusted"] == [[256, 768]]
 
+    BASKET = ["--spot", "48", "--spot", "53", "--strike", "100",
+              "--rate", "0.05", "--div", "0.02", "--div", "0.03",
+              "--vol", "0.2", "--vol", "0.3", "--corr", "1,0.5,0.5,1",
+              "--tau", "0.5"]
+
+    def test_json_rebuilds_the_basket_landing_spot(self, capsys):
+        # log price of index k is origin + (k - N/2) lambda on each axis, so
+        # the JSON alone finds the spot's lattice point and its price
+        code, out, _ = run_cli(capsys, "surface", "--style", "euro-put",
+                               *self.BASKET, "--format", "json")
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        N = grid["N"]
+        index = []
+        for spot, origin, lam in zip((48.0, 53.0), grid["origin"],
+                                     grid["lambda"]):
+            assert 0.0 < abs(origin) <= lam / 2
+            k = N // 2 + round((math.log(spot) - origin) / lam)
+            assert math.exp(origin + (k - N / 2) * lam) == pytest.approx(
+                spot, rel=1e-13)
+            index.append(k)
+        value = json.loads(out)["values"][index[0] * N + index[1]]
+        code, out, _ = run_cli(capsys, "price", "--method", "fft",
+                               "--style", "euro-put", *self.BASKET)
+        assert code == 0
+        # the price command prints 10 significant digits
+        assert float(f"{value:.10g}") == json.loads(out)["price"]
+
     def test_write_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "surf.csv"
         code, out, _ = run_cli(

@@ -15,7 +15,7 @@ from mellin_pricer.boundary import (boundary_curve, premium_time_grid,
                                     simpson_weight)
 from mellin_pricer import fft_pricer
 from mellin_pricer.errors import (GridTooCoarse, ImagResidualTooLarge,
-                                  NoAdmissibleK, NonFiniteSpot, OutOfRange,
+                                  NoAdmissibleK, NonFiniteSpot,
                                   SurfaceQualityError)
 from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       EARLY_EXERCISE_PREMIUM, EUROPEAN_CALL,
@@ -24,7 +24,7 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       invert_at_landing,
                                       invert_transform_lattice,
                                       premium_transform, price_american_call,
-                                      price_at, price_put, price_surface,
+                                      price_put, price_surface,
                                       PriceSurface, put_transform,
                                       reduce_to_put, surface_to_csv,
                                       surface_to_json)
@@ -55,6 +55,22 @@ class TestBuildGrid:
         assert g.landing_index[0] < 2**9
         k = g.landing_index[0]
         assert abs((k - 2**9) * g.lams[0] - math.log(0.5)) < 1e-12
+
+    def test_basket_lattice_frequencies_do_not_depend_on_the_spot(self):
+        # delta = delta_target exactly on every axis; the spot is reached by
+        # a sub-cell shift of the origin at the landing index of today
+        grids = [build_grid(2, 2**9, 1.0, s)
+                 for s in ([50.0, 50.0], [48.0, 53.0], [0.7, 120.0])]
+        for g in grids:
+            assert g.axes == grids[0].axes
+            assert g.deltas.tolist() == [0.25, 0.25]
+            for i, k in enumerate(g.landing_index):
+                assert 0.0 < abs(g.origin[i]) <= g.lams[i] / 2
+                assert k == 2**8 + round(g.target_logS[i] / g.lams[i])
+                assert abs(g.log_prices(i)[k] - g.target_logS[i]) <= 1e-13
+
+    def test_one_asset_origin_is_zero(self):
+        assert build_grid(1, 2**14, 1.0, [100.0]).origin.tolist() == [0.0]
 
     def test_coupling_invariant(self):
         g = build_grid(2, 2**9, 1.0, [50.0, 80.0])
@@ -246,12 +262,15 @@ class TestIntegrands:
 def direct_inverse(grid, transform):
     """The complex inverse at every lattice point as the O(N^n) double sum.
 
-    ``transform`` is sampled on the full lattice; the corner is real-ified
-    as the inverter does.
+    ``transform`` is sampled on the full lattice; it takes the phase
+    e^(-i sum_i b_i origin_i) of the lattice origin, and then the corner
+    is real-ified, as the inverter does.
     """
     N, n = grid.size, grid.n
     index = np.indices((N,) * n)
-    arr = (-1.0) ** index.sum(axis=0) * transform
+    phase = np.exp(-1j * sum(np.ix_(*(ax.points.imag * x for ax, x
+                                       in zip(grid.axes, grid.origin)))))
+    arr = (-1.0) ** index.sum(axis=0) * phase * transform
     arr[(0,) * n] = arr[(0,) * n].real
     prefactor = grid.delta_b / (2 * math.pi) ** n
     out = np.empty((N,) * n, dtype=complex)
@@ -334,6 +353,8 @@ class TestFftVsDirectSum:
         else:
             transform = discounted_payoff_transform(grid.axes,
                                                     small_basket(n), 0.5)
+        # a basket lattice lands by a nonzero origin
+        assert n == 1 or np.all(grid.origin != 0.0)
         samples = half_and_edges(grid, transform)
         k = grid.landing_index
         want = direct_inverse(grid, transform)[k].real
@@ -470,36 +491,6 @@ class TestAmericanSurface:
         with pytest.raises(NotImplementedError):
             price_surface(basket2_spec, grid, 0.5, AMERICAN_PUT,
                           boundary=self.curve)
-
-
-class TestPriceAt:
-    def setup_method(self):
-        spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
-        self.grid = build_grid(1, 2**12, 1.0, [100.0])
-        self.surf = price_surface(spec, self.grid, 1.0, EUROPEAN_PUT)
-
-    def test_exact_landing(self):
-        q = price_at(self.surf, [100.0])
-        assert not q.interpolated
-        assert q.value == self.surf.landing_value()
-
-    def test_midpoint_interpolation(self):
-        s = self.grid.log_prices(0)
-        k = self.grid.landing_index[0]
-        mid = math.exp(0.5 * (s[k] + s[k + 1]))
-        q = price_at(self.surf, [mid])
-        assert q.interpolated
-        want = 0.5 * (self.surf.values[k] + self.surf.values[k + 1])
-        assert_close(q.value, want, rtol=1e-12)
-
-    @pytest.mark.parametrize("spot", [math.nan, math.inf])
-    def test_rejects_non_finite_spot(self, spot):
-        with pytest.raises(NonFiniteSpot, match="spot must be finite"):
-            price_at(self.surf, [spot])
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            price_at(self.surf, [1e300])
 
 
 class TestCallDrivers:
@@ -777,4 +768,5 @@ class TestExports:
         assert payload["style"] == EUROPEAN_PUT
         assert len(payload["values"]) == 16
         assert payload["trusted"] == [[4, 12]]
+        assert payload["grid"]["origin"] == [0.0]
         json.dumps(payload)  # serializable

@@ -220,6 +220,20 @@ class TestLandingSum:
                   m_steps=20)
         greek(gk.delta2(1, 2), [50.0, 45.0], 0.5, basket2_spec, size=2**6)
 
+    def test_european_greeks_build_no_time_grid(self, monkeypatch,
+                                                basket2_spec):
+        # only an American greek reads the premium's time grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("a European greek built the time grid")
+
+        monkeypatch.setattr(gk, "premium_time_grid", refuse)
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        want = black_scholes(100.0, 100.0, 0.06, 0.02, 0.3, 0.5, "put")
+        got = greek(gk.delta1(), [100.0], 0.5, spec, size=2**12)
+        assert abs(got - want.delta) <= 1e-6
+        assert np.isfinite(greek(gk.delta1(1), [50.0, 45.0], 0.5,
+                                 basket2_spec, size=2**6))
+
     @settings(max_examples=20, deadline=None)
     # basket_book seed 25's first market, refused by price_surface on this
     # grid: its edge frequencies are far from negligible

@@ -12,16 +12,20 @@ from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import table1
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     premium_time_grid)
-from mellin_pricer.errors import InvalidProbability
-from mellin_pricer.errors import NonFiniteSpot, OutOfRange
+from mellin_pricer.errors import (ImagResidualTooLarge, InvalidProbability,
+                                  NonFiniteSpot, OutOfRange,
+                                  SurfaceQualityError)
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                                      price_surface)
+                                      price_put, price_surface)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
                                    McConfig, american_put_node_sum,
+                                   basket_euro_put_conditional,
                                    binomial_price, black_scholes,
                                    mc_basket_euro_put,
                                    price_direct_trapezoid)
+
+from test_payoff_transform import baskets
 
 # independent high-precision quadrature of the discounted lognormal
 # expectation, S = K = 100, r = 0.05, q = 0, sigma = 0.2, tau = 1
@@ -414,3 +418,73 @@ class TestAmericanPutNodeSum:
             american_put_node_sum([100.0, np.nan], spec, curve)
         with pytest.raises(OutOfRange):
             american_put_node_sum(0.0, spec, curve)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_fft_meets_the_node_sum_above_the_node_0_step(self):
+        # amer_book seed 6102's failed put: the spot sits 0.01 above
+        # s*_0 = 79.990, where the t = 0 node's step leaves the N = 2^14 FFT
+        # 3.05e-3 above the node sum (DW is 2.0e-7 from it)
+        r, q, vol = (0.056565452182937764, 0.002748300139363549,
+                     0.21407430332891142)
+        spec = BasketSpec.single(100.0, 1.0, r, q, vol)
+        curve = boundary_curve(spec, premium_time_grid(250, 1.0))
+        fft = price_put(80.0, 100.0, r, q, vol, 1.0)[0]
+        node_sum = american_put_node_sum(80.0, spec, curve)
+        assert abs(fft - node_sum) <= 1e-6 * 100.0
+
+
+# the benchmark's basket anchor and its value by 96 Gauss-Legendre nodes
+ANCHOR = BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
+                    dividends=[0.02, 0.03], vols=[0.2, 0.3],
+                    corr=[[1.0, 0.5], [0.5, 1.0]])
+ANCHOR_VALUE = 5.428650350851578
+
+
+class TestBasketConditional:
+    def test_anchor_converges(self):
+        at = {m: basket_euro_put_conditional(ANCHOR, [50.0, 50.0], 0.5,
+                                             nodes=m) for m in (64, 96, 192)}
+        assert abs(at[96] - ANCHOR_VALUE) <= 1e-12
+        assert abs(at[96] - at[192]) <= 1e-12
+        assert abs(at[64] - ANCHOR_VALUE) <= 1e-12
+
+    def test_agrees_with_monte_carlo(self):
+        mc, se = mc_basket_euro_put(ANCHOR, [50.0, 50.0], 0.5,
+                                    McConfig(paths=200_000, seed=11))
+        want = basket_euro_put_conditional(ANCHOR, [50.0, 50.0], 0.5)
+        assert abs(mc - want) <= 3.0 * se
+
+    def test_default_grid_anchor(self):
+        grid = build_grid(2, 2**9, 1.0, [50.0, 50.0])
+        got = price_surface(ANCHOR, grid, 0.5, EUROPEAN_PUT).landing_value()
+        assert abs(got - ANCHOR_VALUE) <= 1.2e-9
+
+    def test_two_assets_only(self):
+        one = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2)
+        three = BasketSpec(n=3, strike=150.0, maturity=0.5, rate=0.05,
+                           dividends=[0.02] * 3, vols=[0.2] * 3,
+                           corr=np.eye(3))
+        for spec, spots in ((one, [90.0]), (three, [50.0, 52.0, 48.0])):
+            with pytest.raises(ValueError, match="two assets"):
+                basket_euro_put_conditional(spec, spots, 0.5)
+        perfect = BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
+                             dividends=[0.0, 0.0], vols=[0.2, 0.3],
+                             corr=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="rho"):
+            basket_euro_put_conditional(perfect, [50.0, 50.0], 0.5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=baskets(), u=st.lists(st.floats(0.8, 1.2), min_size=2,
+                                      max_size=2))
+    def test_default_grid_is_within_1e_8_strike_or_refused(self, case, u):
+        spec, tau, _ = case
+        # where the reference's default nodes are within 4e-13 K
+        assume(spec.n == 2 and abs(spec.corr[0, 1]) <= 0.95)
+        spots = 0.5 * spec.strike * np.array(u)
+        grid = build_grid(2, 2**9, 1.0, spots)
+        try:
+            got = price_surface(spec, grid, tau, EUROPEAN_PUT).landing_value()
+        except (ImagResidualTooLarge, SurfaceQualityError):
+            return
+        want = basket_euro_put_conditional(spec, spots, tau, nodes=96)
+        assert abs(got - want) <= 1e-8 * spec.strike

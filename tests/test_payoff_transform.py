@@ -120,12 +120,13 @@ class TestAgainstPointwise:
                           reference_transform(points(axes), spec, tau))
 
     def test_pricer_lattice(self, basket2_spec):
-        # build_grid gives the two axes different spacings
-        grid = build_grid(2, 64, [1.0, 0.7], [40.0, 65.0])
-        assert grid.deltas[0] != grid.deltas[1]
+        # build_grid gives every basket axis one spacing, which reads
+        # log Gamma(sum w) from the index-sum table; unequal spacings
+        # evaluate it at every kept point
+        axes = lattice([1.0, 0.7], [0.2499913, 0.2617994], [64, 64])
         assert_peak_close(
-            discounted_payoff_transform(grid.axes, basket2_spec, 0.5),
-            reference_transform(points(grid.axes), basket2_spec, 0.5))
+            discounted_payoff_transform(axes, basket2_spec, 0.5),
+            reference_transform(points(axes), basket2_spec, 0.5))
 
     def test_large_cross_terms_stay_finite(self):
         # tau = 1, rho = 0.9, vols 0.45 on the N = 2^9 basket lattice: at
@@ -239,15 +240,28 @@ class TestLogGammaWork:
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
         price_surface(basket2_spec, grid, 0.5, EUROPEAN_PUT)
-        # log Gamma(sum w) on the 52086 of the N (N/2 + 1) = 131584 half
-        # lattice points that can reach e^-TAIL T(a), and on the N/2 - 1
-        # missed points of the unpaired row j_1 = 0, plus the bound's table
-        # and both axes of each
-        kept, edge = 52086, N // 2 - 1
-        assert sum(lgamma_points) == (kept + GAMMA_TABLE + 1 + N
+        # the half lattice shares one spacing, so log Gamma(sum w) comes
+        # from a table over its 3N/2 index sums j_1 + j_2, next to the
+        # bound's table and both axes; the edge row j_1 = 0 has N/2 - 1
+        # points, two axes and a pointwise log Gamma(sum w)
+        edge = N // 2 - 1
+        assert sum(lgamma_points) == (3 * N // 2 + GAMMA_TABLE + 1 + N
                                       + (N // 2 + 1) + edge + 1 + edge)
+        assert sum(lgamma_points) == 3073
 
-    def test_long_wide_basket_keeps_under_half(self, lgamma_points):
+    def test_index_sum_table_is_the_pointwise_value(self, basket2_spec):
+        # at delta = 0.25 every b is exact, so sum w is the same float by
+        # either route and the kept points are bit for bit the unbanded rows
+        clear_boundary_cache()
+        half, _ = _lattice_parts(build_grid(2, 2**9, 1.0, [50.0, 50.0]))
+        out = discounted_payoff_transform(half, basket2_spec, 0.5)
+        rows = np.concatenate([discounted_payoff_transform(
+            (half[0].part(j, j + 1), half[1]), basket2_spec, 0.5)
+            for j in range(half[0].count)])
+        kept = out != 0.0
+        assert np.array_equal(out[kept], rows[kept])
+
+    def test_long_wide_basket_keeps_under_half(self):
         clear_boundary_cache()
         spec = BasketSpec(n=2, strike=100.0, maturity=1.0, rate=0.05,
                           dividends=[0.02, 0.03], vols=[0.4, 0.4],
@@ -255,8 +269,7 @@ class TestLogGammaWork:
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
         half, _ = _lattice_parts(grid)
-        discounted_payoff_transform(half, spec, 1.0)
-        kept = sum(lgamma_points) - (GAMMA_TABLE + 1 + N + (N // 2 + 1))
+        kept = np.count_nonzero(discounted_payoff_transform(half, spec, 1.0))
         assert 0 < kept < N * (N // 2 + 1) / 2
 
     def test_single_asset_american_quote_has_none(self, lgamma_points):

@@ -68,6 +68,19 @@ def test_quote_and_three_greeks_at_one_spot_share_one_transform():
     assert len(boundary._moment_cache) == 1
 
 
+def test_a_market_pays_for_one_transform():
+    # the basket_book market: quotes at three spots, then delta1, delta2 and
+    # gamma at the first; every spot's lattice has the same frequencies, so
+    # the six share one transform
+    spec, spots = basket(), ([50.0, 50.0], [48.0, 53.0], [55.3, 41.7])
+    clear_boundary_cache()
+    for spot in spots:
+        price_surface(spec, build_grid(2, 2**9, 1.0, spot), 0.5, EUROPEAN_PUT)
+    for kind in KINDS[:3]:
+        gk.greek(kind, spots[0], 0.5, spec)
+    assert counts() == (1, 5)
+
+
 def test_cli_greeks_on_a_basket_share_one_transform(capsys):
     clear_boundary_cache()
     code = main(["greeks", "--style", "euro-put", "--spot", "48",
