@@ -5,8 +5,8 @@ The inversion contour Re(w) = a is discretized with frequency spacing
 log-price lattice an FFT output.  Centering is carried entirely by the
 (-1)^(sum j) / (-1)^(sum k) sign factors (kernel exp(-2 pi i j'k / N),
 which is the forward transform numpy computes); arrays are never rotated.
-A basket lattice is shifted by a sub-cell origin, so its frequencies do
-not depend on the spot; the shift is a phase folded into those factors.
+Every lattice is shifted by a sub-cell origin, so its frequencies do not
+depend on the spot; the shift is a phase folded into those factors.
 
 Quadrature weights
 ------------------
@@ -84,7 +84,13 @@ TAIL = 60.  Each dropped term is below e^-60 of its node's b = 0 term, and
 those terms are positive and add up to the moment's peak, so everything
 dropped is below M e^-60 of the peak.  The cutoffs shrink with the node
 time, and nodes with similar cutoffs are evaluated as one bounded
-(nodes x frequencies) block.  The result matches the per-node sum to
+(nodes x frequencies) block.  Node 0 (t = 0) has no diffusion: its term
+c_0 s*_0^w [q s*_0/(w+1) - rK/w] is the transform of the step
+c_0 (qS - rK) 1{S < s*_0}, whose 1/|b| tail left the FFT 1e-4 to 3e-3
+off the closed-form node sum, by an amount that moved with delta.  The
+pass leaves it out, and every American reader (the surface, the
+single-spot sums, the series, the greeks) adds the step in S space
+(:func:`node0_step`).  The result matches the per-node sum to
 about 1e-14 of the transform's peak.  American greeks reuse the same pass
 with t-weighted moments, since every premium multiplier is affine in the
 node time.
@@ -102,7 +108,8 @@ on the exact market, time grid, u and contour, with no strike in the
 key (:func:`premium_moments`).  The greeks of one position share all of
 them and pay for one pass; so do the five calls of one market, which
 put-call symmetry maps to five put strikes on one lattice landing on
-ln K.  Put quotes at different spots have different spacings and miss.
+ln K.  So do the five puts of one market: the lattice spacing does not
+depend on the spot, which only moves the sub-cell origin.
 
 Calls
 -----
@@ -205,7 +212,9 @@ class MellinFftGrid:
     delta_i lam_i = 2 pi / N.  The frequencies, and so every transform on
     the lattice, do not depend on ``origin`` (0 by default); the inverters
     apply it as the phase e^(-i b_j origin_i).  ``landing_index`` is the
-    lattice index whose log price equals ``target_logS``.
+    lattice index whose price is ``target_S``: its log price is
+    ``target_logS`` to rounding, and a landing value that reads a step
+    there (:func:`price_surface`) reads it at ``target_S`` itself.
     """
 
     n: int
@@ -214,7 +223,7 @@ class MellinFftGrid:
     deltas: np.ndarray            # frequency spacing per dimension
     lams: np.ndarray              # log-price spacing per dimension
     m_steps: int                  # premium time steps M
-    target_logS: np.ndarray | None = None
+    target_S: np.ndarray | None = None
     landing_index: tuple | None = None
     origin: np.ndarray | None = None  # log price of index N/2 per dimension
 
@@ -238,16 +247,21 @@ class MellinFftGrid:
         coupling = self.deltas * self.lams
         if not np.allclose(coupling, 2.0 * math.pi / N, rtol=1e-13, atol=0):
             raise ValueError("delta * lam must equal 2 pi / N per dimension")
-        if self.target_logS is not None:
-            t = np.asarray(self.target_logS, dtype=float).copy()
+        if self.target_S is not None:
+            t = np.asarray(self.target_S, dtype=float).copy()
             t.setflags(write=False)
-            object.__setattr__(self, "target_logS", t)
+            object.__setattr__(self, "target_S", t)
             k = tuple(int(v) for v in np.atleast_1d(self.landing_index))
             object.__setattr__(self, "landing_index", k)
+            logs = self.target_logS
             for i in range(self.n):
                 s_at_k = self.origin[i] + (k[i] - N / 2) * self.lams[i]
-                if abs(s_at_k - t[i]) > 1e-9:
-                    raise ValueError("landing index misses target_logS")
+                if abs(s_at_k - logs[i]) > 1e-9:
+                    raise ValueError("landing index misses target_S")
+
+    @property
+    def target_logS(self):
+        return None if self.target_S is None else np.log(self.target_S)
 
     @property
     def axes(self):
@@ -268,14 +282,12 @@ class MellinFftGrid:
 def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     """Build a lattice whose log-price axis lands on ``target_S``.
 
-    For n >= 2 every axis has delta = ``delta_target`` exactly, so the
-    frequencies and the payoff transform on them are the same for every
-    spot: with lam = 2 pi / (N delta) and m = round(ln S / lam) the landing
-    index N/2 + m has the log price ln S through the sub-cell shift
-    origin = ln S - m lam.  For one asset the origin is 0 and the offset m
-    is chosen so the frequency spacing comes closest to ``delta_target``
-    (root of ln(S) - (k - N/2) lam with lam = ln(S)/m), then lam = ln(S)/m
-    and delta = 2 pi/(N lam).  Spot prices below 1 land left of center.
+    Every axis has delta = ``delta_target`` exactly, so the frequencies and
+    every transform on them are the same for every spot: with
+    lam = 2 pi / (N delta) and m = round(ln S / lam) the landing index
+    N/2 + m has the log price ln S through the sub-cell shift
+    origin = ln S - m lam, |origin| <= lam / 2.  Spot prices below 1 land
+    left of center.
     """
     target_S = np.atleast_1d(np.asarray(target_S, dtype=float))
     if target_S.shape != (n,):
@@ -290,43 +302,23 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
         raise GridTooCoarse(f"N={N} gives a half lattice of {half_points} "
                             f"points for n={n}, above {MAX_HALF_POINTS}; "
                             f"lower N")
-    lam_target = 2.0 * math.pi / (N * float(delta_target))
-
-    lams = np.empty(n)
-    deltas = np.empty(n)
-    origin = np.zeros(n)
-    landing = []
-    for i in range(n):
-        x = math.log(target_S[i])
-        if n > 1:
-            m = round(x / lam_target)
-            lam = lam_target
-            origin[i] = x - m * lam
-        elif x == 0.0:
-            m = 0
-            lam = lam_target  # log price 0 lands at center for any spacing
-        else:
-            m = int(round(x / lam_target))
-            if m == 0:
-                m = 1 if x > 0 else -1
-            lam = x / m
-        k_i = N // 2 + m
-        if not 0 <= k_i <= N - 1:
+    lam = 2.0 * math.pi / (N * float(delta_target))
+    if lam > 1.0:
+        raise GridTooCoarse(f"landing needs lam={lam} > 1; increase N")
+    origin, landing = np.empty(n), []
+    for i, s in enumerate(target_S):
+        x = math.log(s)
+        m = round(x / lam)
+        if not 0 <= N // 2 + m <= N - 1:
             raise NoAdmissibleK(
                 f"dimension {i}: offset {m} outside the lattice (N={N})")
-        if lam <= 0:
-            raise NoAdmissibleK(
-                f"dimension {i}: spacing must be positive (got {lam})")
-        if lam > 1.0:
-            raise GridTooCoarse(
-                f"dimension {i}: landing needs lam={lam} > 1; increase N")
-        lams[i] = lam
-        deltas[i] = float(delta_target) if n > 1 else 2.0 * math.pi / (N * lam)
-        landing.append(k_i)
-    return MellinFftGrid(n=n, size=N, strip_a=strip_a, deltas=deltas,
-                         lams=lams, m_steps=int(m_steps),
-                         target_logS=np.log(target_S),
-                         landing_index=tuple(landing), origin=origin)
+        origin[i] = x - m * lam
+        landing.append(N // 2 + m)
+    return MellinFftGrid(n=n, size=N, strip_a=strip_a,
+                         deltas=np.full(n, float(delta_target)),
+                         lams=np.full(n, lam), m_steps=int(m_steps),
+                         target_S=target_S, landing_index=tuple(landing),
+                         origin=origin)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +546,8 @@ def _node_cutoffs(axis, sigma, t_nodes):
     |X_l(b)| = |X_l(0)| exp(-t_l sigma^2 b^2 / 2), so beyond
     b_l = sqrt(2 TAIL / (sigma^2 t_l)) a node's terms are below e^-TAIL of
     its b = 0 term.  Only a folded axis (first = 0, h > 0, so |b| = k h
-    grows with k) is cut; t_0 = 0 keeps everything.  The counts never
-    increase with l.
+    grows with k) is cut; a node at t = 0 keeps everything.  The counts
+    never increase with l.
     """
     keep = np.full(t_nodes.shape[0], axis.count)
     if axis.first == 0 and axis.h > 0.0:
@@ -579,6 +571,20 @@ def _running_rows(first, step, rows):
     return x
 
 
+def _exp_table(start_phase, inner_phase, count):
+    """exp(i phase(j)) for j = 0..count-1, along a new last axis, for a
+    phase additive in j: j = start + r with start a multiple of a block
+    width about sqrt(count), and phase(j) = ``start_phase(start)`` +
+    ``inner_phase(r)``.  One exp per block start and per in-block offset
+    (about 2 sqrt(count)), not one per point; both callables take an
+    integer index array and may broadcast leading axes in front of it."""
+    width = max(1, math.isqrt(count))
+    starts = np.exp(1j * start_phase(width * np.arange(-(-count // width))))
+    inner = np.exp(1j * inner_phase(np.arange(width)))
+    table = starts[..., :, None] * inner[..., None, :]
+    return table.reshape(table.shape[:-2] + (-1,))[..., :count]
+
+
 def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     """Weighted time moments of the early-exercise integrand at strike 1,
     on the one-asset contour ``axes`` and the time grid of ``boundary``.
@@ -587,12 +593,15 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     node l, X_l(w) = u_l^w exp(-t_l (Psi(wi) + r)) and the grid's nodes t_l
     and weights c_l, returns an array of shape (len(t_powers), 2, count)
     whose entry [p, e] is sum_l c_l t_l^p u_l^e X_l(w), over the nodes with
-    u_l > 0.  On the strike-K curve s*_l = K u_l the moment is K^(w+e)
-    times this; callers fold that into the one factor K^(w+1) of the whole
-    transform.  The curve's own strike is never read, so every strike of
-    one market reads the same bytes.  Single-asset only.  An axis through
-    b = 0 is evaluated on b >= 0 only and the rest filled in by
-    conjugation (:func:`_fold`).
+    t_l > 0 and u_l > 0.  Node 0 (t = 0, no diffusion) is left out: its
+    term is the transform of a step in S, whose 1/|b| tail no lattice
+    resolves, and every reader adds it in S space instead
+    (:func:`node0_step`).  On the strike-K curve s*_l = K u_l the moment
+    is K^(w+e) times this; callers fold that into the one factor K^(w+1)
+    of the whole transform.  The curve's own strike is never read, so
+    every strike of one market reads the same bytes.  Single-asset only.
+    An axis through b = 0 is evaluated on b >= 0 only and the rest filled
+    in by conjugation (:func:`_fold`).
 
     The pass is band-limited: |X_l(a + ib)| = |X_l(a)| exp(-t_l sigma^2
     b^2 / 2), so on a contour through b = 0 node l only updates
@@ -644,8 +653,9 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     keep = _node_cutoffs(half, float(spec.vols[0]), t_nodes)
 
     moments = np.zeros((weights.shape[0], size), dtype=complex)
-    running = np.ones(size, dtype=complex)  # exp(-t_l (Psi(wi) + r)), l = lo
-    lo = 0
+    # exp(-t_l (Psi(wi) + r)) at l = lo, from node 1 (t_1 = dt) on
+    running = step.copy()
+    lo = 1
     while lo < times.m:
         # the following nodes that keep over half of this node's band
         band = int(keep[lo])
@@ -656,15 +666,10 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
         if hi < times.m:
             nxt = int(keep[hi])
             running[:nxt] = x[-1, :nxt] * step[:nxt]
-        # s*^(i b_j) = s*^(i c) (s*^(i h))^j with j = block * width + r:
-        # one exp per block start and per in-block power, not per point
-        width = max(1, math.isqrt(band))
-        blocks = -(-band // width)
-        phase = 1j * log_s[nodes, None]
-        starts = np.exp(phase * (c + h * width * np.arange(blocks)))
-        inner = np.exp(phase * (h * np.arange(width)))
-        table = (starts[:, :, None] * inner[:, None, :]).reshape(hi - lo, -1)
-        x *= table[:, :band]
+        # s*^(i b_j) = s*^(i (c + h j)), one row per node
+        x_l = log_s[nodes, None]
+        x *= _exp_table(lambda j: x_l * (c + h * j), lambda j: x_l * (h * j),
+                        band)
         moments[:, :band] += weights[:, nodes] @ x
         lo = hi
 
@@ -689,10 +694,11 @@ def premium_transform(axes, spec: BasketSpec, boundary):
     """Time-quadrature of the early-exercise transform at strike 1, on the
     one-asset contour ``axes`` and the time grid of ``boundary``.
 
-    H(w) = sum_l c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
+    H(w) = sum_(l >= 1) c_l f(w, s*_l) exp(-t_l (Psi(wi) + r)), with f the
     early-exercise transform at the boundary value s*_l for time-to-expiry
     tau - t_l and c_l the grid's weights; nodes with s*_l = 0 (empty
-    exercise region) contribute nothing.  The boundary is homogeneous in
+    exercise region) contribute nothing, and node 0 (t = 0) is the S-space
+    step :func:`node0_step`.  The boundary is homogeneous in
     the strike, s*_l = K u_l, so H_K = K^(w+1) H_1, and this returns H_1,
     the transform on the curve's strike-1 prices u
     (see :func:`premium_moments`); callers apply :func:`strike_factor`
@@ -797,6 +803,29 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     return out
 
 
+def node0_region(spots, boundary):
+    """1{S < s*_0} at ``spots``, counted half at S = s*_0: premium node 0's
+    exercise region, where every inversion meets the mean of both sides.
+    Empty (0 at every positive spot) where s*_0 = 0."""
+    return 0.5 * (1.0 + np.sign(boundary.s_star[0] - np.asarray(spots)))
+
+
+def node0_step(spots, spec: BasketSpec, boundary):
+    """Premium node 0 (t = 0, no diffusion) in S space, at ``spots``.
+
+    Its transform c_0 s*_0^w [q s*_0/(w+1) - rK/w] is that of
+    c_0 (qS - rK) 1{S < s*_0}, and the put carries minus the premium, so
+    this is c_0 (rK - qS) :func:`node0_region`.  :func:`premium_moments`
+    leaves the node out; every American reader adds this instead: the
+    surface, the single-spot sums, the series, and the greeks through
+    their multipliers' images.
+    """
+    r, q = spec.rate, float(spec.dividends[0])
+    spots = np.asarray(spots, dtype=float)
+    return (boundary.grid.c[0] * (r * spec.strike - q * spots)
+            * node0_region(spots, boundary))
+
+
 def contour_sum(values, axes, weights, spots):
     """Re sum_k weights_k values_k S^(-w_k): the inversion at one spot.
 
@@ -840,6 +869,13 @@ def _sign(j):
     return 1.0 - 2.0 * (j & 1)
 
 
+def _origin_phase(axis, origin):
+    """e^(-i b origin) on the frequencies b = (first + k) h of ``axis``,
+    by :func:`_exp_table`."""
+    return _exp_table(lambda j: -origin * axis.h * (axis.first + j),
+                      lambda j: -origin * axis.h * j, axis.count)
+
+
 def _phased(x, axes, origin):
     """``x`` times (-1)^(sum of lattice indices) e^(-i sum_i b_i origin_i)
     over the lattice of ``axes``, as a new complex array: the centring
@@ -848,7 +884,7 @@ def _phased(x, axes, origin):
     j = first + k + N/2 has the parity of first + k, as N/2 is even."""
     first, *rest = np.ix_(*(
         _sign(ax.first + np.arange(ax.count))
-        * (np.exp(-1j * o * ax.points.imag) if o else 1.0)
+        * (_origin_phase(ax, o) if o else 1.0)
         for ax, o in zip(axes, origin)))
     out = np.multiply(x, first, dtype=complex)
     for factor in rest:
@@ -979,20 +1015,15 @@ def invert_at_landing(grid: MellinFftGrid, half, edges):
         raise ValueError("grid has no landing index")
     _check_samples(grid, half, edges)
     half = np.asarray(half)
-    # g_i[j] = exp(-2 pi i j (k_i + N/2) / N), since (-1)^j is the root
-    # j N/2; by a two-level table (block start x in-block power) of about
-    # 2 sqrt(N) exps, each of an exactly reduced integer phase
-    width = math.isqrt(N)
-    blocks = np.arange(-(-N // width))
-    kernels = []
+    # g_i[j] = exp(-2 pi i j (k_i + N/2) / N) e^(-i b_j origin_i), since
+    # (-1)^j is the root j N/2; by one two-level table of about 2 sqrt(N)
+    # exps, each root phase an exactly reduced integer
+    kernels, root = [], -2.0 * math.pi / N
     for k, ax, x in zip(grid.landing_index, grid.axes, grid.origin):
-        step = k + N // 2
-        starts = np.exp(-2j * math.pi / N * (step * width * blocks % N))
-        inner = np.exp(-2j * math.pi / N * (step * np.arange(width) % N))
-        kernel = (starts[:, None] * inner).ravel()[:N]
-        if x:
-            kernel *= np.exp(-1j * x * ax.points.imag)  # origin phase
-        kernels.append(kernel)
+        step, xh = k + N // 2, -x * ax.h
+        kernels.append(_exp_table(
+            lambda j: root * (step * j % N) + xh * (ax.first + j),
+            lambda j: root * (step * j % N) + xh * j, N))
     paired, missed = slice(1, N // 2), slice(N // 2 + 1, None)
     twice = np.ones(N // 2 + 1)
     twice[paired] = 2.0
@@ -1049,7 +1080,10 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     American pricing (and the premium style) is single-asset only and
     requires ``boundary`` on a time grid of the lattice's M steps over
     ``tau`` (``ValueError`` otherwise); the premium uses that grid's
-    weights.
+    weights.  Its node 0 is added in S space (:func:`node0_step`) at the
+    lattice prices exp(s_k) below s*_0, and at the landing index at the
+    grid's ``target_S`` itself, so a landing value sits on the side of the
+    step its spot lies on, half at S = s*_0.
 
     ``quality_checks=False`` skips the imaginary-residual and negative-value
     gates (still recording the diagnostics); payoff reconstruction at
@@ -1073,6 +1107,14 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     # quality signal.
     values, imag_resid = invert_transform_lattice(
         grid, *sample_transform(grid, transform))
+    if style != EUROPEAN_PUT:
+        # log prices ascend; one point past ln s*_0 in case of a tie
+        log_s, s0 = grid.log_prices(0), boundary.s_star[0]
+        below = int(np.searchsorted(log_s, math.log(s0))) + 1 if s0 else 0
+        spots = np.exp(log_s[:below])
+        if grid.landing_index is not None and grid.landing_index[0] < below:
+            spots[grid.landing_index[0]] = grid.target_S[0]
+        values[:below] += node0_step(spots, spec, boundary)
     central = _central_half_slices(grid)
     if quality_checks and imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
         raise ImagResidualTooLarge(

@@ -24,9 +24,9 @@ import numpy as np
 from .boundary import premium_time_grid
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
-                         invert_at_landing, premium_moments, price_surface,
-                         put_boundary, sample_transform, strike_factor,
-                         unit_payoff_transform)
+                         invert_at_landing, node0_region, premium_moments,
+                         price_surface, put_boundary, sample_transform,
+                         strike_factor, unit_payoff_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -221,16 +221,46 @@ def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     return out
 
 
+def _node0_sensitivity(kind, spot, spec, boundary, mode):
+    """The S-space term of an American sensitivity at ``spot``.
+
+    Premium node 0 (t = 0) is out of the premium moments; in the premium
+    it is c_0 f(w, s*_0), the transform of c_0 (qS - rK) 1{S < s*_0}
+    (:func:`~mellin_pricer.fft_pricer.node0_step`).  Under the premium
+    factor at t = 0, m(w), a polynomial in w, its inverse is
+    c_0 [q m(-1) S - rK m(0)] below s*_0 and 0 above: the residues at
+    w = -1 and w = 0.  So delta gets -c_0 q, kernel gamma 0, kernel theta
+    c_0 (q^2 S - r^2 K).  In kernel mode rho and xi add node 0's explicit
+    parameter derivatives, c_0 K and -c_0 S, and theta the early-exercise
+    function value rK - qS, the premium integral's upper limit moving with
+    tau.  All on :func:`~mellin_pricer.fft_pricer.node0_region`, so counted
+    half at S = s*_0.
+    """
+    s, k = float(spot[0]), spec.strike
+    region = float(node0_region(s, boundary))
+    if not region:
+        return 0.0
+    r, q, c0 = spec.rate, float(spec.dividends[0]), boundary.grid.c[0]
+    at_s, at_k = _factor(kind, [np.array([-1.0, 0.0])], spot, 0.0, spec,
+                         mode, premium=True).real
+    out = c0 * (q * at_s * s - r * k * at_k)
+    if mode == "kernel":
+        out += {"rho": c0 * k, "xi": -c0 * s,
+                "theta": r * k - q * s}.get(kind.name, 0.0)
+    return out * region
+
+
 def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
           mode="kernel", size=None, m_steps=250, strip_a=1.0,
           delta_target=0.25, boundary_mode="corrected"):
     """Sensitivity of the put at ``spot`` via the FFT pipeline.
 
     European style drops the premium term.  American sensitivities are
-    single-asset only, read the premium on the Simpson time grid of
-    ``m_steps`` nodes and, in kernel mode, theta additionally picks up the
-    early-exercise function value inside the exercise region.  For one
-    asset the transform is the strike factor K^(w+1) times the
+    single-asset only and read the premium on the Simpson time grid of
+    ``m_steps`` nodes; its node 0 enters in S space
+    (:func:`_node0_sensitivity`), where, in kernel mode, theta also picks
+    up the early-exercise function value inside the exercise region.  For
+    one asset the transform is the strike factor K^(w+1) times the
     sensitivity's transform at strike 1, as for the price.
 
     A greek is read at one point, so it is the direct lattice sum at the
@@ -254,10 +284,6 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     if style == AMERICAN_PUT:
         bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
                            boundary_mode)
-    correction = 0.0
-    if (bnd is not None and kind.name == "theta" and mode == "kernel"
-            and float(spot.sum()) <= bnd.s_star[0]):
-        correction = spec.rate * spec.strike - float(spec.dividends @ spot)
 
     def transform(axes):
         z = np.ix_(*(ax.points for ax in axes))
@@ -273,8 +299,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         values = discounted_payoff_transform(axes, spec, tau)
         return _factor(kind, z, spot, tau, spec, mode, premium=False) * values
 
-    return (invert_at_landing(grid, *sample_transform(grid, transform))
-            + correction)
+    out = invert_at_landing(grid, *sample_transform(grid, transform))
+    if bnd is not None:
+        out += _node0_sensitivity(kind, spot, spec, bnd, mode)
+    return out
 
 
 def _pipeline_price(spot, tau, spec, style, size, m_steps, strip_a,

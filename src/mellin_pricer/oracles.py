@@ -429,10 +429,13 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
 
     On the FFT lattice's axes a_i + i (j - size // 2) delta_i, j < size;
     shares the transform evaluation with the FFT pricer (``boundary`` as
-    in :func:`~mellin_pricer.fft_pricer.put_transform`), so at a lattice
+    in :func:`~mellin_pricer.fft_pricer.put_transform`) and adds the
+    American premium's node 0 in S space as it does
+    (:func:`~mellin_pricer.fft_pricer.node0_step`), so at a lattice
     landing point the two agree to reordering-level rounding.
     """
-    from .fft_pricer import Axis, contour_sum, put_transform
+    from .fft_pricer import (EUROPEAN_PUT, Axis, contour_sum, node0_step,
+                             put_transform)
 
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
@@ -447,7 +450,10 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
                  for a, d in zip(strip_a, deltas))
     values = put_transform(axes, spec, tau, style, boundary)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
-    return contour_sum(values, axes, quad, spot)
+    out = contour_sum(values, axes, quad, spot)
+    if style != EUROPEAN_PUT:
+        out += float(node0_step(spot[0], spec, boundary))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +466,8 @@ def american_put_node_sum(spots, spec: BasketSpec, boundary):
 
     Each premium node's Mellin inverse is a lognormal expectation, so with
     the nodes t_l and weights c_l of the curve's time grid over [0, tau]
-    and s*_l = K u_l the ``boundary`` at node l, the N -> infinity limit of
-    the FFT, series and trapezoid American puts is
+    and s*_l = K u_l the ``boundary`` at node l, the limit of the FFT,
+    series and trapezoid American puts as their contour sums converge is
 
         P_BS(S) + sum_{l >= 1} c_l [rK e^(-r t_l) N(-d2_l)
                                     - qS e^(-q t_l) N(-d1_l)]

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import RangeViolation
 from .boundary import premium_time_grid
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis, contour_sum,
-                         put_boundary, put_transform, reduce_to_put)
+                         node0_step, put_boundary, put_transform,
+                         reduce_to_put)
 from .mellin_core import BasketSpec, check_finite_spot
 
 
@@ -65,11 +66,10 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     itself and its conjugate (:func:`~mellin_pricer.fft_pricer.contour_sum`).
 
     For the American and premium styles the premium's time node 0 (t = 0,
-    no diffusion) is left out of the series: its transform
-    c_0 s*_0^w [q s*_0/(w+1) - rK/w] is that of the step
+    no diffusion) is not in the transform: it is the step
     c_0 (rK - qS) 1{S < s*_0} in the put, whose 1/|b| tail the truncated
-    series rings on.  The step is added in S space instead, counted half
-    at S = s*_0.
+    series would ring on, and it is added in S space instead, counted half
+    at S = s*_0 (:func:`~mellin_pricer.fft_pricer.node0_step`).
     """
     if spec.n != 1:
         raise ValueError("series inversion is single-asset only")
@@ -85,17 +85,12 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
                        premium_time_grid(cfg.m_steps, tau, cfg.time_weights),
                        boundary_mode)
     values = put_transform(axes, spec, tau, style, bnd)
-    step = 0.0
-    s0 = 0.0 if bnd is None else bnd.s_star[0]
-    if s0 > 0.0:  # premium node 0: out of the series, into S space
-        c0 = bnd.grid.c[0]
-        r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
-        w = axes[0].points
-        values = values + c0 * s0**w * (q * s0 / (w + 1.0) - r * k / w)
-        step = c0 * (r * k - q * spot) * (np.sign(s0 - spot) + 1.0) / 2.0
     weights = np.full(axes[0].count, 1.0 / cfg.log_range)  # 2 h / 2 pi
     weights[0] /= 2.0
-    return contour_sum(values, axes, weights, [spot]) + float(step)
+    out = contour_sum(values, axes, weights, [spot])
+    if bnd is not None:
+        out += float(node0_step(spot, spec, bnd))
+    return out
 
 
 def dw_price_american_call(spot, strike, rate, dividend, vol, tau,

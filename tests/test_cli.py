@@ -141,16 +141,16 @@ class TestPriceCommand:
     PINNED_PRICES = {
         ("fft", "euro-put"): (13.48762825, 0.0, 0),
         ("fft", "euro-call"): (5.704783819, 0.0, 0),
-        ("fft", "amer-put"): (14.04690419, 0.0, 435),
-        ("fft", "amer-call"): (5.705168591, 0.0, 261),
+        ("fft", "amer-put"): (14.04686623, 0.0, 0),
+        ("fft", "amer-call"): (5.705167784, 0.0, 0),
         ("dw", "euro-put"): (13.48762844, None, None),
         ("dw", "euro-call"): (5.704784014, None, None),
         ("dw", "amer-put"): (14.04688386, None, None),
         ("dw", "amer-call"): (5.705167943, None, None),
         ("trapezoid", "euro-put"): (13.48762825, None, None),
         ("trapezoid", "euro-call"): (5.704783819, None, None),
-        ("trapezoid", "amer-put"): (14.04690419, None, None),
-        ("trapezoid", "amer-call"): (5.705168591, None, None),
+        ("trapezoid", "amer-put"): (14.04686623, None, None),
+        ("trapezoid", "amer-call"): (5.705167784, None, None),
     }
 
     @pytest.mark.parametrize("method, style", sorted(PINNED_PRICES))
@@ -168,6 +168,18 @@ class TestPriceCommand:
             "method": method, "style": style,
             "diagnostics": {"imag_residual": imag, "clamped_points": clamped,
                             "interpolated": False}}
+
+    @pytest.mark.parametrize("rule", ["flat", "trapezoid"])
+    def test_american_fft_prices_under_every_time_rule(self, capsys, rule):
+        # these rules weigh premium node 0 more than simpson; transformed on
+        # the lattice, its step was refused (exit 3)
+        code, out, _ = run_cli(
+            capsys, "price", "--method", "fft", "--style", "amer-put",
+            "--spot", "90", "--strike", "100", "--rate", "0.05",
+            "--div", "0.03", "--vol", "0.25", "--tau", "1",
+            "--grid-n", "4096", "--grid-m", "50", "--time-weights", rule)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["clamped_points"] == 0
 
     BASKET = ["--spot", "50", "--spot", "50", "--strike", "100",
               "--rate", "0.05", "--div", "0.02", "--div", "0.03",

@@ -22,7 +22,7 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       EUROPEAN_PUT, build_grid, contour_sum,
                                       discounted_payoff_transform,
                                       invert_at_landing,
-                                      invert_transform_lattice,
+                                      invert_transform_lattice, node0_step,
                                       premium_transform, price_american_call,
                                       price_put, price_surface,
                                       PriceSurface, put_transform,
@@ -35,16 +35,16 @@ from mellin_pricer.oracles import black_scholes
 
 class TestBuildGrid:
     def test_reference_spacing(self):
-        # landing on ln(100) with N = 2^14 and target spacing 0.25 puts the
-        # lattice offset at 3002 and the frequency spacing at 0.2499913
+        # landing on ln(100) with N = 2^14 and spacing 0.25 puts the
+        # lattice offset at 3002; the spacing is the target exactly
         g = build_grid(1, 2**14, 1.0, [100.0])
         assert g.landing_index[0] - 2**13 == 3002
-        assert_close(g.deltas[0], 0.2499913, atol=5e-8)
+        assert g.deltas.tolist() == [0.25]
 
     def test_roundtrip_identity(self):
         g = build_grid(1, 2**14, 1.0, [100.0])
         k = g.landing_index[0]
-        assert abs((k - 2**13) * g.lams[0] - math.log(100.0)) < 1e-12
+        assert abs(g.log_prices(0)[k] - math.log(100.0)) < 1e-12
 
     def test_unit_spot_lands_center(self):
         g = build_grid(1, 2**10, 1.0, [1.0])
@@ -54,7 +54,7 @@ class TestBuildGrid:
         g = build_grid(1, 2**10, 1.0, [0.5])
         assert g.landing_index[0] < 2**9
         k = g.landing_index[0]
-        assert abs((k - 2**9) * g.lams[0] - math.log(0.5)) < 1e-12
+        assert abs(g.log_prices(0)[k] - math.log(0.5)) < 1e-12
 
     def test_basket_lattice_frequencies_do_not_depend_on_the_spot(self):
         # delta = delta_target exactly on every axis; the spot is reached by
@@ -69,8 +69,17 @@ class TestBuildGrid:
                 assert k == 2**8 + round(g.target_logS[i] / g.lams[i])
                 assert abs(g.log_prices(i)[k] - g.target_logS[i]) <= 1e-13
 
-    def test_one_asset_origin_is_zero(self):
-        assert build_grid(1, 2**14, 1.0, [100.0]).origin.tolist() == [0.0]
+    def test_one_asset_lattice_frequencies_do_not_depend_on_the_spot(self):
+        # the basket rule for one asset: delta = delta_target exactly and a
+        # sub-cell origin, so one market's put quotes share one axis
+        grids = [build_grid(1, 2**14, 1.0, [s])
+                 for s in (80.0, 90.0, 100.0, 110.0, 120.0, 0.7)]
+        for g in grids:
+            assert g.axes == grids[0].axes
+            assert g.deltas.tolist() == [0.25]
+            assert abs(g.origin[0]) <= g.lams[0] / 2
+            k, = g.landing_index
+            assert abs(g.log_prices(0)[k] - g.target_logS[0]) <= 1e-13
 
     def test_coupling_invariant(self):
         g = build_grid(2, 2**9, 1.0, [50.0, 80.0])
@@ -244,19 +253,23 @@ class TestIntegrands:
         assert premium_transform(axes, spec, curve)[0] == 0
 
     def test_premium_time_zero_factors(self):
-        # a single time node sits at t = 0 with weight tau: characteristic
-        # function and discount are both unity there
+        # at t = 0 characteristic function and discount are both unity
         j = 77
         got = integrand_premium([j], 0, self.grid, self.spec, 0.5, self.curve)
         w = self.grid.axes[0].points[[j]]
         want = early_exercise_mellin(w, self.curve.s_star[0], self.spec)
         assert_close(got, (-1.0) ** j * complex(want), rtol=1e-12)
+        # a single time node sits at t = 0 with weight tau: it is out of
+        # the transform and is the step tau (rK - qS) 1{S < s*_0} in S
         curve1 = boundary_curve(self.spec, premium_time_grid(1, 0.5))
-        # the premium style is minus the premium transform at this strike
-        single = -put_transform((self.grid.axes[0].part(j, j + 1),),
-                                self.spec, 0.5, EARLY_EXERCISE_PREMIUM,
-                                curve1)[0]
-        assert_close(complex(single), 0.5 * complex(want), rtol=1e-13)
+        single = put_transform((self.grid.axes[0].part(j, j + 1),),
+                               self.spec, 0.5, EARLY_EXERCISE_PREMIUM, curve1)
+        assert single[0] == 0
+        r, q = self.spec.rate, float(self.spec.dividends[0])
+        s0 = curve1.s_star[0]
+        steps = node0_step([0.5 * s0, s0, 2.0 * s0], self.spec, curve1)
+        want = 0.5 * (r * 100.0 - q * np.array([0.5 * s0, s0, 2.0 * s0]))
+        np.testing.assert_allclose(steps, want * [1.0, 0.5, 0.0], rtol=1e-15)
 
 
 def direct_inverse(grid, transform):
@@ -768,5 +781,5 @@ class TestExports:
         assert payload["style"] == EUROPEAN_PUT
         assert len(payload["values"]) == 16
         assert payload["trusted"] == [[4, 12]]
-        assert payload["grid"]["origin"] == [0.0]
+        assert abs(payload["grid"]["origin"][0]) <= self.surf.grid.lams[0] / 2
         json.dumps(payload)  # serializable

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
-from mellin_pricer.boundary import premium_time_grid
+from mellin_pricer.boundary import boundary_curve, premium_time_grid
 from mellin_pricer import fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
@@ -17,7 +17,7 @@ from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                                       sample_transform)
 from mellin_pricer.greeks import GreekKind, greek, greek_fd, greek_multiplier
 from mellin_pricer.mellin_core import BasketSpec
-from mellin_pricer.oracles import black_scholes
+from mellin_pricer.oracles import american_put_node_sum, black_scholes
 
 
 class TestGreekKind:
@@ -180,6 +180,48 @@ class TestAmerican:
         f = greek_fd(gk.gamma(), [100.0], 0.5, self.spec, AMERICAN_PUT,
                      h_rel=1e-4)
         assert abs(a - f) <= 1e-3 * abs(f)
+
+    @pytest.mark.parametrize("spot", [70.0, 90.0])
+    @pytest.mark.parametrize("name", ["delta1", "gamma", "rho", "xi", "nu"])
+    def test_kernel_greeks_differentiate_the_node_sum(self, name, spot):
+        # with the boundary frozen, the kernel greeks are the derivatives
+        # of the closed-form node sum; s*_0 = 73.85, so at 70 they take
+        # premium node 0's step in S space.  Richardson-extrapolated
+        # central differences in S, r, q and sigma.
+        spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+        curve = boundary_curve(spec, premium_time_grid(250, 0.5))
+        market = {"s": spot, "r": 0.06, "q": 0.02, "v": 0.3}
+        bump, h = {"delta1": ("s", 0.2), "gamma": ("s", 0.2),
+                   "rho": ("r", 1e-3), "xi": ("q", 1e-3),
+                   "nu": ("v", 1e-3)}[name]
+
+        def node_sum(x):
+            m = dict(market, **{bump: x})
+            return american_put_node_sum(m["s"], BasketSpec.single(
+                100.0, 0.5, m["r"], m["q"], m["v"]), curve)
+
+        def diff(h):
+            x = market[bump]
+            if name == "gamma":
+                return (node_sum(x + h) - 2 * node_sum(x)
+                        + node_sum(x - h)) / h**2
+            return (node_sum(x + h) - node_sum(x - h)) / (2 * h)
+
+        want = diff(h / 2) + (diff(h / 2) - diff(h)) / 3
+        got = greek(getattr(gk, name)(), [spot], 0.5, spec, AMERICAN_PUT)
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("spot", [65.0, 70.0])
+    def test_theta_inside_the_exercise_region_vs_fd(self, spot):
+        # below s*_0 = 73.85 kernel theta takes the early-exercise value
+        # rK - qS and node 0's image in S space; with node 0 transformed on
+        # the lattice it was 0.6 to 1.7 below the difference.  What is
+        # left (about 1e-2) is the boundary's own motion in tau, which the
+        # kernel freezes.
+        spec = BasketSpec.single(100.0, 0.5 + 1e-3, 0.06, 0.02, 0.3)
+        a = greek(gk.theta(), [spot], 0.5, spec, AMERICAN_PUT)
+        f = greek_fd(gk.theta(), [spot], 0.5, spec, AMERICAN_PUT)
+        assert abs(a - f) <= 2e-2
 
     def test_multi_asset_american_rejected(self, basket2_spec):
         with pytest.raises(NotImplementedError):

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import table1
-from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
+from mellin_pricer.boundary import (TIME_WEIGHT_MODES, boundary_curve,
                                     premium_time_grid)
 from mellin_pricer.errors import (ImagResidualTooLarge, InvalidProbability,
                                   NonFiniteSpot, OutOfRange,
                                   SurfaceQualityError)
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                                      price_put, price_surface)
+                                      price_american_call, price_put,
+                                      price_surface)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import (AMER_CALL, AMER_PUT, EURO_CALL, EURO_PUT,
                                    McConfig, american_put_node_sum,
@@ -319,6 +320,16 @@ class TestDirectTrapezoid:
             0.5, [100.0], AMERICAN_PUT, boundary=self.curve)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
+    def test_matches_fft_at_landing_inside_the_node_0_step(self):
+        # s*_0 = 66.8: at 50 both add premium node 0's step in S space
+        grid = build_grid(1, 2**13, 1.0, [50.0], m_steps=60)
+        surf = price_surface(self.spec, grid, 0.5, AMERICAN_PUT,
+                             boundary=self.curve)
+        direct = price_direct_trapezoid(
+            self.spec, grid.strip_a, grid.size, grid.deltas,
+            0.5, [50.0], AMERICAN_PUT, boundary=self.curve)
+        assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
+
     def test_payoff_reconstruction_off_kink(self):
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.0, 0.2)
         direct = price_direct_trapezoid(
@@ -343,25 +354,14 @@ class TestDirectTrapezoid:
 
 
 def _node0_subtracted_fft(spec, spot, tau, size=2**12, m=250):
-    """The American put FFT with the t = 0 premium node priced in S space.
-
-    Node 0's transform is the Mellin transform of the step
-    c_0 (qS - rK) 1{S < s*_0}, whose 1/|b| tail is what needs the large N.
-    Zeroing the boundary at that node (time to expiry tau) drops it from
-    the transform; the step is added back at the spot.
-    """
+    """The American put FFT at the spot, and its boundary curve: its
+    premium transform leaves node 0 out, and the step is added in S space
+    (``fft_pricer.node0_step``)."""
     curve = boundary_curve(spec, premium_time_grid(m, tau))
-    u = curve.u.copy()
-    u[0] = 0.0
-    dropped = BoundaryCurve(curve.grid, u, curve.strike)
     grid = build_grid(1, size, 1.0, [spot], m_steps=m)
     fft = price_surface(spec, grid, tau, AMERICAN_PUT,
-                        boundary=dropped).landing_value()
-    c0 = curve.grid.c[0]
-    r, q, k = spec.rate, float(spec.dividends[0]), spec.strike
-    s0 = curve.s_star[0]
-    step = 1.0 if spot < s0 else 0.5 * (spot == s0)
-    return fft + c0 * (r * k - q * spot) * step, curve
+                        boundary=curve).landing_value()
+    return fft, curve
 
 
 # the paper's table as symmetric puts (strike = the call's spot, spot 100,
@@ -377,6 +377,8 @@ NODE_SUM_CASES = (
 class TestAmericanPutNodeSum:
     @pytest.mark.parametrize("spec,spot,tau", NODE_SUM_CASES)
     def test_matches_node0_subtracted_fft(self, spec, spot, tau):
+        # 1.2e-9 K at N = 2^12 as at 2^14: the European aliasing
+        # K e^(-2 pi a / delta), not node 0's tail
         fft, curve = _node0_subtracted_fft(spec, spot, tau)
         got = american_put_node_sum(spot, spec, curve)
         assert abs(fft - got) <= 1e-8 * spec.strike
@@ -419,10 +421,9 @@ class TestAmericanPutNodeSum:
         with pytest.raises(OutOfRange):
             american_put_node_sum(0.0, spec, curve)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_fft_meets_the_node_sum_above_the_node_0_step(self):
-        # amer_book seed 6102's failed put: the spot sits 0.01 above
-        # s*_0 = 79.990, where the t = 0 node's step leaves the N = 2^14 FFT
+        # amer_book seed 6102's put: the spot sits 0.01 above s*_0 = 79.990;
+        # with node 0 transformed on the lattice, the N = 2^14 FFT was
         # 3.05e-3 above the node sum (DW is 2.0e-7 from it)
         r, q, vol = (0.056565452182937764, 0.002748300139363549,
                      0.21407430332891142)
@@ -430,7 +431,49 @@ class TestAmericanPutNodeSum:
         curve = boundary_curve(spec, premium_time_grid(250, 1.0))
         fft = price_put(80.0, 100.0, r, q, vol, 1.0)[0]
         node_sum = american_put_node_sum(80.0, spec, curve)
-        assert abs(fft - node_sum) <= 1e-6 * 100.0
+        assert abs(fft - node_sum) <= 1e-8 * 100.0
+
+    @pytest.mark.parametrize("rule", TIME_WEIGHT_MODES)
+    def test_every_time_rule_prices_on_a_coarse_grid(self, rule):
+        # trapezoid and flat give node 0 a larger weight than simpson; its
+        # step, transformed on the lattice, was refused by the surface gates
+        spec = BasketSpec.single(100.0, 0.75, 0.05, 0.03, 0.25)
+        curve = boundary_curve(spec, premium_time_grid(50, 0.75, rule))
+        fft = price_put(95.0, 100.0, 0.05, 0.03, 0.25, 0.75, size=4096,
+                        m_steps=50, time_weights=rule)[0]
+        want = american_put_node_sum(95.0, spec, curve)
+        assert abs(fft - want) <= 1e-6 * 100.0
+
+    def test_coarse_grid_call_prices(self):
+        # table1 grouping 1 at spot 80, N = 4096, M = 50: once refused by
+        # the material-negative gate
+        fft = price_american_call(80.0, 100.0, 0.03, 0.07, 0.2, 0.5,
+                                  size=4096, m_steps=50)
+        put = BasketSpec.single(80.0, 0.5, 0.07, 0.03, 0.2)
+        curve = boundary_curve(put, premium_time_grid(50, 0.5))
+        want = american_put_node_sum(100.0, put, curve)
+        assert abs(fft - want) <= 1e-6 * 100.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(50.0, 150.0), r=st.just(0.0) | st.floats(0.005, 0.12),
+           q=st.just(0.0) | st.floats(0.005, 0.12), vol=st.floats(0.1, 0.6),
+           tau=st.floats(0.05, 2.0), u=st.floats(0.7, 1.3),
+           near=st.none() | st.floats(-1e-2, 1e-2))
+    # on the step, and one ulp above it
+    @example(k=85.37109375, r=0.07884872926216192, q=0.0,
+             vol=0.5139128932163425, tau=1.9136800652069277, u=1.0, near=0.0)
+    @example(k=100.0, r=0.06, q=0.02, vol=0.3, tau=0.5, u=1.0, near=1e-14)
+    def test_fft_meets_the_node_sum_on_random_markets(self, k, r, q, vol,
+                                                      tau, u, near):
+        # ``near`` puts the spot within 1e-2 of s*_0, on either side of
+        # node 0's step or on it
+        spec = BasketSpec.single(k, tau, r, q, vol)
+        curve = boundary_curve(spec, premium_time_grid(250, tau))
+        s0 = curve.s_star[0]
+        spot = s0 + near if near is not None and s0 > 0.0 else k * u
+        fft = price_put(spot, k, r, q, vol, tau)[0]
+        node_sum = american_put_node_sum(spot, spec, curve)
+        assert abs(fft - node_sum) <= 1e-7 * k
 
 
 # the benchmark's basket anchor and its value by 96 Gauss-Legendre nodes

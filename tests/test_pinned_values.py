@@ -4,7 +4,9 @@ The values were computed by the per-node premium sum this package used
 before.  Faster evaluation must not move them: FFT and series columns of
 the paper's table and the American greeks to 1e-12 relative, the binomial
 column exactly.  The series column was re-pinned once, when the series
-began to sum the premium's t = 0 node in S space.
+began to sum the premium's t = 0 node in S space, and the FFT column and
+the greeks once, when the lattice did the same; every moved price moved
+toward the closed-form node sum.
 """
 
 import pytest
@@ -16,14 +18,15 @@ from mellin_pricer.table1 import run_table1
 
 RTOL = 1e-12
 
-#: run_table1() defaults, grouping-then-spot order
+#: run_table1() defaults, grouping-then-spot order; premium node 0 added in
+#: S space
 PINNED_FFT = (
-    (0.21985269970483537, 1.389430128949605, 4.793859830868666,
-     11.126851080075621, 20.059795662741017),
-    (2.6920959547267413, 5.729604130185372, 10.253319999613101,
-     16.206566130468076, 23.40018720880826),
-    (1.664380953687543, 4.494675911963584, 9.250635444819796,
-     15.797504362997703, 23.706204490424923),
+    (0.21985331559300472, 1.3894293487229117, 4.7938593680818355,
+     11.126852169017848, 20.059585608875064),
+    (2.692096150287387, 5.729603622422797, 10.253320603496165,
+     16.20656733490235, 23.40018646177507),
+    (1.6643809596591417, 4.4946759093627655, 9.250635435202938,
+     15.797504356731956, 23.706204514015145),
 )
 #: premium node 0 summed in S space, not in the series
 PINNED_DW = (
@@ -44,25 +47,23 @@ PINNED_TRUE = (
 )
 
 #: American put greeks, K = 100, r = 0.06, q = 0.02, sigma = 0.3,
-#: tau = 0.5, spot 100, default grid
+#: tau = 0.5, spot 100, default grid; premium node 0 in S space
 PINNED_GREEKS = {
     "kernel": {
-        "delta1": -0.4333769785964992,
-        "gamma": 0.019410580223605516,
-        "theta": 6.548430355673386,
-        "rho": -20.4648885680575,
+        "delta1": -0.43339946514136624,
+        "gamma": 0.019549284238827867,
+        "theta": 6.610757235877957,
+        "rho": -20.464895762269652,
         "nu": 28.575141811579716,
-        "xi": 17.786611287412367,
+        "xi": 17.78661659168125,
     },
     "paper": {
-        "delta1": -0.4333769785964992,
-        # with the full-precision boundary solve; a Brent solve per node
-        # (xtol 1e-13 K) gave 0.009098660144840186
-        "gamma": 0.009098660144851138,
-        "theta": 6.758903514646323,
-        "rho": -8.043249235687078,
-        "nu": 15.712453236338622,
-        "xi": -21.437814292068484,
+        "delta1": -0.43339946514136624,
+        "gamma": 0.008960405860515198,
+        "theta": 6.821230069283572,
+        "rho": -8.04324923568682,
+        "nu": 15.712453236338641,
+        "xi": -21.43781429206846,
     },
 }
 

@@ -22,7 +22,8 @@ from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     clear_boundary_cache, premium_time_grid)
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
-                                      premium_moments, price_american_call)
+                                      premium_moments, price_american_call,
+                                      price_put)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.series_pricer import dw_price_american_call
 
@@ -37,9 +38,9 @@ def counts():
     return cache.misses, cache.hits
 
 
-def half_contour(spot=100.0, size=2**10):
-    """The half-lattice contour a greek at ``spot`` evaluates."""
-    axis, = build_grid(1, size, 1.0, [spot]).axes
+def half_contour(size=2**10):
+    """The half-lattice contour a greek evaluates, at any spot."""
+    axis, = build_grid(1, size, 1.0, [100.0]).axes
     return (axis.part(0, size // 2 + 1),)
 
 
@@ -61,6 +62,16 @@ def test_five_calls_of_one_market_share_one_pass():
     clear_boundary_cache()
     for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
         price_american_call(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
+    assert counts() == (1, 4)
+    assert len(boundary._moment_cache) == 1
+
+
+def test_five_puts_of_one_market_share_one_pass():
+    # the amer_book puts: the lattice spacing does not depend on the spot,
+    # so the five spots read one contour
+    clear_boundary_cache()
+    for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+        price_put(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
     assert counts() == (1, 4)
     assert len(boundary._moment_cache) == 1
 
@@ -213,15 +224,15 @@ def test_cache_stays_bounded_and_clears():
     spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
     curve = boundary_curve(spec, T50)
     clear_boundary_cache()
-    spots = [80.0 + 5.0 * k for k in range(boundary.MOMENT_CACHE_SIZE + 3)]
-    first = premium_moments(half_contour(spots[0]), spec, curve)
-    for spot in spots[1:]:
-        premium_moments(half_contour(spot), spec, curve)
+    sizes = [2**k for k in range(6, 6 + boundary.MOMENT_CACHE_SIZE + 3)]
+    first = premium_moments(half_contour(sizes[0]), spec, curve)
+    for size in sizes[1:]:
+        premium_moments(half_contour(size), spec, curve)
         assert len(boundary._moment_cache) <= boundary.MOMENT_CACHE_SIZE
     assert len(boundary._moment_cache) == boundary.MOMENT_CACHE_SIZE
-    assert counts() == (len(spots), 0)
+    assert counts() == (len(sizes), 0)
     # the least recently used contour was evicted and is computed anew
-    again = premium_moments(half_contour(spots[0]), spec, curve)
+    again = premium_moments(half_contour(sizes[0]), spec, curve)
     assert again is not first
     assert np.array_equal(again, first)
     clear_boundary_cache()

@@ -1,12 +1,12 @@
 """Streamed premium transform against the per-node sum it replaces.
 
-The reference sums ``early_exercise_mellin`` terms node by node on the
-caller's contour, one complex exponential per (node, frequency), over the
-whole contour.  The streamed, band-limited pass must agree within 1e-13
-of the reference's peak magnitude.  The pass runs at strike 1, on the
-market's strike-1 boundary, so most tests compare it with the reference
-at strike 1; the premium style of ``put_transform`` applies the strike
-factor K^(w+1) and is compared with the reference at strike K.
+The reference sums ``early_exercise_mellin`` terms node by node over the
+nodes t_l > 0 on the caller's contour, one complex exponential per (node,
+frequency), over the whole contour.  The streamed, band-limited pass must
+agree within 1e-13 of the reference's peak magnitude.  The pass runs at
+strike 1, on the market's strike-1 boundary, so most tests compare it with
+the reference at strike 1; the premium style of ``put_transform`` applies
+the strike factor K^(w+1) and is compared with the reference at strike K.
 """
 
 import dataclasses
@@ -33,7 +33,8 @@ PEAK_RTOL = 1e-13
 
 def reference_premium(w, spec, boundary, term=None):
     """sum_l c_l term(w, s*_l, t_l) exp(-t_l Psi(wi) - r t_l), node by node
-    over the boundary's time grid."""
+    over the boundary's time grid, nodes t_l > 0 only: node 0 (t = 0) is a
+    step in S space, out of the transform."""
     if term is None:
         term = lambda ws, s_star, t_l: early_exercise_mellin(ws, s_star, spec)
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
@@ -41,7 +42,7 @@ def reference_premium(w, spec, boundary, term=None):
     times = boundary.grid
     for l, (t_l, c_l) in enumerate(zip(times.t, times.c)):
         s_star = boundary.s_star[l]
-        if s_star <= 0.0:
+        if s_star <= 0.0 or t_l == 0.0:
             continue
         acc += (c_l * term(w, s_star, t_l)
                 * np.exp(-t_l * psi - spec.rate * t_l))

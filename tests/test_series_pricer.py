@@ -12,7 +12,7 @@ from mellin_pricer.errors import RangeViolation
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                                       EUROPEAN_PUT, Axis, build_grid,
                                       discounted_payoff_transform,
-                                      put_transform)
+                                      price_put, put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
                                        payoff_mellin)
@@ -77,17 +77,20 @@ class TestHHat:
         assert got[0] == 0
 
     def test_single_step_degenerate(self):
+        # one node at t = 0 with weight tau: no diffusion, so it is out of
+        # the transform, and the premium is its step tau (rK - qS) in S
         curve1 = boundary_curve(self.spec, premium_time_grid(1, 0.5))
-        w = 1.0 + 2j
-        got = h_hat(w, 0.5, self.spec, curve1)
-        # one node at t = 0 with weight tau: f(w, tau) * 1 * 1 * tau
-        want = 0.5 * early_exercise_mellin(np.array([w]),
-                                           curve1.s_star[0], self.spec)
-        assert_close(complex(got[0]), complex(want), rtol=1e-13)
+        assert h_hat(1.0 + 2j, 0.5, self.spec, curve1)[0] == 0
+        r, q = self.spec.rate, float(self.spec.dividends[0])
+        spot = 0.9 * curve1.s_star[0]
+        got = dw_price(spot, 0.5, self.spec, DwConfig(m_steps=1),
+                       style=EARLY_EXERCISE_PREMIUM)
+        assert_close(got, 0.5 * (r * 100.0 - q * spot), rtol=1e-13)
 
     def test_matches_fft_premium_accumulation(self):
         # cross-module identity: h-hat equals the weighted per-node sum of
-        # early-exercise terms at a matching FFT contour point
+        # early-exercise terms at a matching FFT contour point, over the
+        # nodes t_l > 0 (node 0 is a step in S space)
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=12)
         times = premium_time_grid(12, 0.5, "simpson")
         t_nodes, wgt = times.t, times.c
@@ -98,7 +101,7 @@ class TestHHat:
             acc = 0j
             for l, t_l in enumerate(t_nodes):
                 s_star = self.curve.s_star[l]
-                if s_star > 0.0:
+                if s_star > 0.0 and t_l > 0.0:
                     acc += wgt[l] * complex(
                         early_exercise_mellin(np.array([w]), s_star, self.spec)
                         * np.exp(-t_l * psi - self.spec.rate * t_l))
@@ -247,3 +250,20 @@ def test_series_meets_the_node_sum_where_node_zero_rang(seed, r, q, vol, tau,
         spot, spec, boundary_curve(spec, premium_time_grid(250, tau)))
     got = dw_price(spot, tau, spec, DwConfig(n_terms=1000))
     assert abs(got - want) <= 1e-5
+
+
+@pytest.mark.parametrize("seed, r, q, vol, tau, call", NODE_ZERO_QUOTES,
+                         ids=[str(c[0]) for c in NODE_ZERO_QUOTES])
+def test_fft_meets_the_node_sum_where_node_zero_rang(seed, r, q, vol, tau,
+                                                     call):
+    # the lattice adds node 0 in S space as the series does; transformed on
+    # the lattice, its step left the N = 2^14 FFT 1e-4 to 6e-4 off
+    if call:
+        spec, spot = BasketSpec.single(120.0, tau, q, r, vol), 100.0
+    else:
+        spec, spot = BasketSpec.single(100.0, tau, r, q, vol), 80.0
+    want = american_put_node_sum(
+        spot, spec, boundary_curve(spec, premium_time_grid(250, tau)))
+    got = price_put(spot, spec.strike, spec.rate, float(spec.dividends[0]),
+                    vol, tau)[0]
+    assert abs(got - want) <= 1e-8 * spec.strike
