@@ -99,17 +99,20 @@ Strike
 ------
 For one asset every put transform is homogeneous in the strike:
 T_K(w) = K^(w+1) T_1(w), the boundary included (S* is homogeneous of
-degree 1 in (S, K)).  A :class:`~mellin_pricer.boundary.BoundaryCurve`
-holds the market's strike-1 critical prices u_l, so the premium pass runs
-on u alone, and the strike enters as the one factor K^(w+1)
-(:func:`strike_factor`), the exp((1 + w) ln K) of the payoff transform,
-applied once to the whole strike-1 transform.  The moments are memoised
-on the exact market, time grid, u and contour, with no strike in the
-key (:func:`premium_moments`).  The greeks of one position share all of
-them and pay for one pass; so do the five calls of one market, which
-put-call symmetry maps to five put strikes on one lattice landing on
-ln K.  So do the five puts of one market: the lattice spacing does not
-depend on the spot, which only moves the sub-cell origin.
+degree 1 in (S, K)), so P_K(S) = K P_1(S/K), and the strike is a shift
+by ln K.  Every one-asset pricer reads the strike-1 transform
+(:func:`put_transform` with ``unit``) at ln(S/K) and multiplies by K: the
+lattice inverters move the log prices by -ln K, whole cells as an index
+shift and the rest in the origin phase, and the single-spot sums sum at
+S/K.  Its parts, :func:`unit_payoff_transform`
+and :func:`premium_transform`, are memoised, read-only, on the exact
+bytes they read, with no strike or spot in a key, in caches of
+``boundary.MOMENT_CACHE_SIZE`` (2) entries: enough for a market's puts and
+greeks at every spot and strike, and the five calls that put-call
+symmetry maps onto a second market.  A warm quote or greek only applies
+the origin phase, runs one inverse FFT or landing sum and adds node 0's
+step; the read-out exp(-a s_k) is a spot-free vector, cached per
+(N, a, lambda), times exp(-a origin).
 
 Calls
 -----
@@ -132,7 +135,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _moment_cache, boundary_curve, premium_time_grid
+from .boundary import (_moment_cache, _payoff_cache, boundary_curve,
+                       premium_time_grid)
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _check_strip,
@@ -411,7 +415,8 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     (count_1, ..., count_n).
 
     For n = 1 the gamma ratio is exactly 1 and is never evaluated; the
-    transform is :func:`strike_factor` times :func:`unit_payoff_transform`.
+    transform is K^(w+1) times :func:`unit_payoff_transform`
+    (:func:`put_transform`), which is what the pricers read instead.
 
     For n >= 2, log Gamma(w_i), w_i ln K and the diagonal and linear parts
     of -tau Psi are evaluated once per axis and broadcast into the lattice
@@ -464,8 +469,7 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     if len(axes) != spec.n:
         raise ValueError(f"expected {spec.n} axes, got {len(axes)}")
     if spec.n == 1:
-        return (strike_factor(axes, spec)
-                * unit_payoff_transform(axes, spec, tau))
+        return put_transform(axes, spec, tau, EUROPEAN_PUT, None)
 
     cov = CovStruct.from_spec(spec)
     lattice = all(ax.count > 1 for ax in axes)
@@ -509,20 +513,29 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     return _moment_cache.add(key, out)
 
 
-def strike_factor(axes, spec: BasketSpec):
-    """K^(w+1), by which a one-asset put transform at strike K exceeds its
-    transform at strike 1: one complex exp per point."""
-    return np.exp((1.0 + axes[0].points) * math.log(spec.strike))
+def _market_bytes(spec: BasketSpec, tau):
+    """r, q, sigma, the 1 x 1 correlation and tau, as exact bytes."""
+    return np.array([spec.rate, spec.dividends[0], spec.vols[0],
+                     spec.corr[0, 0], tau]).tobytes()
 
 
 def unit_payoff_transform(axes, spec: BasketSpec, tau):
     """exp(-tau (Psi(wi) + r)) / (w (w+1)): the one-asset discounted payoff
-    transform at strike 1, on a contour with Re w > 0."""
-    w = axes[0].points[:, None]
+    transform at strike 1, on a contour with Re w > 0; memoised, read-only,
+    in the bounded LRU cache ``boundary._payoff_cache`` on the exact bytes
+    of r, q, sigma, the 1 x 1 correlation, tau and the axis."""
+    axis, = axes
+    key = (_market_bytes(spec, tau), axis)
+    hit = _payoff_cache.get(key)
+    if hit is not None:
+        return hit
+    w = axis.points[:, None]
     _check_strip(w)
     z = w[..., 0]
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
-    return np.exp(-tau * psi - spec.rate * tau) / (z * (z + 1.0))
+    out = np.exp(-tau * psi - spec.rate * tau) / (z * (z + 1.0))
+    out.setflags(write=False)
+    return _payoff_cache.add(key, out)
 
 
 def _fold(axis):
@@ -597,9 +610,10 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     term is the transform of a step in S, whose 1/|b| tail no lattice
     resolves, and every reader adds it in S space instead
     (:func:`node0_step`).  On the strike-K curve s*_l = K u_l the moment
-    is K^(w+e) times this; callers fold that into the one factor K^(w+1)
-    of the whole transform.  The curve's own strike is never read, so
-    every strike of one market reads the same bytes.  Single-asset only.
+    is K^(w+e) times this, which the pricers never form: they read the
+    strike-1 transform at ln(S/K) (:func:`put_transform`).  The
+    curve's own strike is never read, so every strike of one market reads
+    the same bytes.  Single-asset only.
     An axis through b = 0 is evaluated on b >= 0 only and the rest filled
     in by conjugation (:func:`_fold`).
 
@@ -615,30 +629,43 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     running products fill the block's rows by repeated doubling and the
     weights c_l t_l^p u_l^e u_l^a reduce it by one matrix product.
 
-    The result is memoised in a bounded LRU cache
-    (``boundary._moment_cache``, emptied by
-    :func:`~mellin_pricer.boundary.clear_boundary_cache`) keyed on the
-    exact bytes of every input the pass reads: r, q, sigma, the 1 x 1
-    correlation, the grid's tau, nodes and weights, ``t_powers``, u and
-    the axis.
-    The strike is not in the key.  A hit is therefore the array a
-    recompute would give, bit for bit; the American greeks of one
-    position, and the calls of one market, read the same moments on the
-    same contour and share one pass.  The returned array is read-only.
+    The result is memoised under ``t_powers`` (:func:`_premium_memo`), so
+    the American greeks of one position, and the calls of one market,
+    share one pass.  The returned array is read-only.
     """
+    return _premium_memo(axes, spec, boundary, tuple(t_powers),
+                         lambda: _moment_pass(axes[0], spec, boundary,
+                                              t_powers))
+
+
+def _premium_memo(axes, spec: BasketSpec, boundary, name, make):
+    """``make()``, read-only, kept as ``name`` in a dict that is one entry
+    of the LRU cache ``boundary._moment_cache``, keyed on the exact bytes
+    of every input the premium pass reads (r, q, sigma, the 1 x 1
+    correlation, the grid's tau, nodes and weights, u and the axis; no
+    strike, no spot), so a hit is what a recompute gives, bit for bit.
+    One cache lookup per call; a thread that loses the race to fill
+    ``name`` reads the winner's array."""
     if spec.n != 1 or len(axes) != 1:
         raise NotImplementedError("the premium transform is single-asset only")
-    axis, = axes
+    times = boundary.grid
+    key = (_market_bytes(spec, times.tau), times.t.tobytes(),
+           times.c.tobytes(), boundary.u.tobytes(), axes[0])
+    memo = _moment_cache.get(key)
+    if memo is None:
+        memo = _moment_cache.add(key, {})
+    got = memo.get(name)
+    if got is None:
+        got = make()
+        got.setflags(write=False)
+        got = memo.setdefault(name, got)
+    return got
+
+
+def _moment_pass(axis, spec: BasketSpec, boundary, t_powers):
+    """The streamed, band-limited pass of :func:`premium_moments`."""
     times, u = boundary.grid, boundary.u
     t_nodes, t_wgts = times.t, times.c
-    key = (np.array([spec.rate, spec.dividends[0], spec.vols[0],
-                     spec.corr[0, 0], times.tau]).tobytes(),
-           t_nodes.tobytes(), t_wgts.tobytes(), tuple(t_powers),
-           u.tobytes(), axis)
-    hit = _moment_cache.get(key)
-    if hit is not None:
-        return hit
-
     live = u > 0.0
     log_s = np.log(np.where(live, u, 1.0))
     base = np.where(live, t_wgts * np.exp(axis.a * log_s), 0.0)
@@ -675,8 +702,7 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
 
     out = np.take(moments.reshape(len(t_powers), 2, size), index, axis=-1)
     np.negative(out.imag, out=out.imag, where=conj)
-    out.setflags(write=False)
-    return _moment_cache.add(key, out)
+    return out
 
 
 def exercise_factors(axes, spec: BasketSpec):
@@ -701,8 +727,10 @@ def premium_transform(axes, spec: BasketSpec, boundary):
     step :func:`node0_step`.  The boundary is homogeneous in
     the strike, s*_l = K u_l, so H_K = K^(w+1) H_1, and this returns H_1,
     the transform on the curve's strike-1 prices u
-    (see :func:`premium_moments`); callers apply :func:`strike_factor`
-    once to the whole put transform.
+    (see :func:`premium_moments`), which the pricers read at ln(S/K)
+    (:func:`put_transform`).  H_1 is memoised, read-only, next to the
+    moments (:func:`_premium_memo`): the quotes of a market at every spot
+    and strike each call this once and share one pass.
 
     For one asset f(w, s*) = s*^w [q s*/(w+1) - rK/w], whose rational
     factors do not depend on l, so H_1 = q/(w+1) A1 - r/w A0 with the
@@ -717,9 +745,12 @@ def premium_transform(axes, spec: BasketSpec, boundary):
     terms the result agrees to about 1e-14 of its peak magnitude (the
     tests require 1e-13).
     """
-    (a0, a1), = premium_moments(axes, spec, boundary)
-    f_q, f_r = exercise_factors(axes, spec)
-    return f_q * a1 + f_r * a0
+    def make():
+        (a0, a1), = _moment_pass(axes[0], spec, boundary, (0,))
+        f_q, f_r = exercise_factors(axes, spec)
+        return f_q * a1 + f_r * a0
+
+    return _premium_memo(axes, spec, boundary, "premium", make)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +803,8 @@ def put_boundary(style, spec: BasketSpec, grid, mode="corrected"):
     return boundary_curve(spec, grid, mode=mode)
 
 
-def put_transform(axes, spec: BasketSpec, tau, style, boundary):
+def put_transform(axes, spec: BasketSpec, tau, style, boundary,
+                  unit=False):
     """Mellin transform of the ``style`` put value on the contour ``axes``.
 
     The European put's is the discounted payoff transform; the American
@@ -781,26 +813,45 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     negative-valued early-exercise function, so subtracting it adds a
     nonnegative premium).  The American styles are single-asset only and
     need ``boundary`` on a time grid over ``tau`` (``ValueError``
-    otherwise).  For one asset every style is :func:`strike_factor` times
-    its transform at strike 1.
+    otherwise).
+
+    For one asset the transform is homogeneous in the strike,
+    T_K(w) = K^(w+1) T_1(w), so P_K(S) = K P_1(S/K).  With ``unit`` this
+    returns T_1, built from the memoised strike-1 parts
+    (:func:`unit_payoff_transform`, :func:`premium_transform`; the
+    European T_1 is the read-only memoised array itself); every
+    pricer reads it at S/K and scales by K (:func:`unit_strike`), so no
+    quote forms K^(w+1).  A basket transform is memoised at its own
+    strike, which ``unit`` leaves it at.
     """
-    if style == EUROPEAN_PUT:
+    if style == EUROPEAN_PUT and spec.n > 1:
         return discounted_payoff_transform(axes, spec, tau)
-    if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
+    if style not in (EUROPEAN_PUT, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
         raise ValueError(f"unknown style {style!r}")
-    _single_asset_only(spec)
-    if boundary is None:
-        raise ValueError(f"{style} needs a boundary")
-    if boundary.grid.tau != tau:
-        raise ValueError(f"boundary curve is not on the time grid over "
-                         f"tau = {tau} (tau = {boundary.grid.tau})")
-    factor = strike_factor(axes, spec)
-    out = factor * -premium_transform(axes, spec, boundary)
+    if style != EUROPEAN_PUT:
+        _single_asset_only(spec)
+        if boundary is None:
+            raise ValueError(f"{style} needs a boundary")
+        if boundary.grid.tau != tau:
+            raise ValueError(f"boundary curve is not on the time grid over "
+                             f"tau = {tau} (tau = {boundary.grid.tau})")
+    k_w = 1.0 if unit else np.exp((1.0 + axes[0].points)
+                                  * math.log(spec.strike))
+    if style == EUROPEAN_PUT:
+        payoff = unit_payoff_transform(axes, spec, tau)
+        return payoff if unit else k_w * payoff
+    out = k_w * -premium_transform(axes, spec, boundary)
     if style == AMERICAN_PUT:
         # summed like this, the American transform is the European one plus
         # the premium style's bit for bit
-        out += factor * unit_payoff_transform(axes, spec, tau)
+        out += k_w * unit_payoff_transform(axes, spec, tau)
     return out
+
+
+def unit_strike(spec: BasketSpec):
+    """The K by which the pricers scale ``put_transform(..., unit=True)``:
+    the strike for one asset, 1 for a basket."""
+    return spec.strike if spec.n == 1 else 1.0
 
 
 def node0_region(spots, boundary):
@@ -920,7 +971,26 @@ def _check_samples(grid: MellinFftGrid, half, edges):
     return half_axes, edge_axes
 
 
-def invert_transform_lattice(grid: MellinFftGrid, half, edges):
+def _strike_shift(grid: MellinFftGrid, strike):
+    """(origin, m): log price s - ln K is index k - m on the lattice with
+    this origin, m whole cells of ln K per axis.  An index shift is an
+    exact integer phase, so |b origin| stays at most pi, as for K = 1."""
+    shift = math.log(strike)
+    cells = np.rint(shift / grid.lams).astype(int)
+    return grid.origin - (shift - cells * grid.lams), cells
+
+
+@functools.lru_cache(maxsize=8)
+def _readout(size, a, lam):
+    """(-1)^k exp(-a (k - N/2) lam), k < N, read-only: the read-out
+    (-1)^k exp(-a s_k) is this times exp(-a origin)."""
+    k = np.arange(size)
+    out = _sign(k) * np.exp(-a * ((k - size / 2) * lam))
+    out.setflags(write=False)
+    return out
+
+
+def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     """Invert a Mellin transform of a real payoff sampled on the lattice.
 
     ``half`` holds the transform values at a + i b_j (no sign factors) on
@@ -928,6 +998,10 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     (j_i = 0, j_n > N/2) for i < n - 1; :func:`sample_transform` makes
     both.  Returns (values, imag_residual): the real inverse on the full
     log-price lattice and the largest imaginary part over its central half.
+    With ``strike`` K the samples are the transform of P_1 and the values
+    are K P_1(S/K): the log prices move by -ln K, a whole number of cells
+    as a roll of the output and the rest in the origin phase
+    (:func:`_strike_shift`), and the output is scaled by K.
 
     The transform of a real payoff satisfies T(conj w) = conj T(w), and
     the lattice pairs b_j with -b_j at index -j mod N, so the FFT input
@@ -943,7 +1017,8 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
     """
     n, N = grid.n, grid.size
     half_axes, edge_axes = _check_samples(grid, half, edges)
-    arr = _phased(half, half_axes, grid.origin)
+    origin, cells = _strike_shift(grid, strike)
+    arr = _phased(half, half_axes, origin)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
     for i in range(n):
@@ -951,7 +1026,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
         # j_n > N/2 part comes from the edge piece
         on_plane = (slice(None),) * i + (0,)
         if i < n - 1:
-            missed = _phased(edges[i], edge_axes[i], grid.origin)[on_plane]
+            missed = _phased(edges[i], edge_axes[i], origin)[on_plane]
             plane = np.concatenate([arr[on_plane], missed], axis=-1)
         else:
             plane = arr[on_plane]
@@ -962,15 +1037,19 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges):
         arr[on_plane] -= anti[..., :N // 2 + 1] if i < n - 1 else anti
         spectra.append(np.fft.fftn(anti, axes=tuple(range(n - 1))))
 
-    readout = [_sign(np.arange(N)) * np.exp(-grid.strip_a[i]
-                                            * grid.log_prices(i))
-               for i in range(n)]
-    readout[0] = readout[0] * (grid.delta_b / (2.0 * math.pi) ** n)
+    # (-1)^(k - m) exp(-a s_k), s_k = origin + (k - m - N/2) lam, per
+    # axis; the cell volume and K ride on the first
+    scale = _sign(cells) * np.exp(-grid.strip_a * (origin - cells * grid.lams))
+    scale[0] *= strike * grid.delta_b / (2.0 * math.pi) ** n
+    readout = [_readout(N, float(a), float(lam)) * s
+               for a, lam, s in zip(grid.strip_a, grid.lams, scale)]
     # irfftn's passes in place: fresh lattice-sized temporaries page-fault
     np.conjugate(arr, out=arr)
     for i in range(n - 1):
         np.fft.ifft(arr, axis=i, norm="forward", out=arr)
     values = np.fft.irfft(arr, N, axis=-1, norm="forward")
+    if cells.any():  # output index k reads unit-strike index k - m
+        values = np.roll(values, tuple(cells), axis=tuple(range(n)))
     for factor in np.ix_(*readout):
         values *= factor
 
@@ -990,11 +1069,12 @@ def _contract(x, kernels):
     return complex(x)
 
 
-def invert_at_landing(grid: MellinFftGrid, half, edges):
+def invert_at_landing(grid: MellinFftGrid, half, edges, strike=1.0):
     """The real output of :func:`invert_transform_lattice` at
     ``grid.landing_index`` alone, as one direct sum over the lattice.
 
-    ``half`` and ``edges`` are the same samples (:func:`sample_transform`).
+    ``half`` and ``edges`` are the same samples (:func:`sample_transform`),
+    and ``strike`` shifts and scales as there.
     The inverter's real output at k is Re sum_j X_j prod_i g_i[j_i] over
     the full lattice, times (-1)^(sum k) prod_i exp(-a_i s_(k_i))
     delta_b / (2 pi)^n, with X the transform samples and
@@ -1015,11 +1095,13 @@ def invert_at_landing(grid: MellinFftGrid, half, edges):
         raise ValueError("grid has no landing index")
     _check_samples(grid, half, edges)
     half = np.asarray(half)
+    origin, cells = _strike_shift(grid, strike)
+    landing = np.subtract(grid.landing_index, cells)
     # g_i[j] = exp(-2 pi i j (k_i + N/2) / N) e^(-i b_j origin_i), since
     # (-1)^j is the root j N/2; by one two-level table of about 2 sqrt(N)
     # exps, each root phase an exactly reduced integer
     kernels, root = [], -2.0 * math.pi / N
-    for k, ax, x in zip(grid.landing_index, grid.axes, grid.origin):
+    for k, ax, x in zip(landing, grid.axes, origin):
         step, xh = k + N // 2, -x * ax.h
         kernels.append(_exp_table(
             lambda j: root * (step * j % N) + xh * (ax.first + j),
@@ -1039,9 +1121,9 @@ def invert_at_landing(grid: MellinFftGrid, half, edges):
                       on_plane + [kernels[-1][missed]])
             - _contract(half[plane + (Ellipsis, paired)],
                         on_plane + [kernels[-1][paired]]))
-    scale = grid.delta_b / (2.0 * math.pi) ** n
-    for i, k in enumerate(grid.landing_index):
-        scale *= _sign(k) * math.exp(-grid.strip_a[i] * grid.log_prices(i)[k])
+    scale = strike * grid.delta_b / (2.0 * math.pi) ** n
+    for a, lam, o, k in zip(grid.strip_a, grid.lams, origin, landing):
+        scale *= _sign(k) * math.exp(-a * (o + (k - N / 2) * lam))
     return total.real * scale
 
 
@@ -1052,7 +1134,9 @@ class PriceSurface:
     ``imag_residual`` is the largest imaginary part of the inverse over the
     central half of the lattice: the exact truncation left by the unpaired
     edge frequencies -N delta/2 (see :func:`invert_transform_lattice`),
-    0 for one asset.
+    0 for one asset.  ``clamped_points`` counts the material negatives the
+    quality gate reads: central-half values below -NEGATIVE_MATERIAL_TOL K.
+    Every negative value, rounding and edges included, is clamped to 0.
     """
 
     grid: MellinFftGrid
@@ -1099,14 +1183,14 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
                          f"on the time grid (M = {grid.m_steps})")
 
     def transform(axes):
-        return put_transform(axes, spec, tau, style, boundary)
+        return put_transform(axes, spec, tau, style, boundary, unit=True)
 
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible
     # there) integrand truncation exponentially, so edge values carry no
     # quality signal.
     values, imag_resid = invert_transform_lattice(
-        grid, *sample_transform(grid, transform))
+        grid, *sample_transform(grid, transform), strike=unit_strike(spec))
     if style != EUROPEAN_PUT:
         # log prices ascend; one point past ln s*_0 in case of a tie
         log_s, s0 = grid.log_prices(0), boundary.s_star[0]
@@ -1126,17 +1210,15 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     if quality_checks and central_vals.min() < -eps_neg:
         raise SurfaceQualityError(
             f"surface value {central_vals.min():g} below -{eps_neg:g}")
-    negative = values < 0.0
-    clamped = int(negative.sum())
-    if clamped:
-        # Truncation leaves +-1e-8-scale sign noise where the true value is
-        # 0; only material negatives count against the quality budget.
-        material = central_vals < -NEGATIVE_MATERIAL_TOL * spec.strike
-        if quality_checks and material.mean() > MAX_CLAMPED_FRACTION:
-            raise SurfaceQualityError(
-                f"{material.mean():.1%} of central lattice points below "
-                f"-{NEGATIVE_MATERIAL_TOL * spec.strike:g}")
-        values[negative] = 0.0
+    # Truncation leaves +-1e-8-scale sign noise where the true value is 0;
+    # only material negatives count against the quality budget.
+    material = central_vals < -NEGATIVE_MATERIAL_TOL * spec.strike
+    clamped = int(material.sum())
+    if quality_checks and material.mean() > MAX_CLAMPED_FRACTION:
+        raise SurfaceQualityError(
+            f"{material.mean():.1%} of central lattice points below "
+            f"-{NEGATIVE_MATERIAL_TOL * spec.strike:g}")
+    values[values < 0.0] = 0.0
     values.setflags(write=False)
     return PriceSurface(grid=grid, values=values, style=style, tau=float(tau),
                         imag_residual=imag_resid, clamped_points=clamped)

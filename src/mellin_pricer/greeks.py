@@ -26,7 +26,7 @@ from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
                          discounted_payoff_transform, exercise_factors,
                          invert_at_landing, node0_region, premium_moments,
                          price_surface, put_boundary, sample_transform,
-                         strike_factor, unit_payoff_transform)
+                         unit_payoff_transform, unit_strike)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -201,7 +201,8 @@ def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
     t^1 weights; f = q/(w+1) u - r/w per unit X on the strike-1 curve u
     (see :func:`~mellin_pricer.fft_pricer.premium_transform`).  Like the
-    premium transform, the term at strike K is K^(w+1) times this.
+    premium transform, the term at strike K is K^(w+1) times this, which
+    :func:`greek` never forms: it reads this at ln(S/K).
     """
     z = [axes[0].points]
     alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
@@ -260,8 +261,12 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     ``m_steps`` nodes; its node 0 enters in S space
     (:func:`_node0_sensitivity`), where, in kernel mode, theta also picks
     up the early-exercise function value inside the exercise region.  For
-    one asset the transform is the strike factor K^(w+1) times the
-    sensitivity's transform at strike 1, as for the price.
+    one asset, as for the price, the sensitivity's transform is K^(w+1)
+    times its transform at strike 1, and each multiplier is free of K, so
+    the greek is K times the strike-1 transform's landing sum at ln(S/K):
+    the memoised strike-1 payoff transform and premium moments serve
+    every greek of a market at any spot and strike, and only the
+    multipliers and the landing sum are computed per greek.
 
     A greek is read at one point, so it is the direct lattice sum at the
     landing index (:func:`~mellin_pricer.fft_pricer.invert_at_landing`),
@@ -293,13 +298,14 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
             if bnd is not None:
                 out += _premium_sensitivity(kind, axes, spot, spec, bnd,
                                             mode)
-            return strike_factor(axes, spec) * out
+            return out
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once
         values = discounted_payoff_transform(axes, spec, tau)
         return _factor(kind, z, spot, tau, spec, mode, premium=False) * values
 
-    out = invert_at_landing(grid, *sample_transform(grid, transform))
+    out = invert_at_landing(grid, *sample_transform(grid, transform),
+                            strike=unit_strike(spec))
     if bnd is not None:
         out += _node0_sensitivity(kind, spot, spec, bnd, mode)
     return out

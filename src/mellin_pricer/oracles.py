@@ -432,10 +432,12 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
     in :func:`~mellin_pricer.fft_pricer.put_transform`) and adds the
     American premium's node 0 in S space as it does
     (:func:`~mellin_pricer.fft_pricer.node0_step`), so at a lattice
-    landing point the two agree to reordering-level rounding.
+    landing point the two agree to reordering-level rounding.  Like the
+    lattice, it sums the strike-1 transform of one asset at S/K and scales
+    by K (:func:`~mellin_pricer.fft_pricer.put_transform`).
     """
     from .fft_pricer import (EUROPEAN_PUT, Axis, contour_sum, node0_step,
-                             put_transform)
+                             put_transform, unit_strike)
 
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
@@ -448,9 +450,10 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
 
     axes = tuple(Axis(a, d, -(size // 2), size)
                  for a, d in zip(strip_a, deltas))
-    values = put_transform(axes, spec, tau, style, boundary)
+    values = put_transform(axes, spec, tau, style, boundary, unit=True)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
-    out = contour_sum(values, axes, quad, spot)
+    strike = unit_strike(spec)
+    out = strike * contour_sum(values, axes, quad, spot / strike)
     if style != EUROPEAN_PUT:
         out += float(node0_step(spot[0], spec, boundary))
     return out

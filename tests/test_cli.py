@@ -189,6 +189,15 @@ class TestPriceCommand:
               "--div", "0.03", "--vol", "0.25", "--tau", "1",
               "--grid-n", "4096"]
 
+    def test_basket_counts_no_rounding_as_clamped(self, capsys):
+        # thousands of lattice values are -1e-16 rounding, and the edges
+        # no gate reads go negative too; none is material in the central
+        # half, where the gate looks
+        code, out, _ = run_cli(capsys, "price", "--method", "fft",
+                               "--style", "euro-put", *self.BASKET)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["clamped_points"] == 0
+
     def test_european_basket_call(self, capsys):
         # the put 5.428650352 plus the basket forward
         # 50 e^-0.01 + 50 e^-0.015 - 100 e^-0.025

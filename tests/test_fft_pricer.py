@@ -14,6 +14,7 @@ from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer.boundary import (boundary_curve, premium_time_grid,
                                     simpson_weight)
 from mellin_pricer import fft_pricer
+from mellin_pricer import greeks as gk
 from mellin_pricer.errors import (GridTooCoarse, ImagResidualTooLarge,
                                   NoAdmissibleK, NonFiniteSpot,
                                   SurfaceQualityError)
@@ -26,8 +27,8 @@ from mellin_pricer.fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis,
                                       premium_transform, price_american_call,
                                       price_put, price_surface,
                                       PriceSurface, put_transform,
-                                      reduce_to_put, surface_to_csv,
-                                      surface_to_json)
+                                      reduce_to_put, sample_transform,
+                                      surface_to_csv, surface_to_json)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
                                        early_exercise_mellin)
 from mellin_pricer.oracles import black_scholes
@@ -607,6 +608,7 @@ class TestReduceToPut:
 class TestPutTransformAndContourSum:
     def setup_method(self):
         r, q, sig = GROUPING_PARAMS[1]
+        self.spec_rqv = (q, r, sig)
         self.spec = BasketSpec.single(100.0, 0.5, q, r, sig)
         self.curve = boundary_curve(self.spec, premium_time_grid(12, 0.5))
         self.axes = (Axis(1.0, 0.25, -16, 32),)
@@ -620,6 +622,29 @@ class TestPutTransformAndContourSum:
         assert np.array_equal(euro, discounted_payoff_transform(
             self.axes, self.spec, 0.5))
         assert np.array_equal(amer, euro + prem)
+
+    @pytest.mark.parametrize("style", [EUROPEAN_PUT, AMERICAN_PUT,
+                                       EARLY_EXERCISE_PREMIUM])
+    def test_unit_transform_is_the_transform_at_strike_one(self, style):
+        # the pricers read this strike-1 transform at S/K and scale by K
+        unit = BasketSpec.single(1.0, 0.5, *self.spec_rqv)
+        curve = boundary_curve(unit, premium_time_grid(12, 0.5))
+        bnd = None if style == EUROPEAN_PUT else self.curve
+        got = put_transform(self.axes, self.spec, 0.5, style, bnd, unit=True)
+        want = put_transform(self.axes, unit, 0.5, style,
+                             None if bnd is None else curve)
+        assert np.array_equal(got, want)
+        # K^(w+1) T_1 is the transform at K
+        at_k = put_transform(self.axes, self.spec, 0.5, style, bnd)
+        k_w = 100.0 ** (1.0 + self.axes[0].points)
+        assert np.abs(k_w * got - at_k).max() <= 1e-13 * np.abs(at_k).max()
+
+    def test_unit_leaves_a_basket_at_its_strike(self, basket2_spec):
+        axes = (Axis(1.0, 0.25, -4, 9), Axis(1.0, 0.3, -4, 9))
+        got = put_transform(axes, basket2_spec, 0.5, EUROPEAN_PUT, None,
+                            unit=True)
+        assert np.array_equal(got, discounted_payoff_transform(
+            axes, basket2_spec, 0.5))
 
     def test_checks(self, basket2_spec):
         with pytest.raises(ValueError, match="unknown style"):
@@ -714,6 +739,22 @@ class TestQualityGates:
         assert abs(want - 1.70699) < 1e-5
         assert abs(ungated - want) > 2.0
 
+    def test_clamped_points_count_the_material_negatives_the_gate_reads(
+            self):
+        # the raw inverse of the same transform, before any clamping
+        grid = build_grid(1, 64, 1.0, [100.0])
+        raw, _ = invert_transform_lattice(grid, *sample_transform(
+            grid, lambda axes: put_transform(axes, self.PUT, 0.05,
+                                             EUROPEAN_PUT, None)))
+        central = raw[16:48]
+        material = np.count_nonzero(central < -1e-8 * self.PUT.strike)
+        surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT,
+                             quality_checks=False)
+        assert surf.clamped_points == material > 0
+        # every negative is still clamped, the sub-material ones included
+        assert np.count_nonzero(raw < 0.0) > material
+        assert surf.values.min() == 0.0
+
 
 class TestExports:
     def setup_method(self):
@@ -783,3 +824,40 @@ class TestExports:
         assert payload["trusted"] == [[4, 12]]
         assert abs(payload["grid"]["origin"][0]) <= self.surf.grid.lams[0] / 2
         json.dumps(payload)  # serializable
+
+
+class TestHomogeneity:
+    """P(cS, cK) = c P(S, K): the pricers read one strike-1 transform at
+    ln(S/K), so scaling spot and strike together moves only rounding."""
+
+    GRID = dict(size=2**12, m_steps=50)
+
+    @settings(max_examples=15, deadline=None)
+    @given(strike=st.floats(50.0, 150.0), moneyness=st.floats(0.8, 1.25),
+           r=st.floats(0.01, 0.08), q=st.floats(0.0, 0.08),
+           vol=st.floats(0.15, 0.45), tau=st.sampled_from((0.25, 0.5, 1.0)),
+           log_c=st.floats(math.log(0.25), math.log(4.0)))
+    def test_prices_and_greeks_scale_with_spot_and_strike(
+            self, strike, moneyness, r, q, vol, tau, log_c):
+        c, spot = math.exp(log_c), moneyness * strike
+        market = (r, q, vol, tau)
+        for style in (EUROPEAN_PUT, AMERICAN_PUT):
+            base = price_put(spot, strike, *market, style=style,
+                             **self.GRID)[0]
+            got = price_put(c * spot, c * strike, *market, style=style,
+                            **self.GRID)[0]
+            assert abs(got - c * base) <= 1e-11 * c * strike
+        base = price_american_call(spot, strike, *market, **self.GRID)
+        got = price_american_call(c * spot, c * strike, *market, **self.GRID)
+        assert abs(got - c * base) <= 1e-11 * c * strike
+
+        spec = BasketSpec.single(strike, tau, r, q, vol)
+        scaled = BasketSpec.single(c * strike, tau, r, q, vol)
+        for style in (EUROPEAN_PUT, AMERICAN_PUT):
+            for kind, power in ((gk.delta1(), 0), (gk.gamma(), -1)):
+                base = gk.greek(kind, [spot], tau, spec, style=style,
+                                **self.GRID)
+                got = gk.greek(kind, [c * spot], tau, scaled, style=style,
+                               **self.GRID)
+                want = c**power * base
+                assert abs(got - want) <= 1e-9 * abs(want), (style, kind)

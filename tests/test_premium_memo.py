@@ -1,10 +1,12 @@
 """Memoised premium moments: exact reuse, read-only entries, bounded cache.
 
-``fft_pricer.premium_moments`` keeps its recent results in
-``boundary._moment_cache``, keyed on the exact inputs it reads, which are
-those of the market's strike-1 boundary, not the strike.  A hit must be
-the array a recompute would give, bit for bit, so every greek or call
-served from the cache equals the same one computed on an empty cache.
+``fft_pricer.premium_moments`` and ``premium_transform`` keep their recent
+results in ``boundary._moment_cache``, one entry per market, strike-1
+curve and contour, keyed on the exact inputs they read, which are those of
+the market's strike-1 boundary, not the strike.  The strike-1 payoff
+transform is kept apart, in ``boundary._payoff_cache``.  A hit must be the
+array a recompute would give, bit for bit, so every quote, greek or call
+served from the caches equals the same one computed on empty caches.
 """
 
 import sys
@@ -20,12 +22,14 @@ from mellin_pricer import greeks as gk
 from mellin_pricer import table1
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
                                     clear_boundary_cache, premium_time_grid)
-from mellin_pricer.fft_pricer import (AMERICAN_PUT, Axis, build_grid,
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, Axis,
+                                      build_grid,
                                       discounted_payoff_transform,
                                       premium_moments, price_american_call,
-                                      price_put)
+                                      price_put, unit_payoff_transform)
 from mellin_pricer.mellin_core import BasketSpec
-from mellin_pricer.series_pricer import dw_price_american_call
+from mellin_pricer.series_pricer import (DwConfig, dw_price,
+                                         dw_price_american_call)
 
 KINDS = (gk.delta1(), gk.gamma(), gk.theta(), gk.rho(), gk.nu(), gk.xi())
 MODES = ("kernel", "paper")
@@ -33,8 +37,8 @@ MODES = ("kernel", "paper")
 T50 = premium_time_grid(50, 0.5)
 
 
-def counts():
-    cache = boundary._moment_cache
+def counts(cache=None):
+    cache = boundary._moment_cache if cache is None else cache
     return cache.misses, cache.hits
 
 
@@ -74,6 +78,55 @@ def test_five_puts_of_one_market_share_one_pass():
         price_put(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
     assert counts() == (1, 4)
     assert len(boundary._moment_cache) == 1
+
+
+def test_puts_at_three_strikes_and_five_spots_share_one_pass_and_payoff():
+    # the strike is a shift by ln K: every put of a market, at any spot
+    # and strike, reads one strike-1 premium and payoff transform
+    clear_boundary_cache()
+    for strike in (80.0, 100.0, 125.0):
+        for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+            price_put(spot, strike, 0.045, 0.04, 0.25, 0.5)
+    assert counts() == (1, 14)
+    assert counts(boundary._payoff_cache) == (1, 14)
+    assert len(boundary._moment_cache) == len(boundary._payoff_cache) == 1
+
+
+@settings(max_examples=5, deadline=None)
+@given(r=st.floats(0.01, 0.08), q=st.floats(0.0, 0.08),
+       vol=st.floats(0.15, 0.45), tau=st.sampled_from((0.25, 0.5, 1.0)),
+       spot=st.sampled_from((80.0, 90.0, 110.0, 120.0)),
+       strike=st.sampled_from((70.0, 125.0)),
+       style=st.sampled_from((AMERICAN_PUT, EUROPEAN_PUT)))
+def test_warm_put_at_another_strike_equals_cold(r, q, vol, tau, spot, strike,
+                                                style):
+    # the transforms are filled by the market's put at strike 100
+    cfg = DwConfig(n_terms=200, m_steps=100)
+    clear_boundary_cache()
+    cold = price_put(spot, strike, r, q, vol, tau, style=style)[0]
+    cold_dw = dw_price(spot, tau, BasketSpec.single(strike, tau, r, q, vol),
+                       cfg, style)
+    clear_boundary_cache()
+    price_put(100.0, 100.0, r, q, vol, tau, style=style)
+    dw_price(100.0, tau, BasketSpec.single(100.0, tau, r, q, vol), cfg,
+             style)
+    warm = price_put(spot, strike, r, q, vol, tau, style=style)[0]
+    warm_dw = dw_price(spot, tau, BasketSpec.single(strike, tau, r, q, vol),
+                       cfg, style)
+    assert counts(boundary._payoff_cache) == (2, 2)
+    assert warm == cold
+    assert warm_dw == cold_dw
+
+
+def test_cached_payoff_transforms_are_read_only_and_shared():
+    spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+    w = half_contour()
+    clear_boundary_cache()
+    got = unit_payoff_transform(w, spec, 0.5)
+    assert not got.flags.writeable
+    assert unit_payoff_transform(w, BasketSpec.single(
+        80.0, 0.5, 0.05, 0.03, 0.25), 0.5) is got
+    assert counts(boundary._payoff_cache) == (1, 1)
 
 
 def test_each_table_grouping_makes_one_fft_and_one_series_pass():
