@@ -32,10 +32,10 @@ is solved at K = 1, once per market, node times, tau and mode, and shared
 by every strike: the five calls of one market read one solve.  The solved
 arrays are kept in a bounded least-recently-used cache of CACHE_SIZE
 entries; they are read-only and shared, so repeated requests are
-bit-identical.  Two more caches, of MOMENT_CACHE_SIZE entries each, hold
-the strike-free transforms of ``fft_pricer`` that quotes and greeks share,
-each keyed on its exact inputs.  :func:`clear_boundary_cache` empties all
-three; each counts its hits and misses.
+bit-identical.  A second cache, of MOMENT_CACHE_SIZE entries, holds the
+strike-free transforms of ``fft_pricer`` that quotes and greeks share,
+each keyed on its exact inputs.  :func:`clear_boundary_cache` empties
+both; each counts its hits and misses.
 """
 
 from __future__ import annotations
@@ -405,16 +405,14 @@ class _LruCache:
 
 CACHE_SIZE = 256  # strike-1 curves; an M = 250 curve holds 2 kB
 _unit_cache = _LruCache(CACHE_SIZE)
-# Strike-free transforms shared by quotes and greeks, MOMENT_CACHE_SIZE
-# entries per cache: in _moment_cache a dict per (market, strike-1 curve,
-# contour) of premium moments and the premium transform (about 0.7 MB at
-# N = 2^14), and a basket payoff transform per (market, lattice axes)
-# (2.1 MB at N = 2^9); in _payoff_cache a one-asset strike-1 payoff
-# transform per (market, contour) (0.13 MB).  A market's puts and greeks
-# at every spot and strike, and its calls, need two entries of each.
-MOMENT_CACHE_SIZE = 2
+# Strike-free transforms shared by quotes and greeks, one entry each: a
+# one-asset strike-1 payoff transform per (market, contour) (0.13 MB at
+# N = 2^14), a dict per (market, strike-1 curve, contour) of premium
+# moments and the premium transform (about 0.7 MB), and a basket payoff
+# transform per (market, lattice axes) (2.1 MB at N = 2^9).  A market's
+# puts and greeks at every spot and strike, and its calls, need four.
+MOMENT_CACHE_SIZE = 4
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
-_payoff_cache = _LruCache(MOMENT_CACHE_SIZE)
 
 
 def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
@@ -446,12 +444,10 @@ def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
 
 
 def clear_boundary_cache():
-    """Empty the cache of strike-1 curves, the cache of premium moments
-    and basket payoff transforms and the cache of one-asset payoff
+    """Empty the cache of strike-1 curves and the cache of strike-free
     transforms, and zero their counts."""
     _unit_cache.clear()
     _moment_cache.clear()
-    _payoff_cache.clear()
 
 
 def boundary_residual_cap(curve: BoundaryCurve, l, spec: BasketSpec, grid,

@@ -100,19 +100,20 @@ Strike
 For one asset every put transform is homogeneous in the strike:
 T_K(w) = K^(w+1) T_1(w), the boundary included (S* is homogeneous of
 degree 1 in (S, K)), so P_K(S) = K P_1(S/K), and the strike is a shift
-by ln K.  Every one-asset pricer reads the strike-1 transform
-(:func:`put_transform` with ``unit``) at ln(S/K) and multiplies by K: the
-lattice inverters move the log prices by -ln K, whole cells as an index
-shift and the rest in the origin phase, and the single-spot sums sum at
-S/K.  Its parts, :func:`unit_payoff_transform`
-and :func:`premium_transform`, are memoised, read-only, on the exact
-bytes they read, with no strike or spot in a key, in caches of
-``boundary.MOMENT_CACHE_SIZE`` (2) entries: enough for a market's puts and
-greeks at every spot and strike, and the five calls that put-call
-symmetry maps onto a second market.  A warm quote or greek only applies
-the origin phase, runs one inverse FFT or landing sum and adds node 0's
-step; the read-out exp(-a s_k) is a spot-free vector, cached per
-(N, a, lambda), times exp(-a origin).
+by ln K.  :func:`put_transform` returns T_1 for one asset, and every
+one-asset reader reads it at ln(S/K) and multiplies by K
+(:func:`unit_strike`): the lattice inverters move the log prices by
+-ln K, whole cells as an index shift and the rest in the origin phase,
+and the single-spot sums sum at S/K.  Its parts,
+:func:`unit_payoff_transform` and :func:`premium_transform`, are
+memoised, read-only, on the exact bytes they read, with no strike or
+spot in a key, in ``boundary._moment_cache`` (MOMENT_CACHE_SIZE = 4
+entries): a market's payoff and premium, and those of the market that
+put-call symmetry maps its calls onto, so its puts, calls and greeks at
+every spot and strike.  A warm quote or greek only applies the origin
+phase, runs one inverse FFT or landing sum and adds node 0's step; the
+read-out exp(-a s_k) is a spot-free vector, cached per (N, a, lambda),
+times exp(-a origin).
 
 Calls
 -----
@@ -135,8 +136,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (_moment_cache, _payoff_cache, boundary_curve,
-                       premium_time_grid)
+from .boundary import _moment_cache, boundary_curve, premium_time_grid
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _check_strip,
@@ -412,13 +412,10 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     exp(-tau (Psi(wi) + r)) with beta_n(w) = prod Gamma(w_i) / Gamma(sum w)
     and Psi(wi) = sum_i (mu_i w_i - Sigma_ii w_i^2 / 2)
     - sum_{i<j} Sigma_ij w_i w_j.  The result has shape
-    (count_1, ..., count_n).
+    (count_1, ..., count_n).  Baskets only, n >= 2 (``ValueError`` for
+    one asset, whose transform is :func:`unit_payoff_transform`).
 
-    For n = 1 the gamma ratio is exactly 1 and is never evaluated; the
-    transform is K^(w+1) times :func:`unit_payoff_transform`
-    (:func:`put_transform`), which is what the pricers read instead.
-
-    For n >= 2, log Gamma(w_i), w_i ln K and the diagonal and linear parts
+    log Gamma(w_i), w_i ln K and the diagonal and linear parts
     of -tau Psi are evaluated once per axis and broadcast into the lattice
     log before the one exp: a per-axis factor alone can underflow to 0
     where the cross terms alone overflow, so multiplying exponentiated
@@ -469,7 +466,7 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     if len(axes) != spec.n:
         raise ValueError(f"expected {spec.n} axes, got {len(axes)}")
     if spec.n == 1:
-        return put_transform(axes, spec, tau, EUROPEAN_PUT, None)
+        raise ValueError("one asset: use unit_payoff_transform")
 
     cov = CovStruct.from_spec(spec)
     lattice = all(ax.count > 1 for ax in axes)
@@ -522,11 +519,12 @@ def _market_bytes(spec: BasketSpec, tau):
 def unit_payoff_transform(axes, spec: BasketSpec, tau):
     """exp(-tau (Psi(wi) + r)) / (w (w+1)): the one-asset discounted payoff
     transform at strike 1, on a contour with Re w > 0; memoised, read-only,
-    in the bounded LRU cache ``boundary._payoff_cache`` on the exact bytes
-    of r, q, sigma, the 1 x 1 correlation, tau and the axis."""
+    in ``boundary._moment_cache`` on the exact bytes of r, q, sigma, the
+    1 x 1 correlation, tau and the axis (module docstring, "Strike")."""
     axis, = axes
-    key = (_market_bytes(spec, tau), axis)
-    hit = _payoff_cache.get(key)
+    # the tag keeps these keys apart from the premium and basket keys
+    key = ("payoff", _market_bytes(spec, tau), axis)
+    hit = _moment_cache.get(key)
     if hit is not None:
         return hit
     w = axis.points[:, None]
@@ -535,7 +533,7 @@ def unit_payoff_transform(axes, spec: BasketSpec, tau):
     psi = char_exponent_wi(w, CovStruct.from_spec(spec))
     out = np.exp(-tau * psi - spec.rate * tau) / (z * (z + 1.0))
     out.setflags(write=False)
-    return _payoff_cache.add(key, out)
+    return _moment_cache.add(key, out)
 
 
 def _fold(axis):
@@ -609,11 +607,9 @@ def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
     t_l > 0 and u_l > 0.  Node 0 (t = 0, no diffusion) is left out: its
     term is the transform of a step in S, whose 1/|b| tail no lattice
     resolves, and every reader adds it in S space instead
-    (:func:`node0_step`).  On the strike-K curve s*_l = K u_l the moment
-    is K^(w+e) times this, which the pricers never form: they read the
-    strike-1 transform at ln(S/K) (:func:`put_transform`).  The
-    curve's own strike is never read, so every strike of one market reads
-    the same bytes.  Single-asset only.
+    (:func:`node0_step`).  The curve's own strike is never read, so every
+    strike of one market reads the same bytes (module docstring,
+    "Strike").  Single-asset only.
     An axis through b = 0 is evaluated on b >= 0 only and the rest filled
     in by conjugation (:func:`_fold`).
 
@@ -724,13 +720,10 @@ def premium_transform(axes, spec: BasketSpec, boundary):
     early-exercise transform at the boundary value s*_l for time-to-expiry
     tau - t_l and c_l the grid's weights; nodes with s*_l = 0 (empty
     exercise region) contribute nothing, and node 0 (t = 0) is the S-space
-    step :func:`node0_step`.  The boundary is homogeneous in
-    the strike, s*_l = K u_l, so H_K = K^(w+1) H_1, and this returns H_1,
-    the transform on the curve's strike-1 prices u
-    (see :func:`premium_moments`), which the pricers read at ln(S/K)
-    (:func:`put_transform`).  H_1 is memoised, read-only, next to the
-    moments (:func:`_premium_memo`): the quotes of a market at every spot
-    and strike each call this once and share one pass.
+    step :func:`node0_step`.  This is H_1, the transform on the curve's
+    strike-1 prices u (module docstring, "Strike"), memoised, read-only,
+    next to the moments (:func:`_premium_memo`): the quotes of a market at
+    every spot and strike each call this once and share one pass.
 
     For one asset f(w, s*) = s*^w [q s*/(w+1) - rK/w], whose rational
     factors do not depend on l, so H_1 = q/(w+1) A1 - r/w A0 with the
@@ -803,8 +796,7 @@ def put_boundary(style, spec: BasketSpec, grid, mode="corrected"):
     return boundary_curve(spec, grid, mode=mode)
 
 
-def put_transform(axes, spec: BasketSpec, tau, style, boundary,
-                  unit=False):
+def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     """Mellin transform of the ``style`` put value on the contour ``axes``.
 
     The European put's is the discounted payoff transform; the American
@@ -815,41 +807,32 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary,
     need ``boundary`` on a time grid over ``tau`` (``ValueError``
     otherwise).
 
-    For one asset the transform is homogeneous in the strike,
-    T_K(w) = K^(w+1) T_1(w), so P_K(S) = K P_1(S/K).  With ``unit`` this
-    returns T_1, built from the memoised strike-1 parts
-    (:func:`unit_payoff_transform`, :func:`premium_transform`; the
-    European T_1 is the read-only memoised array itself); every
-    pricer reads it at S/K and scales by K (:func:`unit_strike`), so no
-    quote forms K^(w+1).  A basket transform is memoised at its own
-    strike, which ``unit`` leaves it at.
+    For one asset this is the transform at strike 1, which every pricer
+    reads at S/K and scales by K (module docstring, "Strike"); the
+    European one is the memoised read-only array itself.  A basket's is at
+    its own strike.
     """
-    if style == EUROPEAN_PUT and spec.n > 1:
-        return discounted_payoff_transform(axes, spec, tau)
-    if style not in (EUROPEAN_PUT, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
-        raise ValueError(f"unknown style {style!r}")
-    if style != EUROPEAN_PUT:
-        _single_asset_only(spec)
-        if boundary is None:
-            raise ValueError(f"{style} needs a boundary")
-        if boundary.grid.tau != tau:
-            raise ValueError(f"boundary curve is not on the time grid over "
-                             f"tau = {tau} (tau = {boundary.grid.tau})")
-    k_w = 1.0 if unit else np.exp((1.0 + axes[0].points)
-                                  * math.log(spec.strike))
     if style == EUROPEAN_PUT:
-        payoff = unit_payoff_transform(axes, spec, tau)
-        return payoff if unit else k_w * payoff
-    out = k_w * -premium_transform(axes, spec, boundary)
+        return (discounted_payoff_transform(axes, spec, tau) if spec.n > 1
+                else unit_payoff_transform(axes, spec, tau))
+    if style not in (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM):
+        raise ValueError(f"unknown style {style!r}")
+    _single_asset_only(spec)
+    if boundary is None:
+        raise ValueError(f"{style} needs a boundary")
+    if boundary.grid.tau != tau:
+        raise ValueError(f"boundary curve is not on the time grid over "
+                         f"tau = {tau} (tau = {boundary.grid.tau})")
+    out = -premium_transform(axes, spec, boundary)
     if style == AMERICAN_PUT:
         # summed like this, the American transform is the European one plus
         # the premium style's bit for bit
-        out += k_w * unit_payoff_transform(axes, spec, tau)
+        out += unit_payoff_transform(axes, spec, tau)
     return out
 
 
 def unit_strike(spec: BasketSpec):
-    """The K by which the pricers scale ``put_transform(..., unit=True)``:
+    """The K by which the pricers scale :func:`put_transform`'s inverse:
     the strike for one asset, 1 for a basket."""
     return spec.strike if spec.n == 1 else 1.0
 
@@ -1183,7 +1166,7 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
                          f"on the time grid (M = {grid.m_steps})")
 
     def transform(axes):
-        return put_transform(axes, spec, tau, style, boundary, unit=True)
+        return put_transform(axes, spec, tau, style, boundary)
 
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible

@@ -200,9 +200,7 @@ def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
     reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
     t^1 weights; f = q/(w+1) u - r/w per unit X on the strike-1 curve u
-    (see :func:`~mellin_pricer.fft_pricer.premium_transform`).  Like the
-    premium transform, the term at strike K is K^(w+1) times this, which
-    :func:`greek` never forms: it reads this at ln(S/K).
+    (see :func:`~mellin_pricer.fft_pricer.premium_transform`).
     """
     z = [axes[0].points]
     alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
@@ -261,12 +259,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     ``m_steps`` nodes; its node 0 enters in S space
     (:func:`_node0_sensitivity`), where, in kernel mode, theta also picks
     up the early-exercise function value inside the exercise region.  For
-    one asset, as for the price, the sensitivity's transform is K^(w+1)
-    times its transform at strike 1, and each multiplier is free of K, so
-    the greek is K times the strike-1 transform's landing sum at ln(S/K):
-    the memoised strike-1 payoff transform and premium moments serve
-    every greek of a market at any spot and strike, and only the
-    multipliers and the landing sum are computed per greek.
+    one asset, as for the price, the landing sum reads the memoised
+    strike-1 transforms at ln(S/K) and scales by K (module docstring of
+    :mod:`~mellin_pricer.fft_pricer`, "Strike"); the multipliers are free
+    of K, so only they and the landing sum are computed per greek.
 
     A greek is read at one point, so it is the direct lattice sum at the
     landing index (:func:`~mellin_pricer.fft_pricer.invert_at_landing`),

@@ -433,8 +433,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
     American premium's node 0 in S space as it does
     (:func:`~mellin_pricer.fft_pricer.node0_step`), so at a lattice
     landing point the two agree to reordering-level rounding.  Like the
-    lattice, it sums the strike-1 transform of one asset at S/K and scales
-    by K (:func:`~mellin_pricer.fft_pricer.put_transform`).
+    lattice, it sums a one-asset transform at S/K and scales by K.
     """
     from .fft_pricer import (EUROPEAN_PUT, Axis, contour_sum, node0_step,
                              put_transform, unit_strike)
@@ -450,7 +449,7 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
 
     axes = tuple(Axis(a, d, -(size // 2), size)
                  for a, d in zip(strip_a, deltas))
-    values = put_transform(axes, spec, tau, style, boundary, unit=True)
+    values = put_transform(axes, spec, tau, style, boundary)
     quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
     strike = unit_strike(spec)
     out = strike * contour_sum(values, axes, quad, spot / strike)

@@ -65,8 +65,7 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     h / 2 pi and each w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for
     itself and its conjugate (:func:`~mellin_pricer.fft_pricer.contour_sum`).
     The sum is K times that of the strike-1 transform at S/K
-    (:func:`~mellin_pricer.fft_pricer.put_transform`), whose parts
-    every strike and spot of a market share.
+    (:func:`~mellin_pricer.fft_pricer.put_transform`).
 
     For the American and premium styles the premium's time node 0 (t = 0,
     no diffusion) is not in the transform: it is the step
@@ -87,7 +86,7 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     bnd = put_boundary(style, spec,
                        premium_time_grid(cfg.m_steps, tau, cfg.time_weights),
                        boundary_mode)
-    values = put_transform(axes, spec, tau, style, bnd, unit=True)
+    values = put_transform(axes, spec, tau, style, bnd)
     weights = np.full(axes[0].count, 1.0 / cfg.log_range)  # 2 h / 2 pi
     weights[0] /= 2.0
     out = spec.strike * contour_sum(values, axes, weights,

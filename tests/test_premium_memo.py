@@ -4,20 +4,22 @@
 results in ``boundary._moment_cache``, one entry per market, strike-1
 curve and contour, keyed on the exact inputs they read, which are those of
 the market's strike-1 boundary, not the strike.  The strike-1 payoff
-transform is kept apart, in ``boundary._payoff_cache``.  A hit must be the
-array a recompute would give, bit for bit, so every quote, greek or call
-served from the caches equals the same one computed on empty caches.
+transform has an entry of its own there, per market and contour.  A hit
+must be the array a recompute would give, bit for bit, so every quote,
+greek or call served from the cache equals the same one computed on an
+empty cache.
 """
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellin_pricer import boundary
+from mellin_pricer import boundary, fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer import table1
 from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
@@ -37,9 +39,15 @@ MODES = ("kernel", "paper")
 T50 = premium_time_grid(50, 0.5)
 
 
-def counts(cache=None):
-    cache = boundary._moment_cache if cache is None else cache
+def counts():
+    cache = boundary._moment_cache
     return cache.misses, cache.hits
+
+
+def counted_passes():
+    """Count the premium passes run in a ``with`` block: ``.call_count``."""
+    return mock.patch.object(fft_pricer, "_moment_pass",
+                             wraps=fft_pricer._moment_pass)
 
 
 def half_contour(size=2**10):
@@ -54,42 +62,67 @@ def test_six_greeks_of_one_market_share_one_pass():
     clear_boundary_cache()
     assert len(boundary._moment_cache) == 0
     assert counts() == (0, 0)
-    for kind in KINDS:
-        gk.greek(kind, [100.0], 0.5, spec, style=AMERICAN_PUT)
-    assert counts() == (1, 5)
-    assert len(boundary._moment_cache) == 1
+    with counted_passes() as passes:
+        for kind in KINDS:
+            gk.greek(kind, [100.0], 0.5, spec, style=AMERICAN_PUT)
+    assert passes.call_count == 1
+    # the market's payoff and premium entries
+    assert len(boundary._moment_cache) == 2
 
 
 def test_five_calls_of_one_market_share_one_pass():
     # the amer_book calls: put-call symmetry makes them five put strikes
     # on one lattice, which lands on the call strike
     clear_boundary_cache()
-    for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
-        price_american_call(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
-    assert counts() == (1, 4)
-    assert len(boundary._moment_cache) == 1
+    with counted_passes() as passes:
+        for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+            price_american_call(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
+    assert passes.call_count == 1
+    assert len(boundary._moment_cache) == 2
 
 
 def test_five_puts_of_one_market_share_one_pass():
     # the amer_book puts: the lattice spacing does not depend on the spot,
     # so the five spots read one contour
     clear_boundary_cache()
-    for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
-        price_put(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
-    assert counts() == (1, 4)
-    assert len(boundary._moment_cache) == 1
+    with counted_passes() as passes:
+        for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+            price_put(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
+    assert passes.call_count == 1
+    assert len(boundary._moment_cache) == 2
 
 
 def test_puts_at_three_strikes_and_five_spots_share_one_pass_and_payoff():
     # the strike is a shift by ln K: every put of a market, at any spot
     # and strike, reads one strike-1 premium and payoff transform
     clear_boundary_cache()
-    for strike in (80.0, 100.0, 125.0):
+    with counted_passes() as passes:
+        for strike in (80.0, 100.0, 125.0):
+            for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+                price_put(spot, strike, 0.045, 0.04, 0.25, 0.5)
+    assert passes.call_count == 1
+    # each put looks up the payoff and the premium once: one miss each
+    assert counts() == (2, 28)
+    assert len(boundary._moment_cache) == 2
+
+
+def test_one_book_of_a_market_fits_the_cache():
+    # the amer_book book: five puts, five calls (a second, put-call
+    # symmetric market) and six greeks; the greeks find the payoff and
+    # premium entries the puts made, and add the t-weighted moments
+    spec = BasketSpec.single(100.0, 0.5, 0.045, 0.04, 0.25)
+    clear_boundary_cache()
+    with counted_passes() as passes:
         for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
-            price_put(spot, strike, 0.045, 0.04, 0.25, 0.5)
-    assert counts() == (1, 14)
-    assert counts(boundary._payoff_cache) == (1, 14)
-    assert len(boundary._moment_cache) == len(boundary._payoff_cache) == 1
+            price_put(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
+        for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
+            price_american_call(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
+        for kind in KINDS:
+            gk.greek(kind, [100.0], 0.5, spec, style=AMERICAN_PUT)
+    assert passes.call_count == 3
+    # a payoff and a premium entry per market, each missed once
+    assert counts()[0] == 4
+    assert len(boundary._moment_cache) == 4
 
 
 @settings(max_examples=5, deadline=None)
@@ -110,10 +143,15 @@ def test_warm_put_at_another_strike_equals_cold(r, q, vol, tau, spot, strike,
     price_put(100.0, 100.0, r, q, vol, tau, style=style)
     dw_price(100.0, tau, BasketSpec.single(100.0, tau, r, q, vol), cfg,
              style)
-    warm = price_put(spot, strike, r, q, vol, tau, style=style)[0]
-    warm_dw = dw_price(spot, tau, BasketSpec.single(strike, tau, r, q, vol),
-                       cfg, style)
-    assert counts(boundary._payoff_cache) == (2, 2)
+    misses = counts()[0]
+    with counted_passes() as passes:
+        warm = price_put(spot, strike, r, q, vol, tau, style=style)[0]
+        warm_dw = dw_price(spot, tau,
+                           BasketSpec.single(strike, tau, r, q, vol), cfg,
+                           style)
+    # every lookup of the warm quotes hits
+    assert passes.call_count == 0
+    assert counts() == (misses, misses)
     assert warm == cold
     assert warm_dw == cold_dw
 
@@ -126,14 +164,15 @@ def test_cached_payoff_transforms_are_read_only_and_shared():
     assert not got.flags.writeable
     assert unit_payoff_transform(w, BasketSpec.single(
         80.0, 0.5, 0.05, 0.03, 0.25), 0.5) is got
-    assert counts(boundary._payoff_cache) == (1, 1)
+    assert counts() == (1, 1)
 
 
 def test_each_table_grouping_makes_one_fft_and_one_series_pass():
     clear_boundary_cache()
-    table1.run_table1(binomial_steps=10)
+    with counted_passes() as passes:
+        table1.run_table1(binomial_steps=10)
     # three groupings, each one FFT pass and one DW pass for its five calls
-    assert counts() == (6, 24)
+    assert passes.call_count == 6
 
 
 @settings(max_examples=5, deadline=None)
@@ -149,9 +188,12 @@ def test_warm_call_equals_cold(r, q, vol, tau, spot):
     clear_boundary_cache()
     price_american_call(100.0, 100.0, r, q, vol, tau)
     dw_price_american_call(100.0, 100.0, r, q, vol, tau)
-    warm = price_american_call(spot, 100.0, r, q, vol, tau)
-    warm_dw = dw_price_american_call(spot, 100.0, r, q, vol, tau)
-    assert counts() == (2, 2)
+    misses = counts()[0]
+    with counted_passes() as passes:
+        warm = price_american_call(spot, 100.0, r, q, vol, tau)
+        warm_dw = dw_price_american_call(spot, 100.0, r, q, vol, tau)
+    assert passes.call_count == 0
+    assert counts() == (misses, misses)
     assert warm == cold
     assert warm_dw == cold_dw
 
@@ -198,8 +240,10 @@ def test_warm_greek_equals_cold(kind, mode, r, q, vol, tau, warm_kind,
     cold = gk.greek(kind, [100.0], tau, spec, **grid)
     clear_boundary_cache()
     gk.greek(warm_kind, [100.0], tau, spec, **{**grid, "mode": warm_mode})
-    warm = gk.greek(kind, [100.0], tau, spec, **grid)
-    assert counts() == (1, 1)
+    with counted_passes() as passes:
+        warm = gk.greek(kind, [100.0], tau, spec, **grid)
+    assert passes.call_count == 0
+    assert counts() == (2, 2)
     assert warm == cold
 
 

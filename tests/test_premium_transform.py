@@ -5,8 +5,8 @@ nodes t_l > 0 on the caller's contour, one complex exponential per (node,
 frequency), over the whole contour.  The streamed, band-limited pass must
 agree within 1e-13 of the reference's peak magnitude.  The pass runs at
 strike 1, on the market's strike-1 boundary, so most tests compare it with
-the reference at strike 1; the premium style of ``put_transform`` applies
-the strike factor K^(w+1) and is compared with the reference at strike K.
+the reference at strike 1; the premium style of ``put_transform``, times
+K^(w+1), is compared with the reference at strike K.
 """
 
 import dataclasses
@@ -191,12 +191,13 @@ def test_full_lattice_conjugate_fill_and_corner():
 @pytest.mark.parametrize("tau", [0.25, 1.0])
 def test_band_limited_pass_on_the_pricing_lattice(vol, tau):
     # the benchmark's lattice, where most nodes cut most of the half axis;
-    # at strike K, so the strike factor is checked as well
+    # at strike K, so the scaling by K^(w+1) is checked as well
     spec = BasketSpec.single(100.0, tau, 0.06, 0.02, vol)
     curve = boundary_curve(spec, premium_time_grid(250, tau))
     axes = build_grid(1, 2**14, 1.0, [100.0], m_steps=250).axes
     got = -put_transform(axes, spec, tau, EARLY_EXERCISE_PREMIUM, curve)
-    assert_peak_close(got, reference_premium(points(axes), spec, curve))
+    assert_peak_close(100.0 ** (1.0 + axes[0].points) * got,
+                      reference_premium(points(axes), spec, curve))
 
 
 def test_pricer_lattice_and_series_axis_fold_onto_b_ge_0():

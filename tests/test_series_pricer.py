@@ -11,8 +11,8 @@ from mellin_pricer.boundary import boundary_curve, premium_time_grid
 from mellin_pricer.errors import RangeViolation
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                                       EUROPEAN_PUT, Axis, build_grid,
-                                      discounted_payoff_transform,
-                                      price_put, put_transform)
+                                      price_put, put_transform,
+                                      unit_payoff_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
                                        payoff_mellin)
@@ -28,13 +28,17 @@ def at(w):
 
 
 def g_hat(w, tau, spec):
-    """The series' European transform at the point w, as dw_price takes it."""
-    return put_transform(at(w), spec, tau, EUROPEAN_PUT, None)
+    """The series' European transform at the point w, at strike K: K^(w+1)
+    times the strike-1 transform dw_price sums."""
+    return spec.strike ** (1.0 + complex(w)) * put_transform(
+        at(w), spec, tau, EUROPEAN_PUT, None)
 
 
 def h_hat(w, tau, spec, boundary):
-    """The series' premium transform: minus the premium-style transform."""
-    return -put_transform(at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
+    """The series' premium transform at strike K: minus the premium-style
+    transform, scaled as in :func:`g_hat`."""
+    return -spec.strike ** (1.0 + complex(w)) * put_transform(
+        at(w), spec, tau, EARLY_EXERCISE_PREMIUM, boundary)
 
 
 class TestGHat:
@@ -58,7 +62,7 @@ class TestGHat:
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=4)
         for j in (3, 130, 222):
             w = complex(grid.axes[0].points[j])
-            via_fft = discounted_payoff_transform(
+            via_fft = 100.0 ** (1.0 + w) * unit_payoff_transform(
                 (grid.axes[0].part(j, j + 1),), self.spec, 0.5).item()
             got = complex(g_hat(w, 0.5, self.spec)[0])
             assert abs(got - via_fft) <= 1e-12 * max(1.0, abs(got))
