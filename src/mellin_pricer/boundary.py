@@ -407,10 +407,11 @@ CACHE_SIZE = 256  # strike-1 curves; an M = 250 curve holds 2 kB
 _unit_cache = _LruCache(CACHE_SIZE)
 # Strike-free transforms shared by quotes and greeks, one entry each: a
 # one-asset strike-1 payoff transform per (market, contour) (0.13 MB at
-# N = 2^14), a dict per (market, strike-1 curve, contour) of premium
-# moments and the premium transform (about 0.7 MB), and a basket payoff
-# transform per (market, lattice axes) (2.1 MB at N = 2^9).  A market's
-# puts and greeks at every spot and strike, and its calls, need four.
+# N = 2^14); a dict per (market, strike-1 curve, contour) of the premium
+# moments, the premium transform, its t-weighted sum and the American
+# transform (0.66 MB at N = 2^14); and a basket payoff transform
+# per (market, lattice axes) (2.1 MB at N = 2^9).  A market's puts and
+# greeks at every spot and strike, and its calls, need four.
 MOMENT_CACHE_SIZE = 4
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
 

@@ -36,8 +36,9 @@ imaginary part of the inverse is exactly the anti-Hermitian remainder,
 which lives on those edge hyperplanes only; ``imag_residual`` is that
 truncation at the unpaired edges, over the central half of the lattice,
 computed from one (n-1)-dimensional FFT per hyperplane.  Rounding noise of
-the interior does not enter it, and for n = 1, whose only unpaired point
-is the real-ified corner, it is 0.
+the interior does not enter it.  For n = 1, whose only unpaired point is
+the real-ified corner, it is identically 0, so one asset does no
+residual work at all: no edge loop, no spectrum.
 
 A greek is read at one point, so it skips the FFT:
 :func:`invert_at_landing` takes the same half and edge samples and sums
@@ -104,16 +105,18 @@ by ln K.  :func:`put_transform` returns T_1 for one asset, and every
 one-asset reader reads it at ln(S/K) and multiplies by K
 (:func:`unit_strike`): the lattice inverters move the log prices by
 -ln K, whole cells as an index shift and the rest in the origin phase,
-and the single-spot sums sum at S/K.  Its parts,
-:func:`unit_payoff_transform` and :func:`premium_transform`, are
-memoised, read-only, on the exact bytes they read, with no strike or
-spot in a key, in ``boundary._moment_cache`` (MOMENT_CACHE_SIZE = 4
-entries): a market's payoff and premium, and those of the market that
-put-call symmetry maps its calls onto, so its puts, calls and greeks at
-every spot and strike.  A warm quote or greek only applies the origin
-phase, runs one inverse FFT or landing sum and adds node 0's step; the
-read-out exp(-a s_k) is a spot-free vector, cached per (N, a, lambda),
-times exp(-a origin).
+and the single-spot sums sum at S/K.  Its parts are memoised,
+read-only, on the exact bytes they read, with no strike or spot in a
+key, in ``boundary._moment_cache`` (MOMENT_CACHE_SIZE = 4 entries): the
+payoff (:func:`unit_payoff_transform`), and per market and boundary the
+premium moments, the premium transform, its t-weighted sum and the
+American transform (:func:`premium_sums`).  The rest of what does not
+depend on the spot is one :class:`Lattice` per (n, N, a, delta, lambda):
+axes, centring signs, read-out vector, central half and prices at origin
+0.  So a warm quote or greek computes only what its spot moves: the
+grid's origin and landing index, the origin phase, one inverse FFT (a
+quote) or landing sum (a greek), a greek's multipliers, node 0's step at
+the spot, and the quality gates.
 
 Calls
 -----
@@ -132,14 +135,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import _moment_cache, boundary_curve, premium_time_grid
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      SurfaceQualityError)
-from .mellin_core import (BasketSpec, CovStruct, _check_strip,
+from .mellin_core import (BasketSpec, CovStruct, _as_readonly, _check_strip,
                           char_exponent_wi, check_finite_spot, check_tau,
                           lgamma_complex)
 
@@ -202,9 +205,87 @@ class Axis:
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def signs(self):
+        """The centring signs (-1)^(first + k), computed once; read-only."""
+        out = _sign(self.first + np.arange(self.count))
+        out.setflags(write=False)
+        return out
+
     def part(self, start, stop):
         """Points start..stop-1 of this axis."""
         return Axis(self.a, self.h, self.first + start, stop - start)
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The spot-free part of a lattice, one per (n, N, a, delta, lambda)
+    (:func:`_lattice`) and shared by every grid on it: each part below is
+    computed once, and every array is read-only."""
+
+    n: int
+    size: int
+    strip_a: np.ndarray
+    deltas: np.ndarray
+    lams: np.ndarray
+
+    def __post_init__(self):
+        N = self.size
+        if N < 4 or (N & (N - 1)) != 0:
+            raise ValueError("size must be a power of two >= 4")
+        if not np.all(self.strip_a > 0):
+            raise ValueError("strip abscissa must be positive")
+        cell = 2.0 * math.pi / N
+        if not all(abs(d * lam - cell) <= 1e-13 * cell
+                   for d, lam in zip(self.deltas, self.lams)):
+            raise ValueError("delta * lam must equal 2 pi / N per dimension")
+
+    # the central half of the lattice, which the quality gates read
+    central = property(lambda self: (slice(self.size // 4,
+                                           3 * self.size // 4),) * self.n)
+
+    @functools.cached_property
+    def axes(self):
+        """The frequency axis of each dimension: first = -N/2, h = delta_i."""
+        return tuple(Axis(a, d, -(self.size // 2), self.size)
+                     for a, d in zip(self.strip_a, self.deltas))
+
+    @functools.cached_property
+    def parts(self):
+        """The axes of the half lattice, j_n <= N/2, and of edge piece i
+        < n - 1, the part of the unpaired hyperplane j_i = 0 that the half
+        misses: j_i = 0 and j_n > N/2, N^(n-2) (N/2 - 1) points."""
+        N, full = self.size, self.axes
+        half = full[:-1] + (full[-1].part(0, N // 2 + 1),)
+        edges = []
+        for i in range(self.n - 1):
+            axes = list(full[:-1]) + [full[-1].part(N // 2 + 1, N)]
+            axes[i] = full[i].part(0, 1)
+            edges.append(tuple(axes))
+        return half, edges
+
+    @functools.cached_property
+    def readout(self):
+        """(-1)^k exp(-a_i (k - N/2) lam_i), k < N, per axis: the read-out
+        (-1)^k exp(-a_i s_k) is this times exp(-a_i origin_i)."""
+        k = np.arange(self.size)
+        x = k - self.size / 2
+        return tuple(_as_readonly(_sign(k) * np.exp(-a * (x * lam)))
+                     for a, lam in zip(self.strip_a, self.lams))
+
+    @functools.cached_property
+    def unit_prices(self):
+        """exp((k - N/2) lam_1), k < N: the prices on axis 1 at origin 0;
+        a grid's are these times exp(origin_1)."""
+        with np.errstate(over="ignore"):  # past e^709: never below s*_0
+            return _as_readonly(np.exp((np.arange(self.size) - self.size / 2)
+                                       * self.lams[0]))
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(n, size, *params):
+    """The one :class:`Lattice` of n, N and the tuples a, delta, lambda."""
+    return Lattice(n, size, *map(_as_readonly, params))
 
 
 @dataclass(frozen=True)
@@ -218,7 +299,8 @@ class MellinFftGrid:
     apply it as the phase e^(-i b_j origin_i).  ``landing_index`` is the
     lattice index whose price is ``target_S``: its log price is
     ``target_logS`` to rounding, and a landing value that reads a step
-    there (:func:`price_surface`) reads it at ``target_S`` itself.
+    there (:func:`price_surface`) reads it at ``target_S`` itself.  The
+    rest is the shared :class:`Lattice` ``lattice``.
     """
 
     n: int
@@ -230,37 +312,29 @@ class MellinFftGrid:
     target_S: np.ndarray | None = None
     landing_index: tuple | None = None
     origin: np.ndarray | None = None  # log price of index N/2 per dimension
+    lattice: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        N = self.size
-        if N < 4 or (N & (N - 1)) != 0:
-            raise ValueError("size must be a power of two >= 4")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
         if self.origin is None:
             object.__setattr__(self, "origin", np.zeros(self.n))
-        for name in ("strip_a", "deltas", "lams", "origin"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (self.n,):
+        names = ("strip_a", "deltas", "lams", "origin")
+        for name in names:
+            if np.shape(getattr(self, name)) != (self.n,):
                 raise ValueError(f"{name} must have length n={self.n}")
-            v = v.copy()
-            v.setflags(write=False)
+        *params, origin = (tuple(map(float, getattr(self, v))) for v in names)
+        lat = _lattice(self.n, self.size, *params)
+        for name, v in zip(names + ("lattice",), (
+                lat.strip_a, lat.deltas, lat.lams, _as_readonly(origin), lat)):
             object.__setattr__(self, name, v)
-        if not np.all(self.strip_a > 0):
-            raise ValueError("strip abscissa must be positive")
-        coupling = self.deltas * self.lams
-        if not np.allclose(coupling, 2.0 * math.pi / N, rtol=1e-13, atol=0):
-            raise ValueError("delta * lam must equal 2 pi / N per dimension")
         if self.target_S is not None:
-            t = np.asarray(self.target_S, dtype=float).copy()
-            t.setflags(write=False)
-            object.__setattr__(self, "target_S", t)
+            object.__setattr__(self, "target_S", _as_readonly(self.target_S))
             k = tuple(int(v) for v in np.atleast_1d(self.landing_index))
             object.__setattr__(self, "landing_index", k)
-            logs = self.target_logS
-            for i in range(self.n):
-                s_at_k = self.origin[i] + (k[i] - N / 2) * self.lams[i]
-                if abs(s_at_k - logs[i]) > 1e-9:
+            for i, x in enumerate(self.target_S.tolist()):
+                s_at_k = self.origin[i] + (k[i] - self.size / 2) * self.lams[i]
+                if abs(s_at_k - math.log(x)) > 1e-9:
                     raise ValueError("landing index misses target_S")
 
     @property
@@ -269,9 +343,8 @@ class MellinFftGrid:
 
     @property
     def axes(self):
-        """The frequency axis of each dimension: first = -N/2, h = delta_i."""
-        return tuple(Axis(a, d, -(self.size // 2), self.size)
-                     for a, d in zip(self.strip_a, self.deltas))
+        """The lattice's axes, shared by every grid on it."""
+        return self.lattice.axes
 
     def log_prices(self, dim):
         return (self.origin[dim]
@@ -299,7 +372,6 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     check_finite_spot(target_S)
     if np.any(target_S <= 0):
         raise ValueError("target prices must be positive")
-    strip_a = np.broadcast_to(np.asarray(strip_a, dtype=float), (n,)).copy()
     N = int(size)
     half_points = N ** (n - 1) * (N // 2 + 1)
     if half_points > MAX_HALF_POINTS:
@@ -309,18 +381,18 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     lam = 2.0 * math.pi / (N * float(delta_target))
     if lam > 1.0:
         raise GridTooCoarse(f"landing needs lam={lam} > 1; increase N")
-    origin, landing = np.empty(n), []
-    for i, s in enumerate(target_S):
-        x = math.log(s)
+    origin, landing = [], []
+    for i, x in enumerate(map(math.log, target_S.tolist())):
         m = round(x / lam)
         if not 0 <= N // 2 + m <= N - 1:
             raise NoAdmissibleK(
                 f"dimension {i}: offset {m} outside the lattice (N={N})")
-        origin[i] = x - m * lam
+        origin.append(x - m * lam)
         landing.append(N // 2 + m)
-    return MellinFftGrid(n=n, size=N, strip_a=strip_a,
-                         deltas=np.full(n, float(delta_target)),
-                         lams=np.full(n, lam), m_steps=int(m_steps),
+    return MellinFftGrid(n=n, size=N,
+                         strip_a=np.full(n, strip_a, dtype=float),
+                         deltas=(float(delta_target),) * n,
+                         lams=(lam,) * n, m_steps=int(m_steps),
                          target_S=target_S, landing_index=tuple(landing),
                          origin=origin)
 
@@ -596,52 +668,54 @@ def _exp_table(start_phase, inner_phase, count):
     return table.reshape(table.shape[:-2] + (-1,))[..., :count]
 
 
-def premium_moments(axes, spec: BasketSpec, boundary, t_powers=(0,)):
+def premium_moments(axes, spec: BasketSpec, boundary):
     """Weighted time moments of the early-exercise integrand at strike 1,
     on the one-asset contour ``axes`` and the time grid of ``boundary``.
 
     With u_l = ``boundary.u[l]`` the market's strike-1 critical price at
     node l, X_l(w) = u_l^w exp(-t_l (Psi(wi) + r)) and the grid's nodes t_l
-    and weights c_l, returns an array of shape (len(t_powers), 2, count)
-    whose entry [p, e] is sum_l c_l t_l^p u_l^e X_l(w), over the nodes with
-    t_l > 0 and u_l > 0.  Node 0 (t = 0, no diffusion) is left out: its
-    term is the transform of a step in S, whose 1/|b| tail no lattice
-    resolves, and every reader adds it in S space instead
-    (:func:`node0_step`).  The curve's own strike is never read, so every
-    strike of one market reads the same bytes (module docstring,
-    "Strike").  Single-asset only.
-    An axis through b = 0 is evaluated on b >= 0 only and the rest filled
-    in by conjugation (:func:`_fold`).
+    and weights c_l, returns a read-only array of shape (2, count) whose
+    entry e is A_e = sum_l c_l u_l^e X_l(w), over the nodes with t_l > 0
+    and u_l > 0; node 0 is the S-space step :func:`node0_step`.  The
+    curve's own strike is never read, so every strike of one market reads
+    the same bytes.  Single-asset only.
 
-    The pass is band-limited: |X_l(a + ib)| = |X_l(a)| exp(-t_l sigma^2
-    b^2 / 2), so on a contour through b = 0 node l only updates
-    |b| <= b_l = sqrt(2 TAIL / (sigma^2 t_l)), and every dropped term is
-    below e^-TAIL of that node's b = 0 term.  Those terms are positive
-    reals that add up to the moment at b = 0, its peak magnitude, so all
-    dropped terms together stay below M e^-TAIL (about 2e-24 at M = 250)
-    of the peak.  The cutoffs shrink with l, so consecutive nodes whose
-    cutoffs lie within a factor of two are evaluated together as one
-    (nodes x frequencies) block of at most BLOCK_POINTS entries: the
-    running products fill the block's rows by repeated doubling and the
-    weights c_l t_l^p u_l^e u_l^a reduce it by one matrix product.
-
-    The result is memoised under ``t_powers`` (:func:`_premium_memo`), so
-    the American greeks of one position, and the calls of one market,
-    share one pass.  The returned array is read-only.
+    The pass is the band-limited stream of the module docstring
+    ("Premium transform"); the terms it drops, all positive reals at
+    b = 0, stay below M e^-TAIL (about 2e-24 at M = 250) of the peak.  It
+    also sums the t-weighted moments T_e = sum_l c_l t_l u_l^e X_l(w), so
+    a market's quotes, calls and American greeks share one pass
+    (:func:`premium_sums`).
     """
-    return _premium_memo(axes, spec, boundary, tuple(t_powers),
-                         lambda: _moment_pass(axes[0], spec, boundary,
-                                              t_powers))
+    return premium_sums(axes, spec, boundary)[0]
 
 
-def _premium_memo(axes, spec: BasketSpec, boundary, name, make):
-    """``make()``, read-only, kept as ``name`` in a dict that is one entry
-    of the LRU cache ``boundary._moment_cache``, keyed on the exact bytes
-    of every input the premium pass reads (r, q, sigma, the 1 x 1
-    correlation, the grid's tau, nodes and weights, u and the axis; no
-    strike, no spot), so a hit is what a recompute gives, bit for bit.
-    One cache lookup per call; a thread that loses the race to fill
-    ``name`` reads the winner's array."""
+def premium_sums(axes, spec: BasketSpec, boundary):
+    """(A, H_1, H_t): the moments A of :func:`premium_moments`, the premium
+    transform H_1 = q/(w+1) A1 - r/w A0 (:func:`premium_transform`) and
+    H_t = q/(w+1) T1 - r/w T0 on the t-weighted moments, which an American
+    greek reads.  One pass makes all three; they are kept, read-only, in a
+    dict that is one entry of ``boundary._moment_cache``, with the American
+    transform (:func:`put_transform`), keyed on the exact bytes of all the
+    pass reads (r, q, sigma, the 1 x 1 correlation, the grid's tau, nodes
+    and weights, u and the axis; no strike, no spot), so a hit is what a
+    recompute gives, bit for bit.  One cache lookup per call.
+    """
+    memo = _premium_memo(axes, spec, boundary)
+    if "t_premium" not in memo:  # written last, so the rest is there
+        (a0, a1), (t0, t1) = _moment_pass(axes[0], spec, boundary)
+        w = axes[0].points
+        f_q, f_r = float(spec.dividends[0]) / (w + 1.0), -spec.rate / w
+        for name, got in (("moments", np.array([a0, a1])),
+                          ("premium", f_q * a1 + f_r * a0),
+                          ("t_premium", f_q * t1 + f_r * t0)):
+            got.setflags(write=False)
+            memo.setdefault(name, got)
+    return memo["moments"], memo["premium"], memo["t_premium"]
+
+
+def _premium_memo(axes, spec: BasketSpec, boundary):
+    """The dict of :func:`premium_sums`, from one cache lookup."""
     if spec.n != 1 or len(axes) != 1:
         raise NotImplementedError("the premium transform is single-asset only")
     times = boundary.grid
@@ -650,23 +724,18 @@ def _premium_memo(axes, spec: BasketSpec, boundary, name, make):
     memo = _moment_cache.get(key)
     if memo is None:
         memo = _moment_cache.add(key, {})
-    got = memo.get(name)
-    if got is None:
-        got = make()
-        got.setflags(write=False)
-        got = memo.setdefault(name, got)
-    return got
+    return memo
 
 
-def _moment_pass(axis, spec: BasketSpec, boundary, t_powers):
-    """The streamed, band-limited pass of :func:`premium_moments`."""
+def _moment_pass(axis, spec: BasketSpec, boundary):
+    """The pass: [p, e] = sum_l c_l t_l^p u_l^e X_l(w), p, e in {0, 1}."""
     times, u = boundary.grid, boundary.u
     t_nodes, t_wgts = times.t, times.c
     live = u > 0.0
     log_s = np.log(np.where(live, u, 1.0))
     base = np.where(live, t_wgts * np.exp(axis.a * log_s), 0.0)
     weights = np.array([base * t_nodes**p * u**e
-                        for p in t_powers for e in (0, 1)], dtype=complex)
+                        for p in (0, 1) for e in (0, 1)], dtype=complex)
 
     half, index, conj = _fold(axis)
     size, c, h = half.count, half.first * half.h, half.h
@@ -696,20 +765,9 @@ def _moment_pass(axis, spec: BasketSpec, boundary, t_powers):
         moments[:, :band] += weights[:, nodes] @ x
         lo = hi
 
-    out = np.take(moments.reshape(len(t_powers), 2, size), index, axis=-1)
+    out = np.take(moments.reshape(2, 2, size), index, axis=-1)
     np.negative(out.imag, out=out.imag, where=conj)
     return out
-
-
-def exercise_factors(axes, spec: BasketSpec):
-    """(q/(w+1), -r/w), the rational factors of the early-exercise transform
-    at strike 1, on the one-asset contour ``axes``.
-
-    For one asset early_exercise_mellin(w, s*) = s*^w [q s*/(w+1) - rK/w],
-    which at s* = K u is K^(w+1) u^w [q u/(w+1) - r/w].
-    """
-    w = axes[0].points
-    return float(spec.dividends[0]) / (w + 1.0), -spec.rate / w
 
 
 def premium_transform(axes, spec: BasketSpec, boundary):
@@ -720,30 +778,14 @@ def premium_transform(axes, spec: BasketSpec, boundary):
     early-exercise transform at the boundary value s*_l for time-to-expiry
     tau - t_l and c_l the grid's weights; nodes with s*_l = 0 (empty
     exercise region) contribute nothing, and node 0 (t = 0) is the S-space
-    step :func:`node0_step`.  This is H_1, the transform on the curve's
-    strike-1 prices u (module docstring, "Strike"), memoised, read-only,
-    next to the moments (:func:`_premium_memo`): the quotes of a market at
-    every spot and strike each call this once and share one pass.
-
-    For one asset f(w, s*) = s*^w [q s*/(w+1) - rK/w], whose rational
-    factors do not depend on l, so H_1 = q/(w+1) A1 - r/w A0 with the
-    moments A_e = sum_l c_l u_l^e X_l, X_l = u_l^w exp(-t_l (Psi + r)).
-    They are accumulated in one streamed, band-limited pass over the M
-    time nodes (:func:`premium_moments`): the nodes are uniform, so
-    exp(-t_l (Psi + r)) is the running product P^l with
-    P = exp(-dt (Psi + r)); the axis is uniformly spaced, so u^(i b_j) is
-    geometric in j; and the early-exercise function is real, so
-    H(a - ib) = conj H(a + ib) and an axis through b = 0 is evaluated for
-    b >= 0 only.  Against the per-node sum of ``early_exercise_mellin``
-    terms the result agrees to about 1e-14 of its peak magnitude (the
-    tests require 1e-13).
+    step :func:`node0_step`.  For one asset f(w, s*) = s*^w [q s*/(w+1) -
+    rK/w], which at s* = K u is K^(w+1) u^w [q u/(w+1) - r/w], so this is
+    H_1 = q/(w+1) A1 - r/w A0 on the moments A of :func:`premium_moments`,
+    memoised with them (:func:`premium_sums`).  It agrees with the per-node
+    sum of ``early_exercise_mellin`` terms to about 1e-14 of its peak
+    magnitude (the tests require 1e-13).
     """
-    def make():
-        (a0, a1), = _moment_pass(axes[0], spec, boundary, (0,))
-        f_q, f_r = exercise_factors(axes, spec)
-        return f_q * a1 + f_r * a0
-
-    return _premium_memo(axes, spec, boundary, "premium", make)
+    return premium_sums(axes, spec, boundary)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +851,9 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
 
     For one asset this is the transform at strike 1, which every pricer
     reads at S/K and scales by K (module docstring, "Strike"); the
-    European one is the memoised read-only array itself.  A basket's is at
-    its own strike.
+    European and American ones are memoised read-only arrays, the latter
+    next to the premium (:func:`premium_sums`).  A basket's is at its own
+    strike.
     """
     if style == EUROPEAN_PUT:
         return (discounted_payoff_transform(axes, spec, tau) if spec.n > 1
@@ -823,12 +866,16 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     if boundary.grid.tau != tau:
         raise ValueError(f"boundary curve is not on the time grid over "
                          f"tau = {tau} (tau = {boundary.grid.tau})")
-    out = -premium_transform(axes, spec, boundary)
-    if style == AMERICAN_PUT:
-        # summed like this, the American transform is the European one plus
-        # the premium style's bit for bit
-        out += unit_payoff_transform(axes, spec, tau)
-    return out
+    premium = premium_transform(axes, spec, boundary)
+    if style == EARLY_EXERCISE_PREMIUM:
+        return -premium
+    memo = _premium_memo(axes, spec, boundary)
+    if "american" not in memo:
+        # the European transform plus the premium style's, bit for bit
+        american = unit_payoff_transform(axes, spec, tau) - premium
+        american.setflags(write=False)
+        memo.setdefault("american", american)
+    return memo["american"]
 
 
 def unit_strike(spec: BasketSpec):
@@ -868,34 +915,21 @@ def contour_sum(values, axes, weights, spots):
     against ``values``) the quadrature
     weights: the cell delta_1 ... delta_n / (2 pi)^n on a full lattice,
     or, on a contour folded at b = 0, h / 2 pi at b = 0 and 2 h / 2 pi at
-    each b > 0, which stands for its conjugate -b as well.
+    each b > 0, which stands for its conjugate -b as well.  A sum that is
+    not finite raises ``SurfaceQualityError``.
     """
     log_s = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
     kernel = np.exp(-sum(np.ix_(*(ax.points * x
                                   for ax, x in zip(axes, log_s)))))
-    return float(np.sum(weights * values * kernel).real)
+    out = float(np.sum(weights * values * kernel).real)
+    if not math.isfinite(out):
+        raise SurfaceQualityError(f"contour sum {out} is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # lattice assembly and inversion
 # ---------------------------------------------------------------------------
-
-
-def _lattice_parts(grid: MellinFftGrid):
-    """The axes of the half lattice and of each of its edge pieces.
-
-    The half lattice keeps j_n <= N/2 on the last axis.  Edge piece i
-    (i < n - 1) is the part of the unpaired hyperplane j_i = 0 that the half
-    misses: j_i = 0 and j_n > N/2, N^(n-2) (N/2 - 1) points.
-    """
-    N, full = grid.size, grid.axes
-    half = full[:-1] + (full[-1].part(0, N // 2 + 1),)
-    edges = []
-    for i in range(grid.n - 1):
-        axes = list(full[:-1]) + [full[-1].part(N // 2 + 1, N)]
-        axes[i] = full[i].part(0, 1)
-        edges.append(tuple(axes))
-    return half, edges
 
 
 def _sign(j):
@@ -912,13 +946,11 @@ def _origin_phase(axis, origin):
 
 def _phased(x, axes, origin):
     """``x`` times (-1)^(sum of lattice indices) e^(-i sum_i b_i origin_i)
-    over the lattice of ``axes``, as a new complex array: the centring
-    signs and the phase of the lattice origin, one factor per axis, the
-    first making the array and the others applied in place.  Index
-    j = first + k + N/2 has the parity of first + k, as N/2 is even."""
+    over the lattice of ``axes``, as a new complex array, one factor per
+    axis: the axis's centring signs (index j = first + k + N/2 has the
+    parity of first + k, as N/2 is even) times its origin phase."""
     first, *rest = np.ix_(*(
-        _sign(ax.first + np.arange(ax.count))
-        * (_origin_phase(ax, o) if o else 1.0)
+        ax.signs * (_origin_phase(ax, o) if o else 1.0)
         for ax, o in zip(axes, origin)))
     out = np.multiply(x, first, dtype=complex)
     for factor in rest:
@@ -938,14 +970,14 @@ def sample_transform(grid: MellinFftGrid, fn):
     lattice; the result is the (half, edges) input of
     :func:`invert_transform_lattice`.
     """
-    half, edges = _lattice_parts(grid)
+    half, edges = grid.lattice.parts
     return fn(half), [fn(axes) for axes in edges]
 
 
 def _check_samples(grid: MellinFftGrid, half, edges):
     """Raise ``ValueError`` unless ``half`` and ``edges`` have the shapes of
     the half lattice and the edge pieces; returns the axes of those."""
-    half_axes, edge_axes = _lattice_parts(grid)
+    half_axes, edge_axes = grid.lattice.parts
     shapes = [tuple(ax.count for ax in axes)
               for axes in [half_axes] + edge_axes]
     if (len(edges) != grid.n - 1
@@ -963,16 +995,6 @@ def _strike_shift(grid: MellinFftGrid, strike):
     return grid.origin - (shift - cells * grid.lams), cells
 
 
-@functools.lru_cache(maxsize=8)
-def _readout(size, a, lam):
-    """(-1)^k exp(-a (k - N/2) lam), k < N, read-only: the read-out
-    (-1)^k exp(-a s_k) is this times exp(-a origin)."""
-    k = np.arange(size)
-    out = _sign(k) * np.exp(-a * ((k - size / 2) * lam))
-    out.setflags(write=False)
-    return out
-
-
 def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     """Invert a Mellin transform of a real payoff sampled on the lattice.
 
@@ -982,9 +1004,8 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     both.  Returns (values, imag_residual): the real inverse on the full
     log-price lattice and the largest imaginary part over its central half.
     With ``strike`` K the samples are the transform of P_1 and the values
-    are K P_1(S/K): the log prices move by -ln K, a whole number of cells
-    as a roll of the output and the rest in the origin phase
-    (:func:`_strike_shift`), and the output is scaled by K.
+    are K P_1(S/K): whole cells of -ln K roll the output, the rest is in
+    the origin phase (:func:`_strike_shift`).
 
     The transform of a real payoff satisfies T(conj w) = conj T(w), and
     the lattice pairs b_j with -b_j at index -j mod N, so the FFT input
@@ -996,15 +1017,16 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     truncation at the unpaired edges, one (n-1)-dimensional FFT per
     hyperplane (each keeping the points not on an earlier one).  The corner
     is real-ified, the trapezoid average of its conjugate pair, so for
-    n = 1, where it is the only unpaired point, the residual is 0.
+    n = 1, where it is the only unpaired point, the residual is 0 and is
+    not computed.
     """
-    n, N = grid.n, grid.size
+    n, N, lat = grid.n, grid.size, grid.lattice
     half_axes, edge_axes = _check_samples(grid, half, edges)
     origin, cells = _strike_shift(grid, strike)
     arr = _phased(half, half_axes, origin)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
-    for i in range(n):
+    for i in range(n if n > 1 else 0):
         # hyperplane j_i = 0, whole along the other axes; for i < n - 1 its
         # j_n > N/2 part comes from the edge piece
         on_plane = (slice(None),) * i + (0,)
@@ -1024,8 +1046,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     # axis; the cell volume and K ride on the first
     scale = _sign(cells) * np.exp(-grid.strip_a * (origin - cells * grid.lams))
     scale[0] *= strike * grid.delta_b / (2.0 * math.pi) ** n
-    readout = [_readout(N, float(a), float(lam)) * s
-               for a, lam, s in zip(grid.strip_a, grid.lams, scale)]
+    readout = [r * s for r, s in zip(lat.readout, scale)]
     # irfftn's passes in place: fresh lattice-sized temporaries page-fault
     np.conjugate(arr, out=arr)
     for i in range(n - 1):
@@ -1036,9 +1057,12 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     for factor in np.ix_(*readout):
         values *= factor
 
-    central = _central_half_slices(grid)
-    imag = sum(np.expand_dims(spectrum[central[1:]], i)
-               for i, spectrum in enumerate(spectra)).imag
+    if not spectra:
+        return values, 0.0
+    central = lat.central
+    # the imaginary part of the sum, from the spectra's own, bit for bit
+    imag = sum(np.expand_dims(spectrum[central[1:]].imag, i)
+               for i, spectrum in enumerate(spectra))
     for factor in np.ix_(*(np.abs(r[c]) for r, c in zip(readout, central))):
         imag = imag * factor
     return values, float(np.abs(imag).max())
@@ -1135,11 +1159,6 @@ class PriceSurface:
         return float(self.values[self.grid.landing_index])
 
 
-def _central_half_slices(grid):
-    lo, hi = grid.size // 4, 3 * grid.size // 4
-    return (slice(lo, hi),) * grid.n
-
-
 def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
                   boundary=None, quality_checks=True):
     """Full put-price surface for the requested style.
@@ -1155,7 +1174,8 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     ``quality_checks=False`` skips the imaginary-residual and negative-value
     gates (still recording the diagnostics); payoff reconstruction at
     degenerate maturities rings at the kink beyond the strict thresholds
-    and needs this.
+    and needs this.  A value that is not finite in the central half raises
+    ``SurfaceQualityError`` either way.
     """
     if grid.n != spec.n:
         raise ValueError("grid and spec dimensions disagree")
@@ -1165,42 +1185,44 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
         raise ValueError(f"boundary curve of {boundary.grid.m} nodes is not "
                          f"on the time grid (M = {grid.m_steps})")
 
-    def transform(axes):
-        return put_transform(axes, spec, tau, style, boundary)
-
     # Quality gates are scoped to the central half of the lattice: toward
     # the edges the exp(-a's) read-out factor amplifies the (negligible
     # there) integrand truncation exponentially, so edge values carry no
     # quality signal.
-    values, imag_resid = invert_transform_lattice(
-        grid, *sample_transform(grid, transform), strike=unit_strike(spec))
+    values, imag_resid = invert_transform_lattice(grid, *sample_transform(
+        grid, lambda axes: put_transform(axes, spec, tau, style, boundary)),
+        strike=unit_strike(spec))
     if style != EUROPEAN_PUT:
-        # log prices ascend; one point past ln s*_0 in case of a tie
-        log_s, s0 = grid.log_prices(0), boundary.s_star[0]
-        below = int(np.searchsorted(log_s, math.log(s0))) + 1 if s0 else 0
-        spots = np.exp(log_s[:below])
+        # the lattice prices e^origin e^((k - N/2) lam) ascend; one point
+        # past s*_0 in case of a tie
+        s0, at_origin = boundary.s_star[0], math.exp(grid.origin[0])
+        prices = grid.lattice.unit_prices
+        below = int(np.searchsorted(prices, s0 / at_origin)) + 1 if s0 else 0
+        spots = at_origin * prices[:below]
         if grid.landing_index is not None and grid.landing_index[0] < below:
             spots[grid.landing_index[0]] = grid.target_S[0]
         values[:below] += node0_step(spots, spec, boundary)
-    central = _central_half_slices(grid)
+    central_vals = values[grid.lattice.central]
+    if not np.isfinite(central_vals).all():
+        raise SurfaceQualityError("surface value not finite in the central "
+                                  "half of the lattice")
     if quality_checks and imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
         raise ImagResidualTooLarge(
             f"imaginary residual {imag_resid:g} >= "
             f"{IMAG_RESIDUAL_TOL * spec.strike:g}")
 
     eps_neg = NEGATIVE_CLAMP_TOL * spec.strike
-    central_vals = values[central]
-    if quality_checks and central_vals.min() < -eps_neg:
-        raise SurfaceQualityError(
-            f"surface value {central_vals.min():g} below -{eps_neg:g}")
+    low = central_vals.min()
+    if quality_checks and low < -eps_neg:
+        raise SurfaceQualityError(f"surface value {low:g} below -{eps_neg:g}")
     # Truncation leaves +-1e-8-scale sign noise where the true value is 0;
     # only material negatives count against the quality budget.
-    material = central_vals < -NEGATIVE_MATERIAL_TOL * spec.strike
-    clamped = int(material.sum())
-    if quality_checks and material.mean() > MAX_CLAMPED_FRACTION:
-        raise SurfaceQualityError(
-            f"{material.mean():.1%} of central lattice points below "
-            f"-{NEGATIVE_MATERIAL_TOL * spec.strike:g}")
+    eps_material = NEGATIVE_MATERIAL_TOL * spec.strike
+    clamped = int(np.count_nonzero(central_vals < -eps_material))
+    share = clamped / central_vals.size
+    if quality_checks and share > MAX_CLAMPED_FRACTION:
+        raise SurfaceQualityError(f"{share:.1%} of central lattice points "
+                                  f"below -{eps_material:g}")
     values[values < 0.0] = 0.0
     values.setflags(write=False)
     return PriceSurface(grid=grid, values=values, style=style, tau=float(tau),
@@ -1271,7 +1293,7 @@ def surface_to_csv(surface: PriceSurface, fp):
     logs = [g.log_prices(i) for i in range(g.n)]
     # math.exp per axis: the text must not depend on numpy's exp rounding
     spots = [np.array([math.exp(v) for v in x]) for x in logs]
-    central = _central_half_slices(g)
+    central = g.lattice.central
     values = surface.values.ravel()
     for lo in range(0, values.shape[0], CSV_CHUNK_ROWS):
         rows = np.arange(lo, min(lo + CSV_CHUNK_ROWS, values.shape[0]))
@@ -1307,5 +1329,5 @@ def surface_to_json(surface: PriceSurface):
         "tau": surface.tau,
         "style": surface.style,
         "values": [float(v) for v in surface.values.ravel(order="C")],
-        "trusted": [[c.start, c.stop] for c in _central_half_slices(g)],
+        "trusted": [[c.start, c.stop] for c in g.lattice.central],
     }

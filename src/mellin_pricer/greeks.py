@@ -23,9 +23,9 @@ import numpy as np
 
 from .boundary import premium_time_grid
 from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                         discounted_payoff_transform, exercise_factors,
-                         invert_at_landing, node0_region, premium_moments,
-                         price_surface, put_boundary, sample_transform,
+                         discounted_payoff_transform, invert_at_landing,
+                         node0_region, premium_sums, price_surface,
+                         put_boundary, sample_transform,
                          unit_payoff_transform, unit_strike)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
@@ -198,18 +198,15 @@ def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     ``boundary``.
 
     f_p is affine in the inner time, f_p = alpha + beta t, so the time sum
-    reduces to the strike-1 moments of :func:`premium_moments` with t^0 and
-    t^1 weights; f = q/(w+1) u - r/w per unit X on the strike-1 curve u
-    (see :func:`~mellin_pricer.fft_pricer.premium_transform`).
+    reduces to the market's memoised strike-1 sums f over the t^0 and t^1
+    moments, f = q/(w+1) u - r/w per unit X on the strike-1 curve u
+    (:func:`~mellin_pricer.fft_pricer.premium_sums`).
     """
     z = [axes[0].points]
     alpha = _factor(kind, z, spot, 0.0, spec, mode, premium=True)
     at_one = _factor(kind, z, spot, 1.0, spec, mode, premium=True)
-    (a0, a1), (t0, t1) = premium_moments(axes, spec, boundary,
-                                         t_powers=(0, 1))
-    f_q, f_r = exercise_factors(axes, spec)
-    out = (alpha * (f_q * a1 + f_r * a0)
-           + (at_one - alpha) * (f_q * t1 + f_r * t0))
+    (a0, a1), premium, t_premium = premium_sums(axes, spec, boundary)
+    out = alpha * premium + (at_one - alpha) * t_premium
     if mode == "kernel":
         # explicit parameter derivatives of the early-exercise transform:
         # d/dr adds K s*^w / w, d/dq subtracts s*^(w+1) / (w+1); at strike 1

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mellin_pricer import greeks as gk
@@ -460,6 +461,20 @@ class TestQualityFailure:
         assert code == 3
         assert out == ""
         assert "numerical quality failure" in err
+
+    @pytest.mark.parametrize("method", ["fft", "dw", "trapezoid"])
+    def test_non_finite_price_exits_3(self, capsys, method):
+        # a = 700 overflows the transform; the NaN price used to reach the
+        # JSON encoder, which exited 2 with a message that named no flag
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys, "price", "--method", method, "--style", "amer-put",
+                "--spot", "100", "--strike", "100", "--rate", "0.05",
+                "--div", "0.02", "--vol", "0.2", "--tau", "0.5",
+                "--grid-n", "4096", "--strip-a", "700")
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestTable1Command:

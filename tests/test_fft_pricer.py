@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,6 +487,22 @@ class TestAmericanSurface:
         gap = amer.values[lo:hi] - intrinsic[lo:hi]
         assert gap.min() >= -1e-4 * self.spec.strike
 
+    def test_surface_points_are_the_landing_values_there(self):
+        # node 0's step is added at every lattice price below s*_0, the
+        # points on either side of s*_0 included, as a quote landing on
+        # that price adds it
+        amer = price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
+                             boundary=self.curve)
+        log_s = self.grid.log_prices(0)
+        k0 = int(np.searchsorted(log_s, math.log(self.curve.s_star[0])))
+        for k in (k0 - 300, k0 - 1, k0, k0 + 1, k0 + 300):
+            grid = build_grid(1, 2**13, 1.0, [math.exp(log_s[k])],
+                              m_steps=120)
+            assert grid.landing_index == (k,)
+            want = price_surface(self.spec, grid, 0.5, AMERICAN_PUT,
+                                 boundary=self.curve).landing_value()
+            assert abs(amer.values[k] - want) <= 1e-10 * self.spec.strike
+
     def test_premium_style_is_difference(self):
         amer = price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
                              boundary=self.curve)
@@ -771,6 +788,40 @@ class TestQualityGates:
         # every negative is still clamped, the sub-material ones included
         assert np.count_nonzero(raw < 0.0) > material
         assert surf.values.min() == 0.0
+
+    def test_material_negatives_on_over_one_percent_are_refused(self):
+        # the share is of the central half: 1.5% of it is refused, 0.75%
+        # (the same count over the full lattice) is not
+        grid = build_grid(1, 4096, 1.0, [100.0])
+        for count, refused in ((31, True), (15, False)):
+            values = np.full(4096, 1.0)
+            values[1024:1024 + count] = -1e-7 * self.PUT.strike
+            with mock.patch.object(fft_pricer, "invert_transform_lattice",
+                                   return_value=(values, 0.0)):
+                if refused:
+                    with pytest.raises(SurfaceQualityError, match="1.5%"):
+                        price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
+                else:
+                    surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
+                    assert surf.clamped_points == count
+
+    @pytest.mark.parametrize("quality_checks", [True, False])
+    def test_a_non_finite_surface_is_refused(self, quality_checks):
+        # at a = 700 the transform and the read-out overflow, and the
+        # central half holds NaN, which passed every comparison-based gate
+        grid = build_grid(1, 4096, 700.0, [100.0])
+        spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2)
+        bnd = boundary_curve(spec, premium_time_grid(250, 0.5))
+        with np.errstate(all="ignore"), pytest.raises(
+                SurfaceQualityError, match="not finite"):
+            price_surface(spec, grid, 0.5, AMERICAN_PUT, boundary=bnd,
+                          quality_checks=quality_checks)
+
+    def test_a_non_finite_contour_sum_is_refused(self):
+        axes = (Axis(1.0, 0.25, 0, 4),)
+        values = np.array([1.0, math.nan, 0.0, 0.0], dtype=complex)
+        with pytest.raises(SurfaceQualityError, match="not finite"):
+            contour_sum(values, axes, 0.1, [100.0])
 
 
 class TestExports:

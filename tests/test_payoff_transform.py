@@ -20,7 +20,7 @@ from mellin_pricer import fft_pricer, mellin_core
 from mellin_pricer.boundary import clear_boundary_cache
 from mellin_pricer.errors import PoleError
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, GAMMA_TABLE,
-                                      TAIL, Axis, _axis_logs, _lattice_parts,
+                                      TAIL, Axis, _axis_logs,
                                       _payoff_log_bound, build_grid,
                                       discounted_payoff_transform, price_put,
                                       price_surface)
@@ -253,7 +253,7 @@ class TestLogGammaWork:
         # at delta = 0.25 every b is exact, so sum w is the same float by
         # either route and the kept points are bit for bit the unbanded rows
         clear_boundary_cache()
-        half, _ = _lattice_parts(build_grid(2, 2**9, 1.0, [50.0, 50.0]))
+        half, _ = build_grid(2, 2**9, 1.0, [50.0, 50.0]).lattice.parts
         out = discounted_payoff_transform(half, basket2_spec, 0.5)
         rows = np.concatenate([discounted_payoff_transform(
             (half[0].part(j, j + 1), half[1]), basket2_spec, 0.5)
@@ -268,7 +268,7 @@ class TestLogGammaWork:
                           corr=[[1.0, 0.5], [0.5, 1.0]])
         N = 2**9
         grid = build_grid(2, N, 1.0, [50.0, 50.0])
-        half, _ = _lattice_parts(grid)
+        half, _ = grid.lattice.parts
         kept = np.count_nonzero(discounted_payoff_transform(half, spec, 1.0))
         assert 0 < kept < N * (N // 2 + 1) / 2
 

@@ -1,9 +1,10 @@
 """Memoised premium moments: exact reuse, read-only entries, bounded cache.
 
-``fft_pricer.premium_moments`` and ``premium_transform`` keep their recent
-results in ``boundary._moment_cache``, one entry per market, strike-1
-curve and contour, keyed on the exact inputs they read, which are those of
-the market's strike-1 boundary, not the strike.  The strike-1 payoff
+``fft_pricer.premium_sums`` keeps the premium moments, the premium
+transform, its t-weighted sum and the American transform in
+``boundary._moment_cache``, one entry per market, strike-1 curve and
+contour, keyed on the exact inputs they read, which are those of the
+market's strike-1 boundary, not the strike.  The strike-1 payoff
 transform has an entry of its own there, per market and contour.  A hit
 must be the array a recompute would give, bit for bit, so every quote,
 greek or call served from the cache equals the same one computed on an
@@ -101,15 +102,16 @@ def test_puts_at_three_strikes_and_five_spots_share_one_pass_and_payoff():
             for spot in (80.0, 90.0, 100.0, 110.0, 120.0):
                 price_put(spot, strike, 0.045, 0.04, 0.25, 0.5)
     assert passes.call_count == 1
-    # each put looks up the payoff and the premium once: one miss each
-    assert counts() == (2, 28)
+    # each put looks up the premium entry twice, for the premium and the
+    # American transform; the first also misses the payoff: one miss each
+    assert counts() == (2, 29)
     assert len(boundary._moment_cache) == 2
 
 
 def test_one_book_of_a_market_fits_the_cache():
     # the amer_book book: five puts, five calls (a second, put-call
     # symmetric market) and six greeks; the greeks find the payoff and
-    # premium entries the puts made, and add the t-weighted moments
+    # premium entries the puts made, t-weighted moments included
     spec = BasketSpec.single(100.0, 0.5, 0.045, 0.04, 0.25)
     clear_boundary_cache()
     with counted_passes() as passes:
@@ -119,7 +121,7 @@ def test_one_book_of_a_market_fits_the_cache():
             price_american_call(spot, 100.0, 0.045, 0.04, 0.25, 0.5)
         for kind in KINDS:
             gk.greek(kind, [100.0], 0.5, spec, style=AMERICAN_PUT)
-    assert passes.call_count == 3
+    assert passes.call_count == 2
     # a payoff and a premium entry per market, each missed once
     assert counts()[0] == 4
     assert len(boundary._moment_cache) == 4
@@ -151,7 +153,7 @@ def test_warm_put_at_another_strike_equals_cold(r, q, vol, tau, spot, strike,
                            style)
     # every lookup of the warm quotes hits
     assert passes.call_count == 0
-    assert counts() == (misses, misses)
+    assert counts()[0] == misses
     assert warm == cold
     assert warm_dw == cold_dw
 
@@ -193,7 +195,7 @@ def test_warm_call_equals_cold(r, q, vol, tau, spot):
         warm = price_american_call(spot, 100.0, r, q, vol, tau)
         warm_dw = dw_price_american_call(spot, 100.0, r, q, vol, tau)
     assert passes.call_count == 0
-    assert counts() == (misses, misses)
+    assert counts()[0] == misses
     assert warm == cold
     assert warm_dw == cold_dw
 
@@ -252,11 +254,11 @@ def test_cached_moments_are_read_only_and_shared():
     curve = boundary_curve(spec, T50)
     w = half_contour()
     clear_boundary_cache()
-    got = premium_moments(w, spec, curve, t_powers=(0, 1))
+    got = premium_moments(w, spec, curve)
     assert not got.flags.writeable
     with pytest.raises(ValueError):
-        got[0, 0, 0] = 0.0
-    assert premium_moments(w, spec, curve, t_powers=(0, 1)) is got
+        got[0, 0] = 0.0
+    assert premium_moments(w, spec, curve) is got
     assert counts() == (1, 1)
 
 

@@ -21,7 +21,7 @@ from mellin_pricer import greeks as gk
 from mellin_pricer.boundary import (TIME_WEIGHT_MODES, BoundaryCurve,
                                     boundary_curve, premium_time_grid)
 from mellin_pricer.fft_pricer import (EARLY_EXERCISE_PREMIUM, Axis, _fold,
-                                      build_grid, premium_moments,
+                                      build_grid, premium_sums,
                                       premium_transform, put_transform)
 from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
                                        char_exponent_wi, early_exercise_mellin,
@@ -162,16 +162,21 @@ def test_skipped_nodes_still_advance_the_running_product(mk, m, w, skip):
 def test_time_moments_match_per_node_sums(mk, m, w):
     spec = make_spec({**mk, "rate": max(mk["rate"], 0.01)})
     curve = boundary_curve(spec, premium_time_grid(m, mk["tau"]))
-    got = premium_moments(w, spec, curve, t_powers=(0, 1, 2))
-    assert got.shape == (3, 2, w[0].count)
+    got, _, t_premium = premium_sums(w, spec, curve)
+    assert got.shape == (2, w[0].count)
     w = points(w)
     unit_spec, unit = unit_market(spec, curve)
-    for p in range(3):
-        for e in range(2):
-            term = lambda ws, s_star, t_l: (t_l**p * s_star**e
-                                            * np.exp(ws[..., 0] * math.log(s_star)))
-            want = reference_premium(w, unit_spec, unit, term)
-            assert_peak_close(got[p, e], want, max_phase(w, unit))
+    phase = max_phase(w, unit)
+    for e in range(2):
+        term = lambda ws, s_star, t_l: (s_star**e
+                                        * np.exp(ws[..., 0] * math.log(s_star)))
+        assert_peak_close(got[e], reference_premium(w, unit_spec, unit, term),
+                          phase)
+    # the t-weighted sum an American greek reads: t_l f(w, s*_l) per node
+    term = lambda ws, s_star, t_l: t_l * early_exercise_mellin(ws, s_star,
+                                                               unit_spec)
+    assert_peak_close(t_premium, reference_premium(w, unit_spec, unit, term),
+                      phase)
 
 
 def test_full_lattice_conjugate_fill_and_corner():

@@ -1,28 +1,35 @@
-"""Memoised basket payoff transforms: exact reuse, read-only entries, bounds.
+"""Memoised transforms and lattices: exact reuse, read-only entries, bounds.
 
 ``fft_pricer.discounted_payoff_transform`` keeps its recent n >= 2 lattice
 results in ``boundary._moment_cache``, next to the premium moments, keyed
 on the exact inputs it reads.  A hit must be the array a recompute would
 give, bit for bit, so every basket greek served from the cache equals the
-same greek computed on an empty cache.
+same greek computed on an empty cache.  The spot-free parts of a lattice
+(``fft_pricer.Lattice``) are made once and shared by every grid on it, so
+a warm quote or greek computes only what depends on its spot.
 """
 
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellin_pricer import boundary
+from mellin_pricer import boundary, fft_pricer
 from mellin_pricer import greeks as gk
-from mellin_pricer.boundary import clear_boundary_cache
+from mellin_pricer.boundary import (boundary_curve, clear_boundary_cache,
+                                    premium_time_grid)
 from mellin_pricer.cli import main
-from mellin_pricer.fft_pricer import (EUROPEAN_PUT, Axis, build_grid,
+from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, Axis,
+                                      build_grid,
                                       discounted_payoff_transform,
-                                      price_surface)
+                                      premium_sums, price_put,
+                                      price_surface, put_transform,
+                                      unit_payoff_transform)
 from mellin_pricer.mellin_core import BasketSpec
 
 KINDS = (gk.delta1(1), gk.delta2(1, 2), gk.gamma(1), gk.theta(), gk.rho(),
@@ -214,3 +221,90 @@ def test_concurrent_lookups_count_every_call_and_return_exact_entries():
     misses, hits = counts()
     assert misses + hits == calls
     assert misses >= 3
+
+
+def test_warm_quotes_and_greek_compute_no_spot_free_transform():
+    # after one cold quote, quotes at four other spots and an American
+    # greek only read the market's transforms: no premium pass, no payoff
+    # transform, no miss
+    market = (100.0, 0.06, 0.02, 0.3, 0.5)  # K, r, q, sigma, tau
+    spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+    clear_boundary_cache()
+    price_put(100.0, *market)
+    misses = counts()[0]
+    with mock.patch.object(fft_pricer, "_moment_pass",
+                           wraps=fft_pricer._moment_pass) as passes, \
+            mock.patch.object(fft_pricer, "char_exponent_wi",
+                              wraps=fft_pricer.char_exponent_wi) as psi:
+        for spot in (80.0, 90.0, 110.0, 120.0):
+            price_put(spot, *market)
+        gk.greek(gk.gamma(), [95.0], 0.5, spec, style=AMERICAN_PUT)
+    assert passes.call_count == 0
+    assert psi.call_count == 0
+    assert counts()[0] == misses
+
+
+@pytest.mark.parametrize("n, size, spots", [
+    (1, 2**14, ([80.0], [120.0])), (2, 2**9, ([50.0, 50.0], [48.0, 53.0]))])
+def test_grids_at_two_spots_share_one_lattice(n, size, spots):
+    first, second = (build_grid(n, size, 1.0, s) for s in spots)
+    assert second.lattice is first.lattice
+    assert all(a is b for a, b in zip(first.axes, second.axes))
+    assert second.lattice.parts is first.lattice.parts
+    assert not np.array_equal(first.origin, second.origin)
+
+
+def test_every_cached_array_is_read_only():
+    spec = BasketSpec.single(100.0, 0.5, 0.05, 0.03, 0.25)
+    grid = build_grid(1, 2**10, 1.0, [90.0], m_steps=50)
+    lat = grid.lattice
+    half, = lat.parts[0]
+    clear_boundary_cache()
+    bnd = boundary_curve(spec, premium_time_grid(50, 0.5))
+    price_put(90.0, 100.0, 0.05, 0.03, 0.25, 0.5, size=2**10, m_steps=50)
+    cached = [lat.strip_a, lat.deltas, lat.lams, *lat.readout,
+              lat.unit_prices, grid.origin, grid.target_S,
+              *premium_sums((half,), spec, bnd),
+              put_transform((half,), spec, 0.5, AMERICAN_PUT, bnd),
+              unit_payoff_transform((half,), spec, 0.5)]
+    for axis in lat.axes + (half,):
+        cached += [axis.points, axis.signs]
+    basket = build_grid(2, 16, 1.0, [50.0, 40.0], delta_target=0.5).lattice
+    for axes in [basket.parts[0]] + basket.parts[1]:
+        cached += [x for axis in axes for x in (axis.points, axis.signs)]
+    for x in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+
+
+@settings(max_examples=5, deadline=None)
+@given(rho=st.floats(-0.5, 0.9), vol1=st.floats(0.15, 0.45),
+       vol2=st.floats(0.15, 0.45), q1=st.floats(0.0, 0.08),
+       q2=st.floats(0.0, 0.08), r=st.floats(0.01, 0.08),
+       tau=st.sampled_from((0.25, 0.5, 1.0)),
+       s1=st.floats(40.0, 60.0), s2=st.floats(40.0, 60.0))
+def test_warm_surface_equals_cold(rho, vol1, vol2, q1, q2, r, tau, s1, s2):
+    # basket_book's market range; the transform is filled by a quote at
+    # another spot, and the diagnostics come out bit for bit
+    spec = basket(r=r, q=(q1, q2), vols=(vol1, vol2), rho=rho, tau=tau)
+    grid = build_grid(2, 2**8, 1.0, [s1, s2])
+    clear_boundary_cache()
+    cold = price_surface(spec, grid, tau, EUROPEAN_PUT, quality_checks=False)
+    clear_boundary_cache()
+    price_surface(spec, build_grid(2, 2**8, 1.0, [s2, s1]), tau,
+                  EUROPEAN_PUT, quality_checks=False)
+    warm = price_surface(spec, grid, tau, EUROPEAN_PUT, quality_checks=False)
+    assert counts() == (1, 1)
+    assert warm.landing_value() == cold.landing_value()
+    assert warm.imag_residual == cold.imag_residual
+    assert warm.clamped_points == cold.clamped_points
+    assert np.array_equal(warm.values, cold.values)
+
+
+def test_a_lambda_one_ulp_off_is_another_lattice():
+    lam = 2 * np.pi / 8.0
+    grids = [fft_pricer.MellinFftGrid(n=1, size=16, strip_a=[1.0],
+                                      deltas=[0.5], lams=[x], m_steps=1)
+             for x in (lam, np.nextafter(lam, 1.0))]
+    assert grids[1].lattice is not grids[0].lattice
+    assert [g.lams[0] for g in grids] == [lam, np.nextafter(lam, 1.0)]
