@@ -54,7 +54,6 @@ from .mellin_core import BasketSpec, check_tau
 from .oracles import price_direct_trapezoid
 
 CRITICAL_PRICE_MODES = ("corrected", "printed", "sigma-squared")
-TIME_WEIGHT_MODES = ("simpson", "trapezoid", "flat")
 
 
 def simpson_weight(j_sum):
@@ -90,29 +89,22 @@ class TimeGrid:
         return self.t[::-1] if self.m > 1 else np.full(1, self.tau)
 
 
-def premium_time_grid(m_steps, tau, mode="simpson"):
+def premium_time_grid(m_steps, tau):
     """The premium's M time nodes t_l = l tau/(M-1) (t = 0 alone for
-    M = 1) and their ``mode`` weights, which include the step size.
+    M = 1) and their composite Simpson weights (:func:`simpson_weight`),
+    which include the step size.
 
-    ``ValueError`` for an M that is not an integer >= 1, a tau that is not
-    finite and positive, or an unknown ``mode``.
+    ``ValueError`` for an M that is not an integer >= 1 or a tau that is
+    not finite and positive.
     """
-    if mode not in TIME_WEIGHT_MODES:
-        raise ValueError(f"unknown time weight mode {mode!r}")
     if not (m_steps >= 1 and float(m_steps).is_integer()):
         raise ValueError(f"m_steps must be an integer >= 1, got {m_steps!r}")
     check_tau(tau)
     if m_steps == 1:
         return TimeGrid(tau, np.array([0.0]), np.array([tau]))
     dt = tau / (m_steps - 1)
-    if mode == "simpson":
-        c = simpson_weight(np.arange(m_steps)) * dt
-    elif mode == "trapezoid":
-        c = np.full(m_steps, dt)
-        c[[0, -1]] *= 0.5
-    else:  # flat
-        c = np.full(m_steps, tau / m_steps)
-    return TimeGrid(tau, np.arange(m_steps) * dt, c)
+    return TimeGrid(tau, np.arange(m_steps) * dt,
+                    simpson_weight(np.arange(m_steps)) * dt)
 
 
 def _capf_terms(strike, r, q, sigma, tte, mode):

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import greeks as greeks_mod
 from . import oracles, table1
-from .boundary import (CRITICAL_PRICE_MODES, TIME_WEIGHT_MODES,
-                       boundary_curve, premium_time_grid)
+from .boundary import CRITICAL_PRICE_MODES, boundary_curve, premium_time_grid
 from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                          EUROPEAN_CALL, EUROPEAN_PUT, build_grid,
-                         price_surface, put_boundary, reduce_to_put,
+                         landing_surface, put_boundary, reduce_to_put,
                          surface_to_csv, surface_to_json)
 from .mellin_core import BasketSpec
 from .series_pricer import DwConfig, dw_price
@@ -85,7 +84,7 @@ def _apply_config(args, parser):
             if attr in ("spot", "div", "vol"):
                 setattr(args, attr, [float(v) for v in val.split(",")])
             elif attr in ("corr", "groupings", "style", "method", "out",
-                          "format", "time_weights", "boundary_mode"):
+                          "format", "boundary_mode"):
                 flag = "--" + attr.replace("_", "-")
                 parsed = parser.parse_args([args.command, f"{flag}={val}"])
                 setattr(args, attr, getattr(parsed, attr))
@@ -170,23 +169,22 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
         _PRICE_STYLES[style], spec, spots)
     tau = float(args.tau)
     mode = args.boundary_mode or "corrected"
-    time_weights = args.time_weights or "simpson"
     if method == "dw":
         cfg = DwConfig(n_terms=args.dw_n, log_range=args.dw_l,
-                       strip_a=args.strip_a, m_steps=args.grid_m,
-                       time_weights=time_weights)
+                       strip_a=args.strip_a, m_steps=args.grid_m)
         return dw_price(float(put_spots[0]), tau, put_spec, cfg, put_style,
                         mode) + term
-    bnd = put_boundary(put_style, put_spec,
-                       premium_time_grid(args.grid_m, tau, time_weights), mode)
-    # trapezoid sums on the landing grid's frequencies, comparable with fft
-    grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
-                      m_steps=args.grid_m, delta_target=args.delta_target)
     if method == "trapezoid":
+        # on the landing grid's frequencies, comparable with fft
+        grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
+                          m_steps=args.grid_m, delta_target=args.delta_target)
+        bnd = put_boundary(put_style, put_spec,
+                           premium_time_grid(args.grid_m, tau), mode)
         return oracles.price_direct_trapezoid(
             put_spec, grid.strip_a, grid.size, grid.deltas, tau, put_spots,
             style=put_style, boundary=bnd) + term
-    surf = price_surface(put_spec, grid, tau, put_style, boundary=bnd)
+    surf = landing_surface(put_spec, put_spots, tau, put_style, args.grid_n,
+                           args.grid_m, args.strip_a, args.delta_target, mode)
     diagnostics["imag_residual"] = _fmt(surf.imag_residual)
     diagnostics["clamped_points"] = surf.clamped_points
     return surf.landing_value() + term
@@ -241,9 +239,6 @@ def cmd_greeks(args, parser):
     style = args.style or "euro-put"
     if style not in ("euro-put", "amer-put"):
         parser.error("greeks supports --style euro-put or amer-put")
-    if args.time_weights not in (None, "simpson"):
-        parser.error(f"greeks uses the simpson time weights; --time-weights "
-                     f"{args.time_weights} is not supported")
     pstyle = _PRICE_STYLES[style]
     tau = float(args.tau)
     kw = dict(style=pstyle, size=args.grid_n, m_steps=args.grid_m,
@@ -279,13 +274,9 @@ def cmd_surface(args, parser):
     style = _SURFACE_STYLES.get(args.style or "euro-put")
     if style is None:
         parser.error("surface supports --style euro-put, amer-put or premium")
-    tau = float(args.tau)
-    grid = build_grid(spec.n, args.grid_n, args.strip_a, spots,
-                      m_steps=args.grid_m, delta_target=args.delta_target)
-    times = premium_time_grid(args.grid_m, tau,
-                              args.time_weights or "simpson")
-    bnd = put_boundary(style, spec, times, args.boundary_mode or "corrected")
-    surf = price_surface(spec, grid, tau, style, boundary=bnd)
+    surf = landing_surface(spec, spots, float(args.tau), style, args.grid_n,
+                           args.grid_m, args.strip_a, args.delta_target,
+                           args.boundary_mode or "corrected")
     fmt = args.format or "csv"
     text_target = args.out
     if fmt == "json":
@@ -326,16 +317,14 @@ def cmd_table1(args, parser):
     if args.groupings:
         groupings = [int(v) for v in str(args.groupings).split(",")]
     dw_cfg = DwConfig(n_terms=args.dw_n, log_range=args.dw_l,
-                      strip_a=args.strip_a, m_steps=args.grid_m,
-                      time_weights=args.time_weights or "simpson")
+                      strip_a=args.strip_a, m_steps=args.grid_m)
     if args.grid_n is None:
         args.grid_n = greeks_mod._default_size(1)
     rows, max_dev = table1.run_table1(
         groupings=groupings, size=args.grid_n, m_steps=args.grid_m,
         strip_a=args.strip_a, dw_cfg=dw_cfg,
         binomial_steps=args.binomial_steps,
-        boundary_mode=args.boundary_mode or "corrected",
-        time_weights=args.time_weights or "simpson")
+        boundary_mode=args.boundary_mode or "corrected")
     import io
 
     buf = io.StringIO()
@@ -381,7 +370,6 @@ def _add_grid_flags(p):
     p.add_argument("--binomial-steps", type=int)
     p.add_argument("--mc-paths", type=int)
     p.add_argument("--mc-seed", type=int)
-    p.add_argument("--time-weights", choices=TIME_WEIGHT_MODES)
     p.add_argument("--boundary-mode", choices=CRITICAL_PRICE_MODES)
 
 

@@ -15,8 +15,7 @@ accurate for these analytic, rapidly decaying integrands (composite
 Simpson is only O(delta^4), about 1e-4 of European price accuracy at
 delta = 0.25).  The premium time axis is one
 :class:`~mellin_pricer.boundary.TimeGrid`: nodes t_l = l tau / (M-1) with
-"simpson" (default), "trapezoid" or "flat" (uniform tau / M) weights; the
-Simpson default is what reproduces the reference benchmark table.
+composite Simpson weights, which reproduce the reference benchmark table.
 
 Discounting enters once, inside the transform factors.
 
@@ -40,13 +39,14 @@ the interior does not enter it.  For n = 1, whose only unpaired point is
 the real-ified corner, it is identically 0, so one asset does no
 residual work at all: no edge loop, no spectrum.
 
-A greek is read at one point, so it skips the FFT:
-:func:`invert_at_landing` takes the same half and edge samples and sums
-them directly at the landing index, each half point off the edge
-hyperplanes counting twice for its mirror, one axis at a time in O(N^n).
-That is the inverter's real output at that point, to rounding (4e-16
-relative on the pinned American greeks), with no imaginary residual and
-so no quality gate.
+A greek is read at one point, so it skips the FFT.  The inverter's real
+output there is the trapezoid sum over the full lattice, in which a
+Hermitian pair counts twice the real part of either point; so
+:func:`lattice_pieces` weighs the same half and edge samples: the half,
+2 on j_n for its mirror (1 at j_n = 0 and N/2) and 0 on the hyperplanes
+j_i = 0, i < n - 1; and each of those whole, 0 on the earlier ones.
+:func:`contour_sum` sums each piece at the spot in O(N^n), with no
+imaginary residual and so no quality gate.
 
 Basket payoff transform
 -----------------------
@@ -98,25 +98,27 @@ node time.
 
 Strike
 ------
-For one asset every put transform is homogeneous in the strike:
-T_K(w) = K^(w+1) T_1(w), the boundary included (S* is homogeneous of
-degree 1 in (S, K)), so P_K(S) = K P_1(S/K), and the strike is a shift
-by ln K.  :func:`put_transform` returns T_1 for one asset, and every
-one-asset reader reads it at ln(S/K) and multiplies by K
-(:func:`unit_strike`): the lattice inverters move the log prices by
--ln K, whole cells as an index shift and the rest in the origin phase,
-and the single-spot sums sum at S/K.  Its parts are memoised,
+Every put transform is homogeneous in the strike:
+T_K(w) = K^(1 + sum w) T_1(w), for a basket as for one asset, and the
+American boundary included (S* is homogeneous of degree 1 in (S, K)), so
+P_K(S) = K P_1(S/K), and the strike is a shift by ln K on every axis.
+:func:`put_transform` returns T_1, and every reader reads it at
+ln(S/K) and multiplies by K: the lattice inverter moves the log prices
+by -ln K, whole cells as exact integer roots in the input phase and the
+rest in the origin phase, so the values and the imaginary residual move
+together; the single-spot sums sum at S/K.  The transforms are memoised,
 read-only, on the exact bytes they read, with no strike or spot in a
 key, in ``boundary._moment_cache`` (MOMENT_CACHE_SIZE = 4 entries): the
-payoff (:func:`unit_payoff_transform`), and per market and boundary the
-premium moments, the premium transform, its t-weighted sum and the
-American transform (:func:`premium_sums`).  The rest of what does not
-depend on the spot is one :class:`Lattice` per (n, N, a, delta, lambda):
-axes, centring signs, read-out vector, central half and prices at origin
-0.  So a warm quote or greek computes only what its spot moves: the
-grid's origin and landing index, the origin phase, one inverse FFT (a
-quote) or landing sum (a greek), a greek's multipliers, node 0's step at
-the spot, and the quality gates.
+payoff (:func:`unit_payoff_transform`, :func:`discounted_payoff_transform`),
+and per market and boundary the premium moments, the premium transform,
+its t-weighted sum and the American transform (:func:`premium_sums`).
+The rest of what does not depend on the spot is one :class:`Lattice`
+per (n, N, a, delta, lambda): axes, centring signs, read-out vector,
+contour-sum weights, central half and prices at origin 0.  So a warm
+quote or greek computes only what its spot moves: the grid's origin and
+landing index, the input phase, one inverse FFT (a quote) or contour sum
+(a greek), a greek's multipliers, node 0's step at the spot, and the
+quality gates.
 
 Calls
 -----
@@ -125,9 +127,11 @@ of that reduction: an American call uses put-call symmetry
 C(S, K, r, q) = P(K, S, q, r) (single asset), and a European call uses
 parity in its basket form, C = P + sum_i S_i e^(-q_i T) - K e^(-r T).
 :func:`put_transform` is the one choice between the European, American
-and premium transforms, and :func:`contour_sum` the one trapezoid sum on
-Re w = a at a single spot; the FFT inverter evaluates the same sum on the
-whole log-price lattice.
+and premium transforms.  :func:`contour_sum` is the one trapezoid sum on
+Re w = a at a single spot: a greek (on the lattice's pieces), the
+Dishon-Weiss series (on a contour folded at b = 0) and the direct
+trapezoid oracle (on the full lattice) all read it, and the FFT inverter
+evaluates the same sum on the whole log-price lattice.
 """
 
 from __future__ import annotations
@@ -263,6 +267,22 @@ class Lattice:
             axes[i] = full[i].part(0, 1)
             edges.append(tuple(axes))
         return half, edges
+
+    @functools.cached_property
+    def sum_weights(self):
+        """The :func:`contour_sum` weights of each of :func:`lattice_pieces`,
+        one per axis: the cell delta_i / 2 pi, times 2 on the half's
+        paired j_n (1 at j_n = 0 and N/2) and 0 on the rows j_i = 0 counted
+        on an earlier piece."""
+        N, cells = self.size, self.deltas / (2.0 * math.pi)
+        mirror = np.full(N // 2 + 1, 2.0)
+        mirror[[0, -1]] = 1.0
+        off_plane = np.ones(N)
+        off_plane[0] = 0.0
+        half = [c * off_plane for c in cells[:-1]] + [cells[-1] * mirror]
+        planes = [[c * off_plane for c in cells[:i]] + list(cells[i:])
+                  for i in range(self.n - 1)]
+        return tuple(tuple(map(_as_readonly, w)) for w in [half] + planes)
 
     @functools.cached_property
     def readout(self):
@@ -402,11 +422,10 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
 # ---------------------------------------------------------------------------
 
 
-def _axis_logs(zs, spec: BasketSpec, cov: CovStruct, tau):
+def _axis_logs(zs, cov: CovStruct, tau):
     """The one-axis part of the log basket transform on each axis's points:
-    log Gamma(z_i) + z_i ln K + tau (Sigma_ii z_i / 2 - mu_i) z_i."""
-    log_k = math.log(spec.strike)
-    return [lgamma_complex(z) + z * log_k
+    log Gamma(z_i) + tau (Sigma_ii z_i / 2 - mu_i) z_i."""
+    return [lgamma_complex(z)
             + tau * (0.5 * cov.cov[i, i] * z - cov.drift[i]) * z
             for i, z in enumerate(zs)]
 
@@ -416,7 +435,7 @@ def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale,
     """The basket transform at points given by their coordinates ``zs[i]``
     and one-axis logs ``logs[i]``, which broadcast to one shape: one-axis
     logs, - log Gamma(sum w) (``lgamma_sw`` if given), + cross terms, exp,
-    * ``scale`` (K e^(-r tau)), / (sum w (sum w + 1)), in that order."""
+    * ``scale`` (e^(-r tau)), / (sum w (sum w + 1)), in that order."""
     sw = sum(zs)
     log_t = sum(logs)
     log_t -= lgamma_complex(sw) if lgamma_sw is None else lgamma_sw
@@ -429,14 +448,14 @@ def _transform_from_logs(zs, logs, cov: CovStruct, tau, scale,
     return out
 
 
-def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
-    """Upper bound on log(|T(w)| / (K e^(-r tau))) over the lattice of
-    ``axes``, and the same at b = 0.
+def _payoff_log_bound(axes, logs, cov: CovStruct, tau):
+    """Upper bound on log(|T(w)| e^(r tau)) over the lattice of ``axes``,
+    and the same at b = 0.
 
     ``logs`` are the one-axis logs (:func:`_axis_logs`).  Returns
     (bound, log_peak): ``bound(rows)`` is the bound at the lattice points
     whose axis-0 index is in the slice ``rows``, and ``log_peak`` is
-    log(T(a) / (K e^(-r tau))) in closed form.  The proof is in
+    log(T(a) e^(r tau)) in closed form.  The proof is in
     :func:`discounted_payoff_transform`.
     """
     n = len(axes)
@@ -446,8 +465,7 @@ def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
     cross = [(i, j, tau * cov.cov[i, j])
              for i in range(n) for j in range(i + 1, n)]
     cross_a = sum(c * a[i] * a[j] for i, j, c in cross)
-    log_k = math.log(spec.strike)
-    log_peak = (sum(math.lgamma(ai) + ai * log_k
+    log_peak = (sum(math.lgamma(ai)
                     + tau * (0.5 * cov.cov[i, i] * ai - cov.drift[i]) * ai
                     for i, ai in enumerate(a))
                 + cross_a - math.lgamma(big_a)
@@ -477,22 +495,23 @@ def _payoff_log_bound(axes, logs, spec: BasketSpec, cov: CovStruct, tau):
 
 
 def discounted_payoff_transform(axes, spec: BasketSpec, tau):
-    """exp(-r tau) * payoff transform * characteristic function on the
-    lattice of ``axes``, one :class:`Axis` per asset.
+    """exp(-r tau) * payoff transform * characteristic function at strike
+    1 on the lattice of ``axes``, one :class:`Axis` per asset.
 
-    The transform is beta_n(w) K^(1 + sum w) / (sum w (sum w + 1)) *
+    The transform is beta_n(w) / (sum w (sum w + 1)) *
     exp(-tau (Psi(wi) + r)) with beta_n(w) = prod Gamma(w_i) / Gamma(sum w)
     and Psi(wi) = sum_i (mu_i w_i - Sigma_ii w_i^2 / 2)
-    - sum_{i<j} Sigma_ij w_i w_j.  The result has shape
-    (count_1, ..., count_n).  Baskets only, n >= 2 (``ValueError`` for
-    one asset, whose transform is :func:`unit_payoff_transform`).
+    - sum_{i<j} Sigma_ij w_i w_j; the basket put struck at K has
+    K^(1 + sum w) times it (module docstring, "Strike").  The result has
+    shape (count_1, ..., count_n).  Baskets only, n >= 2 (``ValueError``
+    for one asset, whose transform is :func:`unit_payoff_transform`).
 
-    log Gamma(w_i), w_i ln K and the diagonal and linear parts
+    log Gamma(w_i) and the diagonal and linear parts
     of -tau Psi are evaluated once per axis and broadcast into the lattice
     log before the one exp: a per-axis factor alone can underflow to 0
     where the cross terms alone overflow, so multiplying exponentiated
     factors would give 0 * inf = NaN on some lattice points.  The result
-    matches the pointwise ``payoff_mellin(w, K) exp(-tau Psi(wi) - r tau)``
+    matches the pointwise ``payoff_mellin(w, 1) exp(-tau Psi(wi) - r tau)``
     to about 1e-15 of its peak.  Where every axis has the same spacing h,
     log Gamma(sum w) comes from one table over the integer index sums,
     sum a_i + i h (sum of indices); at a dyadic h such as the default 0.25
@@ -502,7 +521,7 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     log Gamma(sum w), the cross terms, the exp and the division are
     evaluated only at the points whose transform can reach e^-TAIL T(a),
     with T(a) > 0 the transform at b = 0; every other point is exactly 0.
-    Write A = sum a_i and B = sum b_i.  Then log |T| - ln(K e^(-r tau)) is
+    Write A = sum a_i and B = sum b_i.  Then log |T| + r tau is
     the sum of the real parts of the one-axis logs, plus the real cross
     terms tau Sigma_ij (a_i a_j - b_i b_j), plus
     g(|B|) = -Re log Gamma(A + iB) - ln|A + iB| - ln|A + 1 + iB|
@@ -527,13 +546,13 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     Such a lattice is also memoised in the bounded LRU cache that holds
     the premium moments (``boundary._moment_cache``, emptied by
     :func:`~mellin_pricer.boundary.clear_boundary_cache`), keyed on the
-    exact bytes of K, r, tau, each q_i, each sigma_i and the correlation
+    exact bytes of r, tau, each q_i, each sigma_i and the correlation
     matrix, and on the axes.  A hit is the array a recompute would give,
     bit for bit, and is read-only; the quotes and greeks of one market,
-    whose lattices have the same frequencies at every spot, share one
-    transform.  Edge pieces and
-    single points, which have one point on some axis and so cost about
-    1/N of a lattice, are always computed in full, log Gamma pointwise.
+    whose lattices have the same frequencies at every spot and strike,
+    share one transform.  Edge pieces and single points, which have one
+    point on some axis and so cost about 1/N of a lattice, are always
+    computed in full, log Gamma pointwise.
     """
     if len(axes) != spec.n:
         raise ValueError(f"expected {spec.n} axes, got {len(axes)}")
@@ -545,19 +564,19 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
     if lattice:
         # the tag keeps these keys apart from the premium-moment keys
         key = ("basket_payoff",
-               np.concatenate([[spec.strike, spec.rate, tau], spec.dividends,
+               np.concatenate([[spec.rate, tau], spec.dividends,
                                spec.vols, spec.corr.ravel()]).tobytes(),
                tuple(axes))
         hit = _moment_cache.get(key)
         if hit is not None:
             return hit
     zs = [ax.points for ax in axes]
-    logs = _axis_logs(zs, spec, cov, tau)
-    scale = spec.strike * math.exp(-spec.rate * tau)
+    logs = _axis_logs(zs, cov, tau)
+    scale = math.exp(-spec.rate * tau)
     if not lattice:
         return _transform_from_logs(np.ix_(*zs), np.ix_(*logs), cov, tau,
                                     scale)
-    bound, log_peak = _payoff_log_bound(axes, logs, spec, cov, tau)
+    bound, log_peak = _payoff_log_bound(axes, logs, cov, tau)
     table = None
     if len({ax.h for ax in axes}) == 1:
         # sum w = sum a_i + i h (sum of indices): one log Gamma per index sum
@@ -849,11 +868,10 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
     need ``boundary`` on a time grid over ``tau`` (``ValueError``
     otherwise).
 
-    For one asset this is the transform at strike 1, which every pricer
-    reads at S/K and scales by K (module docstring, "Strike"); the
-    European and American ones are memoised read-only arrays, the latter
-    next to the premium (:func:`premium_sums`).  A basket's is at its own
-    strike.
+    This is the transform at strike 1, for a basket as for one asset,
+    which every pricer reads at S/K and scales by K (module docstring,
+    "Strike"); the European and American ones are memoised read-only
+    arrays, the latter next to the premium (:func:`premium_sums`).
     """
     if style == EUROPEAN_PUT:
         return (discounted_payoff_transform(axes, spec, tau) if spec.n > 1
@@ -876,12 +894,6 @@ def put_transform(axes, spec: BasketSpec, tau, style, boundary):
         american.setflags(write=False)
         memo.setdefault("american", american)
     return memo["american"]
-
-
-def unit_strike(spec: BasketSpec):
-    """The K by which the pricers scale :func:`put_transform`'s inverse:
-    the strike for one asset, 1 for a basket."""
-    return spec.strike if spec.n == 1 else 1.0
 
 
 def node0_region(spots, boundary):
@@ -908,23 +920,52 @@ def node0_step(spots, spec: BasketSpec, boundary):
 
 
 def contour_sum(values, axes, weights, spots):
-    """Re sum_k weights_k values_k S^(-w_k): the inversion at one spot.
+    """Re sum_k values_k prod_i weights_i[k_i] x_i^(-w_(k_i)) at the point
+    x = ``spots`` (S/K for a strike-1 transform): the trapezoid rule on
+    Re w = a over the lattice of ``axes``, which ``values`` must fill
+    (``ValueError``).
 
-    This is the trapezoid rule on Re w = a over the lattice of ``axes``.
-    ``values`` holds the transform there and ``weights`` (broadcast
-    against ``values``) the quadrature
-    weights: the cell delta_1 ... delta_n / (2 pi)^n on a full lattice,
-    or, on a contour folded at b = 0, h / 2 pi at b = 0 and 2 h / 2 pi at
-    each b > 0, which stands for its conjugate -b as well.  A sum that is
-    not finite raises ``SurfaceQualityError``.
+    ``weights`` holds one weight per axis, or one per point of it: the
+    cell delta_i / 2 pi on a full lattice; on a contour folded at b = 0,
+    h / 2 pi at b = 0 and 2 h / 2 pi at each b > 0 for it and -b;
+    :func:`lattice_pieces` gives an FFT lattice's.  Each axis's kernel
+    weights_i x_i^(-w) is one :func:`_exp_table`, about 2 sqrt(count)
+    exps, and ``values`` is contracted with the kernels one axis at a
+    time.  A sum that is not finite raises ``SurfaceQualityError``.
     """
-    log_s = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
-    kernel = np.exp(-sum(np.ix_(*(ax.points * x
-                                  for ax, x in zip(axes, log_s)))))
-    out = float(np.sum(weights * values * kernel).real)
+    shape = tuple(ax.count for ax in axes)
+    if np.shape(values) != shape:
+        raise ValueError(f"values of shape {np.shape(values)} are not on "
+                         f"the lattice of shape {shape}")
+    log_x = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
+    out = values
+    for ax, weight, x in reversed(list(zip(axes, weights, log_x))):
+        kernel = _exp_table(lambda j: -x * ax.h * (ax.first + j),
+                            lambda j: -x * ax.h * j, ax.count)
+        kernel *= np.multiply(weight, math.exp(-ax.a * x))
+        out = out @ kernel
+    out = float(out.real)
     if not math.isfinite(out):
         raise SurfaceQualityError(f"contour sum {out} is not finite")
     return out
+
+
+def lattice_pieces(grid: MellinFftGrid, half, edges):
+    """The (values, axes, weights) pieces whose :func:`contour_sum` s add
+    up to the real output of :func:`invert_transform_lattice` at one point,
+    from its samples ``half`` and ``edges`` (``ValueError`` for other
+    shapes): the half lattice, and each hyperplane j_i = 0, i < n - 1, its
+    half row joined to edge piece i (module docstring, "Hermitian half
+    lattice"), with :attr:`Lattice.sum_weights`.
+    """
+    half_axes, edge_axes = _check_samples(grid, half, edges)
+    weights = grid.lattice.sum_weights
+    pieces = [(half, half_axes, weights[0])]
+    for i, edge in enumerate(edges):
+        row = np.asarray(half)[(slice(None),) * i + (slice(0, 1),)]
+        pieces.append((np.concatenate([row, edge], axis=-1),
+                       edge_axes[i][:-1] + grid.axes[-1:], weights[i + 1]))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -937,21 +978,19 @@ def _sign(j):
     return 1.0 - 2.0 * (j & 1)
 
 
-def _origin_phase(axis, origin):
-    """e^(-i b origin) on the frequencies b = (first + k) h of ``axis``,
-    by :func:`_exp_table`."""
-    return _exp_table(lambda j: -origin * axis.h * (axis.first + j),
-                      lambda j: -origin * axis.h * j, axis.count)
-
-
-def _phased(x, axes, origin):
-    """``x`` times (-1)^(sum of lattice indices) e^(-i sum_i b_i origin_i)
-    over the lattice of ``axes``, as a new complex array, one factor per
+def _phased(x, axes, origin, cells, size):
+    """``x`` times (-1)^(sum j) e^(-i sum_i b_i origin_i)
+    e^(2 pi i sum_i j_i m_i / N) over the lattice indices j of ``axes``,
+    m = ``cells``, N = ``size``, as a new complex array, one factor per
     axis: the axis's centring signs (index j = first + k + N/2 has the
-    parity of first + k, as N/2 is even) times its origin phase."""
-    first, *rest = np.ix_(*(
-        ax.signs * (_origin_phase(ax, o) if o else 1.0)
-        for ax, o in zip(axes, origin)))
+    parity of first + k, as N/2 is even) times one :func:`_exp_table`,
+    whose roots of unity are exactly reduced integers (j m_i) mod N."""
+    root = 2.0 * math.pi / size
+    first, *rest = np.ix_(*(ax.signs * _exp_table(
+        lambda j: -o * ax.h * (ax.first + j)
+        + root * ((ax.first + size // 2 + j) * m % size),
+        lambda j: -o * ax.h * j + root * (j * m % size), ax.count)
+        for ax, o, m in zip(axes, origin, cells)))
     out = np.multiply(x, first, dtype=complex)
     for factor in rest:
         out *= factor
@@ -968,7 +1007,7 @@ def sample_transform(grid: MellinFftGrid, fn):
 
     ``fn`` maps a tuple of :class:`Axis` to the transform on their
     lattice; the result is the (half, edges) input of
-    :func:`invert_transform_lattice`.
+    :func:`invert_transform_lattice` and :func:`lattice_pieces`.
     """
     half, edges = grid.lattice.parts
     return fn(half), [fn(axes) for axes in edges]
@@ -1004,8 +1043,9 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     both.  Returns (values, imag_residual): the real inverse on the full
     log-price lattice and the largest imaginary part over its central half.
     With ``strike`` K the samples are the transform of P_1 and the values
-    are K P_1(S/K): whole cells of -ln K roll the output, the rest is in
-    the origin phase (:func:`_strike_shift`).
+    and the residual are K P_1(S/K): whole cells m of -ln K move the
+    output by the exact roots e^(2 pi i j m / N) of the input, the rest
+    is in the origin phase (:func:`_strike_shift`, :func:`_phased`).
 
     The transform of a real payoff satisfies T(conj w) = conj T(w), and
     the lattice pairs b_j with -b_j at index -j mod N, so the FFT input
@@ -1023,7 +1063,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     n, N, lat = grid.n, grid.size, grid.lattice
     half_axes, edge_axes = _check_samples(grid, half, edges)
     origin, cells = _strike_shift(grid, strike)
-    arr = _phased(half, half_axes, origin)
+    arr = _phased(half, half_axes, origin, cells, N)
     arr[(0,) * n] = arr[(0,) * n].real
     spectra = []
     for i in range(n if n > 1 else 0):
@@ -1031,7 +1071,8 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
         # j_n > N/2 part comes from the edge piece
         on_plane = (slice(None),) * i + (0,)
         if i < n - 1:
-            missed = _phased(edges[i], edge_axes[i], origin)[on_plane]
+            missed = _phased(edges[i], edge_axes[i], origin, cells,
+                             N)[on_plane]
             plane = np.concatenate([arr[on_plane], missed], axis=-1)
         else:
             plane = arr[on_plane]
@@ -1052,8 +1093,6 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     for i in range(n - 1):
         np.fft.ifft(arr, axis=i, norm="forward", out=arr)
     values = np.fft.irfft(arr, N, axis=-1, norm="forward")
-    if cells.any():  # output index k reads unit-strike index k - m
-        values = np.roll(values, tuple(cells), axis=tuple(range(n)))
     for factor in np.ix_(*readout):
         values *= factor
 
@@ -1066,72 +1105,6 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     for factor in np.ix_(*(np.abs(r[c]) for r, c in zip(readout, central))):
         imag = imag * factor
     return values, float(np.abs(imag).max())
-
-
-def _contract(x, kernels):
-    """sum_j x[j_1, ..., j_n] prod_i kernels[i][j_i], one axis at a time."""
-    x = np.asarray(x)
-    for v in reversed(kernels):
-        x = x @ v
-    return complex(x)
-
-
-def invert_at_landing(grid: MellinFftGrid, half, edges, strike=1.0):
-    """The real output of :func:`invert_transform_lattice` at
-    ``grid.landing_index`` alone, as one direct sum over the lattice.
-
-    ``half`` and ``edges`` are the same samples (:func:`sample_transform`),
-    and ``strike`` shifts and scales as there.
-    The inverter's real output at k is Re sum_j X_j prod_i g_i[j_i] over
-    the full lattice, times (-1)^(sum k) prod_i exp(-a_i s_(k_i))
-    delta_b / (2 pi)^n, with X the transform samples and
-    g_i[j] = (-1)^j exp(-2 pi i ((j k_i) mod N) / N) e^(-i b_j origin_i),
-    the DFT's own roots of unity (integer phases mod N, not b ln S) times
-    the origin's phase.  The real part of a Hermitian pair is twice that of
-    either point, so a half-lattice point with 0 < j_n < N/2 off the edge
-    hyperplanes j_i = 0 (i < n - 1) counts twice, for its mirror
-    j_n > N/2; every other half-lattice point, whose mirror is in the half
-    or unpaired, counts once, and so does each edge-piece point.  Where
-    edge pieces overlap (n >= 3, j_1 = j_2 = 0) a point counts on the first
-    hyperplane it lies on only, as in the inverter.  A hyperplane j_i = 0
-    term carries g_i[0], 1 only at origin_i = 0.  The sum is contracted one
-    axis at a time: O(N^n) multiply-adds and no FFT.
-    """
-    n, N = grid.n, grid.size
-    if grid.landing_index is None:
-        raise ValueError("grid has no landing index")
-    _check_samples(grid, half, edges)
-    half = np.asarray(half)
-    origin, cells = _strike_shift(grid, strike)
-    landing = np.subtract(grid.landing_index, cells)
-    # g_i[j] = exp(-2 pi i j (k_i + N/2) / N) e^(-i b_j origin_i), since
-    # (-1)^j is the root j N/2; by one two-level table of about 2 sqrt(N)
-    # exps, each root phase an exactly reduced integer
-    kernels, root = [], -2.0 * math.pi / N
-    for k, ax, x in zip(landing, grid.axes, origin):
-        step, xh = k + N // 2, -x * ax.h
-        kernels.append(_exp_table(
-            lambda j: root * (step * j % N) + xh * (ax.first + j),
-            lambda j: root * (step * j % N) + xh * j, N))
-    paired, missed = slice(1, N // 2), slice(N // 2 + 1, None)
-    twice = np.ones(N // 2 + 1)
-    twice[paired] = 2.0
-    total = _contract(half, kernels[:-1] + [twice * kernels[-1][:N // 2 + 1]])
-    for i, edge in enumerate(edges):
-        # hyperplane j_i = 0, off the earlier hyperplanes: its half points
-        # with 0 < j_n < N/2 count once, not twice, and its points with
-        # j_n > N/2 come from the edge piece
-        plane = (slice(1, None),) * i + (0,)
-        on_plane = [v[1:] for v in kernels[:i]] + kernels[i + 1:-1]
-        total += kernels[i][0] * (
-            _contract(np.asarray(edge)[plane],
-                      on_plane + [kernels[-1][missed]])
-            - _contract(half[plane + (Ellipsis, paired)],
-                        on_plane + [kernels[-1][paired]]))
-    scale = strike * grid.delta_b / (2.0 * math.pi) ** n
-    for a, lam, o, k in zip(grid.strip_a, grid.lams, origin, landing):
-        scale *= _sign(k) * math.exp(-a * (o + (k - N / 2) * lam))
-    return total.real * scale
 
 
 @dataclass(frozen=True)
@@ -1191,7 +1164,7 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     # quality signal.
     values, imag_resid = invert_transform_lattice(grid, *sample_transform(
         grid, lambda axes: put_transform(axes, spec, tau, style, boundary)),
-        strike=unit_strike(spec))
+        strike=spec.strike)
     if style != EUROPEAN_PUT:
         # the lattice prices e^origin e^((k - N/2) lam) ascend; one point
         # past s*_0 in case of a tie
@@ -1234,20 +1207,30 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
 # ---------------------------------------------------------------------------
 
 
+def landing_surface(spec: BasketSpec, spots, tau, style, size, m_steps=250,
+                    strip_a=1.0, delta_target=0.25,
+                    boundary_mode="corrected"):
+    """The ``style`` put's :class:`PriceSurface` on a lattice that lands
+    on ``spots`` (:func:`build_grid`), its boundary on the premium time
+    grid of ``m_steps`` nodes over ``tau`` (:func:`put_boundary`); its
+    ``landing_value()`` is the price at ``spots``."""
+    grid = build_grid(spec.n, size, strip_a, spots, m_steps=m_steps,
+                      delta_target=delta_target)
+    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
+                       boundary_mode)
+    return price_surface(spec, grid, tau, style, boundary=bnd)
+
+
 def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
               size=2**14, m_steps=250, strip_a=1.0, delta_target=0.25,
-              time_weights="simpson", boundary_mode="corrected"):
+              boundary_mode="corrected"):
     """Single-asset put price at ``spot`` with the grid landing on it.
 
     Returns (value, surface).
     """
     spec = BasketSpec.single(strike, max(tau, 1e-12), rate, dividend, vol)
-    grid = build_grid(1, size, strip_a, [spot], m_steps=m_steps,
-                      delta_target=delta_target)
-    bnd = put_boundary(style, spec,
-                       premium_time_grid(m_steps, tau, time_weights),
-                       boundary_mode)
-    surf = price_surface(spec, grid, tau, style, boundary=bnd)
+    surf = landing_surface(spec, [spot], tau, style, size, m_steps, strip_a,
+                           delta_target, boundary_mode)
     return surf.landing_value(), surf
 
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import premium_time_grid
-from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
-                         discounted_payoff_transform, invert_at_landing,
-                         node0_region, premium_sums, price_surface,
-                         put_boundary, sample_transform,
-                         unit_payoff_transform, unit_strike)
+from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid, contour_sum,
+                         landing_surface, lattice_pieces, node0_region,
+                         premium_sums, put_boundary, put_transform,
+                         sample_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -255,16 +254,17 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     single-asset only and read the premium on the Simpson time grid of
     ``m_steps`` nodes; its node 0 enters in S space
     (:func:`_node0_sensitivity`), where, in kernel mode, theta also picks
-    up the early-exercise function value inside the exercise region.  For
-    one asset, as for the price, the landing sum reads the memoised
-    strike-1 transforms at ln(S/K) and scales by K (module docstring of
-    :mod:`~mellin_pricer.fft_pricer`, "Strike"); the multipliers are free
-    of K, so only they and the landing sum are computed per greek.
+    up the early-exercise function value inside the exercise region.  As
+    for the price, the sum reads the memoised strike-1 transforms at S/K
+    and scales by K (module docstring of :mod:`~mellin_pricer.fft_pricer`,
+    "Strike"); the multipliers are free of K, so only they and the sum are
+    computed per greek.
 
-    A greek is read at one point, so it is the direct lattice sum at the
-    landing index (:func:`~mellin_pricer.fft_pricer.invert_at_landing`),
-    the FFT inverter's real output there to rounding, without the rest of
-    the surface.  It carries no quality gate: no imaginary
+    A greek is read at one point, so it is the one single-spot trapezoid
+    sum (:func:`~mellin_pricer.fft_pricer.contour_sum`) over the lattice's
+    half and edge pieces (:func:`~mellin_pricer.fft_pricer.lattice_pieces`),
+    the FFT inverter's real output at the spot to rounding, without the
+    rest of the surface.  It carries no quality gate: no imaginary
     residual is computed and no surface is checked.  ``tau`` must be
     finite and positive (``ValueError``).
     """
@@ -284,34 +284,21 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
                            boundary_mode)
 
     def transform(axes):
-        z = np.ix_(*(ax.points for ax in axes))
-        if spec.n == 1:
-            out = (_factor(kind, z, spot, tau, spec, mode, premium=False)
-                   * unit_payoff_transform(axes, spec, tau))
-            if bnd is not None:
-                out += _premium_sensitivity(kind, axes, spot, spec, bnd,
-                                            mode)
-            return out
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once
-        values = discounted_payoff_transform(axes, spec, tau)
-        return _factor(kind, z, spot, tau, spec, mode, premium=False) * values
+        values = put_transform(axes, spec, tau, EUROPEAN_PUT, None)
+        out = _factor(kind, np.ix_(*(ax.points for ax in axes)), spot, tau,
+                      spec, mode, premium=False) * values
+        if bnd is not None:
+            out += _premium_sensitivity(kind, axes, spot, spec, bnd, mode)
+        return out
 
-    out = invert_at_landing(grid, *sample_transform(grid, transform),
-                            strike=unit_strike(spec))
+    pieces = lattice_pieces(grid, *sample_transform(grid, transform))
+    out = spec.strike * sum(contour_sum(*p, spot / spec.strike)
+                            for p in pieces)
     if bnd is not None:
         out += _node0_sensitivity(kind, spot, spec, bnd, mode)
     return out
-
-
-def _pipeline_price(spot, tau, spec, style, size, m_steps, strip_a,
-                    delta_target, boundary_mode):
-    grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
-                      delta_target=delta_target)
-    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
-                       boundary_mode)
-    surf = price_surface(spec, grid, tau, style, boundary=bnd)
-    return surf.landing_value()
 
 
 def greek_fd(kind: GreekKind, spot, tau, spec: BasketSpec,
@@ -332,9 +319,9 @@ def greek_fd(kind: GreekKind, spot, tau, spec: BasketSpec,
     if size is None:
         size = _default_size(spec.n)
     if price_fn is None:
-        price_fn = lambda s, t, sp: _pipeline_price(
-            s, t, sp, style, size, m_steps, strip_a, delta_target,
-            boundary_mode)
+        price_fn = lambda s, t, sp: landing_surface(
+            sp, s, t, style, size, m_steps, strip_a, delta_target,
+            boundary_mode).landing_value()
 
     def respec(rate=None, dividends=None, vols=None):
         return BasketSpec(

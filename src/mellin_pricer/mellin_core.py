@@ -187,16 +187,6 @@ class BasketSpec:
             fixed = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
             return np.linalg.cholesky(fixed + 1e-15 * np.eye(self.n))
 
-    def param_key(self, extra=()):
-        """Cache key: the exact bytes of every parameter, then ``extra``.
-
-        Markets that differ in any bit get different keys, so a cache hit
-        is the market asked for; the byte count fixes n.
-        """
-        return (np.concatenate([[self.strike, self.maturity, self.rate],
-                                self.dividends, self.vols,
-                                self.corr.ravel()]).tobytes(),) + tuple(extra)
-
 
 @dataclass(frozen=True)
 class CovStruct:

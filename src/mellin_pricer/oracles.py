@@ -433,10 +433,11 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
     American premium's node 0 in S space as it does
     (:func:`~mellin_pricer.fft_pricer.node0_step`), so at a lattice
     landing point the two agree to reordering-level rounding.  Like the
-    lattice, it sums a one-asset transform at S/K and scales by K.
+    lattice, it sums the strike-1 transform at S/K and scales by K, by the
+    one single-spot sum (:func:`~mellin_pricer.fft_pricer.contour_sum`).
     """
     from .fft_pricer import (EUROPEAN_PUT, Axis, contour_sum, node0_step,
-                             put_transform, unit_strike)
+                             put_transform)
 
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
@@ -450,9 +451,8 @@ def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
     axes = tuple(Axis(a, d, -(size // 2), size)
                  for a, d in zip(strip_a, deltas))
     values = put_transform(axes, spec, tau, style, boundary)
-    quad = float(np.prod(deltas)) / (2.0 * math.pi) ** spec.n
-    strike = unit_strike(spec)
-    out = strike * contour_sum(values, axes, quad, spot / strike)
+    out = spec.strike * contour_sum(values, axes, deltas / (2.0 * math.pi),
+                                    spot / spec.strike)
     if style != EUROPEAN_PUT:
         out += float(node0_step(spot[0], spec, boundary))
     return out

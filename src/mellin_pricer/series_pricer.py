@@ -31,14 +31,12 @@ class DwConfig:
     log_range : L, half-range of the log-price variable x = -ln S
     strip_a : contour abscissa a > 0
     m_steps : premium time steps
-    time_weights : quadrature mode for the premium time axis
     """
 
     n_terms: int = 250
     log_range: float = 10.0
     strip_a: float = 1.0
     m_steps: int = 250
-    time_weights: str = "simpson"
 
     def __post_init__(self):
         if self.n_terms < 1:
@@ -61,10 +59,11 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
              style=AMERICAN_PUT, boundary_mode="corrected"):
     """Series-inversion put price at ``spot``.
 
-    The contour is folded at b = 0: the real point w_0 = a carries weight
-    h / 2 pi and each w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for
-    itself and its conjugate (:func:`~mellin_pricer.fft_pricer.contour_sum`).
-    The sum is K times that of the strike-1 transform at S/K
+    The series is the one single-spot trapezoid sum
+    (:func:`~mellin_pricer.fft_pricer.contour_sum`) on a contour folded at
+    b = 0: the real point w_0 = a carries weight h / 2 pi and each
+    w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for itself and its
+    conjugate.  The sum is K times that of the strike-1 transform at S/K
     (:func:`~mellin_pricer.fft_pricer.put_transform`).
 
     For the American and premium styles the premium's time node 0 (t = 0,
@@ -83,13 +82,12 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
         raise RangeViolation(
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
     axes = cfg.axes
-    bnd = put_boundary(style, spec,
-                       premium_time_grid(cfg.m_steps, tau, cfg.time_weights),
+    bnd = put_boundary(style, spec, premium_time_grid(cfg.m_steps, tau),
                        boundary_mode)
     values = put_transform(axes, spec, tau, style, bnd)
     weights = np.full(axes[0].count, 1.0 / cfg.log_range)  # 2 h / 2 pi
     weights[0] /= 2.0
-    out = spec.strike * contour_sum(values, axes, weights,
+    out = spec.strike * contour_sum(values, axes, (weights,),
                                     [spot / spec.strike])
     if bnd is not None:
         out += float(node0_step(spot, spec, bnd))

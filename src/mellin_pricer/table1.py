@@ -73,7 +73,7 @@ class TableRow:
 
 def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
                dw_cfg: DwConfig | None = None, binomial_steps=10000,
-               boundary_mode="corrected", time_weights="simpson"):
+               boundary_mode="corrected"):
     """Recompute the benchmark rows.
 
     Returns (rows, max_fft_deviation): rows in grouping-then-spot order and
@@ -87,7 +87,7 @@ def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
         if g not in GROUPINGS:
             raise ValueError(f"unknown grouping {g}")
     if dw_cfg is None:
-        dw_cfg = DwConfig(m_steps=m_steps, time_weights=time_weights)
+        dw_cfg = DwConfig(m_steps=m_steps)
     rows = []
     for g in groupings:
         rate, div, vol = GROUPINGS[g]
@@ -98,7 +98,6 @@ def run_table1(groupings=None, size=2**14, m_steps=250, strip_a=1.0,
             fft = price_american_call(s, STRIKE, rate, div, vol, TAU,
                                       size=size, m_steps=m_steps,
                                       strip_a=strip_a,
-                                      time_weights=time_weights,
                                       boundary_mode=boundary_mode)
             dw = dw_price_american_call(s, STRIKE, rate, div, vol, TAU,
                                         cfg=dw_cfg,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mellin_pricer.boundary import TimeGrid, premium_time_grid
 from mellin_pricer.mellin_core import BasketSpec
 
 # On CI a randomized failure prints the blob that reproduces it, since the
@@ -39,6 +40,20 @@ def basket2_spec():
     return BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
                       dividends=[0.02, 0.03], vols=[0.2, 0.3],
                       corr=[[1.0, 0.5], [0.5, 1.0]])
+
+
+def time_grid(m, tau, rule):
+    """The premium's M uniform nodes over tau with the composite "simpson"
+    weights of ``premium_time_grid``, or the "trapezoid" or "flat"
+    (tau / M each) weights, built here: the pricers take a grid of any
+    weights."""
+    simpson = premium_time_grid(m, tau)
+    if rule == "simpson":
+        return simpson
+    c = np.full(m, tau / (m - 1) if rule == "trapezoid" else tau / m)
+    if rule == "trapezoid":
+        c[[0, -1]] *= 0.5
+    return TimeGrid(tau, simpson.t, c)
 
 
 def rel_err(got, want):

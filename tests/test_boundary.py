@@ -15,9 +15,9 @@ from scipy.optimize.elementwise import find_root
 from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import boundary
 from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
-                                    TIME_WEIGHT_MODES, BoundaryCurve,
-                                    boundary_curve, boundary_residual_cap,
-                                    capf_residual, clear_boundary_cache,
+                                    BoundaryCurve, boundary_curve,
+                                    boundary_residual_cap, capf_residual,
+                                    clear_boundary_cache,
                                     critical_price_approx, premium_time_grid)
 from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, build_grid,
@@ -501,14 +501,12 @@ class TestBoundaryCurve:
 @given(strike=st.floats(0.5, 500.0),
        r=st.just(0.0) | st.floats(0.005, 0.12),
        q=st.just(0.0) | st.floats(0.005, 0.12), vol=st.floats(0.1, 0.6),
-       tau=st.floats(0.01, 2.0), m=st.sampled_from((1, 2, 3, 250)),
-       rule=st.sampled_from(TIME_WEIGHT_MODES))
-def test_curve_is_sampled_on_the_time_grid(strike, r, q, vol, tau, m, rule):
+       tau=st.floats(0.01, 2.0), m=st.sampled_from((1, 2, 3, 250)))
+def test_curve_is_sampled_on_the_time_grid(strike, r, q, vol, tau, m):
     # the curve holds the grid it was made on, and node l reads the
-    # strike-1 solve at the time to expiry nearest tau - t_l; every rule's
-    # nodes share one solve
+    # strike-1 solve at the time to expiry nearest tau - t_l
     spec = BasketSpec.single(strike, tau, r, q, vol)
-    times = premium_time_grid(m, tau, rule)
+    times = premium_time_grid(m, tau)
     curve = boundary_curve(spec, times)
     assert curve.grid is times and curve.strike == strike
     assert curve.u is curve_of(spec, m, tau).u

@@ -170,18 +170,6 @@ class TestPriceCommand:
             "diagnostics": {"imag_residual": imag, "clamped_points": clamped,
                             "interpolated": False}}
 
-    @pytest.mark.parametrize("rule", ["flat", "trapezoid"])
-    def test_american_fft_prices_under_every_time_rule(self, capsys, rule):
-        # these rules weigh premium node 0 more than simpson; transformed on
-        # the lattice, its step was refused (exit 3)
-        code, out, _ = run_cli(
-            capsys, "price", "--method", "fft", "--style", "amer-put",
-            "--spot", "90", "--strike", "100", "--rate", "0.05",
-            "--div", "0.03", "--vol", "0.25", "--tau", "1",
-            "--grid-n", "4096", "--grid-m", "50", "--time-weights", rule)
-        assert code == 0
-        assert json.loads(out)["diagnostics"]["clamped_points"] == 0
-
     BASKET = ["--spot", "50", "--spot", "50", "--strike", "100",
               "--rate", "0.05", "--div", "0.02", "--div", "0.03",
               "--vol", "0.2", "--vol", "0.3", "--corr", "1,0.5,0.5,1",
@@ -284,7 +272,6 @@ class TestConfigFile:
     # xml wrote CSV, boundary-mode = bogus priced a European put
     @pytest.mark.parametrize("command, key", [
         ("surface", "format"), ("price", "boundary-mode"),
-        ("price", "time-weights"), ("surface", "time-weights"),
         ("price", "method"), ("price", "style"), ("surface", "style")])
     def test_bad_choice_exits_2(self, capsys, tmp_path, command, key):
         cfg = tmp_path / "bad.cfg"
@@ -389,7 +376,8 @@ class TestGreeksCommand:
             "--rate", "0.05", "--div", "0.03", "--vol", "0.25", "--tau", "1",
             "--grid-n", "4096", "--grid-m", "50"]
 
-    # greeks price on the Simpson grid; the flag used to be ignored
+    # every pricer uses the Simpson time grid, and no subcommand has a
+    # time-weights flag or config key; greeks once ignored the flag
     @pytest.mark.parametrize("rule", ["flat", "trapezoid"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_other_time_weights_exit_2(self, capsys, tmp_path, rule, source):
@@ -404,12 +392,9 @@ class TestGreeksCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--time-weights" in captured.err and rule in captured.err
-
-    def test_simpson_time_weights_are_the_default(self, capsys):
-        outs = [run_cli(capsys, "greeks", *self.AMER, *extra)[1:]
-                for extra in ([], ["--time-weights", "simpson"])]
-        assert outs[0] == outs[1]
+        # argparse names the flag and its value; the config, the key
+        assert "time-weights" in captured.err
+        assert source == "config" or f"--time-weights {rule}" in captured.err
 
 
 @pytest.mark.parametrize("argv, head", [

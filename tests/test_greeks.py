@@ -10,11 +10,11 @@ from mellin_pricer.boundary import boundary_curve, premium_time_grid
 from mellin_pricer import fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
+                                      contour_sum,
                                       discounted_payoff_transform,
-                                      invert_at_landing,
                                       invert_transform_lattice,
-                                      price_surface, put_boundary,
-                                      sample_transform)
+                                      lattice_pieces, price_surface,
+                                      put_boundary, sample_transform)
 from mellin_pricer.greeks import GreekKind, greek, greek_fd, greek_multiplier
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import american_put_node_sum, black_scholes
@@ -301,9 +301,13 @@ class TestLandingSum:
                                            indexing="ij"), axis=-1),
                 spot, tau, 0.0, spec)[0]
                 * discounted_payoff_transform(axes, spec, tau))
-            want = invert_transform_lattice(grid, *samples)[0][
+            want = invert_transform_lattice(grid, *samples,
+                                            strike=spec.strike)[0][
                 grid.landing_index]
-            got = invert_at_landing(grid, *samples)
+            # K times the pieces' strike-1 sums at S/K
+            got = spec.strike * sum(
+                contour_sum(*piece, spot / spec.strike)
+                for piece in lattice_pieces(grid, *samples))
             assert abs(got - want) <= 1e-12 * spec.strike, kind
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import time_grid
 from mellin_pricer import boundary, fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer import table1
@@ -281,7 +282,7 @@ def test_time_rules_never_share_an_entry():
     curve = boundary_curve(spec, T50)
     w = half_contour()
     clear_boundary_cache()
-    curves = [boundary_curve(spec, premium_time_grid(50, 0.5, rule))
+    curves = [boundary_curve(spec, time_grid(50, 0.5, rule))
               for rule in ("simpson", "trapezoid")]
     got = [premium_moments(w, spec, c) for c in curves]
     assert counts() == (2, 0)

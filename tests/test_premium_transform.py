@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mellin_pricer import greeks as gk
-from mellin_pricer.boundary import (TIME_WEIGHT_MODES, BoundaryCurve,
-                                    boundary_curve, premium_time_grid)
+from mellin_pricer.boundary import (BoundaryCurve, boundary_curve,
+                                    premium_time_grid)
 from mellin_pricer.fft_pricer import (EARLY_EXERCISE_PREMIUM, Axis, _fold,
                                       build_grid, premium_sums,
                                       premium_transform, put_transform)
@@ -118,11 +118,10 @@ def make_spec(mk):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mk=markets, m=m_steps, w=contours,
-       time_mode=st.sampled_from(TIME_WEIGHT_MODES))
-def test_matches_per_node_sum(mk, m, w, time_mode):
+@given(mk=markets, m=m_steps, w=contours)
+def test_matches_per_node_sum(mk, m, w):
     spec = make_spec(mk)
-    curve = boundary_curve(spec, premium_time_grid(m, mk["tau"], time_mode))
+    curve = boundary_curve(spec, premium_time_grid(m, mk["tau"]))
     got = premium_transform(w, spec, curve)
     unit_spec, unit = unit_market(spec, curve)
     want = reference_premium(points(w), unit_spec, unit)

@@ -96,7 +96,7 @@ class TestHHat:
         # early-exercise terms at a matching FFT contour point, over the
         # nodes t_l > 0 (node 0 is a step in S space)
         grid = build_grid(1, 256, 1.0, [100.0], m_steps=12)
-        times = premium_time_grid(12, 0.5, "simpson")
+        times = premium_time_grid(12, 0.5)
         t_nodes, wgt = times.t, times.c
         cov = CovStruct.from_spec(self.spec)
         for j in (10, 128, 199):

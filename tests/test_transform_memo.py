@@ -146,7 +146,6 @@ def test_edge_pieces_and_points_bypass_the_cache():
 
 
 ONE_ULP_OFF = [  # (spec, w, tau) with one key field moved by one ulp
-    pytest.param(basket(strike=up(100.0)), W, 0.5, id="strike"),
     pytest.param(basket(r=up(0.05)), W, 0.5, id="r"),
     pytest.param(SPEC, W, up(0.5), id="tau"),
     pytest.param(basket(q=(up(0.02), 0.03)), W, 0.5, id="q1"),
@@ -172,6 +171,21 @@ def test_one_ulp_change_in_any_key_field_misses(spec, w, tau):
     # the neighbour's entry is what a recompute on an empty cache gives
     clear_boundary_cache()
     assert np.array_equal(got, discounted_payoff_transform(w, spec, tau))
+
+
+def test_every_strike_of_a_market_shares_one_transform():
+    # the transform is at strike 1: the key holds no strike, and a basket
+    # put at any strike reads the one entry
+    clear_boundary_cache()
+    base = discounted_payoff_transform(W, SPEC, 0.5)
+    for strike in (up(100.0), 80.0, 125.0):
+        assert discounted_payoff_transform(W, basket(strike=strike),
+                                           0.5) is base
+    assert counts() == (1, 3)
+    grid = build_grid(2, 2**9, 1.0, [50.0, 45.0])
+    for strike in (80.0, 100.0, 125.0):
+        price_surface(basket(strike=strike), grid, 0.5, EUROPEAN_PUT)
+    assert counts()[0] == 2  # the lattice's half, once
 
 
 def test_cache_stays_bounded_and_clears():
