@@ -34,13 +34,17 @@ arrays are kept in a bounded least-recently-used cache of CACHE_SIZE
 entries; they are read-only and shared, so repeated requests are
 bit-identical.  A second cache, of MOMENT_CACHE_SIZE entries, holds the
 strike-free transforms of ``fft_pricer`` that quotes and greeks share,
-each keyed on its exact inputs.  :func:`clear_boundary_cache` empties
-both; each counts its hits and misses.
+each keyed on its exact inputs, and a third, of REQUEST_CACHE_SIZE
+entries, the spot- and strike-free part of a market's quotes
+(``fft_pricer.quote_request``): lattice, time grid and strike-1 curve.
+:func:`clear_boundary_cache` empties all three; each counts its hits and
+misses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -81,12 +85,23 @@ class TimeGrid:
     def m(self):
         return self.t.shape[0]
 
+    @functools.cached_property
+    def key(self):
+        """The exact bytes of the nodes and weights, for cache keys."""
+        return self.t.tobytes() + self.c.tobytes()
+
     @property
     def tte(self):
         """The nodes' times to expiry tau - t_l, in node order: for M >= 2
         the uniform nodes reversed, as t_(M-1-l) = tau - t_l; for M = 1,
         whose one node is t = 0, tau."""
         return self.t[::-1] if self.m > 1 else np.full(1, self.tau)
+
+
+def check_m_steps(m_steps):
+    """Raise ``ValueError`` unless M is an integer >= 1."""
+    if not (m_steps >= 1 and float(m_steps).is_integer()):
+        raise ValueError(f"m_steps must be an integer >= 1, got {m_steps!r}")
 
 
 def premium_time_grid(m_steps, tau):
@@ -97,8 +112,7 @@ def premium_time_grid(m_steps, tau):
     ``ValueError`` for an M that is not an integer >= 1 or a tau that is
     not finite and positive.
     """
-    if not (m_steps >= 1 and float(m_steps).is_integer()):
-        raise ValueError(f"m_steps must be an integer >= 1, got {m_steps!r}")
+    check_m_steps(m_steps)
     check_tau(tau)
     if m_steps == 1:
         return TimeGrid(tau, np.array([0.0]), np.array([tau]))
@@ -347,6 +361,10 @@ class BoundaryCurve:
         """S*_l = K u_l, in node order."""
         return self.strike * self.u
 
+    def at(self, strike):
+        """This curve at ``strike``: the same u."""
+        return BoundaryCurve(self.grid, self.u, strike)
+
     def to_csv(self, fp):
         """Write `t,s_star` rows (t = time to expiry, ascending)."""
         fp.write("t,s_star\n")
@@ -406,6 +424,10 @@ _unit_cache = _LruCache(CACHE_SIZE)
 # greeks at every spot and strike, and its calls, need four.
 MOMENT_CACHE_SIZE = 4
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
+# (lattice, strike-1 curve) per market, put style and grid, 6 kB at M = 250
+# (fft_pricer.quote_request); an amer_book book needs two
+REQUEST_CACHE_SIZE = 8
+_request_cache = _LruCache(REQUEST_CACHE_SIZE)
 
 
 def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
@@ -437,10 +459,11 @@ def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
 
 
 def clear_boundary_cache():
-    """Empty the cache of strike-1 curves and the cache of strike-free
-    transforms, and zero their counts."""
+    """Empty the cache of strike-1 curves, the cache of strike-free
+    transforms and the cache of quote requests, and zero their counts."""
     _unit_cache.clear()
     _moment_cache.clear()
+    _request_cache.clear()
 
 
 def boundary_residual_cap(curve: BoundaryCurve, l, spec: BasketSpec, grid,

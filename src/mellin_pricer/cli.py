@@ -431,7 +431,9 @@ def main(argv=None):
     try:
         return args.fn(args, parser)
     except (ImagResidualTooLarge, SurfaceQualityError) as exc:
-        print(f"numerical quality failure: {exc}", file=sys.stderr)
+        print(f"numerical quality failure: {exc} (the grid does not fit the "
+              f"market: change --grid-n, --delta-target or --strip-a)",
+              file=sys.stderr)
         return 3
     except (ValueError, NotImplementedError, PricingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ log-price lattice an FFT output.  Centering is carried entirely by the
 (-1)^(sum j) / (-1)^(sum k) sign factors (kernel exp(-2 pi i j'k / N),
 which is the forward transform numpy computes); arrays are never rotated.
 Every lattice is shifted by a sub-cell origin, so its frequencies do not
-depend on the spot; the shift is a phase folded into those factors.
+depend on the spot; the shift is a phase folded into those factors (the
+input's signs ride on its phase table, :func:`_phased`).
 
 Quadrature weights
 ------------------
@@ -113,12 +114,15 @@ payoff (:func:`unit_payoff_transform`, :func:`discounted_payoff_transform`),
 and per market and boundary the premium moments, the premium transform,
 its t-weighted sum and the American transform (:func:`premium_sums`).
 The rest of what does not depend on the spot is one :class:`Lattice`
-per (n, N, a, delta, lambda): axes, centring signs, read-out vector,
-contour-sum weights, central half and prices at origin 0.  So a warm
-quote or greek computes only what its spot moves: the grid's origin and
-landing index, the input phase, one inverse FFT (a quote) or contour sum
-(a greek), a greek's multipliers, node 0's step at the spot, and the
-quality gates.
+per (n, N, a, delta, lambda): axes, read-out vector, contour-sum
+weights, central half and prices at origin 0; with the strike-1
+boundary it is a market's :func:`quote_request`, memoised in
+``boundary._request_cache``.  So a warm quote computes only what its spot
+and strike move: the request and transform lookups, the landing, the
+input phase (about 2 sqrt(N) exps, signs included, and one multiply),
+one inverse FFT and its read-out, node 0's step (affine in the lattice
+prices) and the quality gates; a warm greek, a contour sum in place of
+the FFT.
 
 Calls
 -----
@@ -139,11 +143,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary import _moment_cache, boundary_curve, premium_time_grid
+from .boundary import (_moment_cache, _request_cache, boundary_curve,
+                       check_m_steps, premium_time_grid)
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      SurfaceQualityError)
 from .mellin_core import (BasketSpec, CovStruct, _as_readonly, _check_strip,
@@ -209,13 +215,6 @@ class Axis:
         out.setflags(write=False)
         return out
 
-    @functools.cached_property
-    def signs(self):
-        """The centring signs (-1)^(first + k), computed once; read-only."""
-        out = _sign(self.first + np.arange(self.count))
-        out.setflags(write=False)
-        return out
-
     def part(self, start, stop):
         """Points start..stop-1 of this axis."""
         return Axis(self.a, self.h, self.first + start, stop - start)
@@ -225,7 +224,8 @@ class Axis:
 class Lattice:
     """The spot-free part of a lattice, one per (n, N, a, delta, lambda)
     (:func:`_lattice`) and shared by every grid on it: each part below is
-    computed once, and every array is read-only."""
+    computed once, and every array is read-only.  :meth:`land` makes the
+    grid at a spot."""
 
     n: int
     size: int
@@ -301,6 +301,32 @@ class Lattice:
             return _as_readonly(np.exp((np.arange(self.size) - self.size / 2)
                                        * self.lams[0]))
 
+    def land(self, target_S, m_steps):
+        """The :class:`MellinFftGrid` here that lands on ``target_S``: with
+        m = round(ln S / lam), landing index N/2 + m and origin
+        ln S - m lam, |origin| <= lam / 2, per dimension."""
+        target_S = _as_readonly(np.atleast_1d(target_S))
+        if target_S.shape != (self.n,):
+            raise ValueError(f"target_S must have length n={self.n}")
+        spots = target_S.tolist()  # checked as floats: this runs per quote
+        if not all(map(math.isfinite, spots)):
+            check_finite_spot(target_S)
+        if not min(spots) > 0:
+            raise ValueError("target prices must be positive")
+        check_m_steps(m_steps)
+        N = self.size
+        origin, landing = [], []
+        for i, (x, lam) in enumerate(zip(map(math.log, spots),
+                                         self.lams.tolist())):
+            m = round(x / lam)
+            if not 0 <= N // 2 + m <= N - 1:
+                raise NoAdmissibleK(
+                    f"dimension {i}: offset {m} outside the lattice (N={N})")
+            origin.append(x - m * lam)
+            landing.append(N // 2 + m)
+        return MellinFftGrid(self, int(m_steps), _as_readonly(origin),
+                             target_S, tuple(landing))
+
 
 @functools.lru_cache(maxsize=8)
 def _lattice(n, size, *params):
@@ -308,54 +334,33 @@ def _lattice(n, size, *params):
     return Lattice(n, size, *map(_as_readonly, params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MellinFftGrid:
     """Coupled frequency / log-price lattice for the n-dimensional FFT.
 
     Per dimension i: frequencies b_j = (j - N/2) delta_i for j = 0..N-1 and
     log prices s_k = origin_i + (k - N/2) lam_i, with
     delta_i lam_i = 2 pi / N.  The frequencies, and so every transform on
-    the lattice, do not depend on ``origin`` (0 by default); the inverters
-    apply it as the phase e^(-i b_j origin_i).  ``landing_index`` is the
-    lattice index whose price is ``target_S``: its log price is
-    ``target_logS`` to rounding, and a landing value that reads a step
-    there (:func:`price_surface`) reads it at ``target_S`` itself.  The
-    rest is the shared :class:`Lattice` ``lattice``.
+    the lattice, do not depend on ``origin``; they and every other
+    spot-free part are the shared :class:`Lattice` ``lattice``, and the
+    inverters apply the origin as the phase e^(-i b_j origin_i).
+    ``landing_index`` is the lattice index whose price is ``target_S``:
+    its log price is ``target_logS`` to rounding, and a landing value that
+    reads a step there (:func:`price_surface`) reads it at ``target_S``
+    itself (:meth:`Lattice.land`).
     """
 
-    n: int
-    size: int                     # N, points per dimension (power of two)
-    strip_a: np.ndarray           # contour abscissa per dimension, > 0
-    deltas: np.ndarray            # frequency spacing per dimension
-    lams: np.ndarray              # log-price spacing per dimension
+    lattice: Lattice
     m_steps: int                  # premium time steps M
+    origin: np.ndarray            # log price of index N/2 per dimension
     target_S: np.ndarray | None = None
     landing_index: tuple | None = None
-    origin: np.ndarray | None = None  # log price of index N/2 per dimension
-    lattice: Lattice = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
-        if self.origin is None:
-            object.__setattr__(self, "origin", np.zeros(self.n))
-        names = ("strip_a", "deltas", "lams", "origin")
-        for name in names:
-            if np.shape(getattr(self, name)) != (self.n,):
-                raise ValueError(f"{name} must have length n={self.n}")
-        *params, origin = (tuple(map(float, getattr(self, v))) for v in names)
-        lat = _lattice(self.n, self.size, *params)
-        for name, v in zip(names + ("lattice",), (
-                lat.strip_a, lat.deltas, lat.lams, _as_readonly(origin), lat)):
-            object.__setattr__(self, name, v)
-        if self.target_S is not None:
-            object.__setattr__(self, "target_S", _as_readonly(self.target_S))
-            k = tuple(int(v) for v in np.atleast_1d(self.landing_index))
-            object.__setattr__(self, "landing_index", k)
-            for i, x in enumerate(self.target_S.tolist()):
-                s_at_k = self.origin[i] + (k[i] - self.size / 2) * self.lams[i]
-                if abs(s_at_k - math.log(x)) > 1e-9:
-                    raise ValueError("landing index misses target_S")
+    n = property(lambda self: self.lattice.n)
+    size = property(lambda self: self.lattice.size)  # N, a power of two
+    strip_a = property(lambda self: self.lattice.strip_a)  # a > 0 per axis
+    deltas = property(lambda self: self.lattice.deltas)  # frequency spacing
+    lams = property(lambda self: self.lattice.lams)  # log-price spacing
 
     @property
     def target_logS(self):
@@ -373,25 +378,13 @@ class MellinFftGrid:
     @property
     def delta_b(self):
         """Product of the frequency spacings (quadrature cell volume)."""
-        return float(np.prod(self.deltas))
+        return math.prod(self.deltas.tolist())
 
 
-def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
-    """Build a lattice whose log-price axis lands on ``target_S``.
-
-    Every axis has delta = ``delta_target`` exactly, so the frequencies and
-    every transform on them are the same for every spot: with
-    lam = 2 pi / (N delta) and m = round(ln S / lam) the landing index
-    N/2 + m has the log price ln S through the sub-cell shift
-    origin = ln S - m lam, |origin| <= lam / 2.  Spot prices below 1 land
-    left of center.
-    """
-    target_S = np.atleast_1d(np.asarray(target_S, dtype=float))
-    if target_S.shape != (n,):
-        raise ValueError(f"target_S must have length n={n}")
-    check_finite_spot(target_S)
-    if np.any(target_S <= 0):
-        raise ValueError("target prices must be positive")
+def _grid_lattice(n, size, strip_a=1.0, delta_target=0.25):
+    """The :class:`Lattice` of :func:`build_grid`: every axis has
+    delta = ``delta_target`` exactly and lam = 2 pi / (N delta), so its
+    transforms are the same for every spot."""
     N = int(size)
     half_points = N ** (n - 1) * (N // 2 + 1)
     if half_points > MAX_HALF_POINTS:
@@ -401,20 +394,14 @@ def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
     lam = 2.0 * math.pi / (N * float(delta_target))
     if lam > 1.0:
         raise GridTooCoarse(f"landing needs lam={lam} > 1; increase N")
-    origin, landing = [], []
-    for i, x in enumerate(map(math.log, target_S.tolist())):
-        m = round(x / lam)
-        if not 0 <= N // 2 + m <= N - 1:
-            raise NoAdmissibleK(
-                f"dimension {i}: offset {m} outside the lattice (N={N})")
-        origin.append(x - m * lam)
-        landing.append(N // 2 + m)
-    return MellinFftGrid(n=n, size=N,
-                         strip_a=np.full(n, strip_a, dtype=float),
-                         deltas=(float(delta_target),) * n,
-                         lams=(lam,) * n, m_steps=int(m_steps),
-                         target_S=target_S, landing_index=tuple(landing),
-                         origin=origin)
+    return _lattice(n, N, tuple(np.full(n, strip_a, dtype=float).tolist()),
+                    (float(delta_target),) * n, (lam,) * n)
+
+
+def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
+    """The grid of :func:`_grid_lattice` that lands on ``target_S``."""
+    return _grid_lattice(n, size, strip_a, delta_target).land(target_S,
+                                                             m_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +590,8 @@ def discounted_payoff_transform(axes, spec: BasketSpec, tau):
 
 def _market_bytes(spec: BasketSpec, tau):
     """r, q, sigma, the 1 x 1 correlation and tau, as exact bytes."""
-    return np.array([spec.rate, spec.dividends[0], spec.vols[0],
-                     spec.corr[0, 0], tau]).tobytes()
+    return struct.pack("5d", spec.rate, spec.dividends.item(),
+                       spec.vols.item(), spec.corr.item(), tau)
 
 
 def unit_payoff_transform(axes, spec: BasketSpec, tau):
@@ -673,16 +660,24 @@ def _running_rows(first, step, rows):
     return x
 
 
-def _exp_table(start_phase, inner_phase, count):
+def _exp_table(start_phase, inner_phase, count, parity=None):
     """exp(i phase(j)) for j = 0..count-1, along a new last axis, for a
     phase additive in j: j = start + r with start a multiple of a block
     width about sqrt(count), and phase(j) = ``start_phase(start)`` +
     ``inner_phase(r)``.  One exp per block start and per in-block offset
     (about 2 sqrt(count)), not one per point; both callables take an
-    integer index array and may broadcast leading axes in front of it."""
+    integer index array and may broadcast leading axes in front of it.
+    With an integer ``parity`` p entry j also carries (-1)^(p + j): the
+    starts and offsets are negated, exactly, so no lattice-sized pass."""
     width = max(1, math.isqrt(count))
     starts = np.exp(1j * start_phase(width * np.arange(-(-count // width))))
     inner = np.exp(1j * inner_phase(np.arange(width)))
+    if parity is not None:  # negations, which are exact
+        flip = ((slice((parity + 1) % 2, None, 2),) if width % 2
+                else (slice(None),) if parity % 2 else None)
+        if flip:
+            np.negative(starts[(..., *flip)], out=starts[(..., *flip)])
+        np.negative(inner[..., 1::2], out=inner[..., 1::2])
     table = starts[..., :, None] * inner[..., None, :]
     return table.reshape(table.shape[:-2] + (-1,))[..., :count]
 
@@ -738,8 +733,8 @@ def _premium_memo(axes, spec: BasketSpec, boundary):
     if spec.n != 1 or len(axes) != 1:
         raise NotImplementedError("the premium transform is single-asset only")
     times = boundary.grid
-    key = (_market_bytes(spec, times.tau), times.t.tobytes(),
-           times.c.tobytes(), boundary.u.tobytes(), axes[0])
+    key = (_market_bytes(spec, times.tau), times.key, boundary.u.tobytes(),
+           axes[0])
     memo = _moment_cache.get(key)
     if memo is None:
         memo = _moment_cache.add(key, {})
@@ -900,7 +895,8 @@ def node0_region(spots, boundary):
     """1{S < s*_0} at ``spots``, counted half at S = s*_0: premium node 0's
     exercise region, where every inversion meets the mean of both sides.
     Empty (0 at every positive spot) where s*_0 = 0."""
-    return 0.5 * (1.0 + np.sign(boundary.s_star[0] - np.asarray(spots)))
+    s0 = boundary.strike * boundary.u[0]  # s_star[0], without the rest
+    return 0.5 * (1.0 + np.sign(s0 - np.asarray(spots)))
 
 
 def node0_step(spots, spec: BasketSpec, boundary):
@@ -978,19 +974,28 @@ def _sign(j):
     return 1.0 - 2.0 * (j & 1)
 
 
+def _along(factors):
+    """``np.ix_`` of 1-d factors, without its checks."""
+    n = len(factors)
+    return [f.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, f in enumerate(factors)]
+
+
 def _phased(x, axes, origin, cells, size):
     """``x`` times (-1)^(sum j) e^(-i sum_i b_i origin_i)
     e^(2 pi i sum_i j_i m_i / N) over the lattice indices j of ``axes``,
     m = ``cells``, N = ``size``, as a new complex array, one factor per
-    axis: the axis's centring signs (index j = first + k + N/2 has the
-    parity of first + k, as N/2 is even) times one :func:`_exp_table`,
-    whose roots of unity are exactly reduced integers (j m_i) mod N."""
+    axis: one :func:`_exp_table`, whose roots of unity are exactly reduced
+    integers (j m_i) mod N and which carries the axis's centring signs
+    (index j = first + k + N/2 has the parity of first + k, as N/2 is
+    even).  So the samples see one multiply per axis."""
     root = 2.0 * math.pi / size
-    first, *rest = np.ix_(*(ax.signs * _exp_table(
+    first, *rest = _along([_exp_table(
         lambda j: -o * ax.h * (ax.first + j)
         + root * ((ax.first + size // 2 + j) * m % size),
-        lambda j: -o * ax.h * j + root * (j * m % size), ax.count)
-        for ax, o, m in zip(axes, origin, cells)))
+        lambda j: -o * ax.h * j + root * (j * m % size), ax.count,
+        parity=ax.first)
+        for ax, o, m in zip(axes, origin, cells)])
     out = np.multiply(x, first, dtype=complex)
     for factor in rest:
         out *= factor
@@ -1029,9 +1034,10 @@ def _strike_shift(grid: MellinFftGrid, strike):
     """(origin, m): log price s - ln K is index k - m on the lattice with
     this origin, m whole cells of ln K per axis.  An index shift is an
     exact integer phase, so |b origin| stays at most pi, as for K = 1."""
-    shift = math.log(strike)
-    cells = np.rint(shift / grid.lams).astype(int)
-    return grid.origin - (shift - cells * grid.lams), cells
+    shift, lams = math.log(strike), grid.lams.tolist()
+    cells = [round(shift / lam) for lam in lams]  # half to even, as rint
+    return [o - (shift - m * lam) for o, m, lam in zip(
+        grid.origin.tolist(), cells, lams)], cells
 
 
 def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
@@ -1085,7 +1091,9 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
 
     # (-1)^(k - m) exp(-a s_k), s_k = origin + (k - m - N/2) lam, per
     # axis; the cell volume and K ride on the first
-    scale = _sign(cells) * np.exp(-grid.strip_a * (origin - cells * grid.lams))
+    scale = _sign(np.array(cells)) * np.exp([
+        -a * (o - m * lam) for a, o, m, lam in zip(
+            grid.strip_a.tolist(), origin, cells, grid.lams.tolist())])
     scale[0] *= strike * grid.delta_b / (2.0 * math.pi) ** n
     readout = [r * s for r, s in zip(lat.readout, scale)]
     # irfftn's passes in place: fresh lattice-sized temporaries page-fault
@@ -1093,7 +1101,7 @@ def invert_transform_lattice(grid: MellinFftGrid, half, edges, strike=1.0):
     for i in range(n - 1):
         np.fft.ifft(arr, axis=i, norm="forward", out=arr)
     values = np.fft.irfft(arr, N, axis=-1, norm="forward")
-    for factor in np.ix_(*readout):
+    for factor in _along(readout):
         values *= factor
 
     if not spectra:
@@ -1165,18 +1173,28 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     values, imag_resid = invert_transform_lattice(grid, *sample_transform(
         grid, lambda axes: put_transform(axes, spec, tau, style, boundary)),
         strike=spec.strike)
-    if style != EUROPEAN_PUT:
-        # the lattice prices e^origin e^((k - N/2) lam) ascend; one point
-        # past s*_0 in case of a tie
-        s0, at_origin = boundary.s_star[0], math.exp(grid.origin[0])
-        prices = grid.lattice.unit_prices
-        below = int(np.searchsorted(prices, s0 / at_origin)) + 1 if s0 else 0
-        spots = at_origin * prices[:below]
-        if grid.landing_index is not None and grid.landing_index[0] < below:
-            spots[grid.landing_index[0]] = grid.target_S[0]
-        values[:below] += node0_step(spots, spec, boundary)
+    s0 = 0.0 if style == EUROPEAN_PUT else boundary.s_star[0]
+    if s0:
+        # node 0's step c_0 (rK - qS) at the lattice prices below s*_0,
+        # e^origin e^((k - N/2) lam), which ascend: affine in them, but
+        # node0_step itself on the two points next to s*_0, which round to
+        # either side of it, and at the landing index on its spot
+        at_origin, prices = math.exp(grid.origin[0]), grid.lattice.unit_prices
+        edge = int(np.searchsorted(prices, s0 / at_origin))
+        c0, q = boundary.grid.c[0], float(spec.dividends[0])
+        step = prices[:edge + 1] * -(c0 * q * at_origin)
+        step += c0 * spec.rate * spec.strike
+        exact = {k: at_origin * prices[k] for k in (edge - 1, edge)
+                 if 0 <= k < step.size}
+        landing = grid.landing_index
+        if landing is not None and landing[0] < step.size:
+            exact[landing[0]] = grid.target_S[0]
+        step[list(exact)] = node0_step(np.array(list(exact.values())), spec,
+                                       boundary)
+        values[:step.size] += step
     central_vals = values[grid.lattice.central]
-    if not np.isfinite(central_vals).all():
+    low = central_vals.min()  # NaN if any is
+    if not (math.isfinite(low) and math.isfinite(central_vals.max())):
         raise SurfaceQualityError("surface value not finite in the central "
                                   "half of the lattice")
     if quality_checks and imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
@@ -1185,18 +1203,18 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
             f"{IMAG_RESIDUAL_TOL * spec.strike:g}")
 
     eps_neg = NEGATIVE_CLAMP_TOL * spec.strike
-    low = central_vals.min()
     if quality_checks and low < -eps_neg:
         raise SurfaceQualityError(f"surface value {low:g} below -{eps_neg:g}")
     # Truncation leaves +-1e-8-scale sign noise where the true value is 0;
     # only material negatives count against the quality budget.
     eps_material = NEGATIVE_MATERIAL_TOL * spec.strike
-    clamped = int(np.count_nonzero(central_vals < -eps_material))
+    clamped = (int(np.count_nonzero(central_vals < -eps_material))
+               if low < -eps_material else 0)
     share = clamped / central_vals.size
     if quality_checks and share > MAX_CLAMPED_FRACTION:
         raise SurfaceQualityError(f"{share:.1%} of central lattice points "
                                   f"below -{eps_material:g}")
-    values[values < 0.0] = 0.0
+    np.maximum(values, 0.0, out=values)  # NaN and -0.0 stay, as for a mask
     values.setflags(write=False)
     return PriceSurface(grid=grid, values=values, style=style, tau=float(tau),
                         imag_residual=imag_resid, clamped_points=clamped)
@@ -1207,18 +1225,42 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
 # ---------------------------------------------------------------------------
 
 
+def quote_request(spec: BasketSpec, tau, style, size, m_steps=250,
+                  strip_a=1.0, delta_target=0.25, boundary_mode="corrected"):
+    """(lattice, curve): the spot- and strike-free part of the ``style``
+    put's quotes and greeks on ``spec``'s market, the lattice of
+    :func:`build_grid` and, but for the European put, the strike-1
+    boundary of :func:`put_boundary` on ``premium_time_grid(m_steps,
+    tau)``.  Memoised in ``boundary._request_cache`` on all the inputs
+    but the strike, each exact (module docstring, "Strike").
+    """
+    key = (style, size, m_steps, np.asarray(strip_a, float).tobytes(),
+           delta_target, boundary_mode, tau, spec.maturity, spec.rate,
+           spec.dividends.tobytes(), spec.vols.tobytes(), spec.corr.tobytes())
+    hit = _request_cache.get(key)
+    if hit is not None:
+        return hit
+    curve = None if style == EUROPEAN_PUT else put_boundary(
+        style, replace(spec, strike=1.0), premium_time_grid(m_steps, tau),
+        boundary_mode)
+    return _request_cache.add(key, (_grid_lattice(spec.n, size, strip_a,
+                                                  delta_target), curve))
+
+
 def landing_surface(spec: BasketSpec, spots, tau, style, size, m_steps=250,
                     strip_a=1.0, delta_target=0.25,
                     boundary_mode="corrected"):
     """The ``style`` put's :class:`PriceSurface` on a lattice that lands
     on ``spots`` (:func:`build_grid`), its boundary on the premium time
     grid of ``m_steps`` nodes over ``tau`` (:func:`put_boundary`); its
-    ``landing_value()`` is the price at ``spots``."""
-    grid = build_grid(spec.n, size, strip_a, spots, m_steps=m_steps,
-                      delta_target=delta_target)
-    bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
-                       boundary_mode)
-    return price_surface(spec, grid, tau, style, boundary=bnd)
+    ``landing_value()`` is the price at ``spots``.  The one chain of the
+    quotes, :func:`greek_fd` and the CLI: the market's
+    :func:`quote_request`, the landing and one :func:`price_surface`.
+    """
+    lattice, curve = quote_request(spec, tau, style, size, m_steps, strip_a,
+                                   delta_target, boundary_mode)
+    return price_surface(spec, lattice.land(spots, m_steps), tau, style,
+                         boundary=curve and curve.at(spec.strike))
 
 
 def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
@@ -1226,7 +1268,9 @@ def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,
               boundary_mode="corrected"):
     """Single-asset put price at ``spot`` with the grid landing on it.
 
-    Returns (value, surface).
+    Returns (value, surface), :func:`landing_surface`'s: a warm quote
+    computes only what its spot and strike move (module docstring,
+    "Strike").
     """
     spec = BasketSpec.single(strike, max(tau, 1e-12), rate, dividend, vol)
     surf = landing_surface(spec, [spot], tau, style, size, m_steps, strip_a,

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import premium_time_grid
-from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid, contour_sum,
+from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, contour_sum,
                          landing_surface, lattice_pieces, node0_region,
-                         premium_sums, put_boundary, put_transform,
+                         premium_sums, put_transform, quote_request,
                          sample_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
@@ -191,6 +190,20 @@ def _default_size(n):
     return 2**14 if n == 1 else 2**9
 
 
+def _axis_factors(kind, axes, spot, mode):
+    """The European factor of delta1, gamma or delta2 on the lattice of
+    ``axes`` as one factor per axis (1 on the others), whose product is
+    :func:`_factor`'s: delta2's is the delta1 factors of its two axes,
+    negated in paper mode."""
+    z, out = [ax.points for ax in axes], [1.0] * len(axes)
+    for k, one in ([(kind.i, delta1(kind.i)), (kind.j, delta1(kind.j))]
+                   if kind.name == "delta2" else [(kind.i, kind)]):
+        out[k - 1] = _factor(one, z, spot, 0.0, None, mode, premium=False)
+    if kind.name == "delta2" and mode != "kernel":
+        out[kind.i - 1] = -out[kind.i - 1]
+    return out
+
+
 def _premium_sensitivity(kind, axes, spot, spec, boundary, mode):
     """Premium term sum_l c_l f_p(w, t_l) f(w, s*_l) X_l of the sensitivity,
     at strike 1, on the one-asset contour ``axes`` and the time grid of
@@ -258,7 +271,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     for the price, the sum reads the memoised strike-1 transforms at S/K
     and scales by K (module docstring of :mod:`~mellin_pricer.fft_pricer`,
     "Strike"); the multipliers are free of K, so only they and the sum are
-    computed per greek.
+    computed per greek, on the market's
+    :func:`~mellin_pricer.fft_pricer.quote_request`.  The European factor
+    of delta1, gamma and delta2 rides in the sum's per-axis weights
+    (:func:`_axis_factors`), not on the lattice.
 
     A greek is read at one point, so it is the one single-spot trapezoid
     sum (:func:`~mellin_pricer.fft_pricer.contour_sum`) over the lattice's
@@ -276,17 +292,18 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if size is None:
         size = _default_size(spec.n)
-    grid = build_grid(spec.n, size, strip_a, spot, m_steps=m_steps,
-                      delta_target=delta_target)
-    bnd = None
-    if style == AMERICAN_PUT:
-        bnd = put_boundary(style, spec, premium_time_grid(m_steps, tau),
-                           boundary_mode)
+    lattice, bnd = quote_request(spec, tau, style, size, m_steps, strip_a,
+                                 delta_target, boundary_mode)
+    grid, bnd = lattice.land(spot, m_steps), bnd and bnd.at(spec.strike)
+    # a European factor of one-axis factors rides in the sum's weights
+    by_axis = bnd is None and kind.name in ("delta1", "delta2", "gamma")
 
     def transform(axes):
         # the transform first, so that its temporaries and the multipliers
         # are never alive at once
         values = put_transform(axes, spec, tau, EUROPEAN_PUT, None)
+        if by_axis:
+            return values
         out = _factor(kind, np.ix_(*(ax.points for ax in axes)), spot, tau,
                       spec, mode, premium=False) * values
         if bnd is not None:
@@ -294,6 +311,9 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
         return out
 
     pieces = lattice_pieces(grid, *sample_transform(grid, transform))
+    if by_axis:
+        pieces = [(values, axes, [w * f for w, f in zip(weights, _axis_factors(
+            kind, axes, spot, mode))]) for values, axes, weights in pieces]
     out = spec.strike * sum(contour_sum(*p, spot / spec.strike)
                             for p in pieces)
     if bnd is not None:

@@ -13,7 +13,9 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,9 @@ def _as_readonly(a, dtype=float):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+_UNIT_CORR = _as_readonly([[1.0]])  # every one-asset spec's correlation
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,13 @@ class BasketSpec:
     def _plain_single(self):
         """Whether this is one asset in the form :meth:`single` builds:
         float scalars and float64 arrays of shapes (1,), (1,) and (1, 1)."""
-        return (self.n == 1
-                and all(isinstance(getattr(self, name), float)
-                        for name in ("strike", "maturity", "rate"))
-                and all(type(a) is np.ndarray and a.dtype == np.float64
-                        and a.shape == shape
-                        for a, shape in ((self.dividends, (1,)),
-                                         (self.vols, (1,)),
-                                         (self.corr, (1, 1)))))
+        q, s, c = self.dividends, self.vols, self.corr
+        return (self.n == 1 and isinstance(self.strike, float)
+                and isinstance(self.maturity, float)
+                and isinstance(self.rate, float)
+                and type(q) is type(s) is type(c) is np.ndarray
+                and q.shape == s.shape == (1,) and c.shape == (1, 1)
+                and q.dtype == s.dtype == c.dtype == np.float64)
 
     def _check_single(self):
         """The checks of ``__post_init__`` on a plain one-asset spec, on floats.
@@ -144,8 +148,8 @@ class BasketSpec:
         test is |c - 1| <= 1e-12 + 1e-5 (its default rtol times |1|), and
         c is the only eigenvalue, so the PSD check cannot fail after it.
         """
-        q, s, c = (float(self.dividends[0]), float(self.vols[0]),
-                   float(self.corr[0, 0]))
+        q, s, c = (self.dividends.item(), self.vols.item(),
+                   self.corr.item())
         for name, v in (("strike", self.strike), ("maturity", self.maturity),
                         ("rate", self.rate), ("dividends", q), ("vols", s),
                         ("corr", c)):
@@ -166,14 +170,16 @@ class BasketSpec:
         if abs(c) > 1 + 1e-12:
             raise ValueError("corr entries must lie in [-1, 1]")
         for name in ("dividends", "vols", "corr"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+            a = getattr(self, name)
+            if a.flags.writeable or a.base is not None:  # not only ours
+                object.__setattr__(self, name, _as_readonly(a))
 
     @classmethod
     def single(cls, strike, maturity, rate, dividend, vol):
-        """One-asset convenience constructor."""
-        return cls(n=1, strike=float(strike), maturity=float(maturity),
-                   rate=float(rate), dividends=np.array([float(dividend)]),
-                   vols=np.array([float(vol)]), corr=np.eye(1))
+        """One-asset convenience constructor.  A spec is immutable, so the
+        recent ones are shared, keyed on the exact floats."""
+        return _single(cls, struct.pack("5d", *map(float, (
+            strike, maturity, rate, dividend, vol))))
 
     def corr_cholesky(self):
         """Lower Cholesky factor of corr, clipping tiny negative eigenvalues."""
@@ -186,6 +192,16 @@ class BasketSpec:
                 raise CholeskyFailure("correlation matrix is not PSD")
             fixed = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
             return np.linalg.cholesky(fixed + 1e-15 * np.eye(self.n))
+
+
+@functools.lru_cache(maxsize=64)
+def _single(cls, key):
+    """The one-asset spec of the packed floats ``key``; its arrays are made
+    here, read-only, so the spec keeps them without a copy."""
+    strike, maturity, rate, dividend, vol = struct.unpack("5d", key)
+    return cls(n=1, strike=strike, maturity=maturity, rate=rate,
+               dividends=_as_readonly([dividend]), vols=_as_readonly([vol]),
+               corr=_UNIT_CORR)
 
 
 @dataclass(frozen=True)

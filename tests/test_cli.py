@@ -460,6 +460,22 @@ class TestQualityFailure:
         assert code == 3
         assert out == ""
         assert "not finite" in err
+        assert "--strip-a" in err and "--grid-n" in err
+
+    @pytest.mark.parametrize("style", ["amer-put", "euro-put"])
+    def test_non_finite_surface_names_the_flags(self, capsys, style):
+        # the surface command refuses the same overflow at price_surface's
+        # finite gate, and the message names the flags to change
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys, "surface", "--style", style, "--spot", "100",
+                "--strike", "100", "--rate", "0.05", "--div", "0.02",
+                "--vol", "0.2", "--tau", "0.5", "--grid-n", "4096",
+                "--strip-a", "700", "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert "surface value not finite" in err
+        assert "--strip-a" in err and "--grid-n" in err
 
 
 class TestTable1Command:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GROUPING_PARAMS, assert_close
-from mellin_pricer.boundary import boundary_curve, premium_time_grid
+from mellin_pricer.boundary import (boundary_curve, clear_boundary_cache,
+                                    premium_time_grid)
 from mellin_pricer import fft_pricer
 from mellin_pricer import greeks as gk
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
@@ -268,13 +269,33 @@ class TestLandingSum:
         def refuse(*args, **kwargs):
             raise AssertionError("a European greek built the time grid")
 
-        monkeypatch.setattr(gk, "premium_time_grid", refuse)
+        monkeypatch.setattr(fft_pricer, "premium_time_grid", refuse)
+        clear_boundary_cache()
         spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
         want = black_scholes(100.0, 100.0, 0.06, 0.02, 0.3, 0.5, "put")
         got = greek(gk.delta1(), [100.0], 0.5, spec, size=2**12)
         assert abs(got - want.delta) <= 1e-6
         assert np.isfinite(greek(gk.delta1(1), [50.0, 45.0], 0.5,
                                  basket2_spec, size=2**6))
+
+    @pytest.mark.parametrize("mode", ["kernel", "paper"])
+    @pytest.mark.parametrize("kind", [gk.delta1(2), gk.delta2(1, 2),
+                                      gk.gamma(1), gk.gamma(2)])
+    def test_axis_weights_equal_the_lattice_multiplier(self, kind, mode,
+                                                       basket2_spec):
+        # delta1, delta2 and gamma carry their European factor in the
+        # sum's per-axis weights; the lattice-sized product gives the same
+        spot = np.array([50.0, 45.0])
+        grid = build_grid(2, 2**6, 1.0, spot)
+        samples = sample_transform(grid, lambda axes: greek_multiplier(
+            kind, np.stack(np.meshgrid(*(ax.points for ax in axes),
+                                       indexing="ij"), axis=-1),
+            spot, 0.5, 0.0, basket2_spec, mode)[0]
+            * discounted_payoff_transform(axes, basket2_spec, 0.5))
+        want = 100.0 * sum(contour_sum(*piece, spot / 100.0)
+                           for piece in lattice_pieces(grid, *samples))
+        got = greek(kind, spot, 0.5, basket2_spec, mode=mode, size=2**6)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     @settings(max_examples=20, deadline=None)
     # basket_book seed 25's first market, refused by price_surface on this

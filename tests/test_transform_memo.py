@@ -282,10 +282,10 @@ def test_every_cached_array_is_read_only():
               put_transform((half,), spec, 0.5, AMERICAN_PUT, bnd),
               unit_payoff_transform((half,), spec, 0.5)]
     for axis in lat.axes + (half,):
-        cached += [axis.points, axis.signs]
+        cached.append(axis.points)
     basket = build_grid(2, 16, 1.0, [50.0, 40.0], delta_target=0.5).lattice
     for axes in [basket.parts[0]] + basket.parts[1]:
-        cached += [x for axis in axes for x in (axis.points, axis.signs)]
+        cached += [axis.points for axis in axes]
     for x in cached:
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0.0
@@ -317,8 +317,7 @@ def test_warm_surface_equals_cold(rho, vol1, vol2, q1, q2, r, tau, s1, s2):
 
 def test_a_lambda_one_ulp_off_is_another_lattice():
     lam = 2 * np.pi / 8.0
-    grids = [fft_pricer.MellinFftGrid(n=1, size=16, strip_a=[1.0],
-                                      deltas=[0.5], lams=[x], m_steps=1)
-             for x in (lam, np.nextafter(lam, 1.0))]
-    assert grids[1].lattice is not grids[0].lattice
-    assert [g.lams[0] for g in grids] == [lam, np.nextafter(lam, 1.0)]
+    lattices = [fft_pricer._lattice(1, 16, (1.0,), (0.5,), (float(x),))
+                for x in (lam, np.nextafter(lam, 1.0))]
+    assert lattices[1] is not lattices[0]
+    assert [g.lams[0] for g in lattices] == [lam, np.nextafter(lam, 1.0)]
