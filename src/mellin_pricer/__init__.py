@@ -7,9 +7,8 @@ starting with :mod:`mellin_pricer.fft_pricer`.
 """
 
 from .boundary import (BoundaryCurve, TimeGrid, boundary_curve,
-                       boundary_residual_cap, capf_residual,
-                       critical_price_approx, premium_time_grid,
-                       simpson_weight)
+                       capf_residual, critical_price_approx,
+                       premium_time_grid, simpson_weight)
 from .errors import PricingError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
                          EUROPEAN_CALL, EUROPEAN_PUT, MellinFftGrid,
@@ -21,8 +20,8 @@ from .mellin_core import (BasketSpec, CovStruct, early_exercise_mellin,
                           lgamma_complex, multinomial_beta, payoff_mellin,
                           riskneutral_drift)
 from .oracles import (BsQuote, McConfig, american_put_node_sum,
-                      binomial_price, black_scholes, mc_basket_euro_put,
-                      price_direct_trapezoid)
+                      binomial_price, black_scholes, boundary_residual_cap,
+                      mc_basket_euro_put, price_direct_trapezoid)
 from .series_pricer import DwConfig, dw_price
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@
 :class:`TimeGrid`, and :func:`boundary_curve` alone makes a
 :class:`BoundaryCurve`: that grid, the market's strike-1 critical prices
 u_l at its nodes in node order, and the strike K, so node l reads
-S*_l = K u_l.  The American pricers take the curve alone.
+S*_l = K u_l.  The American pricers take the curve alone, made for a put
+by ``fft_pricer.put_boundary``.  This module reads no pricer; the curve's
+residual against the exact condition is ``oracles.boundary_residual_cap``.
 
 S* solves a smooth-pasting approximation for an array of calendar times t
 in one vectorised bracketed solve, so a cold curve costs one
@@ -55,7 +57,6 @@ from scipy.special import ndtr
 
 from .errors import NegativeRadicand, NoBracket
 from .mellin_core import BasketSpec, check_tau
-from .oracles import price_direct_trapezoid
 
 CRITICAL_PRICE_MODES = ("corrected", "printed", "sigma-squared")
 
@@ -464,31 +465,3 @@ def clear_boundary_cache():
     _unit_cache.clear()
     _moment_cache.clear()
     _request_cache.clear()
-
-
-def boundary_residual_cap(curve: BoundaryCurve, l, spec: BasketSpec, grid,
-                          mode="corrected"):
-    """Residual of the exact free-boundary condition at the curve's node
-    ``l``, time to expiry theta = ``curve.grid.tte[l]``.
-
-    Evaluates K - S* - [European term - premium term] at theta with
-    :func:`~mellin_pricer.oracles.price_direct_trapezoid` at S = S* on the
-    axis of ``grid``, the premium on the curve's M nodes over [0, theta].
-    A diagnostic of how well the approximate boundary satisfies the exact
-    smooth-pasted condition; not a solver.
-    """
-    if spec.n != 1:
-        raise ValueError("residual diagnostic is single-asset only")
-    # local import: fft_pricer depends on this module
-    from .fft_pricer import AMERICAN_PUT, EUROPEAN_PUT
-
-    tte, s_star = curve.grid.tte[l], curve.s_star[l]
-    if s_star <= 0.0:
-        return spec.strike  # empty exercise region, r = 0 limit
-    style, bnd = EUROPEAN_PUT, None  # no premium at expiry
-    if tte > 0:
-        style = AMERICAN_PUT
-        bnd = boundary_curve(spec, premium_time_grid(curve.grid.m, tte), mode)
-    put = price_direct_trapezoid(spec, grid.strip_a[0], grid.size,
-                                 grid.deltas[0], tte, s_star, style, bnd)
-    return spec.strike - s_star - put

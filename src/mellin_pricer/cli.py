@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-quality failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -21,9 +22,9 @@ from . import oracles, table1
 from .boundary import CRITICAL_PRICE_MODES, boundary_curve, premium_time_grid
 from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
-                         EUROPEAN_CALL, EUROPEAN_PUT, build_grid,
-                         landing_surface, put_boundary, reduce_to_put,
-                         surface_to_csv, surface_to_json)
+                         EUROPEAN_CALL, EUROPEAN_PUT, landing_surface,
+                         quote_request, reduce_to_put, surface_to_csv,
+                         surface_to_json)
 from .mellin_core import BasketSpec
 from .series_pricer import DwConfig, dw_price
 
@@ -175,14 +176,14 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
         return dw_price(float(put_spots[0]), tau, put_spec, cfg, put_style,
                         mode) + term
     if method == "trapezoid":
-        # on the landing grid's frequencies, comparable with fft
-        grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
-                          m_steps=args.grid_m, delta_target=args.delta_target)
-        bnd = put_boundary(put_style, put_spec,
-                           premium_time_grid(args.grid_m, tau), mode)
+        # fft's lattice and curve; a spot off the lattice exits 2, as there
+        lattice, curve = quote_request(put_spec, tau, put_style, args.grid_n,
+                                       args.grid_m, args.strip_a,
+                                       args.delta_target, mode)
+        lattice.land(put_spots, args.grid_m)
         return oracles.price_direct_trapezoid(
-            put_spec, grid.strip_a, grid.size, grid.deltas, tau, put_spots,
-            style=put_style, boundary=bnd) + term
+            put_spec, lattice, tau, put_spots, put_style,
+            curve and curve.at(put_spec.strike)) + term
     surf = landing_surface(put_spec, put_spots, tau, put_style, args.grid_n,
                            args.grid_m, args.strip_a, args.delta_target, mode)
     diagnostics["imag_residual"] = _fmt(surf.imag_residual)
@@ -301,10 +302,7 @@ def cmd_boundary(args, parser):
     spec = BasketSpec.single(float(args.strike), float(args.tau),
                              float(args.rate), div, float(args.vol[0]))
     times = premium_time_grid(args.grid_m, float(args.tau))
-    curve = boundary_curve(spec, times,
-                           mode=args.boundary_mode or "corrected")
-    import io
-
+    curve = boundary_curve(spec, times, args.boundary_mode or "corrected")
     buf = io.StringIO()
     curve.to_csv(buf)
     _write_out(args.out, buf.getvalue())
@@ -325,8 +323,6 @@ def cmd_table1(args, parser):
         strip_a=args.strip_a, dw_cfg=dw_cfg,
         binomial_steps=args.binomial_steps,
         boundary_mode=args.boundary_mode or "corrected")
-    import io
-
     buf = io.StringIO()
     table1.rows_to_csv(rows, max_dev, buf)
     _write_out(args.out, buf.getvalue())
@@ -429,7 +425,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args = _apply_config(args, parser)
     try:
-        return args.fn(args, parser)
+        # an overflow's numpy warnings would precede the one message: the
+        # quality gates turn every value that is not finite into exit 3
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args, parser)
     except (ImagResidualTooLarge, SurfaceQualityError) as exc:
         print(f"numerical quality failure: {exc} (the grid does not fit the "
               f"market: change --grid-n, --delta-target or --strip-a)",

@@ -130,11 +130,13 @@ Every contract is priced as a put.  :func:`reduce_to_put` is the one home
 of that reduction: an American call uses put-call symmetry
 C(S, K, r, q) = P(K, S, q, r) (single asset), and a European call uses
 parity in its basket form, C = P + sum_i S_i e^(-q_i T) - K e^(-r T).
-:func:`put_transform` is the one choice between the European, American
-and premium transforms.  :func:`contour_sum` is the one trapezoid sum on
-Re w = a at a single spot: a greek (on the lattice's pieces), the
-Dishon-Weiss series (on a contour folded at b = 0) and the direct
-trapezoid oracle (on the full lattice) all read it, and the FFT inverter
+:func:`put_boundary` is the one curve maker, :func:`put_transform` the one
+choice between the European, American and premium transforms, and
+:func:`contour_sum` the one trapezoid sum on Re w = a at a single spot,
+which a greek reads on the lattice's pieces.  :func:`contour_price`, that
+sum of the put transform plus node 0's step, is the one single-spot price,
+read by the Dishon-Weiss series (on a contour folded at b = 0) and the
+direct trapezoid oracle (on the full lattice).  The FFT inverter
 evaluates the same sum on the whole log-price lattice.
 """
 
@@ -840,16 +842,15 @@ def reduce_to_put(style, spec: BasketSpec, spots):
     return spec, spots, style, 0.0
 
 
-def put_boundary(style, spec: BasketSpec, grid, mode="corrected"):
-    """The exercise boundary :func:`put_transform` needs for ``style``.
-
-    None for the European put; otherwise the critical-price curve on the
-    premium time grid ``grid``, single-asset only.
-    """
+def put_boundary(style, spec: BasketSpec, tau, m_steps, mode="corrected"):
+    """The exercise boundary :func:`put_transform` needs for ``style``,
+    the one place a put's curve is made: None for the European put, else
+    the critical-price curve on ``premium_time_grid(m_steps, tau)``,
+    single-asset only."""
     if style == EUROPEAN_PUT:
         return None
     _single_asset_only(spec)
-    return boundary_curve(spec, grid, mode=mode)
+    return boundary_curve(spec, premium_time_grid(m_steps, tau), mode=mode)
 
 
 def put_transform(axes, spec: BasketSpec, tau, style, boundary):
@@ -906,13 +907,32 @@ def node0_step(spots, spec: BasketSpec, boundary):
     c_0 (qS - rK) 1{S < s*_0}, and the put carries minus the premium, so
     this is c_0 (rK - qS) :func:`node0_region`.  :func:`premium_moments`
     leaves the node out; every American reader adds this instead: the
-    surface, the single-spot sums, the series, and the greeks through
-    their multipliers' images.
+    surface, :func:`contour_price`, and the greeks through their
+    multipliers' images.
     """
     r, q = spec.rate, float(spec.dividends[0])
     spots = np.asarray(spots, dtype=float)
     return (boundary.grid.c[0] * (r * spec.strike - q * spots)
             * node0_region(spots, boundary))
+
+
+def contour_price(spec: BasketSpec, spots, tau, style, boundary, axes,
+                  weights):
+    """The ``style`` put at ``spots``: K times the :func:`contour_sum` of
+    the strike-1 :func:`put_transform` on ``axes`` with ``weights`` at S/K.
+
+    For the American and premium styles premium node 0 (t = 0, no
+    diffusion) is not in the transform: it is the step
+    c_0 (rK - qS) 1{S < s*_0} in the put, whose 1/|b| tail a truncated sum
+    would ring on, so it is added in S space, counted half at S = s*_0
+    (:func:`node0_step`), as on the lattice.
+    """
+    spots = np.atleast_1d(np.asarray(spots, dtype=float))
+    values = put_transform(axes, spec, tau, style, boundary)
+    out = spec.strike * contour_sum(values, axes, weights, spots / spec.strike)
+    if style != EUROPEAN_PUT:
+        out += float(node0_step(spots[0], spec, boundary))
+    return out
 
 
 def contour_sum(values, axes, weights, spots):
@@ -1229,10 +1249,9 @@ def quote_request(spec: BasketSpec, tau, style, size, m_steps=250,
                   strip_a=1.0, delta_target=0.25, boundary_mode="corrected"):
     """(lattice, curve): the spot- and strike-free part of the ``style``
     put's quotes and greeks on ``spec``'s market, the lattice of
-    :func:`build_grid` and, but for the European put, the strike-1
-    boundary of :func:`put_boundary` on ``premium_time_grid(m_steps,
-    tau)``.  Memoised in ``boundary._request_cache`` on all the inputs
-    but the strike, each exact (module docstring, "Strike").
+    :func:`build_grid` and the strike-1 curve of :func:`put_boundary`.
+    Memoised in ``boundary._request_cache`` on all the inputs but the
+    strike, each exact (module docstring, "Strike").
     """
     key = (style, size, m_steps, np.asarray(strip_a, float).tobytes(),
            delta_target, boundary_mode, tau, spec.maturity, spec.rate,
@@ -1240,9 +1259,8 @@ def quote_request(spec: BasketSpec, tau, style, size, m_steps=250,
     hit = _request_cache.get(key)
     if hit is not None:
         return hit
-    curve = None if style == EUROPEAN_PUT else put_boundary(
-        style, replace(spec, strike=1.0), premium_time_grid(m_steps, tau),
-        boundary_mode)
+    curve = put_boundary(style, replace(spec, strike=1.0), tau, m_steps,
+                         boundary_mode)
     return _request_cache.add(key, (_grid_lattice(spec.n, size, strip_a,
                                                   delta_target), curve))
 
@@ -1251,11 +1269,10 @@ def landing_surface(spec: BasketSpec, spots, tau, style, size, m_steps=250,
                     strip_a=1.0, delta_target=0.25,
                     boundary_mode="corrected"):
     """The ``style`` put's :class:`PriceSurface` on a lattice that lands
-    on ``spots`` (:func:`build_grid`), its boundary on the premium time
-    grid of ``m_steps`` nodes over ``tau`` (:func:`put_boundary`); its
-    ``landing_value()`` is the price at ``spots``.  The one chain of the
-    quotes, :func:`greek_fd` and the CLI: the market's
-    :func:`quote_request`, the landing and one :func:`price_surface`.
+    on ``spots`` (:func:`build_grid`); its ``landing_value()`` is the price
+    at ``spots``.  The one chain of the quotes, :func:`greek_fd` and the
+    CLI: the market's :func:`quote_request`, the landing and one
+    :func:`price_surface`.
     """
     lattice, curve = quote_request(spec, tau, style, size, m_steps, strip_a,
                                    delta_target, boundary_mode)

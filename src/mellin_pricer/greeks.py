@@ -17,7 +17,7 @@ transform positively (the base price itself has fE = 1, fP = -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -325,12 +325,14 @@ def greek_fd(kind: GreekKind, spot, tau, spec: BasketSpec,
              style=EUROPEAN_PUT, h_rel=1e-4, size=None, m_steps=250,
              strip_a=1.0, delta_target=0.25, boundary_mode="corrected",
              price_fn=None):
-    """Central finite difference of the corresponding price.
+    """Central finite difference of the corresponding price, in the moved
+    input (spot i, tau, r, sigma_i or q_i) by h = h_rel * max(|input|, 1).
 
-    Bump h = h_rel * max(|parameter|, 1).  Theta uses the -dV/dt = +dV/dtau
-    convention.  ``price_fn(spot, tau, spec) -> float`` substitutes the
-    pricing routine (tests inject constant functions to validate the
-    differencing itself).
+    Theta uses the -dV/dt = +dV/dtau convention and h <= tau / 2, delta2
+    four points; rho and xi are one-sided where the lower move would cross
+    0.  ``price_fn(spot, tau, spec) -> float`` substitutes the pricing
+    routine (tests inject constant functions to validate the differencing
+    itself).
     """
     if not 0 < h_rel <= 1e-2:
         raise ValueError("h_rel must lie in (0, 1e-2]")
@@ -343,28 +345,7 @@ def greek_fd(kind: GreekKind, spot, tau, spec: BasketSpec,
             sp, s, t, style, size, m_steps, strip_a, delta_target,
             boundary_mode).landing_value()
 
-    def respec(rate=None, dividends=None, vols=None):
-        return BasketSpec(
-            n=spec.n, strike=spec.strike, maturity=spec.maturity,
-            rate=spec.rate if rate is None else rate,
-            dividends=spec.dividends if dividends is None else dividends,
-            vols=spec.vols if vols is None else vols, corr=spec.corr)
-
     i = kind.i - 1
-    if kind.name == "delta1":
-        h = h_rel * max(abs(spot[i]), 1.0)
-        up, dn = spot.copy(), spot.copy()
-        up[i] += h
-        dn[i] -= h
-        return (price_fn(up, tau, spec) - price_fn(dn, tau, spec)) / (2 * h)
-    if kind.name == "gamma":
-        h = h_rel * max(abs(spot[i]), 1.0)
-        up, dn = spot.copy(), spot.copy()
-        up[i] += h
-        dn[i] -= h
-        mid = price_fn(spot, tau, spec)
-        return (price_fn(up, tau, spec) - 2 * mid
-                + price_fn(dn, tau, spec)) / h**2
     if kind.name == "delta2":
         jx = kind.j - 1
         hi = h_rel * max(abs(spot[i]), 1.0)
@@ -377,32 +358,27 @@ def greek_fd(kind: GreekKind, spot, tau, spec: BasketSpec,
             acc += si * sj_ * price_fn(s, tau, spec)
         return acc / (4 * hi * hj)
     if kind.name == "theta":
-        h = h_rel * max(abs(tau), 1.0)
-        h = min(h, 0.5 * tau)
+        h = min(h_rel * max(abs(tau), 1.0), 0.5 * tau)
         return (price_fn(spot, tau + h, spec)
                 - price_fn(spot, tau - h, spec)) / (2 * h)
-    if kind.name == "rho":
-        h = h_rel * max(abs(spec.rate), 1.0)
-        if spec.rate - h < 0:
-            return (price_fn(spot, tau, respec(rate=spec.rate + h))
-                    - price_fn(spot, tau, spec)) / h
-        return (price_fn(spot, tau, respec(rate=spec.rate + h))
-                - price_fn(spot, tau, respec(rate=spec.rate - h))) / (2 * h)
-    if kind.name == "nu":
-        h = h_rel * max(abs(spec.vols[i]), 1.0)
-        up, dn = spec.vols.copy(), spec.vols.copy()
-        up[i] += h
-        dn[i] -= h
-        return (price_fn(spot, tau, respec(vols=up))
-                - price_fn(spot, tau, respec(vols=dn))) / (2 * h)
-    if kind.name == "xi":
-        h = h_rel * max(abs(spec.dividends[i]), 1.0)
-        up, dn = spec.dividends.copy(), spec.dividends.copy()
-        up[i] += h
-        dn[i] -= h
-        if dn[i] < 0:
-            return (price_fn(spot, tau, respec(dividends=up))
-                    - price_fn(spot, tau, spec)) / h
-        return (price_fn(spot, tau, respec(dividends=up))
-                - price_fn(spot, tau, respec(dividends=dn))) / (2 * h)
-    raise AssertionError(kind.name)
+
+    field = {"rho": "rate", "nu": "vols", "xi": "dividends"}.get(kind.name)
+    base = spot if field is None else getattr(spec, field)
+    x = base if field == "rate" else base[i]
+
+    def price_at(v):
+        """The price with the moved input at v."""
+        if field == "rate":
+            return price_fn(spot, tau, replace(spec, rate=v))
+        moved = base.copy()
+        moved[i] = v
+        return (price_fn(moved, tau, spec) if field is None
+                else price_fn(spot, tau, replace(spec, **{field: moved})))
+
+    h = h_rel * max(abs(x), 1.0)
+    if kind.name == "gamma":
+        mid = price_fn(spot, tau, spec)
+        return (price_at(x + h) - 2 * mid + price_at(x - h)) / h**2
+    if kind.name in ("rho", "xi") and x - h < 0:
+        return (price_at(x + h) - price_fn(spot, tau, spec)) / h
+    return (price_at(x + h) - price_at(x - h)) / (2 * h)

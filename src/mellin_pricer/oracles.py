@@ -1,10 +1,13 @@
-"""Independent pricing references used for validation.
+"""Pricing references used for validation.
 
 Binomial lattice (benchmark truth for American options), closed-form
 Black-Scholes with continuous dividend plus its Greeks, Monte Carlo basket
-pricing with antithetic variates, a direct (no-FFT) trapezoid evaluation
-of the Mellin inversion at a single spot, and the closed-form sum over the
-premium's time nodes that the American inversions converge to.
+pricing with antithetic variates, and the closed-form sum over the
+premium's time nodes that the American inversions converge to.  The direct
+(no-FFT) trapezoid at a single spot and the boundary's residual, which
+reads it, are not independent: they share the pricer's transform
+(:func:`~mellin_pricer.fft_pricer.contour_price`) and check only its
+inversion.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidProbability, OutOfRange
+from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, contour_price,
+                         put_boundary)
 from .mellin_core import BasketSpec, check_finite_spot, check_tau
 
 EURO_PUT = "euro_put"
@@ -423,39 +428,49 @@ def basket_euro_put_conditional(spec: BasketSpec, spots, tau, nodes=64):
 # ---------------------------------------------------------------------------
 
 
-def price_direct_trapezoid(spec: BasketSpec, strip_a, size, deltas, tau, spot,
-                           style="european_put", boundary=None):
+def price_direct_trapezoid(spec: BasketSpec, lattice, tau, spot,
+                           style=EUROPEAN_PUT, boundary=None):
     """Mellin inversion at one spot via the plain truncated trapezoid sum.
 
-    On the FFT lattice's axes a_i + i (j - size // 2) delta_i, j < size;
-    shares the transform evaluation with the FFT pricer (``boundary`` as
-    in :func:`~mellin_pricer.fft_pricer.put_transform`) and adds the
-    American premium's node 0 in S space as it does
-    (:func:`~mellin_pricer.fft_pricer.node0_step`), so at a lattice
-    landing point the two agree to reordering-level rounding.  Like the
-    lattice, it sums the strike-1 transform at S/K and scales by K, by the
-    one single-spot sum (:func:`~mellin_pricer.fft_pricer.contour_sum`).
+    On the full lattice of ``lattice`` (a
+    :class:`~mellin_pricer.fft_pricer.Lattice`), its ``axes``
+    a_i + i (j - N/2) delta_i, j < N, with the cells delta_i / 2 pi: the
+    pricer's single-spot price
+    (:func:`~mellin_pricer.fft_pricer.contour_price`, ``boundary`` as in
+    :func:`~mellin_pricer.fft_pricer.put_transform`), so at a lattice
+    landing point it agrees with the FFT to reordering-level rounding.
     """
-    from .fft_pricer import (EUROPEAN_PUT, Axis, contour_sum, node0_step,
-                             put_transform)
-
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if spot.shape != (spec.n,):
         raise ValueError(f"spot must have length n={spec.n}")
     check_finite_spot(spot)
     if np.any(spot <= 0):
         raise OutOfRange("spot must be positive")
-    strip_a = np.broadcast_to(np.asarray(strip_a, dtype=float), (spec.n,))
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (spec.n,))
+    return contour_price(spec, spot, tau, style, boundary, lattice.axes,
+                         lattice.deltas / (2.0 * math.pi))
 
-    axes = tuple(Axis(a, d, -(size // 2), size)
-                 for a, d in zip(strip_a, deltas))
-    values = put_transform(axes, spec, tau, style, boundary)
-    out = spec.strike * contour_sum(values, axes, deltas / (2.0 * math.pi),
-                                    spot / spec.strike)
-    if style != EUROPEAN_PUT:
-        out += float(node0_step(spot[0], spec, boundary))
-    return out
+
+def boundary_residual_cap(curve, l, spec: BasketSpec, grid, mode="corrected"):
+    """Residual of the exact free-boundary condition at node ``l`` of
+    ``curve`` (a :class:`~mellin_pricer.boundary.BoundaryCurve`), time to
+    expiry theta = ``curve.grid.tte[l]``.
+
+    Evaluates K - S* - [European term - premium term] at theta with
+    :func:`price_direct_trapezoid` at S = S* on the lattice of ``grid``,
+    the premium on the curve's M nodes over [0, theta]: how well the
+    approximate boundary satisfies the exact smooth-pasted condition, a
+    diagnostic, not a solver.
+    """
+    if spec.n != 1:
+        raise ValueError("residual diagnostic is single-asset only")
+    tte, s_star = curve.grid.tte[l], curve.s_star[l]
+    if s_star <= 0.0:
+        return spec.strike  # empty exercise region, r = 0 limit
+    style = AMERICAN_PUT if tte > 0 else EUROPEAN_PUT  # no premium at expiry
+    put = price_direct_trapezoid(
+        spec, grid.lattice, tte, s_star, style,
+        put_boundary(style, spec, tte, curve.grid.m, mode))
+    return spec.strike - s_star - put
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolation
-from .boundary import premium_time_grid
-from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis, contour_sum,
-                         node0_step, put_boundary, put_transform,
-                         reduce_to_put)
+from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, Axis, contour_price,
+                         put_boundary, reduce_to_put)
 from .mellin_core import BasketSpec, check_finite_spot
 
 
@@ -59,18 +57,13 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
              style=AMERICAN_PUT, boundary_mode="corrected"):
     """Series-inversion put price at ``spot``.
 
-    The series is the one single-spot trapezoid sum
-    (:func:`~mellin_pricer.fft_pricer.contour_sum`) on a contour folded at
-    b = 0: the real point w_0 = a carries weight h / 2 pi and each
-    w_j = a + i j h, h = pi / L, weight 2 h / 2 pi for itself and its
-    conjugate.  The sum is K times that of the strike-1 transform at S/K
-    (:func:`~mellin_pricer.fft_pricer.put_transform`).
-
-    For the American and premium styles the premium's time node 0 (t = 0,
-    no diffusion) is not in the transform: it is the step
-    c_0 (rK - qS) 1{S < s*_0} in the put, whose 1/|b| tail the truncated
-    series would ring on, and it is added in S space instead, counted half
-    at S = s*_0 (:func:`~mellin_pricer.fft_pricer.node0_step`).
+    The series is the pricer's one single-spot price
+    (:func:`~mellin_pricer.fft_pricer.contour_price`, premium node 0 in
+    S space) on a contour folded at b = 0: the real point w_0 = a carries
+    weight h / 2 pi and each w_j = a + i j h, h = pi / L, weight
+    2 h / 2 pi for itself and its conjugate.  The boundary is
+    :func:`~mellin_pricer.fft_pricer.put_boundary`'s on ``cfg.m_steps``
+    nodes.
     """
     if spec.n != 1:
         raise ValueError("series inversion is single-asset only")
@@ -81,17 +74,10 @@ def dw_price(spot, tau, spec: BasketSpec, cfg: DwConfig | None = None,
     if abs(x) > cfg.log_range / 2.0:
         raise RangeViolation(
             f"|ln spot| = {abs(x):g} exceeds L/2 = {cfg.log_range / 2.0:g}")
-    axes = cfg.axes
-    bnd = put_boundary(style, spec, premium_time_grid(cfg.m_steps, tau),
-                       boundary_mode)
-    values = put_transform(axes, spec, tau, style, bnd)
-    weights = np.full(axes[0].count, 1.0 / cfg.log_range)  # 2 h / 2 pi
+    weights = np.full(cfg.n_terms + 1, 1.0 / cfg.log_range)  # 2 h / 2 pi
     weights[0] /= 2.0
-    out = spec.strike * contour_sum(values, axes, (weights,),
-                                    [spot / spec.strike])
-    if bnd is not None:
-        out += float(node0_step(spot, spec, bnd))
-    return out
+    return contour_price(spec, spot, tau, style, put_boundary(
+        style, spec, tau, cfg.m_steps, boundary_mode), cfg.axes, (weights,))
 
 
 def dw_price_american_call(spot, strike, rate, dividend, vol, tau,

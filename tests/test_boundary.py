@@ -16,15 +16,14 @@ from conftest import GROUPING_PARAMS, assert_close
 from mellin_pricer import boundary
 from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
                                     BoundaryCurve, boundary_curve,
-                                    boundary_residual_cap, capf_residual,
-                                    clear_boundary_cache,
+                                    capf_residual, clear_boundary_cache,
                                     critical_price_approx, premium_time_grid)
 from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, build_grid,
                                       premium_moments, price_american_call,
                                       price_surface)
 from mellin_pricer.mellin_core import BasketSpec
-from mellin_pricer.oracles import black_scholes
+from mellin_pricer.oracles import black_scholes, boundary_residual_cap
 
 
 def bisect_root(g, lo, hi, iterations=200):

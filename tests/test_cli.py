@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestPriceCommand:
         assert code == 2
         assert out == ""
         assert "spot must be finite" in err
+
+    @pytest.mark.parametrize("method", ["fft", "trapezoid"])
+    def test_spot_off_the_lattice_exits_2(self, capsys, method):
+        # both land the spot on the market's lattice first
+        code, out, err = run_cli(
+            capsys, "price", "--method", method, "--style", "amer-put",
+            "--spot", "1e300", "--strike", "100", "--rate", "0.05",
+            "--div", "0.03", "--vol", "0.25", "--tau", "1",
+            "--grid-n", "4096", "--grid-m", "8")
+        assert code == 2
+        assert out == ""
+        assert "outside the lattice" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("method, flag", [
@@ -461,6 +474,20 @@ class TestQualityFailure:
         assert out == ""
         assert "not finite" in err
         assert "--strip-a" in err and "--grid-n" in err
+
+    @pytest.mark.parametrize("method", ["fft", "dw", "trapezoid"])
+    def test_non_finite_price_warns_nothing(self, capsys, method):
+        # the overflow's numpy RuntimeWarnings used to reach stderr before
+        # the one message; as errors, the first escaped as an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                capsys, "price", "--method", method, "--style", "amer-put",
+                "--spot", "100", "--strike", "100", "--rate", "0.05",
+                "--div", "0.02", "--vol", "0.2", "--tau", "0.5",
+                "--grid-n", "4096", "--strip-a", "700")
+        assert code == 3
+        assert out == ""
 
     @pytest.mark.parametrize("style", ["amer-put", "euro-put"])
     def test_non_finite_surface_names_the_flags(self, capsys, style):

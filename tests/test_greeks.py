@@ -110,6 +110,22 @@ class TestFiniteDifferences:
             assert greek_fd(kind, [100.0], 1.0, self.spec, EUROPEAN_PUT,
                             h_rel=1e-3, price_fn=const) == 0.0
 
+    def test_theta_bump_stays_inside_tau(self):
+        # h = h_rel max(tau, 1) is capped at tau / 2, so tau - h stays > 0
+        taus = []
+        greek_fd(gk.theta(), [100.0], 1e-3, self.spec, EUROPEAN_PUT,
+                 h_rel=1e-2, price_fn=lambda s, t, sp: taus.append(t) or 0.0)
+        assert taus == pytest.approx([1.5e-3, 5e-4], rel=1e-12)
+
+    def test_rho_and_xi_are_one_sided_at_zero(self):
+        # the lower move would give a negative r or q, which a spec refuses
+        spec = BasketSpec.single(100.0, 1.0, 0.0, 0.0, 0.2)
+        square = lambda s, t, sp: sp.rate**2 + float(sp.dividends[0])**2
+        for kind in (gk.rho(), gk.xi()):
+            got = greek_fd(kind, [100.0], 1.0, spec, EUROPEAN_PUT,
+                           h_rel=1e-3, price_fn=square)
+            assert got == pytest.approx(1e-3, rel=1e-12)
+
     def test_deep_itm_payoff_slope(self):
         # near expiry and deep in the money the put price is K - S
         spec = BasketSpec.single(100.0, 0.01, 0.05, 0.0, 0.2)
@@ -339,7 +355,7 @@ def test_bad_tau_is_refused(tau, style):
     # and greek had no check at all
     spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
     grid = build_grid(1, 2**10, 1.0, [100.0], m_steps=20)
-    bnd = put_boundary(style, spec, premium_time_grid(20, 0.5))
+    bnd = put_boundary(style, spec, 0.5, 20)
     with pytest.raises(ValueError, match="tau must be positive"):
         price_surface(spec, grid, tau, style, boundary=bnd)
     with pytest.raises(ValueError, match="tau must be positive"):

@@ -306,17 +306,15 @@ class TestDirectTrapezoid:
 
     def test_matches_fft_at_landing_european(self):
         surf = price_surface(self.spec, self.grid, 0.5, EUROPEAN_PUT)
-        direct = price_direct_trapezoid(
-            self.spec, self.grid.strip_a, self.grid.size, self.grid.deltas,
-            0.5, [100.0], EUROPEAN_PUT)
+        direct = price_direct_trapezoid(self.spec, self.grid.lattice, 0.5,
+                                        [100.0], EUROPEAN_PUT)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_matches_fft_at_landing_american(self):
         surf = price_surface(self.spec, self.grid, 0.5, AMERICAN_PUT,
                              boundary=self.curve)
-        direct = price_direct_trapezoid(
-            self.spec, self.grid.strip_a, self.grid.size, self.grid.deltas,
-            0.5, [100.0], AMERICAN_PUT, boundary=self.curve)
+        direct = price_direct_trapezoid(self.spec, self.grid.lattice, 0.5,
+                                        [100.0], AMERICAN_PUT, self.curve)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_matches_fft_at_landing_inside_the_node_0_step(self):
@@ -324,15 +322,15 @@ class TestDirectTrapezoid:
         grid = build_grid(1, 2**13, 1.0, [50.0], m_steps=60)
         surf = price_surface(self.spec, grid, 0.5, AMERICAN_PUT,
                              boundary=self.curve)
-        direct = price_direct_trapezoid(
-            self.spec, grid.strip_a, grid.size, grid.deltas,
-            0.5, [50.0], AMERICAN_PUT, boundary=self.curve)
+        direct = price_direct_trapezoid(self.spec, grid.lattice, 0.5,
+                                        [50.0], AMERICAN_PUT, self.curve)
         assert abs(surf.landing_value() - direct) <= 1e-10 * abs(direct)
 
     def test_payoff_reconstruction_off_kink(self):
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.0, 0.2)
-        direct = price_direct_trapezoid(
-            spec, [1.0], 2**14, [0.25], 1e-12, [80.0], EUROPEAN_PUT)
+        lattice = build_grid(1, 2**14, 1.0, [80.0]).lattice
+        direct = price_direct_trapezoid(spec, lattice, 1e-12, [80.0],
+                                        EUROPEAN_PUT)
         assert abs(direct - 20.0) < 1e-4
 
     def test_fft_surface_beats_repeated_direct_calls(self):
@@ -345,8 +343,7 @@ class TestDirectTrapezoid:
         t_fft = time.perf_counter() - t0
         t0 = time.perf_counter()
         for k in range(16):
-            price_direct_trapezoid(spec, grid.strip_a, grid.size,
-                                   grid.deltas, 0.5, [90.0 + k],
+            price_direct_trapezoid(spec, grid.lattice, 0.5, [90.0 + k],
                                    EUROPEAN_PUT)
         t_direct = time.perf_counter() - t0
         assert t_fft < t_direct

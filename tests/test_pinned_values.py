@@ -6,14 +6,20 @@ the paper's table and the American greeks to 1e-12 relative, the binomial
 column exactly.  The series column was re-pinned once, when the series
 began to sum the premium's t = 0 node in S space, and the FFT column and
 the greeks once, when the lattice did the same; every moved price moved
-toward the closed-form node sum.
+toward the closed-form node sum.  The direct trapezoid, the boundary
+residual, the series put at the benchmark's anchor and ``greek_fd`` were
+pinned before these single-spot routes were rewired onto one contour price.
 """
 
 import pytest
 
 from mellin_pricer import greeks as gk
-from mellin_pricer.fft_pricer import AMERICAN_PUT
+from mellin_pricer.boundary import boundary_curve, premium_time_grid
+from mellin_pricer.fft_pricer import AMERICAN_PUT, EUROPEAN_PUT, build_grid
 from mellin_pricer.mellin_core import BasketSpec
+from mellin_pricer.oracles import (boundary_residual_cap,
+                                   price_direct_trapezoid)
+from mellin_pricer.series_pricer import DwConfig, dw_price
 from mellin_pricer.table1 import run_table1
 
 RTOL = 1e-12
@@ -98,4 +104,75 @@ def test_american_greeks(mode, name):
     got = gk.greek(KINDS[name], [100.0], 0.5, spec, style=AMERICAN_PUT,
                    mode=mode)
     want = PINNED_GREEKS[mode][name]
+    assert abs(got - want) <= RTOL * abs(want)
+
+
+#: greek_fd of the American put on the PINNED_GREEKS market, default grid,
+#: h_rel = 1e-4, maturity tau + 1e-3 so that theta's bump stays inside it
+PINNED_GREEK_FD = {
+    "delta1": -0.43339947260405687,
+    "gamma": 0.019549284369091424,
+    "theta": 6.616933401399905,
+    "rho": -18.880640323453157,
+    "nu": 27.418787545623324,
+    "xi": 16.424344775676225,
+}
+#: the American put at the benchmark's anchor (r = 0.06, q = 0.02,
+#: sigma = 0.3, tau = 0.5, K = 100), spots 80, 100, 120, 1000 series terms
+PINNED_DW_ANCHOR = (20.49854211640746, 7.547047058516075, 2.1030498190527576)
+#: (spec, M, N, node, residual) on TestResidualDiagnostic's markets: the
+#: grouping-1 market and its put-call symmetric one, a grid at S = 100
+PINNED_RESIDUAL = (
+    ("call", 250, 2**14, 249, 1.8621944946062285e-05),
+    ("call", 250, 2**14, 248, -2.9789477906660977e-07),
+    ("put", 250, 2**14, 249, -0.015542467519643298),
+    ("call", 50, 2**12, 44, -7.94141086899458e-05),
+)
+
+
+def test_direct_trapezoid_basket_put():
+    # the CI basket: European 2-asset put at (48, 53), N = 2^9
+    spec = BasketSpec(n=2, strike=100.0, maturity=0.5, rate=0.05,
+                      dividends=[0.02, 0.03], vols=[0.2, 0.3],
+                      corr=[[1.0, 0.5], [0.5, 1.0]])
+    grid = build_grid(2, 2**9, 1.0, [48.0, 53.0])
+    got = price_direct_trapezoid(spec, grid.lattice, 0.5, [48.0, 53.0],
+                                 EUROPEAN_PUT)
+    assert abs(got - 5.091576589583716) <= RTOL * 5.091576589583716
+
+
+def test_direct_trapezoid_american_put():
+    # table1's grouping 1 as a put (r = 0.03, q = 0.07), S = K = 100
+    spec = BasketSpec.single(100.0, 0.5, 0.03, 0.07, 0.2)
+    curve = boundary_curve(spec, premium_time_grid(250, 0.5))
+    grid = build_grid(1, 2**14, 1.0, [100.0])
+    got = price_direct_trapezoid(spec, grid.lattice, 0.5, [100.0],
+                                 AMERICAN_PUT, curve)
+    assert abs(got - 6.528413677114157) <= RTOL * 6.528413677114157
+
+
+@pytest.mark.parametrize("which,m,size,node,want", PINNED_RESIDUAL)
+def test_boundary_residual(which, m, size, node, want):
+    r, q = (0.03, 0.07) if which == "call" else (0.07, 0.03)
+    spec = BasketSpec.single(100.0, 0.5, r, q, 0.2)
+    curve = boundary_curve(spec, premium_time_grid(m, 0.5))
+    grid = build_grid(1, size, 1.0, [100.0], m_steps=m)
+    got = boundary_residual_cap(curve, node, spec, grid)
+    assert abs(got - want) <= RTOL * abs(want)
+
+
+@pytest.mark.parametrize("spot,want", zip((80.0, 100.0, 120.0),
+                                          PINNED_DW_ANCHOR))
+def test_series_american_put_at_the_anchor(spot, want):
+    spec = BasketSpec.single(100.0, 0.5, 0.06, 0.02, 0.3)
+    got = dw_price(spot, 0.5, spec, DwConfig(n_terms=1000, m_steps=250))
+    assert abs(got - want) <= RTOL * abs(want)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_american_greek_fd(name):
+    spec = BasketSpec.single(100.0, 0.5 + 1e-3, 0.06, 0.02, 0.3)
+    got = gk.greek_fd(KINDS[name], [100.0], 0.5, spec, style=AMERICAN_PUT,
+                      h_rel=1e-4)
+    want = PINNED_GREEK_FD[name]
     assert abs(got - want) <= RTOL * abs(want)
