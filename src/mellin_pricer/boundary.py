@@ -29,18 +29,12 @@ formula modes are available:
 ``sigma-squared``
     delta = sigma^2/2 + (q-r)/sigma + 2r and exp(+q (T-t)); same guards.
 
-The critical price is homogeneous of degree 1 in (S, K), so every curve
-is solved at K = 1, once per market, node times, tau and mode, and shared
-by every strike: the five calls of one market read one solve.  The solved
-arrays are kept in a bounded least-recently-used cache of CACHE_SIZE
-entries; they are read-only and shared, so repeated requests are
-bit-identical.  A second cache, of MOMENT_CACHE_SIZE entries, holds the
-strike-free transforms of ``fft_pricer`` that quotes and greeks share,
-each keyed on its exact inputs, and a third, of REQUEST_CACHE_SIZE
-entries, the spot- and strike-free part of a market's quotes
-(``fft_pricer.quote_request``): lattice, time grid and strike-1 curve.
-:func:`clear_boundary_cache` empties all three; each counts its hits and
-misses.
+S* is homogeneous of degree 1 in (S, K), so a curve is solved at K = 1
+and serves every strike.  Two bounded least-recently-used caches live
+here, keyed on exact inputs and holding read-only arrays: the strike-1
+curves of ``fft_pricer.put_boundary`` (:func:`boundary_curve` is the
+plain solve) and the strike-free transforms of ``fft_pricer``.
+:func:`clear_boundary_cache` empties both and zeroes their counts.
 """
 
 from __future__ import annotations
@@ -414,8 +408,9 @@ class _LruCache:
             self.hits = self.misses = 0
 
 
-CACHE_SIZE = 256  # strike-1 curves; an M = 250 curve holds 2 kB
-_unit_cache = _LruCache(CACHE_SIZE)
+# fft_pricer.put_boundary's curves, 6 kB at M = 250; amer_book needs two
+CURVE_CACHE_SIZE = 8
+_curve_cache = _LruCache(CURVE_CACHE_SIZE)
 # Strike-free transforms shared by quotes and greeks, one entry each: a
 # one-asset strike-1 payoff transform per (market, contour) (0.13 MB at
 # N = 2^14); a dict per (market, strike-1 curve, contour) of the premium
@@ -425,43 +420,28 @@ _unit_cache = _LruCache(CACHE_SIZE)
 # greeks at every spot and strike, and its calls, need four.
 MOMENT_CACHE_SIZE = 4
 _moment_cache = _LruCache(MOMENT_CACHE_SIZE)
-# (lattice, strike-1 curve) per market, put style and grid, 6 kB at M = 250
-# (fft_pricer.quote_request); an amer_book book needs two
-REQUEST_CACHE_SIZE = 8
-_request_cache = _LruCache(REQUEST_CACHE_SIZE)
 
 
 def boundary_curve(spec: BasketSpec, grid: TimeGrid, mode="corrected"):
     """The critical prices of ``spec`` at the times to expiry of the
     premium grid ``grid`` (:class:`BoundaryCurve`).
 
-    The critical price is homogeneous of degree 1 in (S, K), so the curve
-    holds the market's strike-1 prices u, solved once and shared by every
-    strike.  They are cached on the exact bytes of every market parameter
-    but the strike, the grid's tau and nodes, and on ``mode``: two calls
-    with identical inputs read the same read-only array, and markets that
-    differ in any bit do not share one.  ``ValueError`` for a grid longer
-    than the contract.
+    The curve holds the market's strike-1 prices u, shared by every
+    strike and solved in one :func:`critical_price_approx` call, unmemoised
+    (``fft_pricer.put_boundary`` memoises it).  ``ValueError`` for a grid
+    longer than the contract.
     """
     if not grid.tau <= spec.maturity + 1e-12:
         raise ValueError("require 0 < tau <= maturity")
-    key = (np.concatenate([[spec.maturity, spec.rate], spec.dividends,
-                           spec.vols, spec.corr.ravel(), [grid.tau],
-                           grid.t]).tobytes(), mode)
-    u = _unit_cache.get(key)
-    if u is None:
-        unit = dataclasses.replace(spec, strike=1.0)
-        # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
-        u = critical_price_approx(np.maximum(unit.maturity - grid.tte, 0.0),
-                                  unit, mode)
-        u.setflags(write=False)
-        u = _unit_cache.add(key, u)
+    unit = dataclasses.replace(spec, strike=1.0)
+    # l * (tau / (M-1)) can exceed tau = maturity by an ulp at l = M-1
+    u = critical_price_approx(np.maximum(unit.maturity - grid.tte, 0.0),
+                              unit, mode)
     return BoundaryCurve(grid, u, spec.strike)
 
 
 def clear_boundary_cache():
-    """Empty the cache of strike-1 curves, the cache of strike-free
-    transforms and the cache of quote requests, and zero their counts."""
-    _unit_cache.clear()
+    """Empty the cache of strike-1 curves and the cache of strike-free
+    transforms, and zero their counts."""
+    _curve_cache.clear()
     _moment_cache.clear()
-    _request_cache.clear()

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import greeks as greeks_mod
 from . import oracles, table1
-from .boundary import CRITICAL_PRICE_MODES, boundary_curve, premium_time_grid
+from .boundary import CRITICAL_PRICE_MODES
 from .errors import ImagResidualTooLarge, PricingError, SurfaceQualityError
 from .fft_pricer import (AMERICAN_CALL, AMERICAN_PUT, EARLY_EXERCISE_PREMIUM,
-                         EUROPEAN_CALL, EUROPEAN_PUT, landing_surface,
-                         quote_request, reduce_to_put, surface_to_csv,
-                         surface_to_json)
+                         EUROPEAN_CALL, EUROPEAN_PUT, build_grid,
+                         landing_surface, put_boundary, reduce_to_put,
+                         surface_to_csv, surface_to_json)
 from .mellin_core import BasketSpec
 from .series_pricer import DwConfig, dw_price
 
@@ -176,14 +176,12 @@ def _price_inversion(args, method, spec, spots, style, diagnostics):
         return dw_price(float(put_spots[0]), tau, put_spec, cfg, put_style,
                         mode) + term
     if method == "trapezoid":
-        # fft's lattice and curve; a spot off the lattice exits 2, as there
-        lattice, curve = quote_request(put_spec, tau, put_style, args.grid_n,
-                                       args.grid_m, args.strip_a,
-                                       args.delta_target, mode)
-        lattice.land(put_spots, args.grid_m)
+        # fft's curve and lattice; a spot off the lattice exits 2, as there
+        curve = put_boundary(put_style, put_spec, tau, args.grid_m, mode)
+        grid = build_grid(put_spec.n, args.grid_n, args.strip_a, put_spots,
+                          args.grid_m, args.delta_target)
         return oracles.price_direct_trapezoid(
-            put_spec, lattice, tau, put_spots, put_style,
-            curve and curve.at(put_spec.strike)) + term
+            put_spec, grid.lattice, tau, put_spots, put_style, curve) + term
     surf = landing_surface(put_spec, put_spots, tau, put_style, args.grid_n,
                            args.grid_m, args.strip_a, args.delta_target, mode)
     diagnostics["imag_residual"] = _fmt(surf.imag_residual)
@@ -301,8 +299,8 @@ def cmd_boundary(args, parser):
     div = float(args.div[0]) if args.div else 0.0
     spec = BasketSpec.single(float(args.strike), float(args.tau),
                              float(args.rate), div, float(args.vol[0]))
-    times = premium_time_grid(args.grid_m, float(args.tau))
-    curve = boundary_curve(spec, times, args.boundary_mode or "corrected")
+    curve = put_boundary(AMERICAN_PUT, spec, float(args.tau), args.grid_m,
+                         args.boundary_mode or "corrected")
     buf = io.StringIO()
     curve.to_csv(buf)
     _write_out(args.out, buf.getvalue())

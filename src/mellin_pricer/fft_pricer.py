@@ -115,14 +115,13 @@ and per market and boundary the premium moments, the premium transform,
 its t-weighted sum and the American transform (:func:`premium_sums`).
 The rest of what does not depend on the spot is one :class:`Lattice`
 per (n, N, a, delta, lambda): axes, read-out vector, contour-sum
-weights, central half and prices at origin 0; with the strike-1
-boundary it is a market's :func:`quote_request`, memoised in
-``boundary._request_cache``.  So a warm quote computes only what its spot
-and strike move: the request and transform lookups, the landing, the
-input phase (about 2 sqrt(N) exps, signs included, and one multiply),
-one inverse FFT and its read-out, node 0's step (affine in the lattice
-prices) and the quality gates; a warm greek, a contour sum in place of
-the FFT.
+weights, central half and prices at origin 0 (:func:`build_grid`), and
+an American put's strike-1 curve (:func:`put_boundary`).  A warm quote
+looks up the curve, the lattice and the transforms, each in its own memo,
+and computes only what its spot and strike move: the landing, the input
+phase (about 2 sqrt(N) exps, signs included, and one multiply), one
+inverse FFT and its read-out, node 0's step (affine in the lattice
+prices) and the gates; a warm greek, a contour sum in place of the FFT.
 
 Calls
 -----
@@ -130,9 +129,9 @@ Every contract is priced as a put.  :func:`reduce_to_put` is the one home
 of that reduction: an American call uses put-call symmetry
 C(S, K, r, q) = P(K, S, q, r) (single asset), and a European call uses
 parity in its basket form, C = P + sum_i S_i e^(-q_i T) - K e^(-r T).
-:func:`put_boundary` is the one curve maker, :func:`put_transform` the one
-choice between the European, American and premium transforms, and
-:func:`contour_sum` the one trapezoid sum on Re w = a at a single spot,
+:func:`put_boundary` is the one curve maker and memo, :func:`put_transform`
+the one choice between the European, American and premium transforms,
+and :func:`contour_sum` the one trapezoid sum on Re w = a at one spot,
 which a greek reads on the lattice's pieces.  :func:`contour_price`, that
 sum of the put transform plus node 0's step, is the one single-spot price,
 read by the Dishon-Weiss series (on a contour folded at b = 0) and the
@@ -146,11 +145,11 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (_moment_cache, _request_cache, boundary_curve,
+from .boundary import (_curve_cache, _moment_cache, boundary_curve,
                        check_m_steps, premium_time_grid)
 from .errors import (GridTooCoarse, ImagResidualTooLarge, NoAdmissibleK,
                      SurfaceQualityError)
@@ -383,10 +382,12 @@ class MellinFftGrid:
         return math.prod(self.deltas.tolist())
 
 
-def _grid_lattice(n, size, strip_a=1.0, delta_target=0.25):
-    """The :class:`Lattice` of :func:`build_grid`: every axis has
+def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
+    """The grid that lands on ``target_S`` (:meth:`Lattice.land`) on the
+    one :class:`Lattice` of its n, N, a and delta: every axis has
     delta = ``delta_target`` exactly and lam = 2 pi / (N delta), so its
-    transforms are the same for every spot."""
+    transforms are the same for every spot.  ``GridTooCoarse`` for a half
+    lattice above MAX_HALF_POINTS or a lam above 1."""
     N = int(size)
     half_points = N ** (n - 1) * (N // 2 + 1)
     if half_points > MAX_HALF_POINTS:
@@ -396,14 +397,9 @@ def _grid_lattice(n, size, strip_a=1.0, delta_target=0.25):
     lam = 2.0 * math.pi / (N * float(delta_target))
     if lam > 1.0:
         raise GridTooCoarse(f"landing needs lam={lam} > 1; increase N")
-    return _lattice(n, N, tuple(np.full(n, strip_a, dtype=float).tolist()),
-                    (float(delta_target),) * n, (lam,) * n)
-
-
-def build_grid(n, size, strip_a, target_S, m_steps=250, delta_target=0.25):
-    """The grid of :func:`_grid_lattice` that lands on ``target_S``."""
-    return _grid_lattice(n, size, strip_a, delta_target).land(target_S,
-                                                             m_steps)
+    lattice = _lattice(n, N, tuple(np.full(n, strip_a, dtype=float).tolist()),
+                       (float(delta_target),) * n, (lam,) * n)
+    return lattice.land(target_S, m_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -845,12 +841,19 @@ def reduce_to_put(style, spec: BasketSpec, spots):
 def put_boundary(style, spec: BasketSpec, tau, m_steps, mode="corrected"):
     """The exercise boundary :func:`put_transform` needs for ``style``,
     the one place a put's curve is made: None for the European put, else
-    the critical-price curve on ``premium_time_grid(m_steps, tau)``,
-    single-asset only."""
+    the critical-price curve on ``premium_time_grid(m_steps, tau)`` at
+    ``spec``'s strike, single-asset only.  The strike-1 curve is memoised
+    in ``boundary._curve_cache`` on M, ``mode``, the maturity and the exact
+    bytes of r, q, sigma and tau: every route and strike reads one solve."""
     if style == EUROPEAN_PUT:
         return None
     _single_asset_only(spec)
-    return boundary_curve(spec, premium_time_grid(m_steps, tau), mode=mode)
+    key = (m_steps, mode, spec.maturity, _market_bytes(spec, tau))
+    curve = _curve_cache.get(key)
+    if curve is None:
+        curve = _curve_cache.add(key, boundary_curve(
+            spec, premium_time_grid(m_steps, tau), mode=mode))
+    return curve.at(spec.strike)
 
 
 def put_transform(axes, spec: BasketSpec, tau, style, boundary):
@@ -1161,7 +1164,7 @@ class PriceSurface:
 
 
 def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
-                  boundary=None, quality_checks=True):
+                  boundary=None):
     """Full put-price surface for the requested style.
 
     American pricing (and the premium style) is single-asset only and
@@ -1172,11 +1175,8 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     grid's ``target_S`` itself, so a landing value sits on the side of the
     step its spot lies on, half at S = s*_0.
 
-    ``quality_checks=False`` skips the imaginary-residual and negative-value
-    gates (still recording the diagnostics); payoff reconstruction at
-    degenerate maturities rings at the kink beyond the strict thresholds
-    and needs this.  A value that is not finite in the central half raises
-    ``SurfaceQualityError`` either way.
+    The quality gates on the central half of the lattice raise
+    ``SurfaceQualityError`` or ``ImagResidualTooLarge``.
     """
     if grid.n != spec.n:
         raise ValueError("grid and spec dimensions disagree")
@@ -1217,13 +1217,13 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     if not (math.isfinite(low) and math.isfinite(central_vals.max())):
         raise SurfaceQualityError("surface value not finite in the central "
                                   "half of the lattice")
-    if quality_checks and imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
+    if imag_resid >= IMAG_RESIDUAL_TOL * spec.strike:
         raise ImagResidualTooLarge(
             f"imaginary residual {imag_resid:g} >= "
             f"{IMAG_RESIDUAL_TOL * spec.strike:g}")
 
     eps_neg = NEGATIVE_CLAMP_TOL * spec.strike
-    if quality_checks and low < -eps_neg:
+    if low < -eps_neg:
         raise SurfaceQualityError(f"surface value {low:g} below -{eps_neg:g}")
     # Truncation leaves +-1e-8-scale sign noise where the true value is 0;
     # only material negatives count against the quality budget.
@@ -1231,7 +1231,7 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
     clamped = (int(np.count_nonzero(central_vals < -eps_material))
                if low < -eps_material else 0)
     share = clamped / central_vals.size
-    if quality_checks and share > MAX_CLAMPED_FRACTION:
+    if share > MAX_CLAMPED_FRACTION:
         raise SurfaceQualityError(f"{share:.1%} of central lattice points "
                                   f"below -{eps_material:g}")
     np.maximum(values, 0.0, out=values)  # NaN and -0.0 stay, as for a mask
@@ -1245,39 +1245,18 @@ def price_surface(spec: BasketSpec, grid: MellinFftGrid, tau, style,
 # ---------------------------------------------------------------------------
 
 
-def quote_request(spec: BasketSpec, tau, style, size, m_steps=250,
-                  strip_a=1.0, delta_target=0.25, boundary_mode="corrected"):
-    """(lattice, curve): the spot- and strike-free part of the ``style``
-    put's quotes and greeks on ``spec``'s market, the lattice of
-    :func:`build_grid` and the strike-1 curve of :func:`put_boundary`.
-    Memoised in ``boundary._request_cache`` on all the inputs but the
-    strike, each exact (module docstring, "Strike").
-    """
-    key = (style, size, m_steps, np.asarray(strip_a, float).tobytes(),
-           delta_target, boundary_mode, tau, spec.maturity, spec.rate,
-           spec.dividends.tobytes(), spec.vols.tobytes(), spec.corr.tobytes())
-    hit = _request_cache.get(key)
-    if hit is not None:
-        return hit
-    curve = put_boundary(style, replace(spec, strike=1.0), tau, m_steps,
-                         boundary_mode)
-    return _request_cache.add(key, (_grid_lattice(spec.n, size, strip_a,
-                                                  delta_target), curve))
-
-
 def landing_surface(spec: BasketSpec, spots, tau, style, size, m_steps=250,
                     strip_a=1.0, delta_target=0.25,
                     boundary_mode="corrected"):
     """The ``style`` put's :class:`PriceSurface` on a lattice that lands
-    on ``spots`` (:func:`build_grid`); its ``landing_value()`` is the price
-    at ``spots``.  The one chain of the quotes, :func:`greek_fd` and the
-    CLI: the market's :func:`quote_request`, the landing and one
+    on ``spots``; its ``landing_value()`` is the price at ``spots``.  The
+    one chain of the quotes, :func:`greek_fd` and the CLI: the market's
+    curve (:func:`put_boundary`), the grid (:func:`build_grid`) and one
     :func:`price_surface`.
     """
-    lattice, curve = quote_request(spec, tau, style, size, m_steps, strip_a,
-                                   delta_target, boundary_mode)
-    return price_surface(spec, lattice.land(spots, m_steps), tau, style,
-                         boundary=curve and curve.at(spec.strike))
+    curve = put_boundary(style, spec, tau, m_steps, boundary_mode)
+    grid = build_grid(spec.n, size, strip_a, spots, m_steps, delta_target)
+    return price_surface(spec, grid, tau, style, boundary=curve)
 
 
 def price_put(spot, strike, rate, dividend, vol, tau, style=AMERICAN_PUT,

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, contour_sum,
-                         landing_surface, lattice_pieces, node0_region,
-                         premium_sums, put_transform, quote_request,
-                         sample_transform)
+from .fft_pricer import (AMERICAN_PUT, EUROPEAN_PUT, build_grid,
+                         contour_sum, landing_surface, lattice_pieces,
+                         node0_region, premium_sums, put_boundary,
+                         put_transform, sample_transform)
 from .mellin_core import BasketSpec, CovStruct, char_exponent_wi, check_tau
 
 GREEK_NAMES = ("delta1", "delta2", "gamma", "theta", "rho", "nu", "xi")
@@ -271,10 +271,10 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     for the price, the sum reads the memoised strike-1 transforms at S/K
     and scales by K (module docstring of :mod:`~mellin_pricer.fft_pricer`,
     "Strike"); the multipliers are free of K, so only they and the sum are
-    computed per greek, on the market's
-    :func:`~mellin_pricer.fft_pricer.quote_request`.  The European factor
-    of delta1, gamma and delta2 rides in the sum's per-axis weights
-    (:func:`_axis_factors`), not on the lattice.
+    computed per greek, on the market's curve and lattice
+    (:func:`~mellin_pricer.fft_pricer.put_boundary`, ``build_grid``).
+    The European factor of delta1, gamma and delta2 rides in the sum's
+    per-axis weights (:func:`_axis_factors`), not on the lattice.
 
     A greek is read at one point, so it is the one single-spot trapezoid
     sum (:func:`~mellin_pricer.fft_pricer.contour_sum`) over the lattice's
@@ -292,9 +292,8 @@ def greek(kind: GreekKind, spot, tau, spec: BasketSpec, style=EUROPEAN_PUT,
     spot = np.atleast_1d(np.asarray(spot, dtype=float))
     if size is None:
         size = _default_size(spec.n)
-    lattice, bnd = quote_request(spec, tau, style, size, m_steps, strip_a,
-                                 delta_target, boundary_mode)
-    grid, bnd = lattice.land(spot, m_steps), bnd and bnd.at(spec.strike)
+    bnd = put_boundary(style, spec, tau, m_steps, boundary_mode)
+    grid = build_grid(spec.n, size, strip_a, spot, m_steps, delta_target)
     # a European factor of one-axis factors rides in the sum's weights
     by_axis = bnd is None and kind.name in ("delta1", "delta2", "gamma")
 

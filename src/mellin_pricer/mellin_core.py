@@ -61,6 +61,24 @@ def _as_readonly(a, dtype=float):
     return arr
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _field_values(spec, name, ndmin):
+    """(array, its floats): the field as a private read-only float64 array."""
+    a = getattr(spec, name)
+    if not (type(a) is np.ndarray and a.dtype is _FLOAT64
+            and a.ndim >= ndmin and a.base is None and not a.flags.writeable):
+        a = np.array(a, dtype=float, ndmin=ndmin)
+        a.setflags(write=False)
+        object.__setattr__(spec, name, a)
+    values = a.ravel().tolist()
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+    return a, values
+
+
 _UNIT_CORR = _as_readonly([[1.0]])  # every one-asset spec's correlation
 
 
@@ -88,91 +106,48 @@ class BasketSpec:
     corr: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        """Every check once, on floats; |x - y| <= 1e-12 + 1e-5 |y| is
+        ``np.allclose``'s.  Symmetry and PSD hold for any 1 x 1 corr."""
+        n = self.n
+        if n < 1:
             raise ValueError("asset count n must be >= 1")
-        if self._plain_single():
-            self._check_single()
-            return
-        for name in ("strike", "maturity", "rate", "dividends", "vols",
-                     "corr"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.strike):
+            raise ValueError("strike must be finite")
+        if not math.isfinite(self.maturity):
+            raise ValueError("maturity must be finite")
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
+        q, qv = _field_values(self, "dividends", 1)
+        s, sv = _field_values(self, "vols", 1)
+        c, cv = _field_values(self, "corr", 2)  # c_ij is cv[i n + j]
         if not self.strike > 0:
             raise ValueError("strike must be positive")
         if not self.maturity > 0:
             raise ValueError("maturity must be positive")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
-        q = _as_readonly(np.atleast_1d(self.dividends))
-        s = _as_readonly(np.atleast_1d(self.vols))
-        c = _as_readonly(np.atleast_2d(self.corr))
-        if q.shape != (self.n,):
-            raise ValueError(f"dividends must have length n={self.n}")
-        if s.shape != (self.n,):
-            raise ValueError(f"vols must have length n={self.n}")
-        if c.shape != (self.n, self.n):
-            raise ValueError(f"corr must be {self.n}x{self.n}")
-        if np.any(q < 0):
+        if q.shape != (n,):
+            raise ValueError(f"dividends must have length n={n}")
+        if s.shape != (n,):
+            raise ValueError(f"vols must have length n={n}")
+        if c.shape != (n, n):
+            raise ValueError(f"corr must be {n}x{n}")
+        if min(qv) < 0:
             raise ValueError("dividend rates must be nonnegative")
-        if np.any(s <= 0):
+        if min(sv) <= 0:
             # zero vol breaks the integrand decay and the k1/k2 reduction
             raise ValueError("volatilities must be strictly positive")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("corr must be symmetric")
-        if not np.allclose(np.diag(c), 1.0, atol=1e-12):
-            raise ValueError("corr must have unit diagonal")
-        if np.any(np.abs(c) > 1 + 1e-12):
+        for i in range(n if n > 1 else 0):  # row i of c and of c.T
+            for x, y in zip(cv[i * n:(i + 1) * n], cv[i::n]):
+                if not abs(x - y) <= 1e-12 + 1e-5 * abs(y):
+                    raise ValueError("corr must be symmetric")
+        for d in cv[::n + 1]:
+            if not abs(d - 1.0) <= 1e-12 + 1e-5:
+                raise ValueError("corr must have unit diagonal")
+        if max(map(abs, cv)) > 1 + 1e-12:
             raise ValueError("corr entries must lie in [-1, 1]")
-        if np.linalg.eigvalsh(c).min() < PSD_EIGENVALUE_FLOOR:
+        if n > 1 and np.linalg.eigvalsh(c).min() < PSD_EIGENVALUE_FLOOR:
             raise ValueError("corr must be positive semidefinite")
-        object.__setattr__(self, "dividends", q)
-        object.__setattr__(self, "vols", s)
-        object.__setattr__(self, "corr", c)
-
-    def _plain_single(self):
-        """Whether this is one asset in the form :meth:`single` builds:
-        float scalars and float64 arrays of shapes (1,), (1,) and (1, 1)."""
-        q, s, c = self.dividends, self.vols, self.corr
-        return (self.n == 1 and isinstance(self.strike, float)
-                and isinstance(self.maturity, float)
-                and isinstance(self.rate, float)
-                and type(q) is type(s) is type(c) is np.ndarray
-                and q.shape == s.shape == (1,) and c.shape == (1, 1)
-                and q.dtype == s.dtype == c.dtype == np.float64)
-
-    def _check_single(self):
-        """The checks of ``__post_init__`` on a plain one-asset spec, on floats.
-
-        Same order and messages as the array checks.  For a 1 x 1 corr c
-        the symmetry check always holds, ``np.allclose``'s unit-diagonal
-        test is |c - 1| <= 1e-12 + 1e-5 (its default rtol times |1|), and
-        c is the only eigenvalue, so the PSD check cannot fail after it.
-        """
-        q, s, c = (self.dividends.item(), self.vols.item(),
-                   self.corr.item())
-        for name, v in (("strike", self.strike), ("maturity", self.maturity),
-                        ("rate", self.rate), ("dividends", q), ("vols", s),
-                        ("corr", c)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
-        if not self.maturity > 0:
-            raise ValueError("maturity must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if q < 0:
-            raise ValueError("dividend rates must be nonnegative")
-        if s <= 0:
-            raise ValueError("volatilities must be strictly positive")
-        if not abs(c - 1.0) <= 1e-12 + 1e-5 * 1.0:
-            raise ValueError("corr must have unit diagonal")
-        if abs(c) > 1 + 1e-12:
-            raise ValueError("corr entries must lie in [-1, 1]")
-        for name in ("dividends", "vols", "corr"):
-            a = getattr(self, name)
-            if a.flags.writeable or a.base is not None:  # not only ours
-                object.__setattr__(self, name, _as_readonly(a))
 
     @classmethod
     def single(cls, strike, maturity, rate, dividend, vol):

@@ -21,7 +21,7 @@ from mellin_pricer.boundary import (CRITICAL_PRICE_MODES, LOWEST_ROOT,
 from mellin_pricer.errors import NegativeRadicand, NoBracket
 from mellin_pricer.fft_pricer import (AMERICAN_PUT, build_grid,
                                       premium_moments, price_american_call,
-                                      price_surface)
+                                      price_surface, put_boundary)
 from mellin_pricer.mellin_core import BasketSpec
 from mellin_pricer.oracles import black_scholes, boundary_residual_cap
 
@@ -74,8 +74,9 @@ def max_abs_residual(values, times, spec):
 
 
 def curve_of(spec, m, tau, mode="corrected"):
-    """The curve of ``spec`` on the M-node Simpson grid over [0, tau]."""
-    return boundary_curve(spec, premium_time_grid(m, tau), mode)
+    """The memoised curve of ``spec`` on the M-node Simpson grid over
+    [0, tau], as every pricer reads it."""
+    return put_boundary(AMERICAN_PUT, spec, tau, m, mode)
 
 
 def calendar_times(spec, curve):
@@ -440,13 +441,13 @@ class TestBoundaryCurve:
         assert solves == [(1.0, (m,))]
 
     def test_caches_stay_bounded(self):
-        size = boundary.CACHE_SIZE
+        size = boundary.CURVE_CACHE_SIZE
         specs = [BasketSpec.single(100.0, 0.5, 0.01 + 1e-4 * i, 0.02, 0.3)
                  for i in range(size + 10)]
         first = curve_of(specs[0], 2, 0.5)
         for spec in specs[1:]:
             curve_of(spec, 2, 0.5)
-        assert len(boundary._unit_cache) == size
+        assert len(boundary._curve_cache) == size
         last = curve_of(specs[-1], 2, 0.5)
         assert curve_of(specs[-1], 2, 0.5).u is last.u
         # the least recently used market was evicted and is solved anew
@@ -458,9 +459,9 @@ class TestBoundaryCurve:
         curve = curve_of(self.spec, 5, 0.5)
         w = build_grid(1, 2**6, 1.0, [100.0], m_steps=5).axes
         premium_moments(w, self.spec, curve)
-        assert len(boundary._unit_cache) and len(boundary._moment_cache)
+        assert len(boundary._curve_cache) and len(boundary._moment_cache)
         clear_boundary_cache()
-        assert len(boundary._unit_cache) == 0
+        assert len(boundary._curve_cache) == 0
         assert len(boundary._moment_cache) == 0
 
     def test_node_index_lookup(self):
@@ -503,12 +504,13 @@ class TestBoundaryCurve:
        tau=st.floats(0.01, 2.0), m=st.sampled_from((1, 2, 3, 250)))
 def test_curve_is_sampled_on_the_time_grid(strike, r, q, vol, tau, m):
     # the curve holds the grid it was made on, and node l reads the
-    # strike-1 solve at the time to expiry nearest tau - t_l
+    # strike-1 solve at the time to expiry nearest tau - t_l; the memoised
+    # curve is that solve
     spec = BasketSpec.single(strike, tau, r, q, vol)
     times = premium_time_grid(m, tau)
     curve = boundary_curve(spec, times)
     assert curve.grid is times and curve.strike == strike
-    assert curve.u is curve_of(spec, m, tau).u
+    assert np.array_equal(curve.u, curve_of(spec, m, tau).u)
     tte = times.t[::-1] if m > 1 else [tau]
     assert np.array_equal(curve.grid.tte, tte)
     nearest = [tte[np.argmin(np.abs(np.subtract(tte, tau - t)))]

@@ -36,6 +36,14 @@ from mellin_pricer.mellin_core import (BasketSpec, CovStruct, char_exponent_wi,
 from mellin_pricer.oracles import black_scholes
 
 
+def raw_inverse(spec, grid, tau):
+    """(values, imag_residual): the European put's inverse before the
+    quality gates of ``price_surface`` read it, unclamped."""
+    return invert_transform_lattice(grid, *sample_transform(
+        grid, lambda axes: put_transform(axes, spec, tau, EUROPEAN_PUT,
+                                         None)), strike=spec.strike)
+
+
 class TestBuildGrid:
     def test_reference_spacing(self):
         # landing on ln(100) with N = 2^14 and spacing 0.25 puts the
@@ -437,17 +445,35 @@ class TestEuropeanSurface:
         diffs = np.diff(surf.values[lo:hi])
         assert diffs.max() <= 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.floats(0.0, 0.15), q=st.floats(0.0, 0.15),
+           vol=st.floats(0.1, 0.6),
+           log_tau=st.floats(math.log(0.05), math.log(2.0)),
+           log_moneyness=st.floats(-0.4, 0.4))
+    def test_put_and_parity_call_match_black_scholes(self, r, q, vol,
+                                                     log_tau, log_moneyness):
+        # the default N = 2^14 lattice, and the call through the parity of
+        # reduce_to_put, on random markets
+        tau, strike = math.exp(log_tau), 100.0
+        spot = strike * math.exp(log_moneyness)
+        spec = BasketSpec.single(strike, tau, r, q, vol)
+        for style, bs in ((EUROPEAN_PUT, "put"), (EUROPEAN_CALL, "call")):
+            put, spots, put_style, term = reduce_to_put(style, spec, [spot])
+            got = price_put(spots[0], put.strike, r, q, vol, tau,
+                            put_style)[0] + term
+            want = black_scholes(spot, strike, r, q, vol, tau, bs).price
+            assert abs(got - want) <= 1e-9 * strike, style
+
     def test_payoff_limit_away_from_kink(self):
         # tau -> 0 reconstructs the payoff; the +-5 lattice points around
         # the strike kink carry the slow-tail ringing (ledger) and are
         # excluded here
         spec = BasketSpec.single(100.0, 1.0, 0.05, 0.0, 0.2)
         grid = build_grid(1, 2**14, 1.0, [100.0])
-        surf = price_surface(spec, grid, 1e-8, EUROPEAN_PUT,
-                             quality_checks=False)
+        values, _ = raw_inverse(spec, grid, 1e-8)
         s = np.exp(grid.log_prices(0))
         payoff = np.maximum(100.0 - s, 0.0)
-        err = np.abs(surf.values - payoff)
+        err = np.abs(values - payoff)
         mask = (s >= 50.0) & (s <= 150.0)
         k0 = grid.landing_index[0]
         mask[k0 - 5:k0 + 6] = False
@@ -724,8 +750,7 @@ class TestPutTransformAndContourSum:
                           dividends=[q1, q2], vols=[vol1, vol2],
                           corr=[[1.0, rho], [rho, 1.0]])
         grid = build_grid(2, 2**9, 1.0, [s1, s2])
-        landing = price_surface(spec, grid, tau, EUROPEAN_PUT,
-                                quality_checks=False).landing_value()
+        landing = raw_inverse(spec, grid, tau)[0][grid.landing_index]
         # K times the strike-1 transform's sum at S/K
         direct = 100.0 * contour_sum(
             put_transform(grid.axes, spec, tau, EUROPEAN_PUT, None),
@@ -758,22 +783,20 @@ class TestQualityGates:
         grid = build_grid(2, 2**7, 1.0, self.BASKET_SPOTS)
         with pytest.raises(ImagResidualTooLarge):
             price_surface(self.BASKET, grid, 0.25, EUROPEAN_PUT)
-        ungated = price_surface(self.BASKET, grid, 0.25, EUROPEAN_PUT,
-                                quality_checks=False)
-        assert ungated.imag_residual > 1e4
+        values, resid = raw_inverse(self.BASKET, grid, 0.25)
+        assert resid > 1e4
         # the fallback grid the benchmark uses for this market passes
         fine = price_surface(self.BASKET, build_grid(
             2, 2**9, 1.0, self.BASKET_SPOTS, delta_target=0.35), 0.25,
                              EUROPEAN_PUT).landing_value()
         assert abs(fine - 3.05280) < 1e-5
-        assert abs(ungated.landing_value() - fine) > 0.02
+        assert abs(values[grid.landing_index] - fine) > 0.02
 
     def test_negative_values_refuse_a_short_put_on_64_points(self):
         grid = build_grid(1, 64, 1.0, [100.0])
         with pytest.raises(SurfaceQualityError, match="below"):
             price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
-        ungated = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT,
-                                quality_checks=False).landing_value()
+        ungated = raw_inverse(self.PUT, grid, 0.05)[0][grid.landing_index]
         want = black_scholes(100.0, 100.0, 0.05, 0.02, 0.2, 0.05,
                              "put").price
         assert abs(want - 1.70699) < 1e-5
@@ -781,20 +804,18 @@ class TestQualityGates:
 
     def test_clamped_points_count_the_material_negatives_the_gate_reads(
             self):
-        # the raw inverse of the same transform, before any clamping
-        grid = build_grid(1, 64, 1.0, [100.0])
-        raw, _ = invert_transform_lattice(grid, *sample_transform(
-            grid, lambda axes: put_transform(axes, self.PUT, 0.05,
-                                             EUROPEAN_PUT, None)),
-            strike=self.PUT.strike)
-        central = raw[16:48]
-        material = np.count_nonzero(central < -1e-8 * self.PUT.strike)
-        surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT,
-                             quality_checks=False)
-        assert surf.clamped_points == material > 0
-        # every negative is still clamped, the sub-material ones included
-        assert np.count_nonzero(raw < 0.0) > material
-        assert surf.values.min() == 0.0
+        # central-half values below -1e-8 K count; sub-material ones and
+        # those outside the central half do not, and every one is clamped
+        grid = build_grid(1, 4096, 1.0, [100.0])
+        values = np.full(4096, 1.0)
+        values[1024:1039] = -1e-7 * self.PUT.strike  # material
+        values[2000:2040] = -1e-9 * self.PUT.strike  # sub-material
+        values[:10] = -1e-7 * self.PUT.strike  # outside the central half
+        with mock.patch.object(fft_pricer, "invert_transform_lattice",
+                               return_value=(values.copy(), 0.0)):
+            surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
+        assert surf.clamped_points == 15
+        assert np.array_equal(surf.values, np.maximum(values, 0.0))
 
     def test_material_negatives_on_over_one_percent_are_refused(self):
         # the share is of the central half: 1.5% of it is refused, 0.75%
@@ -812,17 +833,20 @@ class TestQualityGates:
                     surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
                     assert surf.clamped_points == count
 
-    @pytest.mark.parametrize("quality_checks", [True, False])
-    def test_a_non_finite_surface_is_refused(self, quality_checks):
+    def test_a_non_finite_surface_is_refused(self):
         # at a = 700 the transform and the read-out overflow, and the
         # central half holds NaN, which passed every comparison-based gate
         grid = build_grid(1, 4096, 700.0, [100.0])
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2)
         bnd = boundary_curve(spec, premium_time_grid(250, 0.5))
-        with np.errstate(all="ignore"), pytest.raises(
-                SurfaceQualityError, match="not finite"):
-            price_surface(spec, grid, 0.5, AMERICAN_PUT, boundary=bnd,
-                          quality_checks=quality_checks)
+        with np.errstate(all="ignore"):
+            values, _ = invert_transform_lattice(grid, *sample_transform(
+                grid, lambda axes: put_transform(axes, spec, 0.5,
+                                                 AMERICAN_PUT, bnd)),
+                strike=spec.strike)
+            assert np.isnan(values[grid.lattice.central]).any()
+            with pytest.raises(SurfaceQualityError, match="not finite"):
+                price_surface(spec, grid, 0.5, AMERICAN_PUT, boundary=bnd)
 
     def test_a_non_finite_contour_sum_is_refused(self):
         axes = (Axis(1.0, 0.25, 0, 4),)
@@ -836,8 +860,9 @@ class TestExports:
         spec = BasketSpec.single(2.5, 1.0, 0.05, 0.0, 0.2)
         self.grid = build_grid(1, 16, 1.0, [2.0], m_steps=2,
                                delta_target=0.9)
-        self.surf = price_surface(spec, self.grid, 1.0, EUROPEAN_PUT,
-                                  quality_checks=False)
+        self.surf = PriceSurface(self.grid, raw_inverse(spec, self.grid,
+                                                        1.0)[0],
+                                 EUROPEAN_PUT, 1.0)
 
     def test_csv_shape(self):
         buf = io.StringIO()
@@ -878,8 +903,8 @@ class TestExports:
         self.assert_csv_matches_per_row(self.surf)
         grid = build_grid(2, 16, [1.0, 0.8], [2.0, 3.0], m_steps=2,
                           delta_target=0.9)
-        surf = price_surface(basket2_spec, grid, 0.5, EUROPEAN_PUT,
-                             quality_checks=False)
+        surf = PriceSurface(grid, raw_inverse(basket2_spec, grid, 0.5)[0],
+                            EUROPEAN_PUT, 0.5)
         self.assert_csv_matches_per_row(surf)
 
     def test_csv_matches_per_row_writer_on_awkward_values(self):
@@ -974,14 +999,13 @@ class TestHomogeneity:
                               corr=[[1.0, rho], [rho, 1.0]])
             spots = np.array([s1, s2]) * (k / 100.0)
             grid = build_grid(2, 2**9, 1.0, spots)
-            surf = price_surface(spec, grid, tau, EUROPEAN_PUT,
-                                 quality_checks=False)
+            values, resid = raw_inverse(spec, grid, tau)
             at_k = invert_transform_lattice(grid, *sample_transform(
                 grid, lambda axes: k ** (1.0 + sum(np.ix_(*(
                     ax.points for ax in axes)))) * discounted_payoff_transform(
                         axes, spec, tau)))[1]
-            assert abs(surf.imag_residual - at_k) <= 1e-9 * at_k
-            out.append((surf.landing_value(),
+            assert abs(resid - at_k) <= 1e-9 * at_k
+            out.append((values[grid.landing_index],
                         gk.greek(gk.delta1(1), spots, tau, spec)))
         (value, delta), (got_value, got_delta) = out
         assert abs(got_value - c * value) <= 1e-12 * c * 100.0

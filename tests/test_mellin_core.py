@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from conftest import assert_close
 from mellin_pricer.errors import PoleError
-from mellin_pricer.mellin_core import (BasketSpec, CovStruct,
-                                       char_exponent_wi, early_exercise_mellin,
+from mellin_pricer.mellin_core import (PSD_EIGENVALUE_FLOOR, BasketSpec,
+                                       CovStruct, char_exponent_wi,
+                                       early_exercise_mellin,
                                        exercise_indicator_mellin,
                                        lgamma_complex, multinomial_beta,
                                        payoff_mellin, riskneutral_drift)
@@ -192,6 +193,115 @@ class TestOneAssetEdgeCases:
         assert spec.dividends[0] == 0.02
         assert not spec.dividends.flags.writeable
         assert not spec.corr.flags.writeable
+
+
+def reference_outcome(n, strike, maturity, rate, dividends, vols, corr):
+    """"ok" or the ValueError message of a spec, from numpy's own checks in
+    the order the package has always run them."""
+    fields = dict(strike=strike, maturity=maturity, rate=rate,
+                  dividends=dividends, vols=vols, corr=corr)
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            return f"{name} must be finite"
+    if not strike > 0:
+        return "strike must be positive"
+    if not maturity > 0:
+        return "maturity must be positive"
+    if rate < 0:
+        return "rate must be nonnegative"
+    q = np.atleast_1d(np.array(dividends, dtype=float))
+    s = np.atleast_1d(np.array(vols, dtype=float))
+    c = np.atleast_2d(np.array(corr, dtype=float))
+    if q.shape != (n,):
+        return f"dividends must have length n={n}"
+    if s.shape != (n,):
+        return f"vols must have length n={n}"
+    if c.shape != (n, n):
+        return f"corr must be {n}x{n}"
+    if np.any(q < 0):
+        return "dividend rates must be nonnegative"
+    if np.any(s <= 0):
+        return "volatilities must be strictly positive"
+    if not np.allclose(c, c.T, atol=1e-12):
+        return "corr must be symmetric"
+    if not np.allclose(np.diag(c), 1.0, atol=1e-12):
+        return "corr must have unit diagonal"
+    if np.any(np.abs(c) > 1 + 1e-12):
+        return "corr entries must lie in [-1, 1]"
+    if np.linalg.eigvalsh(c).min() < PSD_EIGENVALUE_FLOOR:
+        return "corr must be positive semidefinite"
+    return "ok"
+
+
+def near(tol):
+    """0, or about +-tol: a move that lands on either side of a check, at
+    times within 5e-8 tol of it (less than the atol of the unit-diagonal
+    check) or 5e-6 tol past it (less than the rtol term of the symmetry
+    check's |y| for |y| ~ 1)."""
+    k = st.floats(0.5, 1.5) | st.sampled_from((1 - 5e-8, 1 + 5e-6))
+    return st.just(0.0) | k.flatmap(
+        lambda k: st.sampled_from((k * tol, -k * tol)))
+
+
+@st.composite
+def correlations_near_the_tolerances(draw):
+    """A 2 x 2 or 3 x 3 corr moved across each check's tolerance: a
+    singular correlation (unit rows of an n x (n - 1) factor), its
+    off-diagonal scaled by 1 + s so that its least eigenvalue is about -s
+    (the PSD floor at s ~ 1e-10), one diagonal entry moved near the
+    unit-diagonal tolerance or the floor, one entry moved near the
+    symmetry tolerance, and one pair perhaps set near |c| = 1 + 1e-12."""
+    n = draw(st.sampled_from((2, 3)))
+    factor = np.array(draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1),
+        min_size=n, max_size=n)))
+    norms = np.linalg.norm(factor, axis=1, keepdims=True)
+    assume(np.all(norms > 0.1))
+    factor /= norms
+    c = factor @ factor.T
+    np.fill_diagonal(c, 1.0)
+    s = draw(near(1e-10) | near(1e-12))
+    c = np.where(np.eye(n, dtype=bool), c, (1.0 + s) * c)
+    i, j = draw(st.permutations(range(n)))[:2]
+    c[i, i] += draw(near(1e-12 + 1e-5) | near(1e-10))
+    if draw(st.booleans()):
+        c[i, j] = c[j, i] = draw(st.sampled_from((1.0, -1.0))) * (
+            1.0 + draw(st.floats(0.0, 2.0)) * 1e-12)
+    c[i, j] += draw(near(1e-12 + 1e-5 * abs(c[j, i])) | near(1e-12))
+    return n, c
+
+
+class TestBasketValidationMatchesNumpy:
+    """The checks of a basket spec, on Python floats, against numpy's
+    ``isfinite``, ``allclose`` and ``eigvalsh`` near every tolerance."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(case=(2, np.array([[1.0, 0.5], [0.5 + 1.1e-5, 1.0]])))
+    # |c01 - c10| between 1e-12 + 1e-5 |c10| and 1e-12 + 1e-5 |c01|: only
+    # the check of c01 against c10 refuses it
+    @example(case=(2, np.array([[1.0, 0.5 + (1e-12 + 5e-6) * (1 + 5e-6)],
+                                [0.5, 1.0]])))
+    # a diagonal 1e-5 + 5e-13 below 1: inside the tolerance by its atol
+    @example(case=(2, np.array([[1.0 - 1.00000000005e-5, 0.5],
+                                [0.5, 1.0]])))
+    @example(case=(2, np.array([[1.0 + 1.1e-5, 0.5], [0.5, 1.0]])))
+    @example(case=(2, np.array([[1.0, 1.0 + 2e-12], [1.0 + 2e-12, 1.0]])))
+    @example(case=(2, np.array([[1.0 - 2e-10, 1.0], [1.0, 1.0]])))
+    @example(case=(3, np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.3],
+                                [-0.9, 0.3, 1.0]])))
+    @given(case=correlations_near_the_tolerances())
+    def test_messages_equal_the_numpy_reference(self, case):
+        n, corr = case
+        q, vols = [0.02, 0.03, 0.0][:n], [0.2, 0.3, 0.25][:n]
+        want = reference_outcome(n, 100.0, 0.5, 0.05, q, vols, corr)
+        for form in (corr.tolist(), corr.copy()):
+            try:
+                BasketSpec(n=n, strike=100.0, maturity=0.5, rate=0.05,
+                           dividends=q, vols=vols, corr=form)
+                got = "ok"
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (form, want)
 
 
 # ---------------------------------------------------------------------------
