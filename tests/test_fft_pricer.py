@@ -833,20 +833,26 @@ class TestQualityGates:
                     surf = price_surface(self.PUT, grid, 0.05, EUROPEAN_PUT)
                     assert surf.clamped_points == count
 
-    def test_a_non_finite_surface_is_refused(self):
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_a_non_finite_surface_is_refused(self, gated):
         # at a = 700 the transform and the read-out overflow, and the
-        # central half holds NaN, which passed every comparison-based gate
+        # central half holds NaN, which passed every comparison-based gate:
+        # ungated, the raw inverse the gates read; gated, the surface
         grid = build_grid(1, 4096, 700.0, [100.0])
         spec = BasketSpec.single(100.0, 0.5, 0.05, 0.02, 0.2)
         bnd = boundary_curve(spec, premium_time_grid(250, 0.5))
         with np.errstate(all="ignore"):
-            values, _ = invert_transform_lattice(grid, *sample_transform(
-                grid, lambda axes: put_transform(axes, spec, 0.5,
-                                                 AMERICAN_PUT, bnd)),
-                strike=spec.strike)
-            assert np.isnan(values[grid.lattice.central]).any()
-            with pytest.raises(SurfaceQualityError, match="not finite"):
-                price_surface(spec, grid, 0.5, AMERICAN_PUT, boundary=bnd)
+            if gated:
+                with pytest.raises(SurfaceQualityError, match="not finite"):
+                    price_surface(spec, grid, 0.5, AMERICAN_PUT,
+                                  boundary=bnd)
+            else:
+                values, _ = invert_transform_lattice(
+                    grid, *sample_transform(
+                        grid, lambda axes: put_transform(
+                            axes, spec, 0.5, AMERICAN_PUT, bnd)),
+                    strike=spec.strike)
+                assert np.isnan(values[grid.lattice.central]).any()
 
     def test_a_non_finite_contour_sum_is_refused(self):
         axes = (Axis(1.0, 0.25, 0, 4),)
